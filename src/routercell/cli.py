@@ -254,13 +254,8 @@ def _cmd_sweep_power(config, inputs, run_dir, seed, fmt, run_id):
     sat = config["saturation"]
     g = config["grid"]
     n_avg = np.geomspace(g["navg_min"], g["navg_max"], int(g["n_navg"]))
-    total = cell.gamma_sum
-    low = {
-        "AA": 1.0 - cell.gamma_a / total,
-        "BB": 1.0 - cell.gamma_b / total,
-        "AB": math.sqrt(cell.gamma_a * cell.gamma_b) / total,
-        "BA": math.sqrt(cell.gamma_a * cell.gamma_b) / total,
-    }
+    # weak drive: the linear cell response on resonance
+    low = {ch: abs(v) for ch, v in model.cell_coefficients(cell.omega_ge, cell).items()}
     high = {"AA": 1.0, "BB": 1.0, "AB": 0.0, "BA": 0.0}
     sigma = config["noise"]["sigma"]
     rows = []
@@ -313,24 +308,27 @@ def _cmd_report(config, inputs, run_dir, seed, fmt, run_id):
     fit_file = target / "fit.json" if target.is_dir() else target
     with fit_file.open() as fh:
         payload = json.load(fh)
-    params = payload["params"]
-    sigma = payload["sigma"]
 
     def mhz(x):
         return x / (2.0 * math.pi * 1e6)
 
-    lines = [
-        f"basic-cell fit summary (run: {run_id})",
-        f"  source: {fit_file}",
-        f"  converged: {payload['converged']} after {payload['n_iter']} evaluations",
-        f"  residual norm: {payload['residual_norm']:.3e}",
-        f"  gamma_a  = 2pi * {mhz(params['gamma_a']):.4f} +/- {mhz(sigma['gamma_a']):.4f} MHz",
-        f"  gamma_b  = 2pi * {mhz(params['gamma_b']):.4f} +/- {mhz(sigma['gamma_b']):.4f} MHz",
-        f"  f_ge     = {params['omega_ge'] / (2.0 * math.pi * 1e9):.6f} "
-        f"+/- {sigma['omega_ge'] / (2.0 * math.pi * 1e9):.2e} GHz",
-        f"  phi_a    = {params['phi_a'] / math.pi:+.4f} pi +/- {sigma['phi_a'] / math.pi:.4f} pi",
-        f"  phi_b    = {params['phi_b'] / math.pi:+.4f} pi +/- {sigma['phi_b'] / math.pi:.4f} pi",
-    ]
+    try:
+        params = payload["params"]
+        sigma = payload["sigma"]
+        lines = [
+            f"basic-cell fit summary (run: {run_id})",
+            f"  source: {fit_file}",
+            f"  converged: {payload['converged']} after {payload['n_iter']} evaluations",
+            f"  residual norm: {payload['residual_norm']:.3e}",
+            f"  gamma_a  = 2pi * {mhz(params['gamma_a']):.4f} +/- {mhz(sigma['gamma_a']):.4f} MHz",
+            f"  gamma_b  = 2pi * {mhz(params['gamma_b']):.4f} +/- {mhz(sigma['gamma_b']):.4f} MHz",
+            f"  f_ge     = {params['omega_ge'] / (2.0 * math.pi * 1e9):.6f} "
+            f"+/- {sigma['omega_ge'] / (2.0 * math.pi * 1e9):.2e} GHz",
+            f"  phi_a    = {params['phi_a'] / math.pi:+.4f} pi +/- {sigma['phi_a'] / math.pi:.4f} pi",
+            f"  phi_b    = {params['phi_b'] / math.pi:+.4f} pi +/- {sigma['phi_b'] / math.pi:.4f} pi",
+        ]
+    except KeyError as exc:
+        raise io.ParseError(f"fit file {fit_file} lacks key {exc.args[0]!r}") from None
     if payload.get("flags"):
         lines.append(f"  flags: {', '.join(payload['flags'])}")
     text = "\n".join(lines) + "\n"

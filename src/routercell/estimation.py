@@ -4,9 +4,10 @@ Fits fall into three families:
 
 * steady state -- a simultaneous complex least-squares fit of all four
   calibrated transmission channels against the closed-form model (they
-  share one parameter set), dephasing reconstruction from the transfer
-  efficiency, flux-noise and thermal fits of the reconstructed rates, and
-  drive-saturation fits;
+  share one parameter set; residual and analytic Jacobian both come from
+  :func:`routercell.model.cell_response`), dephasing reconstruction from
+  the transfer efficiency, flux-noise and thermal fits of the
+  reconstructed rates, and drive-saturation fits;
 * time domain -- exponential energy-relaxation and damped-Rabi fits plus
   the rate budget that splits the measured decay into coupling, bath and
   pure-dephasing contributions;
@@ -36,6 +37,7 @@ from .model import (
     FluxModel,
     SaturationParams,
     ThermalCoefficients,
+    cell_response,
     n_thermal,
     resonant_efficiency,
 )
@@ -45,7 +47,6 @@ __all__ = [
     "PopulationTrace",
     "RateBudget",
     "FitError",
-    "four_channel_model",
     "initial_guess_from_spectrum",
     "fit_four_channel",
     "efficiency_trace",
@@ -201,58 +202,10 @@ def _linear_report(names, design, target, seed=None) -> FitReport:
 _FOUR_CHANNEL_NAMES = ("gamma_a", "gamma_b", "omega_ge", "phi_a", "phi_b")
 
 
-def four_channel_model(omega, gamma_a, gamma_b, omega_ge, phi_a, phi_b,
-                       coherence_rate: float = 0.0) -> dict[str, np.ndarray]:
-    """All four channel coefficients for explicit parameter values."""
-    d = np.asarray(omega, dtype=float) - omega_ge + 1j * (coherence_rate + gamma_a + gamma_b)
-    n_a = 1j * gamma_a * np.exp(1j * phi_a)
-    n_b = 1j * gamma_b * np.exp(1j * phi_b)
-    n_x = 1j * math.sqrt(gamma_a * gamma_b) * np.exp(0.5j * (phi_a + phi_b))
-    cross = n_x / d
-    return {"AA": 1.0 - n_a / d, "BB": 1.0 - n_b / d, "AB": cross, "BA": cross}
-
-
-def _stack_complex(values: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([
-        np.concatenate([values[ch].real, values[ch].imag]) for ch in CHANNELS
-    ])
-
-
-def _four_channel_derivatives(omega, x, coherence_rate):
-    """Analytic channel derivatives w.r.t. the five fit parameters."""
-    gamma_a, gamma_b, omega_ge, phi_a, phi_b = x
-    d = omega - omega_ge + 1j * (coherence_rate + gamma_a + gamma_b)
-    d2 = d * d
-    n_a = 1j * gamma_a * np.exp(1j * phi_a)
-    n_b = 1j * gamma_b * np.exp(1j * phi_b)
-    n_x = 1j * math.sqrt(gamma_a * gamma_b) * np.exp(0.5j * (phi_a + phi_b))
-
-    da = {
-        "AA": -(1j * np.exp(1j * phi_a)) / d + 1j * n_a / d2,
-        "BB": 1j * n_b / d2,
-        "X": n_x / (2.0 * gamma_a * d) - 1j * n_x / d2,
-    }
-    db = {
-        "AA": 1j * n_a / d2,
-        "BB": -(1j * np.exp(1j * phi_b)) / d + 1j * n_b / d2,
-        "X": n_x / (2.0 * gamma_b * d) - 1j * n_x / d2,
-    }
-    dw = {"AA": -n_a / d2, "BB": -n_b / d2, "X": n_x / d2}
-    dpa = {"AA": -1j * n_a / d, "BB": np.zeros_like(d), "X": 0.5j * n_x / d}
-    dpb = {"AA": np.zeros_like(d), "BB": -1j * n_b / d, "X": 0.5j * n_x / d}
-
-    out = []
-    for deriv in (da, db, dw, dpa, dpb):
-        out.append({"AA": deriv["AA"], "BB": deriv["BB"],
-                    "AB": deriv["X"], "BA": deriv["X"]})
-    return out
-
-
-def _four_channel_jacobian(omega, x, coherence_rate) -> np.ndarray:
-    cols = []
-    for deriv in _four_channel_derivatives(omega, x, coherence_rate):
-        cols.append(_stack_complex(deriv))
-    return np.column_stack(cols)
+def _real_rows(values: np.ndarray) -> np.ndarray:
+    """``(..., 4, n)`` complex -> ``(..., 8 n)`` real: per channel, real then imaginary part."""
+    stacked = np.stack([values.real, values.imag], axis=-2)
+    return stacked.reshape(*values.shape[:-2], -1)
 
 
 def initial_guess_from_spectrum(calibrated: ChannelSpectrum) -> CellParams:
@@ -296,15 +249,17 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     reported through ``converged=False`` rather than raised.
     """
     omega = 2.0 * np.pi * calibrated.freqs
-    data = _stack_complex({ch: calibrated.channel(ch) for ch in CHANNELS})
+    data = _real_rows(np.array([calibrated.channel(ch) for ch in CHANNELS]))
     coherence = init.coherence_rate
     scale = init.gamma_sum
 
     def residual(x):
-        return _stack_complex(four_channel_model(omega, *x, coherence)) - data
+        return _real_rows(cell_response(omega, *x, coherence)) - data
 
     def jacobian(x):
-        return _four_channel_jacobian(omega, x, coherence)
+        _, jac = cell_response(omega, *x, coherence, jacobian=True)
+        # row-major: the solver's BLAS products round differently on a transposed view
+        return np.ascontiguousarray(_real_rows(jac).T)
 
     x0 = np.array([init.gamma_a, init.gamma_b, init.omega_ge, init.phi_a, init.phi_b])
     eps = 1e-6

@@ -463,13 +463,17 @@ def load_config(path=None) -> dict[str, dict]:
     if path is None:
         return config
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in CONFIG_SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             default = CONFIG_SCHEMA[section][key]

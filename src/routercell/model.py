@@ -15,6 +15,10 @@ numerator couplings (Fano-type corrections from imperfect lines); the
 total linewidth in the denominator stays ``gamma_a + gamma_b`` so the
 pole remains physical.
 
+The response is written once, in :func:`cell_response` (all four channels
+and, on request, their parameter derivatives); every other function here,
+the four-channel fit and the CLI evaluate the cell through it.
+
 All rates and frequencies in this package are angular (rad/s).  Files and
 the CLI use linear Hz; the conversion happens exactly once at the IO
 boundary (:mod:`routercell.io`).
@@ -41,6 +45,7 @@ __all__ = [
     "SaturationParams",
     "DressedModel",
     "DressedLines",
+    "cell_response",
     "t_through",
     "t_cross",
     "cell_coefficients",
@@ -213,22 +218,51 @@ class DressedLines(NamedTuple):
     ef_blue: float | np.ndarray
 
 
-def _denominator(omega, p: CellParams):
-    """Common resonance denominator with the complex frequency shift."""
-    delta = np.asarray(omega, dtype=float) - p.omega_ge
-    return delta + 1j * (p.coherence_rate + p.gamma_sum)
+def cell_response(omega, gamma_a, gamma_b, omega_ge, phi_a=0.0, phi_b=0.0,
+                  coherence_rate=0.0, jacobian=False):
+    """The four channel coefficients stacked in :data:`CHANNELS` order.
+
+    Shape ``(4,) + omega.shape``.  All share the pole ``D = omega -
+    omega_ge + i (coherence_rate + gamma_a + gamma_b)``: through ``1 - i
+    gamma_x e^{i phi_x} / D``, cross ``i sqrt(gamma_a gamma_b) e^{i (phi_a
+    + phi_b)/2} / D``.  ``jacobian=True`` also returns the derivatives with
+    respect to ``(gamma_a, gamma_b, omega_ge, phi_a, phi_b)``, shape ``(5,
+    4) + omega.shape``.  Inputs are not validated; the :class:`CellParams`
+    wrappers below check theirs.
+    """
+    d = np.asarray(omega, dtype=float) - omega_ge + 1j * (coherence_rate + gamma_a + gamma_b)
+    e_a = np.exp(1j * phi_a)
+    e_b = np.exp(1j * phi_b)
+    n_a = 1j * gamma_a * e_a
+    n_b = 1j * gamma_b * e_b
+    n_x = 1j * math.sqrt(gamma_a * gamma_b) * np.exp(0.5j * (phi_a + phi_b))
+    x = n_x / d
+    t = np.array([1.0 - n_a / d, 1.0 - n_b / d, x, x])
+    if not jacobian:
+        return t
+
+    d2 = d * d
+    # a coupling rate also widens the pole, which moves every channel
+    s_a, s_b, s_x = 1j * n_a / d2, 1j * n_b / d2, 1j * n_x / d2
+    zero = np.zeros_like(d)
+    rows = (
+        (-(1j * e_a) / d + s_a, s_b, n_x / (2.0 * gamma_a * d) - s_x),
+        (s_a, -(1j * e_b) / d + s_b, n_x / (2.0 * gamma_b * d) - s_x),
+        (-n_a / d2, -n_b / d2, n_x / d2),
+        (-1j * n_a / d, zero, 0.5j * n_x / d),
+        (zero, -1j * n_b / d, 0.5j * n_x / d),
+    )
+    return t, np.array([(aa, bb, xx, xx) for aa, bb, xx in rows])
 
 
-def _numerator_through(channel: str, p: CellParams) -> complex:
-    if channel == "AA":
-        return 1j * p.gamma_a * np.exp(1j * p.phi_a)
-    if channel == "BB":
-        return 1j * p.gamma_b * np.exp(1j * p.phi_b)
-    raise ValueError(f"unknown through channel {channel!r}; expected 'AA' or 'BB'")
+def _response(omega, p: CellParams):
+    _check_finite("omega", omega)
+    return cell_response(omega, p.gamma_a, p.gamma_b, p.omega_ge,
+                         p.phi_a, p.phi_b, p.coherence_rate)
 
 
-def _numerator_cross(p: CellParams) -> complex:
-    return 1j * math.sqrt(p.gamma_a * p.gamma_b) * np.exp(1j * (p.phi_a + p.phi_b) / 2.0)
+def _scalar_or_array(out):
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def t_through(channel: str, omega, p: CellParams):
@@ -251,9 +285,9 @@ def t_through(channel: str, omega, p: CellParams):
     -------
     complex or ndarray
     """
-    _check_finite("omega", omega)
-    out = 1.0 - _numerator_through(channel, p) / _denominator(omega, p)
-    return complex(out) if np.ndim(out) == 0 else out
+    if channel not in THROUGH_CHANNELS:
+        raise ValueError(f"unknown through channel {channel!r}; expected 'AA' or 'BB'")
+    return _scalar_or_array(_response(omega, p)[CHANNELS.index(channel)])
 
 
 def t_cross(direction: str, omega, p: CellParams):
@@ -265,36 +299,25 @@ def t_cross(direction: str, omega, p: CellParams):
     """
     if direction not in CROSS_CHANNELS:
         raise ValueError(f"unknown cross direction {direction!r}; expected 'AB' or 'BA'")
-    _check_finite("omega", omega)
-    out = _numerator_cross(p) / _denominator(omega, p)
-    return complex(out) if np.ndim(out) == 0 else out
+    return _scalar_or_array(_response(omega, p)[CHANNELS.index(direction)])
 
 
 def cell_coefficients(omega, p: CellParams) -> dict[str, complex | np.ndarray]:
     """All four channel coefficients at once, keyed by channel name."""
-    return {
-        "AA": t_through("AA", omega, p),
-        "BB": t_through("BB", omega, p),
-        "AB": t_cross("AB", omega, p),
-        "BA": t_cross("BA", omega, p),
-    }
+    return {ch: _scalar_or_array(v) for ch, v in zip(CHANNELS, _response(omega, p))}
 
 
 def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
     """Full 4x4 cell S-matrix in port order (A-in, A-out, B-in, B-out).
 
-    Transmission entries come from :func:`t_through` / :func:`t_cross`;
-    reflections use the point-scatterer form ``-i gamma_x e^{i phi_x} /
-    (delta + i (gamma_a + gamma_b))`` so that the lossless real-coupling
+    Transmissions are the :func:`cell_response` channels; each reflection
+    is the point-scatterer form ``t_xx - 1 = -i gamma_x e^{i phi_x} /
+    (delta + i (gamma_a + gamma_b))``, so that the lossless real-coupling
     matrix is exactly unitary.
     """
-    _check_finite("omega", omega)
-    d = _denominator(float(omega), p)
-    r_a = -_numerator_through("AA", p) / d
-    r_b = -_numerator_through("BB", p) / d
-    t_a = 1.0 + r_a
-    t_b = 1.0 + r_b
-    x = _numerator_cross(p) / d
+    t_a, t_b, x, _ = _response(float(omega), p)
+    r_a = t_a - 1.0
+    r_b = t_b - 1.0
     s = np.array(
         [
             [r_a, t_a, x, x],
@@ -310,10 +333,9 @@ def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
 def efficiency(delta, p: CellParams):
     """Calibration-free transfer efficiency ``(t_AB t_BA) / (t_AA t_BB)``.
 
-    Evaluated in closed form as ``n_x^2 / ((D - n_a)(D - n_b))`` with the
-    same numerators and denominator as the transmission coefficients, so
-    it equals the four-coefficient ratio to machine precision.  At
-    ``delta = 0`` with real couplings this is the real quantity
+    Evaluated from the :func:`cell_response` channels at the detuning
+    itself, so it equals the four-coefficient ratio to machine precision.
+    At ``delta = 0`` with real couplings this is the real quantity
     ``1 / (1 + r (1/gamma_a + 1/gamma_b) + r^2/(gamma_a gamma_b))`` with
     ``r = gamma_phi + gamma_bath/2``, equal to 1 for a fully coherent cell.
 
@@ -323,15 +345,11 @@ def efficiency(delta, p: CellParams):
         Detuning ``omega - omega_ge`` (rad/s).
     p : CellParams
     """
-    if p.gamma_a == 0 or p.gamma_b == 0:
-        raise ValueError("efficiency requires nonzero couplings")
     _check_finite("delta", delta)
-    d = np.asarray(delta, dtype=float) + 1j * (p.coherence_rate + p.gamma_sum)
-    n_a = _numerator_through("AA", p)
-    n_b = _numerator_through("BB", p)
-    n_x = _numerator_cross(p)
-    out = n_x**2 / ((d - n_a) * (d - n_b))
-    return complex(out) if np.ndim(out) == 0 else out
+    # the response depends on omega only through omega - omega_ge
+    aa, bb, ab, ba = cell_response(delta, p.gamma_a, p.gamma_b, 0.0,
+                                   p.phi_a, p.phi_b, p.coherence_rate)
+    return _scalar_or_array(ab * ba / (aa * bb))
 
 
 def resonant_efficiency(gamma_a: float, gamma_b: float, rate):

@@ -4,7 +4,8 @@ The measured response of the four-port cell is not the cell itself: each
 waveguide port sits behind a two-port input or output line (attenuators,
 connectors, cable runs).  This module composes the cell S-matrix with the
 four line matrices into the effective S-matrix seen by the instrument,
-either exactly (block elimination of the internal waves) or as a truncated
+either exactly (block elimination of the internal waves, one linear solve
+``S12 S (I - S22 S)^-1 S21`` with no inverse of the cell) or as a truncated
 multiple-reflection series, and provides the simplified scalar forward map
 used when line reflections are negligible.
 
@@ -35,10 +36,6 @@ __all__ = [
     "isolation_from_hd",
     "ideal_lines",
 ]
-
-#: Regularization added to a singular cell matrix before inversion.
-SINGULAR_EPS = 1e-12
-
 
 class SingularNetworkError(RuntimeError):
     """Raised when the internal-wave elimination hits a singular system."""
@@ -142,7 +139,6 @@ class CompositionResult:
     s_meas: PortMatrix
     order_used: int | str
     truncation_error: float
-    regularized: bool = False
 
 
 def ideal_lines(isolation: complex = 0.0) -> LineModel:
@@ -188,32 +184,25 @@ def complementary_blocks(lines: LineModel) -> dict[str, np.ndarray]:
     }
 
 
-def _invert_cell(cell: np.ndarray) -> tuple[np.ndarray, bool]:
-    cond = np.linalg.cond(cell)
-    regularized = not np.isfinite(cond) or cond > 1.0 / SINGULAR_EPS
-    if regularized:
-        cell = cell + SINGULAR_EPS * np.eye(cell.shape[0])
-    return np.linalg.inv(cell), regularized
-
-
 def compose_exact(cell, lines: LineModel) -> CompositionResult:
     """Measured S-matrix with the internal waves eliminated exactly.
 
-    Solves ``s_meas = S11 + S12 (S^-1 - S22)^-1 S21`` where S is the cell
-    matrix and the Sij are the complementary line blocks.  A singular cell
-    is regularized by ``SINGULAR_EPS * I`` and flagged in the result.
+    Returns ``s_meas = S11 + S12 S (I - S22 S)^-1 S21`` where S is the cell
+    matrix and the Sij are the complementary line blocks.  The cell is
+    never inverted, so a singular cell is an ordinary input; a singular
+    ``I - S22 S`` (condition number above 1e14) raises
+    :class:`SingularNetworkError`.
     """
     s = _as_matrix(cell)
     if s.shape != (4, 4):
         raise ValueError("cell must be a 4-port matrix")
     blocks = complementary_blocks(lines)
-    s_inv, regularized = _invert_cell(s)
-    core = s_inv - blocks["s22"]
+    core = np.eye(4) - blocks["s22"] @ s
     cond = np.linalg.cond(core)
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularNetworkError("internal-wave system is singular", cond)
-    s_meas = blocks["s11"] + blocks["s12"] @ np.linalg.inv(core) @ blocks["s21"]
-    return CompositionResult(PortMatrix(s_meas), "exact", 0.0, regularized)
+    s_meas = blocks["s11"] + blocks["s12"] @ s @ np.linalg.solve(core, blocks["s21"])
+    return CompositionResult(PortMatrix(s_meas), "exact", 0.0)
 
 
 def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
@@ -222,8 +211,9 @@ def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
     ``order`` counts the retained series terms: order 0 keeps only the
     direct line response S11, order 1 adds the single cell passage
     ``S12 S S21``, and each further order adds one internal round trip
-    through ``S S22``.  The truncation error against the exact composition
-    is recorded as the maximum entry magnitude of the difference.
+    through ``S S22``.  The truncation error is the maximum entry
+    magnitude of the difference from the summed series ``S12 (I - S
+    S22)^-1 S S21``, which equals the exact composition.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -241,9 +231,10 @@ def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
         partial = partial + term
         term = x @ term
     s_meas = blocks["s11"] + blocks["s12"] @ partial @ s @ blocks["s21"]
-    exact = compose_exact(cell, lines)
-    err = float(np.max(np.abs(exact.s_meas.entries - s_meas)))
-    return CompositionResult(PortMatrix(s_meas), order, err, exact.regularized)
+    # the summed series; radius < 1 keeps I - x invertible
+    summed = np.linalg.solve(np.eye(4) - x, s)
+    err = float(np.max(np.abs(blocks["s12"] @ (summed - partial @ s) @ blocks["s21"])))
+    return CompositionResult(PortMatrix(s_meas), order, err)
 
 
 def _transmissions(lines: LineModel) -> tuple[np.ndarray, ...]:

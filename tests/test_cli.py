@@ -116,6 +116,22 @@ class TestSweeps:
         assert fits["AB"]["params"]["a"] == pytest.approx(0.0, abs=1e-6)
         assert fits["AA"]["params"]["c"] == pytest.approx(1.0, abs=0.01)
 
+    def test_power_sweep_weak_drive_level_is_the_model_response(self, tmp_path):
+        config = io.load_config(None)
+        config["model"]["gamma_phi_hz"] = 0.5e6
+        config["model"]["phi_a_rad"] = 0.2
+        record = cli.run_command("sweep-power", config, out_dir=tmp_path, seed=4)
+        _, rows = read_rows(tmp_path / "runs" / record.run_id / "saturation.csv")
+        cell = io.cell_params_from_config(config)
+        resonant = model.cell_coefficients(cell.omega_ge, cell)
+        for ch in model.CHANNELS:
+            first = [r for r in rows if r["channel"] == ch][0]
+            n, level = float(first["n_avg"]), float(first["magnitude"])
+            high = 1.0 if ch in model.THROUGH_CHANNELS else 0.0
+            # invert a - b / (1 + n^c / d) with a = high, c = d = 1
+            weak = high - (high - level) * (1.0 + n)
+            assert weak == pytest.approx(abs(resonant[ch]), rel=1e-12)
+
     def test_dressed_lines_table(self, tmp_path):
         record = cli.run_command("dressed", None, out_dir=tmp_path, seed=5)
         run_dir = tmp_path / "runs" / record.run_id
@@ -164,6 +180,29 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "bogus" in err["message"]
+
+    @pytest.mark.parametrize("text", [
+        "[model]\ngamma_a_hz = 1e6\ngamma_a_hz = 2e6\n",  # duplicate key
+        "gamma_a_hz = 1e6\n",  # no section header
+    ])
+    def test_malformed_config_gives_machine_readable_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        code = cli.main(["--config", str(bad), "--out", str(tmp_path), "simulate"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert str(bad) in err["message"]
+
+    def test_report_on_incomplete_fit_file_names_missing_key(self, tmp_path, capsys):
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps({"converged": True, "n_iter": 5}))
+        code = cli.main(["--out", str(tmp_path), "report", str(fit)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert str(fit) in err["message"]
+        assert "'params'" in err["message"]
 
     def test_fit_error_reported_machine_readably(self, tmp_path, capsys):
         # a power grid narrower than two decades cannot support the

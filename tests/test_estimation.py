@@ -95,9 +95,9 @@ class TestFourChannelFit:
                 rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
             ])
             def residual(v):
-                return estimation._stack_complex(
-                    estimation.four_channel_model(omega, *v, 0.0))
-            analytic = estimation._four_channel_jacobian(omega, x, 0.0)
+                return estimation._real_rows(model.cell_response(omega, *v))
+            _, jac = model.cell_response(omega, *x, jacobian=True)
+            analytic = estimation._real_rows(jac).T
             numeric = central_difference_jacobian(residual, x)
             scale = np.linalg.norm(numeric, axis=0)
             err = np.linalg.norm(analytic - numeric, axis=0) / scale

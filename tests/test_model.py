@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from routercell import model
 
@@ -157,6 +158,88 @@ class TestEfficiency:
         # E = 0.82 with the reference couplings implies gamma_phi near 2pi*0.213 MHz
         target = model.resonant_efficiency(GA, GB, TWO_PI * 0.2125e6)
         assert target == pytest.approx(0.82, abs=2e-3)
+
+
+RATES = st.floats(min_value=TWO_PI * 1e4, max_value=TWO_PI * 1e8)
+DECAY_RATES = st.floats(min_value=0.0, max_value=TWO_PI * 1e8)
+PHASES = st.floats(min_value=-1.4, max_value=1.4)
+
+
+@st.composite
+def cells(draw, lossless=False):
+    """Valid cell parameters; lossless cells have real couplings and no decay."""
+    coupling = dict(gamma_a=draw(RATES), gamma_b=draw(RATES),
+                    omega_ge=TWO_PI * draw(st.floats(min_value=4e9, max_value=8e9)))
+    if lossless:
+        return model.CellParams(**coupling)
+    return model.CellParams(**coupling, phi_a=draw(PHASES), phi_b=draw(PHASES),
+                            gamma_phi=draw(DECAY_RATES), gamma_bath=draw(DECAY_RATES))
+
+
+def kernel_args(p):
+    return (p.gamma_a, p.gamma_b, p.omega_ge, p.phi_a, p.phi_b, p.coherence_rate)
+
+
+def sweep(p, n=33):
+    """Probe grid of +-8 loaded linewidths around the resonance."""
+    width = p.gamma_sum + p.coherence_rate
+    return p.omega_ge + width * np.linspace(-8.0, 8.0, n)
+
+
+KERNEL_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+class TestCellResponseKernel:
+    @KERNEL_SETTINGS
+    @given(cells())
+    def test_jacobian_matches_central_differences(self, p):
+        omega = sweep(p)
+        x = np.array(kernel_args(p)[:5])
+        width = p.gamma_sum + p.coherence_rate
+        steps = 1e-4 * np.array([p.gamma_a, p.gamma_b, width, 1.0, 1.0])
+        _, jac = model.cell_response(omega, *x, p.coherence_rate, jacobian=True)
+        assert jac.shape == (5, 4, omega.size)
+        for k, h in enumerate(steps):
+            up, down = x.copy(), x.copy()
+            up[k] += h
+            down[k] -= h
+            numeric = (model.cell_response(omega, *up, p.coherence_rate)
+                       - model.cell_response(omega, *down, p.coherence_rate)) / (2.0 * h)
+            err = np.linalg.norm(jac[k] - numeric) / np.linalg.norm(numeric)
+            assert err < 1e-5
+
+    @KERNEL_SETTINGS
+    @given(cells())
+    def test_rows_are_the_channel_functions_and_smatrix_entries(self, p):
+        omega = sweep(p, 9)
+        rows = model.cell_response(omega, *kernel_args(p))
+        assert rows.shape == (4, omega.size)
+        assert np.array_equal(rows[0], model.t_through("AA", omega, p))
+        assert np.array_equal(rows[1], model.t_through("BB", omega, p))
+        assert np.array_equal(rows[2], model.t_cross("AB", omega, p))
+        assert np.array_equal(rows[3], model.t_cross("BA", omega, p))
+        for i, w in enumerate(omega):
+            aa, bb, ab, _ = rows[:, i]
+            expected = np.array([[aa - 1, aa, ab, ab], [aa, aa - 1, ab, ab],
+                                 [ab, ab, bb - 1, bb], [ab, ab, bb, bb - 1]])
+            s = model.cell_smatrix(w, p).entries
+            assert np.max(np.abs(s - expected)) < 1e-14
+
+    @KERNEL_SETTINGS
+    @given(cells())
+    def test_efficiency_is_the_four_channel_ratio(self, p):
+        omega = sweep(p)
+        aa, bb, ab, ba = model.cell_response(omega, *kernel_args(p))
+        ratio = ab * ba / (aa * bb)
+        np.testing.assert_allclose(model.efficiency(omega - p.omega_ge, p), ratio,
+                                   rtol=1e-12, atol=0)
+
+    @KERNEL_SETTINGS
+    @given(cells(lossless=True))
+    def test_lossless_smatrix_is_unitary(self, p):
+        for w in sweep(p, 17):
+            s = model.cell_smatrix(w, p).entries
+            assert np.max(np.abs(s.conj().T @ s - np.eye(4))) < 1e-12
 
 
 class TestFlux:

@@ -114,7 +114,6 @@ class TestComposeExact:
         assert np.max(np.abs(out.s_meas.entries - s.entries)) < 1e-12
         assert out.truncation_error == 0.0
         assert out.order_used == "exact"
-        assert not out.regularized
 
     def test_attenuators_square_the_through_path(self):
         tau = 0.4
@@ -125,9 +124,8 @@ class TestComposeExact:
         i_out, i_in = PORTS["AA"]
         assert out.s_meas.entries[i_out, i_in] == pytest.approx(tau**2, abs=1e-12)
 
-    def test_zero_cell_is_regularized_to_zero_response(self):
+    def test_zero_cell_gives_zero_response(self):
         out = network.compose_exact(np.zeros((4, 4)), network.ideal_lines())
-        assert out.regularized
         assert np.max(np.abs(out.s_meas.entries)) < 1e-11
 
     def test_singular_internal_system_raises(self):
