@@ -20,12 +20,14 @@ widths feed a loss budget separating coupling from intrinsic loss.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .model import CHANNELS, CROSS_CHANNELS
+from .model import CHANNELS
 
 __all__ = [
     "ChannelSpectrum",
@@ -57,13 +59,15 @@ class CircleFitError(RuntimeError):
 class ChannelSpectrum:
     """Frequency grid with the four complex transmission channels.
 
-    ``freqs`` is in Hz and strictly increasing; ``channels`` maps the
-    canonical names ``AA``, ``BB``, ``AB``, ``BA`` to equal-length complex
-    traces.  Optional metadata records the measurement conditions.
+    ``freqs`` is in Hz and strictly increasing; ``traces`` is the complex
+    ``(4, n)`` array of the channels in :data:`CHANNELS` order (``AA``,
+    ``BB``, ``AB``, ``BA``).  The constructor also accepts a mapping from
+    those names to traces.  Optional metadata records the measurement
+    conditions.
     """
 
     freqs: np.ndarray
-    channels: dict[str, np.ndarray]
+    traces: np.ndarray
     bias_ma: float | None = None
     power_dbm: float | None = None
     temp_k: float | None = None
@@ -76,24 +80,32 @@ class ChannelSpectrum:
             raise ValueError("freqs must be strictly increasing")
         if not np.all(np.isfinite(freqs)):
             raise ValueError("freqs must be finite")
-        if set(self.channels) != set(CHANNELS):
-            raise ValueError(f"channels must be exactly {CHANNELS}, got {sorted(self.channels)}")
-        traces = {}
-        for name, tr in self.channels.items():
-            tr = np.asarray(tr, dtype=complex)
+        traces = self.traces
+        if isinstance(traces, Mapping):
+            if set(traces) != set(CHANNELS):
+                raise ValueError(f"channels must be exactly {CHANNELS}, got {sorted(traces)}")
+            traces = [traces[name] for name in CHANNELS]
+        rows = [np.asarray(tr, dtype=complex) for tr in traces]
+        if len(rows) != len(CHANNELS):
+            raise ValueError(f"traces must hold {len(CHANNELS)} channels, got {len(rows)}")
+        for name, tr in zip(CHANNELS, rows):
             if tr.shape != freqs.shape:
                 raise ValueError(f"channel {name} length {tr.size} != {freqs.size} frequencies")
             if not np.all(np.isfinite(tr)):
                 raise ValueError(f"channel {name} contains non-finite samples")
-            traces[name] = tr
         object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "channels", traces)
+        object.__setattr__(self, "traces", np.array(rows))
 
     def __len__(self) -> int:
         return self.freqs.size
 
+    @property
+    def channels(self) -> Mapping[str, np.ndarray]:
+        """Read-only view of the traces keyed by channel name."""
+        return MappingProxyType(dict(zip(CHANNELS, self.traces)))
+
     def channel(self, name: str) -> np.ndarray:
-        return self.channels[name]
+        return self.traces[CHANNELS.index(name)]
 
 
 @dataclass(frozen=True)
@@ -160,18 +172,16 @@ def remove_global_phase(trace, freqs, f_res: float) -> np.ndarray:
 def resample(spectrum: ChannelSpectrum, freqs) -> ChannelSpectrum:
     """Complex linear interpolation of all channels onto a new grid (Hz)."""
     freqs = np.asarray(freqs, dtype=float)
-    channels = {}
-    for name, tr in spectrum.channels.items():
-        re = np.interp(freqs, spectrum.freqs, tr.real)
-        im = np.interp(freqs, spectrum.freqs, tr.imag)
-        channels[name] = re + 1j * im
-    return replace(spectrum, freqs=freqs, channels=channels)
+    traces = [
+        np.interp(freqs, spectrum.freqs, tr.real) + 1j * np.interp(freqs, spectrum.freqs, tr.imag)
+        for tr in spectrum.traces
+    ]
+    return replace(spectrum, freqs=freqs, traces=traces)
 
 
 def _check_reference(hd: ChannelSpectrum, floor: float) -> None:
-    for name in CHANNELS:
-        mags = np.abs(hd.channel(name))
-        bad = np.flatnonzero(mags < floor)
+    for name, tr in zip(CHANNELS, hd.traces):
+        bad = np.flatnonzero(np.abs(tr) < floor)
         if bad.size:
             freqs = ", ".join(f"{hd.freqs[i]:.6g}" for i in bad[:5])
             more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
@@ -204,25 +214,18 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum,
     CalibrationError
         If any HD reference magnitude falls below ``floor``.
     """
-    if meas.freqs.shape != hd.freqs.shape or not np.allclose(meas.freqs, hd.freqs):
+    if not np.array_equal(meas.freqs, hd.freqs):
         hd = resample(hd, meas.freqs)
     _check_reference(hd, floor)
 
-    out: dict[str, np.ndarray] = {}
-    for name in ("AA", "BB"):
-        out[name] = meas.channel(name) / hd.channel(name)
-
-    pair = {"AB": "BA", "BA": "AB"}
-    aa_bb = hd.channel("AA") * hd.channel("BB")
-    for name in CROSS_CHANNELS:
-        ratio = hd.channel(pair[name]) / (aa_bb * hd.channel(name))
-        scale = _continuous_sqrt(ratio)
-        t = (meas.channel(name) - hd.channel(name)) * scale
-        peak = int(np.argmax(np.abs(t)))
-        if t[peak].real < 0:
-            t = -t
-        out[name] = t
-    return replace(meas, channels=out)
+    aa, bb, ab, ba = hd.traces
+    through = meas.traces[:2] / hd.traces[:2]
+    # rows AB, BA: each cross channel is rescaled by the opposite direction
+    scale = _continuous_sqrt(np.array([ba, ab]) / (aa * bb * hd.traces[2:]))
+    cross = (meas.traces[2:] - hd.traces[2:]) * scale
+    peak = cross[[0, 1], np.argmax(np.abs(cross), axis=-1)]
+    cross = np.where((peak.real < 0)[:, None], -cross, cross)
+    return replace(meas, traces=np.concatenate([through, cross]))
 
 
 def _kasa_circle(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -102,8 +102,7 @@ def _cmd_simulate(config, inputs, run_dir, seed, fmt, run_id):
     spectrum_path = run_dir / "spectrum.csv"
     io.write_spectrum(spectrum, spectrum_path, run_id=run_id)
     rows = []
-    for ch in model.CHANNELS:
-        tr = spectrum.channel(ch)
+    for ch, tr in zip(model.CHANNELS, spectrum.traces):
         for f, v in zip(freqs, tr):
             mag = abs(v)
             rows.append([float(f), ch, float(mag), float(20.0 * math.log10(max(mag, 1e-300))),
@@ -254,15 +253,15 @@ def _cmd_sweep_power(config, inputs, run_dir, seed, fmt, run_id):
     sat = config["saturation"]
     g = config["grid"]
     n_avg = np.geomspace(g["navg_min"], g["navg_max"], int(g["n_navg"]))
-    # weak drive: the linear cell response on resonance
-    low = {ch: abs(v) for ch, v in model.cell_coefficients(cell.omega_ge, cell).items()}
-    high = {"AA": 1.0, "BB": 1.0, "AB": 0.0, "BA": 0.0}
+    # weak drive: the linear cell response on resonance; strong drive: the saturated cell
+    low = model.cell_coefficients(cell.omega_ge, cell)
+    high = synth.hd_cell_coefficients().real
     sigma = config["noise"]["sigma"]
     rows = []
     fits = {}
-    for ch in model.CHANNELS:
-        params = model.SaturationParams(a=high[ch], b=high[ch] - low[ch],
-                                        c=sat["c"], d=sat["d"])
+    for ch, a, weak in zip(model.CHANNELS, high, low):
+        # scalar abs: the vectorised np.abs can round the last bit differently
+        params = model.SaturationParams(a=a, b=a - abs(weak), c=sat["c"], d=sat["d"])
         mags = model.saturation_curve(n_avg, params)
         if sigma > 0:
             rng = np.random.default_rng(synth.derive_seed(seed, "sweep-power", ch))
@@ -306,13 +305,13 @@ def _cmd_report(config, inputs, run_dir, seed, fmt, run_id):
         raise ValueError("report needs one input: <fit run directory or fit.json>")
     target = Path(inputs[0])
     fit_file = target / "fit.json" if target.is_dir() else target
-    with fit_file.open() as fh:
-        payload = json.load(fh)
 
     def mhz(x):
         return x / (2.0 * math.pi * 1e6)
 
     try:
+        with fit_file.open() as fh:
+            payload = json.load(fh)
         params = payload["params"]
         sigma = payload["sigma"]
         lines = [
@@ -327,10 +326,13 @@ def _cmd_report(config, inputs, run_dir, seed, fmt, run_id):
             f"  phi_a    = {params['phi_a'] / math.pi:+.4f} pi +/- {sigma['phi_a'] / math.pi:.4f} pi",
             f"  phi_b    = {params['phi_b'] / math.pi:+.4f} pi +/- {sigma['phi_b'] / math.pi:.4f} pi",
         ]
+        if payload.get("flags"):
+            lines.append(f"  flags: {', '.join(payload['flags'])}")
     except KeyError as exc:
         raise io.ParseError(f"fit file {fit_file} lacks key {exc.args[0]!r}") from None
-    if payload.get("flags"):
-        lines.append(f"  flags: {', '.join(payload['flags'])}")
+    except (TypeError, ValueError) as exc:
+        # invalid JSON or UTF-8 (ValueError), a non-object or wrong-typed entry (TypeError)
+        raise io.ParseError(f"fit file {fit_file} is malformed: {exc}") from None
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     out = run_dir / "report.txt"

@@ -32,7 +32,6 @@ from scipy.optimize import least_squares
 
 from .calibration import ChannelSpectrum, REFERENCE_FLOOR
 from .model import (
-    CHANNELS,
     CellParams,
     FluxModel,
     SaturationParams,
@@ -249,7 +248,7 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     reported through ``converged=False`` rather than raised.
     """
     omega = 2.0 * np.pi * calibrated.freqs
-    data = _real_rows(np.array([calibrated.channel(ch) for ch in CHANNELS]))
+    data = _real_rows(calibrated.traces)
     coherence = init.coherence_rate
     scale = init.gamma_sum
 

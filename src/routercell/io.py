@@ -62,8 +62,9 @@ TWO_PI = 2.0 * np.pi
 _CSV_HEADER = ["freq_hz", "channel", "re", "im"]
 _CSV_META = ["bias_ma", "power_dbm", "temp_k"]
 
-#: Touchstone port index (0-based) of each channel as (output, input).
-_TOUCHSTONE_PORTS = {"AA": (1, 0), "BB": (3, 2), "AB": (3, 0), "BA": (1, 2)}
+#: Touchstone port indices (0-based) of the channels in CHANNELS order.
+_TOUCHSTONE_OUT = [1, 3, 3, 1]
+_TOUCHSTONE_IN = [0, 2, 0, 2]
 
 
 class ParseError(ValueError):
@@ -109,8 +110,7 @@ def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -
             "" if spectrum.power_dbm is None else repr(spectrum.power_dbm),
             "" if spectrum.temp_k is None else repr(spectrum.temp_k),
         ]
-        for ch in CHANNELS:
-            trace = spectrum.channel(ch)
+        for ch, trace in zip(CHANNELS, spectrum.traces):
             for f, v in zip(spectrum.freqs, trace):
                 row = [repr(float(f)), ch, repr(float(v.real)), repr(float(v.imag))]
                 if include_meta:
@@ -126,7 +126,7 @@ def _parse_float(text: str, what: str, line: int) -> float:
 
 
 def _ingest_csv(path: Path) -> ChannelSpectrum:
-    rows: dict[str, list[tuple[float, complex, int]]] = {ch: [] for ch in CHANNELS}
+    rows: list[list[tuple[float, complex, int]]] = [[] for _ in CHANNELS]
     meta: dict[str, float] = {}
     with path.open(newline="") as fh:
         lineno = 0
@@ -153,47 +153,39 @@ def _ingest_csv(path: Path) -> ChannelSpectrum:
             f = _parse_float(raw[0], "frequency", lineno)
             re = _parse_float(raw[2], "re", lineno)
             im = _parse_float(raw[3], "im", lineno)
-            rows[ch].append((f, complex(re, im), lineno))
+            rows[CHANNELS.index(ch)].append((f, complex(re, im), lineno))
             for name, cell in zip(header[4:], raw[4:]):
                 if cell.strip():
                     meta.setdefault(name, _parse_float(cell, name, lineno))
     if header is None:
         raise ParseError("empty file", 1)
 
-    lengths = {ch: len(rows[ch]) for ch in CHANNELS}
+    lengths = dict(zip(CHANNELS, map(len, rows)))
     if len(set(lengths.values())) != 1 or 0 in lengths.values():
         raise ParseError(f"channel row counts differ: {lengths}")
-    freqs = None
-    traces = {}
-    for ch in CHANNELS:
-        fs = np.array([r[0] for r in rows[ch]])
+    grid = np.array([[r[0] for r in chrows] for chrows in rows])
+    for ch, fs, chrows in zip(CHANNELS, grid, rows):
         diffs = np.diff(fs)
         if np.any(diffs == 0):
             bad = int(np.flatnonzero(diffs == 0)[0]) + 1
-            raise ParseError(f"duplicate frequency row for channel {ch}", rows[ch][bad][2])
+            raise ParseError(f"duplicate frequency row for channel {ch}", chrows[bad][2])
         if np.any(diffs < 0):
             bad = int(np.flatnonzero(diffs < 0)[0]) + 1
-            raise ParseError(f"non-monotone frequency for channel {ch}", rows[ch][bad][2])
-        if freqs is None:
-            freqs = fs
-        elif not np.array_equal(freqs, fs):
+            raise ParseError(f"non-monotone frequency for channel {ch}", chrows[bad][2])
+        if not np.array_equal(grid[0], fs):
             raise ParseError(f"channel {ch} frequency grid differs from channel AA")
-        traces[ch] = np.array([r[1] for r in rows[ch]])
+    traces = np.array([[r[1] for r in chrows] for chrows in rows])
+    # meta holds only _CSV_META columns, which are ChannelSpectrum fields
+    return ChannelSpectrum(*_finite_points(grid[0], traces), **meta)
 
-    finite = np.isfinite(freqs)
-    for tr in traces.values():
-        finite &= np.isfinite(tr.real) & np.isfinite(tr.imag)
+
+def _finite_points(freqs: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop, with a warning, the points where the grid or any channel is non-finite."""
+    finite = np.isfinite(freqs) & np.all(np.isfinite(traces), axis=0)
     dropped = int((~finite).sum())
     if dropped:
-        warnings.warn(f"dropped {dropped} non-finite rows during ingestion", stacklevel=3)
-        freqs = freqs[finite]
-        traces = {ch: tr[finite] for ch, tr in traces.items()}
-    return ChannelSpectrum(
-        freqs, traces,
-        bias_ma=meta.get("bias_ma"),
-        power_dbm=meta.get("power_dbm"),
-        temp_k=meta.get("temp_k"),
-    )
+        warnings.warn(f"dropped {dropped} non-finite rows during ingestion", stacklevel=4)
+    return freqs[finite], traces[:, finite]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +238,8 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError("touchstone frequencies must be strictly increasing")
     pairs = data[:, 1:].reshape(-1, 16, 2)
     if fmt == "RI":
-        values = pairs[..., 0] + 1j * pairs[..., 1]
+        # a view keeps signed zeros, which re + 1j * im would drop
+        values = np.ascontiguousarray(pairs).view(complex)[..., 0]
     else:
         mag = pairs[..., 0] if fmt == "MA" else 10.0 ** (pairs[..., 0] / 20.0)
         values = mag * np.exp(1j * np.deg2rad(pairs[..., 1]))
@@ -274,25 +267,14 @@ def write_touchstone(path, freqs, smatrix) -> None:
 
 def spectrum_to_smatrix(spectrum: ChannelSpectrum) -> np.ndarray:
     """Embed the four channels into (n, 4, 4) matrices at their port slots."""
-    n = len(spectrum)
-    s = np.zeros((n, 4, 4), dtype=complex)
-    for ch, (out_p, in_p) in _TOUCHSTONE_PORTS.items():
-        s[:, out_p, in_p] = spectrum.channel(ch)
+    s = np.zeros((len(spectrum), 4, 4), dtype=complex)
+    s[:, _TOUCHSTONE_OUT, _TOUCHSTONE_IN] = spectrum.traces.T
     return s
 
 
 def _ingest_touchstone(path: Path) -> ChannelSpectrum:
     freqs, s = read_touchstone(path)
-    traces = {ch: s[:, out_p, in_p] for ch, (out_p, in_p) in _TOUCHSTONE_PORTS.items()}
-    finite = np.isfinite(freqs)
-    for tr in traces.values():
-        finite &= np.isfinite(tr.real) & np.isfinite(tr.imag)
-    dropped = int((~finite).sum())
-    if dropped:
-        warnings.warn(f"dropped {dropped} non-finite rows during ingestion", stacklevel=3)
-        freqs = freqs[finite]
-        traces = {ch: tr[finite] for ch, tr in traces.items()}
-    return ChannelSpectrum(freqs, traces)
+    return ChannelSpectrum(*_finite_points(freqs, s[:, _TOUCHSTONE_OUT, _TOUCHSTONE_IN].T))
 
 
 def ingest_spectrum(path, fmt: str = "csv") -> ChannelSpectrum:
@@ -466,7 +448,7 @@ def load_config(path=None) -> dict[str, dict]:
     try:
         read = parser.read(str(path))
         sections = {name: parser.items(name) for name in parser.sections()}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")

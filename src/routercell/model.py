@@ -255,7 +255,8 @@ def cell_response(omega, gamma_a, gamma_b, omega_ge, phi_a=0.0, phi_b=0.0,
     return t, np.array([(aa, bb, xx, xx) for aa, bb, xx in rows])
 
 
-def _response(omega, p: CellParams):
+def cell_coefficients(omega, p: CellParams) -> np.ndarray:
+    """All four channel coefficients, shape ``(4,) + omega.shape`` in :data:`CHANNELS` order."""
     _check_finite("omega", omega)
     return cell_response(omega, p.gamma_a, p.gamma_b, p.omega_ge,
                          p.phi_a, p.phi_b, p.coherence_rate)
@@ -287,7 +288,7 @@ def t_through(channel: str, omega, p: CellParams):
     """
     if channel not in THROUGH_CHANNELS:
         raise ValueError(f"unknown through channel {channel!r}; expected 'AA' or 'BB'")
-    return _scalar_or_array(_response(omega, p)[CHANNELS.index(channel)])
+    return _scalar_or_array(cell_coefficients(omega, p)[CHANNELS.index(channel)])
 
 
 def t_cross(direction: str, omega, p: CellParams):
@@ -299,12 +300,7 @@ def t_cross(direction: str, omega, p: CellParams):
     """
     if direction not in CROSS_CHANNELS:
         raise ValueError(f"unknown cross direction {direction!r}; expected 'AB' or 'BA'")
-    return _scalar_or_array(_response(omega, p)[CHANNELS.index(direction)])
-
-
-def cell_coefficients(omega, p: CellParams) -> dict[str, complex | np.ndarray]:
-    """All four channel coefficients at once, keyed by channel name."""
-    return {ch: _scalar_or_array(v) for ch, v in zip(CHANNELS, _response(omega, p))}
+    return _scalar_or_array(cell_coefficients(omega, p)[CHANNELS.index(direction)])
 
 
 def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
@@ -315,7 +311,7 @@ def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
     (delta + i (gamma_a + gamma_b))``, so that the lossless real-coupling
     matrix is exactly unitary.
     """
-    t_a, t_b, x, _ = _response(float(omega), p)
+    t_a, t_b, x, _ = cell_coefficients(float(omega), p)
     r_a = t_a - 1.0
     r_b = t_b - 1.0
     s = np.array(

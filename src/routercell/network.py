@@ -18,7 +18,6 @@ therefore always the transmission in the propagation direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -237,41 +236,33 @@ def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
     return CompositionResult(PortMatrix(s_meas), order, err)
 
 
-def _transmissions(lines: LineModel) -> tuple[np.ndarray, ...]:
-    return tuple(m[..., 1, 0] for m in lines.matrices)
-
-
-def simplified_forward(cell_coeffs: Mapping[str, complex | np.ndarray],
-                       lines: LineModel) -> dict[str, np.ndarray]:
+def simplified_forward(cell_coeffs, lines: LineModel) -> np.ndarray:
     """Measured four-channel coefficients with line reflections neglected.
 
+    ``cell_coeffs`` and the result stack the channels AA, BB, AB, BA.
     Through channels pick up the product of the input and output line
     transmissions; cross channels additionally carry the stray isolation
     wave added to the cell coefficient.  Valid when the line reflections
     are small (the truncated series keeps only the direct passage).
     """
-    sa, ga, sb, gb = _transmissions(lines)
+    sa, ga, sb, gb = (m[..., 1, 0] for m in lines.matrices)
+    aa, bb, ab, ba = np.asarray(cell_coeffs)
     iso = np.asarray(lines.isolation)
-    return {
-        "AA": sa * np.asarray(cell_coeffs["AA"]) * ga,
-        "BB": sb * np.asarray(cell_coeffs["BB"]) * gb,
-        "AB": sa * (np.asarray(cell_coeffs["AB"]) + iso) * gb,
-        "BA": sb * (np.asarray(cell_coeffs["BA"]) + iso) * ga,
-    }
+    return np.array([sa * aa * ga, sb * bb * gb, sa * (ab + iso) * gb, sb * (ba + iso) * ga])
 
 
-def isolation_from_hd(hd: Mapping[str, complex | np.ndarray]) -> complex | np.ndarray:
+def isolation_from_hd(hd) -> complex | np.ndarray:
     """Stray coupling amplitude recovered from high-drive reference traces.
 
-    With the emitter saturated, the cross references are pure isolation
-    leakage through the lines, so ``sqrt((AB * BA) / (AA * BB))`` cancels
-    every line factor (principal square-root branch).
+    ``hd`` stacks the channels AA, BB, AB, BA.  With the emitter
+    saturated, the cross references are pure isolation leakage through
+    the lines, so ``sqrt((AB * BA) / (AA * BB))`` cancels every line
+    factor (principal square-root branch).
     """
-    aa = np.asarray(hd["AA"])
-    bb = np.asarray(hd["BB"])
+    aa, bb, ab, ba = np.asarray(hd)
     if np.any(np.abs(aa) == 0) or np.any(np.abs(bb) == 0):
         raise ValueError("through high-drive references must be nonzero")
-    out = np.sqrt((np.asarray(hd["AB"]) * np.asarray(hd["BA"])) / (aa * bb))
+    out = np.sqrt((ab * ba) / (aa * bb))
     if out.ndim == 0:
         return complex(out)
     return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ChannelSpectrum
-from .model import CHANNELS, CellParams, FluxModel, cell_coefficients
+from .model import CHANNELS, THROUGH_CHANNELS, CellParams, FluxModel, cell_coefficients
 from .network import LineModel, simplified_forward
 
 __all__ = [
@@ -164,31 +164,26 @@ def gen_lines(spec: LineSpec, seed: int, freqs=None) -> LineModel:
     return LineModel(isolation=complex(iso), **matrices)
 
 
-def hd_cell_coefficients(n_points: int | None = None) -> dict[str, np.ndarray]:
+def hd_cell_coefficients(n_points: int | None = None) -> np.ndarray:
     """Cell coefficients with the emitter saturated out of the picture.
 
     High drive decouples the emitter: through transmission is unity and
-    the emitter-mediated cross transfer vanishes.
+    the emitter-mediated cross transfer vanishes.  Shape ``(4,)`` or
+    ``(4, n_points)`` in :data:`~routercell.model.CHANNELS` order.
     """
     shape = () if n_points is None else (n_points,)
-    return {
-        "AA": np.ones(shape, dtype=complex),
-        "BB": np.ones(shape, dtype=complex),
-        "AB": np.zeros(shape, dtype=complex),
-        "BA": np.zeros(shape, dtype=complex),
-    }
+    coeffs = np.zeros((len(CHANNELS),) + shape, dtype=complex)
+    coeffs[[CHANNELS.index(ch) for ch in THROUGH_CHANNELS]] = 1.0
+    return coeffs
 
 
-def _add_noise(traces: dict[str, np.ndarray], sigma: float,
-               rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _add_noise(traces: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     if sigma == 0.0:
-        return {ch: np.asarray(traces[ch], dtype=complex) for ch in CHANNELS}
-    out = {}
-    for ch in CHANNELS:
-        tr = np.asarray(traces[ch], dtype=complex)
-        noise = rng.standard_normal(tr.shape) + 1j * rng.standard_normal(tr.shape)
-        out[ch] = tr + sigma * noise / np.sqrt(2.0)
-    return out
+        return traces
+    # per channel: all real parts, then all imaginary parts
+    draws = rng.standard_normal((traces.shape[0], 2) + traces.shape[1:])
+    noise = draws[:, 0] + 1j * draws[:, 1]
+    return traces + sigma * noise / np.sqrt(2.0)
 
 
 def gen_spectrum(config: CampaignConfig) -> SynthSpectrum:

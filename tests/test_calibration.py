@@ -37,6 +37,12 @@ class TestChannelSpectrum:
         bad = dict(traces, BB=np.full(11, np.nan + 0j))
         with pytest.raises(ValueError):
             calibration.ChannelSpectrum(self.FREQS, bad)
+        stacked = np.ones((4, 11), dtype=complex)
+        stacked[3, 5] = np.inf
+        with pytest.raises(ValueError, match="channel BA"):
+            calibration.ChannelSpectrum(self.FREQS, stacked)
+        with pytest.raises(ValueError, match="4 channels"):
+            calibration.ChannelSpectrum(self.FREQS, stacked[:3])
 
 
 class TestUnwrapHalvedPhase:
@@ -117,7 +123,7 @@ class TestCalibrateResponses:
                                 phi_a=-0.06 * math.pi, phi_b=0.05 * math.pi)
         meas, hd = self.make_pair(cell, ripple_db=0.3)
         calibrated = calibration.calibrate_responses(meas, hd)
-        truth = model.cell_coefficients(TWO_PI * self.FREQS, cell)
+        truth = dict(zip(model.CHANNELS, model.cell_coefficients(TWO_PI * self.FREQS, cell)))
         for ch in model.CHANNELS:
             assert np.max(np.abs(calibrated.channel(ch) - truth[ch])) < 1e-10
 
@@ -139,8 +145,27 @@ class TestCalibrateResponses:
         meas, hd = self.make_pair()
         coarse = calibration.resample(hd, np.linspace(self.FREQS[0], self.FREQS[-1], 801))
         calibrated = calibration.calibrate_responses(meas, coarse)
-        truth = model.cell_coefficients(TWO_PI * self.FREQS, CELL)
+        truth = dict(zip(model.CHANNELS, model.cell_coefficients(TWO_PI * self.FREQS, CELL)))
         assert np.max(np.abs(calibrated.channel("AA") - truth["AA"])) < 1e-6
+
+    def test_reference_grid_shifted_by_less_than_a_step_is_resampled(self):
+        # a 50 ns cable delay turns the phase by 0.013 rad over a 40 kHz
+        # shift (a third of the 125 kHz step), which a point-by-point
+        # division would leave in the calibrated trace
+        lines = synth.gen_lines(synth.LineSpec(jitter_db=1.0), seed=2)
+
+        def delayed(coeffs, freqs):
+            return network.simplified_forward(coeffs, lines) * np.exp(-2j * np.pi * freqs * 50e-9)
+
+        meas = calibration.ChannelSpectrum(
+            self.FREQS, delayed(model.cell_coefficients(TWO_PI * self.FREQS, CELL), self.FREQS))
+        shifted = self.FREQS + 40e3
+        hd = calibration.ChannelSpectrum(
+            shifted, delayed(synth.hd_cell_coefficients(shifted.size), shifted))
+        calibrated = calibration.calibrate_responses(meas, hd)
+        truth = model.t_through("AA", TWO_PI * self.FREQS, CELL)
+        # the first point lies below the shifted grid, where interpolation clamps
+        assert np.max(np.abs(calibrated.channel("AA") - truth)[1:-1]) < 1e-3
 
     def test_degenerate_reference_lists_frequencies(self):
         meas, hd = self.make_pair()

@@ -26,7 +26,7 @@ class TestSimulate:
         spectrum = io.ingest_spectrum(run_dir / "spectrum.csv")
         config = io.load_config(None)
         cell = io.cell_params_from_config(config)
-        truth = model.cell_coefficients(TWO_PI * spectrum.freqs, cell)
+        truth = dict(zip(model.CHANNELS, model.cell_coefficients(TWO_PI * spectrum.freqs, cell)))
         for ch in model.CHANNELS:
             assert np.max(np.abs(spectrum.channel(ch) - truth[ch])) < 1e-12
 
@@ -123,7 +123,7 @@ class TestSweeps:
         record = cli.run_command("sweep-power", config, out_dir=tmp_path, seed=4)
         _, rows = read_rows(tmp_path / "runs" / record.run_id / "saturation.csv")
         cell = io.cell_params_from_config(config)
-        resonant = model.cell_coefficients(cell.omega_ge, cell)
+        resonant = dict(zip(model.CHANNELS, model.cell_coefficients(cell.omega_ge, cell)))
         for ch in model.CHANNELS:
             first = [r for r in rows if r["channel"] == ch][0]
             n, level = float(first["n_avg"]), float(first["magnitude"])
@@ -184,10 +184,11 @@ class TestMainEntry:
     @pytest.mark.parametrize("text", [
         "[model]\ngamma_a_hz = 1e6\ngamma_a_hz = 2e6\n",  # duplicate key
         "gamma_a_hz = 1e6\n",  # no section header
+        b"[model]\ngamma_a_hz = \xff\xfe\n",  # not UTF-8
     ])
     def test_malformed_config_gives_machine_readable_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.ini"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         code = cli.main(["--config", str(bad), "--out", str(tmp_path), "simulate"])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
@@ -203,6 +204,26 @@ class TestMainEntry:
         assert err["error"] == "ParseError"
         assert str(fit) in err["message"]
         assert "'params'" in err["message"]
+
+    FIT = {"converged": True, "n_iter": 5, "residual_norm": 1e-3,
+           "params": dict.fromkeys(("gamma_a", "gamma_b", "omega_ge", "phi_a", "phi_b"), 1.0),
+           "sigma": dict.fromkeys(("gamma_a", "gamma_b", "omega_ge", "phi_a", "phi_b"), 0.1)}
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        json.dumps({**FIT, "params": 3}),
+        json.dumps({**FIT, "sigma": "wide"}),
+        json.dumps({**FIT, "residual_norm": "small"}),
+        '{"converged": tru',
+    ], ids=["list", "params-int", "sigma-str", "residual-norm-str", "invalid-json"])
+    def test_report_on_malformed_fit_file_gives_parse_error(self, tmp_path, capsys, text):
+        fit = tmp_path / "fit.json"
+        fit.write_text(text)
+        code = cli.main(["--out", str(tmp_path), "report", str(fit)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert str(fit) in err["message"]
 
     def test_fit_error_reported_machine_readably(self, tmp_path, capsys):
         # a power grid narrower than two decades cannot support the

@@ -25,7 +25,7 @@ def clean_spectrum(cell=TRUTH, freqs=FREQS):
 
 def noisy_spectrum(sigma, seed, cell=TRUTH, freqs=FREQS):
     rng = np.random.default_rng(seed)
-    coeffs = model.cell_coefficients(TWO_PI * freqs, cell)
+    coeffs = dict(zip(model.CHANNELS, model.cell_coefficients(TWO_PI * freqs, cell)))
     traces = {}
     for ch in model.CHANNELS:
         noise = rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size)
@@ -175,7 +175,7 @@ class TestEfficiencyTrace:
         iso = 0.1 * np.exp(0.9j)
         raw = self.make_raw(isolation=iso)
         e = estimation.efficiency_trace(raw)
-        coeffs = model.cell_coefficients(TWO_PI * FREQS, TRUTH)
+        coeffs = dict(zip(model.CHANNELS, model.cell_coefficients(TWO_PI * FREQS, TRUTH)))
         denom = coeffs["AA"] * coeffs["BB"]
         correction = iso * (coeffs["AB"] + coeffs["BA"]) / denom + iso**2 / denom
         ref = model.efficiency(TWO_PI * FREQS - W_GE, TRUTH)

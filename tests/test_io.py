@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from routercell import io, model
 from routercell.calibration import ChannelSpectrum
@@ -44,6 +46,53 @@ class TestCsvRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             io.ingest_spectrum(tmp_path / "nope.csv")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ROUND_TRIP_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@st.composite
+def spectra(draw, with_meta=True):
+    """Finite four-channel spectra on strictly increasing grids, metadata optional."""
+    freqs = draw(st.lists(FINITE, min_size=1, max_size=12, unique=True).map(sorted))
+    traces = draw(arrays(complex, (len(model.CHANNELS), len(freqs)),
+                         elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+    meta = {}
+    if with_meta:
+        meta = {key: draw(st.none() | FINITE) for key in ("bias_ma", "power_dbm", "temp_k")}
+    return ChannelSpectrum(np.array(freqs), traces, **meta)
+
+
+def assert_same_spectrum(back, spectrum):
+    assert back.freqs.tobytes() == spectrum.freqs.tobytes()
+    assert back.traces.tobytes() == spectrum.traces.tobytes()
+    for key in ("bias_ma", "power_dbm", "temp_k"):
+        assert getattr(back, key) == getattr(spectrum, key)
+
+
+class TestRoundTripProperties:
+    @ROUND_TRIP_SETTINGS
+    @given(spectra())
+    def test_csv_round_trip_is_exact(self, tmp_path_factory, spectrum):
+        path = tmp_path_factory.mktemp("csv") / "spec.csv"
+        io.write_spectrum(spectrum, path)
+        assert_same_spectrum(io.ingest_spectrum(path), spectrum)
+
+    @ROUND_TRIP_SETTINGS
+    @given(spectra(with_meta=False))
+    def test_touchstone_round_trip_is_exact(self, tmp_path_factory, spectrum):
+        path = tmp_path_factory.mktemp("s4p") / "spec.s4p"
+        io.write_touchstone(path, spectrum.freqs, io.spectrum_to_smatrix(spectrum))
+        assert_same_spectrum(io.ingest_spectrum(path, fmt="s4p"), spectrum)
+
+    @ROUND_TRIP_SETTINGS
+    @given(spectra())
+    def test_mapping_and_array_forms_agree(self, spectrum):
+        # stacked by channel name, whatever the mapping's key order
+        mapping = dict(reversed(spectrum.channels.items()))
+        mapped = ChannelSpectrum(spectrum.freqs, mapping)
+        assert mapped.traces.tobytes() == spectrum.traces.tobytes()
 
 
 class TestCsvErrors:

@@ -84,7 +84,7 @@ class TestGenSpectrum:
         out = synth.gen_spectrum(campaign(sigma=0.0, seed=1))
         from routercell.network import simplified_forward
         coeffs = model.cell_coefficients(TWO_PI * FREQS, CELL)
-        clean = simplified_forward(coeffs, out.lines)
+        clean = dict(zip(model.CHANNELS, simplified_forward(coeffs, out.lines)))
         for ch in model.CHANNELS:
             np.testing.assert_array_equal(out.meas.channel(ch), clean[ch])
 
