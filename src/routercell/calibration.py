@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .model import CHANNELS
 
@@ -170,8 +169,20 @@ def remove_global_phase(trace, freqs, f_res: float) -> np.ndarray:
 
 
 def resample(spectrum: ChannelSpectrum, freqs) -> ChannelSpectrum:
-    """Complex linear interpolation of all channels onto a new grid (Hz)."""
+    """Complex linear interpolation of all channels onto a new grid (Hz).
+
+    Points of ``freqs`` outside the span of ``spectrum.freqs`` cannot be
+    interpolated: they take the value at the nearer end of the span
+    (``np.interp`` clamps), and a ``UserWarning`` gives their count.
+    """
     freqs = np.asarray(freqs, dtype=float)
+    outside = int(np.count_nonzero((freqs < spectrum.freqs[0]) | (freqs > spectrum.freqs[-1])))
+    if outside:
+        warnings.warn(
+            f"{outside} of {freqs.size} points lie outside the source grid "
+            f"[{spectrum.freqs[0]:.9g}, {spectrum.freqs[-1]:.9g}] Hz and take its end values",
+            stacklevel=2,
+        )
     traces = [
         np.interp(freqs, spectrum.freqs, tr.real) + 1j * np.interp(freqs, spectrum.freqs, tr.imag)
         for tr in spectrum.traces
@@ -288,6 +299,7 @@ def circle_fit(trace, freqs) -> CircleFitResult:
         return model(params) - theta
 
     init = np.array([theta[i0], freqs[i0], sign * span / 5.0])
+    from scipy.optimize import least_squares  # imported on use: ~0.35 s
     fit = least_squares(residual, init, method="lm", xtol=1e-12, ftol=1e-12)
     theta0, f_res, kappa = fit.x
     kappa = abs(float(kappa))

@@ -28,7 +28,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+
+# scipy.optimize takes ~0.35 s to import, so each fit imports it when first called
+# and the CLI subcommands that do not fit never load it.
 
 from .calibration import ChannelSpectrum, REFERENCE_FLOOR
 from .model import (
@@ -264,6 +266,7 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     eps = 1e-6
     lower = [1e-3 * scale, 1e-3 * scale, -np.inf, -np.pi / 2 + eps, -np.pi / 2 + eps]
     upper = [np.inf, np.inf, np.inf, np.pi / 2 - eps, np.pi / 2 - eps]
+    from scipy.optimize import least_squares
     result = least_squares(
         residual, x0, jac=jacobian, bounds=(lower, upper), method="trf",
         x_scale=[scale, scale, scale, 1.0, 1.0],
@@ -380,6 +383,7 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
         rate = n_th * (g1 + gphi) + 0.5 * g1
         return resonant_efficiency(gamma_a, gamma_b, rate) - e
 
+    from scipy.optimize import least_squares
     result = least_squares(
         residual, [g1_init, gphi_init], bounds=([0.0, 0.0], [np.inf, np.inf]),
         method="trf", x_scale=[max(g1_init, 1.0), max(gphi_init, 1.0)],
@@ -419,6 +423,7 @@ def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
         a, b, c, d = x
         return a - b / (1.0 + n**c / d) - y
 
+    from scipy.optimize import least_squares
     result = least_squares(
         residual, [a0, b0, 1.0, d0],
         bounds=([-np.inf, -np.inf, 1e-3, 1e-12], [np.inf, np.inf, 10.0, np.inf]),
@@ -455,6 +460,7 @@ def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
         p0, t1, p_inf = x
         return p0 * np.exp(-t / t1) + p_inf - p
 
+    from scipy.optimize import least_squares
     result = least_squares(
         residual, [p00, max(t10, 1e-12), p_inf0],
         bounds=([-np.inf, 1e-15, -np.inf], [np.inf, np.inf, np.inf]),
@@ -505,6 +511,7 @@ def fit_rabi_decay(populations, durations_s, seed: int | None = None) -> FitRepo
         osc = p_max * np.sin(np.pi * t / (2.0 * t_pi)) ** 2 - p_inf
         return osc * np.exp(-t / t_r) + p_inf - p
 
+    from scipy.optimize import least_squares
     result = least_squares(
         residual, [p_max0, t_pi0, p_inf0, max(t_r0, 1e-12)],
         bounds=([0.0, 1e-15, -np.inf, 1e-15], [np.inf, np.inf, np.inf, np.inf]),

@@ -22,7 +22,9 @@ import json
 import math
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -93,29 +95,47 @@ def angular_to_hz(value):
 # CSV spectrum format
 
 
-def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -> None:
-    """Write a spectrum as long-form CSV (lossless float precision)."""
-    path = Path(path)
-    include_meta = any(
-        v is not None for v in (spectrum.bias_ma, spectrum.power_dbm, spectrum.temp_k)
-    )
-    header = _CSV_HEADER + (_CSV_META if include_meta else [])
-    with path.open("w", newline="") as fh:
+def _write_columns(path, header: list[str], columns, run_id: str | None) -> None:
+    """Write CSV from columns of field strings, byte for byte as ``csv.writer`` would.
+
+    Rows end in CRLF.  No field needs quoting: each is a float ``repr``, a
+    name or empty.
+    """
+    rows = map(",".join, zip(*columns))
+    with Path(path).open("w", newline="") as fh:
         if run_id is not None:
             fh.write(f"# run: {run_id}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        meta = [
-            "" if spectrum.bias_ma is None else repr(spectrum.bias_ma),
-            "" if spectrum.power_dbm is None else repr(spectrum.power_dbm),
-            "" if spectrum.temp_k is None else repr(spectrum.temp_k),
-        ]
-        for ch, trace in zip(CHANNELS, spectrum.traces):
-            for f, v in zip(spectrum.freqs, trace):
-                row = [repr(float(f)), ch, repr(float(v.real)), repr(float(v.imag))]
-                if include_meta:
-                    row += meta
-                writer.writerow(row)
+        fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
+
+
+def _repr_column(values: np.ndarray):
+    """Field strings of a float array: ``repr`` round-trips float64 exactly."""
+    return map(repr, values.ravel().tolist())
+
+
+def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -> None:
+    """Write a spectrum as long-form CSV (lossless float precision)."""
+    meta = (spectrum.bias_ma, spectrum.power_dbm, spectrum.temp_k)
+    include_meta = any(v is not None for v in meta)
+    columns = [
+        list(_repr_column(spectrum.freqs)) * len(CHANNELS),
+        [ch for ch in CHANNELS for _ in spectrum.freqs],
+        _repr_column(spectrum.traces.real),
+        _repr_column(spectrum.traces.imag),
+    ]
+    if include_meta:
+        columns += [repeat("" if v is None else repr(v)) for v in meta]
+    _write_columns(path, _CSV_HEADER + (_CSV_META if include_meta else []), columns, run_id)
+
+
+@contextmanager
+def _text_file(path: Path, **kwargs):
+    """Open a file for reading as UTF-8; undecodable bytes raise ParseError naming it."""
+    with path.open(encoding="utf-8", **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _parse_float(text: str, what: str, line: int) -> float:
@@ -128,7 +148,7 @@ def _parse_float(text: str, what: str, line: int) -> float:
 def _ingest_csv(path: Path) -> ChannelSpectrum:
     rows: list[list[tuple[float, complex, int]]] = [[] for _ in CHANNELS]
     meta: dict[str, float] = {}
-    with path.open(newline="") as fh:
+    with _text_file(path, newline="") as fh:
         lineno = 0
         header: list[str] | None = None
         for raw in csv.reader(fh):
@@ -205,7 +225,7 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
     fmt = "MA"
     numbers: list[float] = []
     option_line = None
-    with path.open() as fh:
+    with _text_file(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("!", 1)[0].strip()
             if not line:
@@ -315,25 +335,26 @@ def write_line_model(lines: LineModel, path, freqs=None,
     if n is not None:
         if freqs is None or len(freqs) != n:
             raise ValueError("per-frequency lines need a matching freqs array")
-        freq_col = [repr(float(f)) for f in freqs]
+        freq_col = list(_repr_column(np.asarray(freqs, dtype=float)))
     else:
         n = 1
         freq_col = [""]
-    with Path(path).open("w", newline="") as fh:
-        if run_id is not None:
-            fh.write(f"# run: {run_id}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_LINE_HEADER)
-        iso = np.broadcast_to(np.asarray(lines.isolation, dtype=complex), (n,))
-        for i in range(n):
-            point = lines.at(i) if lines.n_points is not None else lines
-            for name, m in zip(_LINE_ELEMENTS, point.matrices):
-                row = [freq_col[i], name]
-                for r in range(2):
-                    for c in range(2):
-                        row += [repr(float(m[r, c].real)), repr(float(m[r, c].imag))]
-                row += [repr(float(iso[i].real)), repr(float(iso[i].imag))]
-                writer.writerow(row)
+    # (4n, 4) complex rows of s11, s12, s21, s22, point-major like the file
+    blocks = np.stack([np.broadcast_to(m, (n, 2, 2)) for m in lines.matrices], axis=1)
+    values = blocks.reshape(4 * n, 4).view(float)
+    iso = np.broadcast_to(np.asarray(lines.isolation, dtype=complex), (n,))
+
+    def per_element(col):
+        return [field for field in col for _ in _LINE_ELEMENTS]
+
+    columns = [
+        per_element(freq_col),
+        _LINE_ELEMENTS * n,
+        *(_repr_column(col) for col in values.T),
+        per_element(_repr_column(iso.real)),
+        per_element(_repr_column(iso.imag)),
+    ]
+    _write_columns(path, _LINE_HEADER, columns, run_id)
 
 
 def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:
@@ -341,7 +362,7 @@ def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:
     blocks: dict[str, list] = {name: [] for name in _LINE_ELEMENTS}
     freqs: list[float] = []
     isolation: list[complex] = []
-    with Path(path).open(newline="") as fh:
+    with _text_file(Path(path), newline="") as fh:
         lineno = 0
         header = None
         for raw in csv.reader(fh):
@@ -371,7 +392,7 @@ def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:
         raise ParseError(f"line-model element counts differ: {counts}")
     stacks = {name: np.array(v) for name, v in blocks.items()}
     iso = np.asarray(isolation)
-    if len(freqs) == 1:
+    if len(freqs) == 1 and math.isnan(freqs[0]):
         lines = LineModel(*(s[0] for s in stacks.values()), isolation=complex(iso[0]))
         return lines, None
     if any(math.isnan(f) for f in freqs):

@@ -1,6 +1,7 @@
 """Phase conditioning, HD normalization, circle fits and the loss budget."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,17 @@ class TestCalibrateResponses:
         truth = model.t_through("AA", TWO_PI * self.FREQS, CELL)
         # the first point lies below the shifted grid, where interpolation clamps
         assert np.max(np.abs(calibrated.channel("AA") - truth)[1:-1]) < 1e-3
+
+    def test_reference_grid_not_covering_the_measurement_warns(self):
+        # the 40 kHz shift above leaves the first measured point below the
+        # reference grid, where resampling can only clamp
+        meas, hd = self.make_pair()
+        shifted = calibration.ChannelSpectrum(self.FREQS + 40e3, hd.traces)
+        with pytest.warns(UserWarning, match=r"^1 of 401 points lie outside the source grid"):
+            calibration.calibrate_responses(meas, shifted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calibration.resample(hd, np.linspace(self.FREQS[0], self.FREQS[-1], 801))
 
     def test_degenerate_reference_lists_frequencies(self):
         meas, hd = self.make_pair()

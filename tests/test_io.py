@@ -1,13 +1,15 @@
 """File formats: CSV round trips, touchstone ingestion, config validation."""
 
+import csv
 import math
+from io import StringIO
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from routercell import io, model
+from routercell import io, model, network
 from routercell.calibration import ChannelSpectrum
 
 TWO_PI = 2.0 * math.pi
@@ -95,6 +97,95 @@ class TestRoundTripProperties:
         assert mapped.traces.tobytes() == spectrum.traces.tobytes()
 
 
+SIGNED = st.sampled_from([0.0, -0.0]) | FINITE
+RUN_IDS = st.sampled_from([None, "r", "20261018T030000-0123abcd"])
+
+
+@st.composite
+def signed_spectra(draw):
+    """Spectra whose values and metadata include signed zeros."""
+    freqs = draw(st.lists(SIGNED, min_size=1, max_size=8, unique=True).map(sorted))
+    traces = draw(arrays(complex, (len(model.CHANNELS), len(freqs)),
+                         elements=st.builds(complex, SIGNED, SIGNED)))
+    meta = {key: draw(st.none() | SIGNED) for key in ("bias_ma", "power_dbm", "temp_k")}
+    return ChannelSpectrum(np.array(freqs), traces, **meta)
+
+
+@st.composite
+def line_models(draw):
+    """(lines, freqs): frequency-independent, or per-frequency with some constant lines."""
+    n = draw(st.none() | st.integers(1, 6))
+    entries = st.builds(complex, SIGNED, SIGNED)
+    shapes = [(2, 2)] * 4
+    if n is not None:
+        # per-frequency data in at least one line
+        shapes = [(n, 2, 2)] + [draw(st.sampled_from([(n, 2, 2), (2, 2)])) for _ in range(3)]
+        shapes = draw(st.permutations(shapes))
+    matrices = [draw(arrays(complex, shape, elements=entries)) for shape in shapes]
+    if n is None:
+        return network.LineModel(*matrices, isolation=draw(entries)), None
+    isolation = draw(entries | arrays(complex, (n,), elements=entries))
+    freqs = np.array(draw(st.lists(SIGNED, min_size=n, max_size=n)))
+    return network.LineModel(*matrices, isolation=isolation), freqs
+
+
+def oracle_spectrum_bytes(spectrum, run_id):
+    """``write_spectrum`` row by row through ``csv.writer``."""
+    buf = StringIO(newline="")
+    if run_id is not None:
+        buf.write(f"# run: {run_id}\n")
+    writer = csv.writer(buf)
+    meta = [spectrum.bias_ma, spectrum.power_dbm, spectrum.temp_k]
+    include_meta = any(v is not None for v in meta)
+    writer.writerow(["freq_hz", "channel", "re", "im"]
+                    + (["bias_ma", "power_dbm", "temp_k"] if include_meta else []))
+    meta = ["" if v is None else repr(v) for v in meta]
+    for ch, trace in zip(model.CHANNELS, spectrum.traces):
+        for f, v in zip(spectrum.freqs, trace):
+            row = [repr(float(f)), ch, repr(float(v.real)), repr(float(v.imag))]
+            writer.writerow(row + (meta if include_meta else []))
+    return buf.getvalue().encode()
+
+
+def oracle_line_model_bytes(lines, freqs, run_id):
+    """``write_line_model`` point by point through ``LineModel.at`` and ``csv.writer``."""
+    buf = StringIO(newline="")
+    if run_id is not None:
+        buf.write(f"# run: {run_id}\n")
+    writer = csv.writer(buf)
+    writer.writerow(["freq_hz", "element", "s11_re", "s11_im", "s12_re", "s12_im",
+                     "s21_re", "s21_im", "s22_re", "s22_im", "iso_re", "iso_im"])
+    n = 1 if freqs is None else len(freqs)
+    iso = np.broadcast_to(np.asarray(lines.isolation, dtype=complex), (n,))
+    for i in range(n):
+        point = lines if freqs is None else lines.at(i)
+        for name, m in zip(("in_a", "out_a", "in_b", "out_b"), point.matrices):
+            row = ["" if freqs is None else repr(float(freqs[i])), name]
+            for v in (*m.ravel(), iso[i]):
+                row += [repr(float(v.real)), repr(float(v.imag))]
+            writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+class TestWriterBytes:
+    """The columnar writers produce exactly the bytes of a row-wise ``csv.writer``."""
+
+    @ROUND_TRIP_SETTINGS
+    @given(signed_spectra(), RUN_IDS)
+    def test_write_spectrum_matches_csv_writer(self, tmp_path_factory, spectrum, run_id):
+        path = tmp_path_factory.mktemp("csv") / "spec.csv"
+        io.write_spectrum(spectrum, path, run_id=run_id)
+        assert path.read_bytes() == oracle_spectrum_bytes(spectrum, run_id)
+
+    @ROUND_TRIP_SETTINGS
+    @given(line_models(), RUN_IDS)
+    def test_write_line_model_matches_csv_writer(self, tmp_path_factory, drawn, run_id):
+        lines, freqs = drawn
+        path = tmp_path_factory.mktemp("lines") / "lines.csv"
+        io.write_line_model(lines, path, freqs=freqs, run_id=run_id)
+        assert path.read_bytes() == oracle_line_model_bytes(lines, freqs, run_id)
+
+
 class TestCsvErrors:
     HEADER = "freq_hz,channel,re,im\n"
 
@@ -138,6 +229,12 @@ class TestCsvErrors:
     def test_unknown_channel_names_line(self, tmp_path):
         path = self.write(tmp_path, "1e9,XX,1.0,0.0\n")
         with pytest.raises(io.ParseError, match="line 2"):
+            io.ingest_spectrum(path)
+
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe" + self.HEADER.encode())
+        with pytest.raises(io.ParseError, match="utf16.csv is not UTF-8"):
             io.ingest_spectrum(path)
 
     def test_non_finite_rows_dropped_with_warning(self, tmp_path):
@@ -191,6 +288,12 @@ class TestTouchstone:
         path.write_text("# HZ S RI R 50\n1e9 0.1 0.2 0.3\n")
         with pytest.raises(io.ParseError):
             io.read_touchstone(path)
+
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "utf16.s4p"
+        path.write_bytes(b"\xff\xfe# HZ S RI R 50\n")
+        with pytest.raises(io.ParseError, match="utf16.s4p is not UTF-8"):
+            io.ingest_spectrum(path, fmt="s4p")
 
 
 class TestConfig:
@@ -278,10 +381,33 @@ class TestLineModelFile:
         for a, b in zip(back.matrices, lines.matrices):
             assert np.array_equal(np.broadcast_to(a, b.shape), np.broadcast_to(b, a.shape))
 
+    @ROUND_TRIP_SETTINGS
+    @given(line_models())
+    def test_line_model_round_trip_is_exact(self, tmp_path_factory, drawn):
+        lines, freqs = drawn
+        path = tmp_path_factory.mktemp("lines") / "lines.csv"
+        io.write_line_model(lines, path, freqs=freqs)
+        back, freqs_back = io.read_line_model(path)
+        if freqs is None:
+            assert freqs_back is None
+        else:
+            assert freqs_back.tobytes() == freqs.tobytes()
+        n = 1 if freqs is None else len(freqs)
+        for a, b in zip(back.matrices + (back.isolation,), lines.matrices + (lines.isolation,)):
+            shape = (n, 2, 2) if np.ndim(b) >= 2 else (n,)
+            a = np.broadcast_to(np.asarray(a, dtype=complex), shape)
+            assert a.tobytes() == np.broadcast_to(np.asarray(b, dtype=complex), shape).tobytes()
+
     def test_malformed_element_rejected(self, tmp_path):
         path = tmp_path / "lines.csv"
         header = ",".join(["freq_hz", "element"] + [f"s{i}{j}_{p}" for i in (1, 2)
                           for j in (1, 2) for p in ("re", "im")] + ["iso_re", "iso_im"])
         path.write_text(header + "\n" + ",bogus" + ",0.0" * 10 + "\n")
         with pytest.raises(io.ParseError, match="bogus"):
+            io.read_line_model(path)
+
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfefreq_hz,element\n")
+        with pytest.raises(io.ParseError, match="utf16.csv is not UTF-8"):
             io.read_line_model(path)
