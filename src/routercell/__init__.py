@@ -38,7 +38,6 @@ from .network import (
     compose_neumann,
     ideal_lines,
     isolation_from_hd,
-    permutation_matrix,
     simplified_forward,
 )
 from .calibration import (

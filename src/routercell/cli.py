@@ -15,7 +15,6 @@ output files byte for byte for the same tool version and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -34,15 +33,6 @@ SUBCOMMANDS = (
 )
 
 _ENV_PREFIX = "ROUTERCELL_"
-
-
-def _write_table(path: Path, header: list[str], rows, run_id: str) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(f"# run: {run_id}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def _write_json(path: Path, payload: dict, run_id: str) -> None:
@@ -101,14 +91,19 @@ def _cmd_simulate(config, inputs, run_dir, seed, fmt, run_id):
     spectrum = calibration.ChannelSpectrum(freqs, coeffs)
     spectrum_path = run_dir / "spectrum.csv"
     io.write_spectrum(spectrum, spectrum_path, run_id=run_id)
-    rows = []
-    for ch, tr in zip(model.CHANNELS, spectrum.traces):
-        for f, v in zip(freqs, tr):
-            mag = abs(v)
-            rows.append([float(f), ch, float(mag), float(20.0 * math.log10(max(mag, 1e-300))),
-                         float(np.angle(v))])
+    values = spectrum.traces.ravel()
+    # scalar abs and log10: the vectorised ones can round the last bit differently
+    mags = [abs(v) for v in values]
+    columns = [
+        np.tile(freqs, len(model.CHANNELS)),
+        [ch for ch in model.CHANNELS for _ in freqs],
+        np.array(mags),
+        np.array([20.0 * math.log10(max(m, 1e-300)) for m in mags]),
+        np.angle(values),
+    ]
     mag_path = run_dir / "magphase.csv"
-    _write_table(mag_path, ["freq_hz", "channel", "mag", "mag_db", "phase_rad"], rows, run_id)
+    io.write_columns(mag_path, ["freq_hz", "channel", "mag", "mag_db", "phase_rad"],
+                     columns, run_id)
     return [spectrum_path, mag_path]
 
 
@@ -170,20 +165,18 @@ def _cmd_sweep_bias(config, inputs, run_dir, seed, fmt, run_id):
     freqs = _freq_grid(config)
     omega = io.hz_to_angular(freqs)
 
-    map_rows, res_rows, phi_rows = [], [], []
+    e_map = np.empty((biases.size, freqs.size), dtype=complex)
     e_res = np.empty(biases.size)
+    w_ges = np.empty(biases.size)
     gamma_phi_true = np.empty(biases.size)
     for i, ib in enumerate(biases):
-        w_ge = model.omega_ge_of_bias(float(ib), flux)
+        w_ges[i] = w_ge = model.omega_ge_of_bias(float(ib), flux)
         slope = float(flux.slope(float(ib))) * 1e3  # rad/s per A
         gamma_phi = math.pi * slope**2 * s_i + gphi0
         gamma_phi_true[i] = gamma_phi
         p = replace(cell, omega_ge=w_ge, gamma_phi=gamma_phi)
-        e = model.efficiency(omega - w_ge, p)
-        for f, v in zip(freqs, e):
-            map_rows.append([float(ib), float(f), float(v.real), float(v.imag), float(abs(v))])
+        e_map[i] = model.efficiency(omega - w_ge, p)
         e_res[i] = model.efficiency(0.0, p).real
-        res_rows.append([float(ib), float(e_res[i]), float(io.angular_to_hz(w_ge))])
 
     poly = estimation.fit_E_polynomial(e_res, biases, seed=seed)
     recon = np.array([
@@ -191,18 +184,23 @@ def _cmd_sweep_bias(config, inputs, run_dir, seed, fmt, run_id):
         for v in np.minimum(e_res, 1.0)
     ])
     noise_fit = estimation.fit_flux_noise(recon, biases, flux, seed=seed)
-    for ib, true, rec in zip(biases, gamma_phi_true, recon):
-        phi_rows.append([float(ib), float(io.angular_to_hz(true)), float(io.angular_to_hz(rec))])
 
-    paths = {
-        "efficiency_map.csv": (["bias_ma", "freq_hz", "re_e", "im_e", "abs_e"], map_rows),
-        "resonant_efficiency.csv": (["bias_ma", "e_res", "f_ge_hz"], res_rows),
-        "gamma_phi_vs_bias.csv": (["bias_ma", "gamma_phi_true_hz", "gamma_phi_recon_hz"], phi_rows),
+    tables = {
+        "efficiency_map.csv": (
+            ["bias_ma", "freq_hz", "re_e", "im_e", "abs_e"],
+            # scalar abs: the vectorised np.abs can round the last bit differently
+            [np.repeat(biases, freqs.size), np.tile(freqs, biases.size),
+             e_map.real, e_map.imag, np.array([abs(v) for v in e_map.ravel()])]),
+        "resonant_efficiency.csv": (
+            ["bias_ma", "e_res", "f_ge_hz"], [biases, e_res, io.angular_to_hz(w_ges)]),
+        "gamma_phi_vs_bias.csv": (
+            ["bias_ma", "gamma_phi_true_hz", "gamma_phi_recon_hz"],
+            [biases, io.angular_to_hz(gamma_phi_true), io.angular_to_hz(recon)]),
     }
     written = []
-    for name, (header, rows) in paths.items():
+    for name, (header, columns) in tables.items():
         path = run_dir / name
-        _write_table(path, header, rows, run_id)
+        io.write_columns(path, header, columns, run_id)
         written.append(path)
     fit_path = run_dir / "bias_fit.json"
     _write_json(fit_path, {
@@ -234,9 +232,8 @@ def _cmd_sweep_temp(config, inputs, run_dir, seed, fmt, run_id):
         e = e + sigma * rng.standard_normal(e.shape)
     fit = estimation.fit_thermal(e, temps, cell.gamma_a, cell.gamma_b,
                                  cell.omega_ge, seed=seed)
-    rows = [[float(t), float(n), float(v)] for t, n, v in zip(temps, n_th, e)]
     table = run_dir / "thermal.csv"
-    _write_table(table, ["temp_k", "n_th", "e_res"], rows, run_id)
+    io.write_columns(table, ["temp_k", "n_th", "e_res"], [temps, n_th, e], run_id)
     fit_path = run_dir / "thermal_fit.json"
     _write_json(fit_path, {
         "fit": _report_payload(fit),
@@ -257,7 +254,7 @@ def _cmd_sweep_power(config, inputs, run_dir, seed, fmt, run_id):
     low = model.cell_coefficients(cell.omega_ge, cell)
     high = synth.hd_cell_coefficients().real
     sigma = config["noise"]["sigma"]
-    rows = []
+    curves = []
     fits = {}
     for ch, a, weak in zip(model.CHANNELS, high, low):
         # scalar abs: the vectorised np.abs can round the last bit differently
@@ -266,11 +263,14 @@ def _cmd_sweep_power(config, inputs, run_dir, seed, fmt, run_id):
         if sigma > 0:
             rng = np.random.default_rng(synth.derive_seed(seed, "sweep-power", ch))
             mags = mags + sigma * rng.standard_normal(mags.shape)
-        for n, v in zip(n_avg, mags):
-            rows.append([float(n), ch, float(v)])
+        curves.append(mags)
         fits[ch] = _report_payload(estimation.fit_saturation(mags, n_avg, seed=seed))
     table = run_dir / "saturation.csv"
-    _write_table(table, ["n_avg", "channel", "magnitude"], rows, run_id)
+    io.write_columns(table, ["n_avg", "channel", "magnitude"], [
+        np.tile(n_avg, len(model.CHANNELS)),
+        [ch for ch in model.CHANNELS for _ in n_avg],
+        np.array(curves),
+    ], run_id)
     fit_path = run_dir / "saturation_fit.json"
     _write_json(fit_path, {"fits": fits}, run_id)
     return [table, fit_path]
@@ -288,15 +288,11 @@ def _cmd_dressed(config, inputs, run_dir, seed, fmt, run_id):
     g = config["grid"]
     photons = np.linspace(g["nphot_min"], g["nphot_max"], int(g["n_nphot"]))
     lines = model.dressed_lines(cell.omega_ge, photons, dm)
-    rows = [
-        [float(n),
-         float(io.angular_to_hz(lines.ge_red[i])), float(io.angular_to_hz(lines.ge_blue[i])),
-         float(io.angular_to_hz(lines.ef_red[i])), float(io.angular_to_hz(lines.ef_blue[i]))]
-        for i, n in enumerate(photons)
-    ]
+    freqs = [io.angular_to_hz(w)
+             for w in (lines.ge_red, lines.ge_blue, lines.ef_red, lines.ef_blue)]
     table = run_dir / "dressed_lines.csv"
-    _write_table(table, ["n_photons", "f_ge_red_hz", "f_ge_blue_hz",
-                         "f_ef_red_hz", "f_ef_blue_hz"], rows, run_id)
+    io.write_columns(table, ["n_photons", "f_ge_red_hz", "f_ge_blue_hz",
+                             "f_ef_red_hz", "f_ef_blue_hz"], [photons, *freqs], run_id)
     return [table]
 
 
@@ -428,9 +424,10 @@ def main(argv=None) -> int:
         fmt = _resolve(args.fmt, "FORMAT", config["run"]["format"])
         run_command(args.subcommand, config, args.inputs, out_dir=out_dir,
                     seed=int(seed), fmt=fmt, run_id=args.run_id)
-    except (ValueError, RuntimeError, FileNotFoundError) as exc:
-        # covers ConfigError/ParseError/CalibrationError (ValueError) and
-        # FitError/CircleFitError/network errors (RuntimeError)
+    except (ValueError, RuntimeError, OSError) as exc:
+        # covers ConfigError/ParseError/CalibrationError (ValueError),
+        # FitError/CircleFitError/network errors (RuntimeError) and
+        # unreadable inputs such as a missing file or a directory (OSError)
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

@@ -25,12 +25,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-# scipy.optimize takes ~0.35 s to import, so each fit imports it when first called
-# and the CLI subcommands that do not fit never load it.
 
 from .calibration import ChannelSpectrum, REFERENCE_FLOOR
 from .model import (
@@ -172,6 +169,16 @@ def _finish_report(names, result, seed=None) -> FitReport:
     )
 
 
+def _least_squares(names, residual, x0, seed=None, **kwargs) -> FitReport:
+    """Damped least squares with the package's step tolerance and iteration cap."""
+    # scipy.optimize takes ~0.35 s to import, so it is imported on the first fit
+    # and the CLI subcommands that do not fit never load it.
+    from scipy.optimize import least_squares
+    result = least_squares(residual, x0, method="trf", xtol=STEP_TOL, ftol=STEP_TOL,
+                           max_nfev=MAX_ITER, **kwargs)
+    return _finish_report(names, result, seed)
+
+
 def _linear_report(names, design, target, seed=None) -> FitReport:
     """FitReport for a plain linear least-squares solve (column-scaled)."""
     col_norms = np.linalg.norm(design, axis=0)
@@ -266,13 +273,10 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     eps = 1e-6
     lower = [1e-3 * scale, 1e-3 * scale, -np.inf, -np.pi / 2 + eps, -np.pi / 2 + eps]
     upper = [np.inf, np.inf, np.inf, np.pi / 2 - eps, np.pi / 2 - eps]
-    from scipy.optimize import least_squares
-    result = least_squares(
-        residual, x0, jac=jacobian, bounds=(lower, upper), method="trf",
-        x_scale=[scale, scale, scale, 1.0, 1.0],
-        xtol=STEP_TOL, ftol=STEP_TOL, gtol=None, max_nfev=MAX_ITER,
+    return _least_squares(
+        _FOUR_CHANNEL_NAMES, residual, x0, seed, jac=jacobian, bounds=(lower, upper),
+        x_scale=[scale, scale, scale, 1.0, 1.0], gtol=None,
     )
-    return _finish_report(_FOUR_CHANNEL_NAMES, result, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +387,11 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
         rate = n_th * (g1 + gphi) + 0.5 * g1
         return resonant_efficiency(gamma_a, gamma_b, rate) - e
 
-    from scipy.optimize import least_squares
-    result = least_squares(
-        residual, [g1_init, gphi_init], bounds=([0.0, 0.0], [np.inf, np.inf]),
-        method="trf", x_scale=[max(g1_init, 1.0), max(gphi_init, 1.0)],
-        xtol=STEP_TOL, ftol=STEP_TOL, max_nfev=MAX_ITER,
+    return _least_squares(
+        ("gamma1_zero", "gamma_phi_zero"), residual, [g1_init, gphi_init], seed,
+        bounds=([0.0, 0.0], [np.inf, np.inf]),
+        x_scale=[max(g1_init, 1.0), max(gphi_init, 1.0)],
     )
-    return _finish_report(("gamma1_zero", "gamma_phi_zero"), result, seed)
 
 
 def as_thermal_coefficients(report: FitReport) -> ThermalCoefficients:
@@ -423,14 +425,11 @@ def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
         a, b, c, d = x
         return a - b / (1.0 + n**c / d) - y
 
-    from scipy.optimize import least_squares
-    result = least_squares(
-        residual, [a0, b0, 1.0, d0],
+    return _least_squares(
+        ("a", "b", "c", "d"), residual, [a0, b0, 1.0, d0], seed,
         bounds=([-np.inf, -np.inf, 1e-3, 1e-12], [np.inf, np.inf, 10.0, np.inf]),
-        method="trf", x_scale=[1.0, 1.0, 1.0, max(d0, 1e-6)],
-        xtol=STEP_TOL, ftol=STEP_TOL, max_nfev=MAX_ITER,
+        x_scale=[1.0, 1.0, 1.0, max(d0, 1e-6)],
     )
-    return _finish_report(("a", "b", "c", "d"), result, seed)
 
 
 def as_saturation_params(report: FitReport) -> SaturationParams:
@@ -460,18 +459,13 @@ def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
         p0, t1, p_inf = x
         return p0 * np.exp(-t / t1) + p_inf - p
 
-    from scipy.optimize import least_squares
-    result = least_squares(
-        residual, [p00, max(t10, 1e-12), p_inf0],
+    report = _least_squares(
+        ("p0", "t1", "p_inf"), residual, [p00, max(t10, 1e-12), p_inf0], seed,
         bounds=([-np.inf, 1e-15, -np.inf], [np.inf, np.inf, np.inf]),
-        method="trf", x_scale=[max(abs(p00), 0.1), max(t10, 1e-12), 0.1],
-        xtol=STEP_TOL, ftol=STEP_TOL, max_nfev=MAX_ITER,
+        x_scale=[max(abs(p00), 0.1), max(t10, 1e-12), 0.1],
     )
-    report = _finish_report(("p0", "t1", "p_inf"), result, seed)
     if abs(report.value("p0")) < 1e-6:
-        report = FitReport(report.params, report.sigma, report.residual_norm,
-                           report.n_iter, report.converged, report.seed,
-                           report.flags + ("unidentifiable:t1",))
+        report = replace(report, flags=report.flags + ("unidentifiable:t1",))
     if (t[-1] - t[0]) < 2.0 * report.value("t1"):
         warnings.warn("delay span is below twice the fitted T1", stacklevel=2)
     return report
@@ -511,14 +505,11 @@ def fit_rabi_decay(populations, durations_s, seed: int | None = None) -> FitRepo
         osc = p_max * np.sin(np.pi * t / (2.0 * t_pi)) ** 2 - p_inf
         return osc * np.exp(-t / t_r) + p_inf - p
 
-    from scipy.optimize import least_squares
-    result = least_squares(
-        residual, [p_max0, t_pi0, p_inf0, max(t_r0, 1e-12)],
-        bounds=([0.0, 1e-15, -np.inf, 1e-15], [np.inf, np.inf, np.inf, np.inf]),
-        method="trf", x_scale=[max(p_max0, 0.1), t_pi0, 0.1, max(t_r0, 1e-12)],
-        xtol=STEP_TOL, ftol=STEP_TOL, max_nfev=MAX_ITER,
+    return _least_squares(
+        ("p_max", "t_pi", "p_inf", "t_r"), residual, [p_max0, t_pi0, p_inf0, max(t_r0, 1e-12)],
+        seed, bounds=([0.0, 1e-15, -np.inf, 1e-15], [np.inf, np.inf, np.inf, np.inf]),
+        x_scale=[max(p_max0, 0.1), t_pi0, 0.1, max(t_r0, 1e-12)],
     )
-    return _finish_report(("p_max", "t_pi", "p_inf", "t_r"), result, seed)
 
 
 def coupling_limited_t1(gamma_a: float, gamma_b: float) -> float:

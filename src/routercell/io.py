@@ -40,6 +40,7 @@ __all__ = [
     "TOOL_VERSION",
     "ingest_spectrum",
     "write_spectrum",
+    "write_columns",
     "read_touchstone",
     "write_touchstone",
     "spectrum_to_smatrix",
@@ -95,22 +96,21 @@ def angular_to_hz(value):
 # CSV spectrum format
 
 
-def _write_columns(path, header: list[str], columns, run_id: str | None) -> None:
-    """Write CSV from columns of field strings, byte for byte as ``csv.writer`` would.
+def write_columns(path, header: list[str], columns, run_id: str | None = None) -> None:
+    """Write a CSV table column by column, byte for byte as ``csv.writer`` would.
 
+    Each column is a float array, written as the ``repr`` of every value
+    (which round-trips float64 exactly), or a sequence of field strings.
     Rows end in CRLF.  No field needs quoting: each is a float ``repr``, a
     name or empty.
     """
-    rows = map(",".join, zip(*columns))
+    fields = (map(repr, c.ravel().tolist()) if isinstance(c, np.ndarray) else c
+              for c in columns)
+    rows = map(",".join, zip(*fields))
     with Path(path).open("w", newline="") as fh:
         if run_id is not None:
             fh.write(f"# run: {run_id}\n")
         fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
-
-
-def _repr_column(values: np.ndarray):
-    """Field strings of a float array: ``repr`` round-trips float64 exactly."""
-    return map(repr, values.ravel().tolist())
 
 
 def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -> None:
@@ -118,14 +118,14 @@ def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -
     meta = (spectrum.bias_ma, spectrum.power_dbm, spectrum.temp_k)
     include_meta = any(v is not None for v in meta)
     columns = [
-        list(_repr_column(spectrum.freqs)) * len(CHANNELS),
+        list(map(repr, spectrum.freqs.tolist())) * len(CHANNELS),
         [ch for ch in CHANNELS for _ in spectrum.freqs],
-        _repr_column(spectrum.traces.real),
-        _repr_column(spectrum.traces.imag),
+        spectrum.traces.real,
+        spectrum.traces.imag,
     ]
     if include_meta:
         columns += [repeat("" if v is None else repr(v)) for v in meta]
-    _write_columns(path, _CSV_HEADER + (_CSV_META if include_meta else []), columns, run_id)
+    write_columns(path, _CSV_HEADER + (_CSV_META if include_meta else []), columns, run_id)
 
 
 @contextmanager
@@ -335,26 +335,17 @@ def write_line_model(lines: LineModel, path, freqs=None,
     if n is not None:
         if freqs is None or len(freqs) != n:
             raise ValueError("per-frequency lines need a matching freqs array")
-        freq_col = list(_repr_column(np.asarray(freqs, dtype=float)))
+        freq_col = np.repeat(np.asarray(freqs, dtype=float), len(_LINE_ELEMENTS))
     else:
         n = 1
-        freq_col = [""]
+        freq_col = [""] * len(_LINE_ELEMENTS)
     # (4n, 4) complex rows of s11, s12, s21, s22, point-major like the file
     blocks = np.stack([np.broadcast_to(m, (n, 2, 2)) for m in lines.matrices], axis=1)
     values = blocks.reshape(4 * n, 4).view(float)
-    iso = np.broadcast_to(np.asarray(lines.isolation, dtype=complex), (n,))
-
-    def per_element(col):
-        return [field for field in col for _ in _LINE_ELEMENTS]
-
-    columns = [
-        per_element(freq_col),
-        _LINE_ELEMENTS * n,
-        *(_repr_column(col) for col in values.T),
-        per_element(_repr_column(iso.real)),
-        per_element(_repr_column(iso.imag)),
-    ]
-    _write_columns(path, _LINE_HEADER, columns, run_id)
+    iso = np.repeat(np.broadcast_to(np.asarray(lines.isolation, dtype=complex), (n,)),
+                    len(_LINE_ELEMENTS))
+    columns = [freq_col, _LINE_ELEMENTS * n, *values.T, iso.real, iso.imag]
+    write_columns(path, _LINE_HEADER, columns, run_id)
 
 
 def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:

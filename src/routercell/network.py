@@ -12,7 +12,10 @@ used when line reflections are negligible.
 Port order of every 4x4 matrix is (A-in, A-out, B-in, B-out).  Two-port
 line matrices are oriented so port 1 faces the instrument for input lines
 and the cell for output lines; the ``S21`` entry (row 2, column 1) is
-therefore always the transmission in the propagation direction.
+therefore always the transmission in the propagation direction.  Port k
+of the cell meets only line k, so the line blocks ``S11`` (external to
+external), ``S12``, ``S21`` and ``S22`` (internal to internal) are all
+diagonal and are held as their length-4 diagonals.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "CompositionResult",
     "SingularNetworkError",
     "DivergenceError",
-    "permutation_matrix",
     "complementary_blocks",
     "compose_exact",
     "compose_neumann",
@@ -62,20 +64,12 @@ class PortMatrix:
             raise ValueError("port matrix entries must be finite")
         object.__setattr__(self, "entries", m)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def is_passive(self, tol: float = 1e-9) -> bool:
         """True if the largest singular value does not exceed 1 + tol."""
         return bool(np.linalg.norm(self.entries, 2) <= 1.0 + tol)
 
     def __array__(self, dtype=None):
         return np.asarray(self.entries, dtype=dtype)
-
-
-def _as_matrix(m) -> np.ndarray:
-    return np.asarray(getattr(m, "entries", m), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -146,41 +140,30 @@ def ideal_lines(isolation: complex = 0.0) -> LineModel:
     return LineModel(swap, swap, swap, swap, isolation=isolation)
 
 
-def permutation_matrix() -> PortMatrix:
-    """Fixed 8x8 permutation mapping natural wave order to (external, internal).
+def complementary_blocks(lines: LineModel) -> tuple[np.ndarray, ...]:
+    """Diagonals ``(s11, s12, s21, s22)`` of the four 4x4 line blocks.
 
-    Natural order stacks the two-port waves as (a_A, a_GA, a_B, a_GB); the
-    permuted order groups the measurable waves first and the waves
-    circulating between the lines and the cell last.
-    """
-    order = [0, 3, 4, 7, 1, 2, 5, 6]
-    p = np.zeros((8, 8))
-    for row, col in enumerate(order):
-        p[row, col] = 1.0
-    return PortMatrix(p)
-
-
-def complementary_blocks(lines: LineModel) -> dict[str, np.ndarray]:
-    """4x4 diagonal blocks of the permuted block-diagonal line matrix.
-
-    Builds the 8x8 block diagonal of the four two-port matrices in natural
-    order, conjugates by the permutation that separates external from
-    internal waves, and returns the four 4x4 corner blocks ``s11`` (external
-    to external), ``s12``, ``s21`` and ``s22`` (internal to internal).
+    Index 1 is the external wave (facing the instrument), index 2 the
+    internal wave (facing the cell); entry k of each diagonal belongs to
+    line k in port order.  Input lines face the instrument with port 1,
+    so block ``sij`` reads ``m[i, j]`` (0-based); output lines face it with
+    port 2, so it reads ``m[1 - i, 1 - j]``.
     """
     if lines.n_points is not None:
         raise ValueError("complementary_blocks expects single-frequency lines; use LineModel.at")
-    full = np.zeros((8, 8), dtype=complex)
-    for k, m in enumerate(lines.matrices):
-        full[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = m
-    p = permutation_matrix().entries
-    comp = p @ full @ p.T
-    return {
-        "s11": comp[:4, :4],
-        "s12": comp[:4, 4:],
-        "s21": comp[4:, :4],
-        "s22": comp[4:, 4:],
-    }
+    ia, oa, ib, ob = lines.matrices
+    return tuple(
+        np.array([ia[i, j], oa[1 - i, 1 - j], ib[i, j], ob[1 - i, 1 - j]])
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
+    )
+
+
+def _cell_matrix(cell) -> np.ndarray:
+    """The 4x4 cell matrix of a PortMatrix or array."""
+    s = np.asarray(getattr(cell, "entries", cell), dtype=complex)
+    if s.shape != (4, 4):
+        raise ValueError("cell must be a 4-port matrix")
+    return s
 
 
 def compose_exact(cell, lines: LineModel) -> CompositionResult:
@@ -192,15 +175,13 @@ def compose_exact(cell, lines: LineModel) -> CompositionResult:
     ``I - S22 S`` (condition number above 1e14) raises
     :class:`SingularNetworkError`.
     """
-    s = _as_matrix(cell)
-    if s.shape != (4, 4):
-        raise ValueError("cell must be a 4-port matrix")
-    blocks = complementary_blocks(lines)
-    core = np.eye(4) - blocks["s22"] @ s
+    s = _cell_matrix(cell)
+    s11, s12, s21, s22 = complementary_blocks(lines)
+    core = np.eye(4) - s22[:, None] * s
     cond = np.linalg.cond(core)
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularNetworkError("internal-wave system is singular", cond)
-    s_meas = blocks["s11"] + blocks["s12"] @ s @ np.linalg.solve(core, blocks["s21"])
+    s_meas = np.diag(s11) + s12[:, None] * (s @ np.linalg.solve(core, np.diag(s21)))
     return CompositionResult(PortMatrix(s_meas), "exact", 0.0)
 
 
@@ -216,9 +197,9 @@ def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    s = _as_matrix(cell)
-    blocks = complementary_blocks(lines)
-    x = s @ blocks["s22"]
+    s = _cell_matrix(cell)
+    s11, s12, s21, s22 = complementary_blocks(lines)
+    x = s * s22
     radius = float(np.max(np.abs(np.linalg.eigvals(x))))
     if radius >= 1.0:
         raise DivergenceError(
@@ -229,10 +210,13 @@ def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
     for _ in range(order):
         partial = partial + term
         term = x @ term
-    s_meas = blocks["s11"] + blocks["s12"] @ partial @ s @ blocks["s21"]
+    # S12 M S21 with diagonal blocks scales entry (i, j) of M by s12[i] s21[j]
+    outer = s12[:, None] * s21
+    kept = partial @ s
+    s_meas = np.diag(s11) + outer * kept
     # the summed series; radius < 1 keeps I - x invertible
     summed = np.linalg.solve(np.eye(4) - x, s)
-    err = float(np.max(np.abs(blocks["s12"] @ (summed - partial @ s) @ blocks["s21"])))
+    err = float(np.max(np.abs(outer * (summed - kept))))
     return CompositionResult(PortMatrix(s_meas), order, err)
 
 

@@ -225,6 +225,17 @@ class TestMainEntry:
         assert err["error"] == "ParseError"
         assert str(fit) in err["message"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "s4p"])
+    def test_directory_input_gives_machine_readable_error(self, tmp_path, capsys, fmt):
+        folder = tmp_path / "spectra"
+        folder.mkdir()
+        code = cli.main(["--out", str(tmp_path), "--format", fmt,
+                         "calibrate", str(folder), str(folder)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "IsADirectoryError"
+        assert str(folder) in err["message"]
+
     def test_fit_error_reported_machine_readably(self, tmp_path, capsys):
         # a power grid narrower than two decades cannot support the
         # saturation fit; the failure must surface as a JSON summary

@@ -1,9 +1,10 @@
-"""Network composition: permutation, block extraction, exact vs series de-embedding."""
+"""Network composition: diagonal line blocks, exact vs series de-embedding."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from routercell import model, network, synth
 
@@ -43,62 +44,61 @@ class TestPortMatrix:
         assert not network.PortMatrix(1.5 * np.eye(3)).is_passive()
 
 
-class TestPermutation:
-    # wave order: (a1A, a2A, a1GA, a2GA, a1B, a2B, a1GB, a2GB) maps to
-    # externals (a1A, a2GA, a1B, a2GB) then internals (a2A, a1GA, a2B, a1GB)
-    EXPECTED = np.array([
-        [1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 1],
-        [0, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1, 0],
-    ], dtype=float)
+# wave order: (a1A, a2A, a1GA, a2GA, a1B, a2B, a1GB, a2GB) maps to
+# externals (a1A, a2GA, a1B, a2GB) then internals (a2A, a1GA, a2B, a1GB)
+PERMUTATION = np.array([
+    [1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0],
+], dtype=float)
 
-    def test_matches_reference_matrix(self):
-        assert np.array_equal(network.permutation_matrix().entries.real, self.EXPECTED)
 
-    def test_orthogonal(self):
-        p = network.permutation_matrix().entries
-        assert np.array_equal(p @ p.T, np.eye(8))
+def permuted_blocks(lines):
+    """Reference 4x4 line blocks: corners of the permuted 8x8 block diagonal."""
+    full = np.zeros((8, 8), dtype=complex)
+    for k, mat in enumerate(lines.matrices):
+        full[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = mat
+    comp = PERMUTATION @ full @ PERMUTATION.T
+    return comp[:4, :4], comp[:4, 4:], comp[4:, :4], comp[4:, 4:]
 
-    def test_unit_determinant_magnitude(self):
-        assert abs(np.linalg.det(network.permutation_matrix().entries)) == pytest.approx(1.0)
+
+def reference_compose(cell, lines):
+    """``S11 + S12 S (I - S22 S)^-1 S21`` on the full 4x4 reference blocks."""
+    s11, s12, s21, s22 = permuted_blocks(lines)
+    return s11 + s12 @ cell @ np.linalg.solve(np.eye(4) - s22 @ cell, s21)
 
 
 class TestComplementaryBlocks:
     def test_ideal_lines(self):
-        blocks = network.complementary_blocks(network.ideal_lines())
-        assert np.allclose(blocks["s11"], 0.0)
-        assert np.allclose(blocks["s22"], 0.0)
-        assert np.allclose(blocks["s12"], np.eye(4))
-        assert np.allclose(blocks["s21"], np.eye(4))
+        s11, s12, s21, s22 = network.complementary_blocks(network.ideal_lines())
+        assert np.allclose(s11, 0.0)
+        assert np.allclose(s22, 0.0)
+        assert np.allclose(s12, 1.0)
+        assert np.allclose(s21, 1.0)
 
     def test_uniform_reflection_fills_s11_diagonal(self):
         r = 0.07 - 0.02j
         m = two_port(t21=0.9, r11=r, r22=r)
-        blocks = network.complementary_blocks(network.LineModel(m, m, m, m))
-        assert np.allclose(blocks["s11"], r * np.eye(4))
+        s11, *_ = network.complementary_blocks(network.LineModel(m, m, m, m))
+        assert np.allclose(s11, r)
 
     def test_slots_match_permuted_block_product(self):
         rng = np.random.default_rng(42)
         lines = random_lines(rng, reflection=0.05)
-        full = np.zeros((8, 8), dtype=complex)
-        for k, mat in enumerate(lines.matrices):
-            full[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = mat
-        p = network.permutation_matrix().entries
-        ref = p @ full @ np.linalg.inv(p)
         blocks = network.complementary_blocks(lines)
-        assert np.allclose(blocks["s11"], ref[:4, :4])
-        assert np.allclose(blocks["s12"], ref[:4, 4:])
-        assert np.allclose(blocks["s21"], ref[4:, :4])
-        assert np.allclose(blocks["s22"], ref[4:, 4:])
+        for diag, ref in zip(blocks, permuted_blocks(lines)):
+            assert diag.shape == (4,)
+            assert np.array_equal(np.diag(diag), ref)
+        s11, s12, s21, s22 = blocks
         # asymmetric transmissions land in distinct diagonal slots
-        assert blocks["s21"][0, 0] == lines.s_in_a[1, 0]
-        assert blocks["s21"][1, 1] == lines.s_out_a[0, 1]
-        assert blocks["s12"][1, 1] == lines.s_out_a[1, 0]
+        assert s21[0] == lines.s_in_a[1, 0]
+        assert s21[1] == lines.s_out_a[0, 1]
+        assert s12[1] == lines.s_out_a[1, 0]
 
     def test_rejects_per_frequency_lines(self):
         m = np.repeat(two_port(0.9)[None], 3, axis=0)
@@ -143,8 +143,8 @@ class TestComposeNeumann:
         lines = random_lines(rng, reflection=0.1)
         s = model.cell_smatrix(CELL.omega_ge, CELL)
         out = network.compose_neumann(s, lines, order=0)
-        blocks = network.complementary_blocks(lines)
-        assert np.allclose(out.s_meas.entries, blocks["s11"])
+        s11, *_ = network.complementary_blocks(lines)
+        assert np.allclose(out.s_meas.entries, np.diag(s11))
 
     def test_reflectionless_first_order_equals_exact(self):
         m = two_port(t21=0.8 * np.exp(0.3j), t12=0.7)
@@ -157,8 +157,8 @@ class TestComposeNeumann:
         rng = np.random.default_rng(3)
         lines = random_lines(rng, reflection=0.1)
         s = model.cell_smatrix(CELL.omega_ge + TWO_PI * 3e6, CELL)
-        blocks = network.complementary_blocks(lines)
-        radius = np.max(np.abs(np.linalg.eigvals(s.entries @ blocks["s22"])))
+        *_, s22 = network.complementary_blocks(lines)
+        radius = np.max(np.abs(np.linalg.eigvals(s.entries * s22)))
         errs = [network.compose_neumann(s, lines, order=k).truncation_error
                 for k in range(1, 6)]
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
@@ -178,6 +178,77 @@ class TestComposeNeumann:
         s = model.cell_smatrix(CELL.omega_ge, CELL)
         out = network.compose_neumann(s, lines, order=40)
         assert out.truncation_error < 1e-14
+
+
+PHASE = st.floats(min_value=-np.pi, max_value=np.pi)
+
+
+@st.composite
+def passive_lines(draw):
+    """Four two-ports with transmissions up to 0.8 and reflections up to 0.2.
+
+    The 2-norm is at most the largest transmission plus the largest
+    reflection, so every line is passive.
+    """
+    def entry(lo, hi):
+        return draw(st.floats(min_value=lo, max_value=hi)) * np.exp(1j * draw(PHASE))
+
+    mats = [two_port(t21=entry(0.3, 0.8), t12=entry(0.3, 0.8),
+                     r11=entry(0.0, 0.2), r22=entry(0.0, 0.2)) for _ in range(4)]
+    return network.LineModel(*mats)
+
+
+@st.composite
+def cell_matrices(draw):
+    """Cell S-matrices of valid cells, probed within 8 loaded linewidths."""
+    rate = st.floats(min_value=TWO_PI * 1e4, max_value=TWO_PI * 1e8)
+    phase = st.floats(min_value=-1.4, max_value=1.4)
+    p = model.CellParams(
+        gamma_a=draw(rate), gamma_b=draw(rate),
+        omega_ge=TWO_PI * draw(st.floats(min_value=4e9, max_value=8e9)),
+        phi_a=draw(phase), phi_b=draw(phase),
+        gamma_phi=draw(st.floats(min_value=0.0, max_value=TWO_PI * 1e8)),
+        gamma_bath=draw(st.floats(min_value=0.0, max_value=TWO_PI * 1e8)),
+    )
+    detuning = draw(st.floats(min_value=-8.0, max_value=8.0))
+    return model.cell_smatrix(p.omega_ge + detuning * (p.gamma_sum + p.coherence_rate), p)
+
+
+COMPOSE_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+class TestCompositionProperties:
+    @COMPOSE_SETTINGS
+    @given(cell_matrices(), passive_lines())
+    def test_exact_matches_permuted_reference(self, cell, lines):
+        assert lines.is_passive()
+        out = network.compose_exact(cell, lines)
+        ref = reference_compose(cell.entries, lines)
+        assert np.max(np.abs(out.s_meas.entries - ref)) < 1e-12
+
+    @COMPOSE_SETTINGS
+    @given(cell_matrices(), passive_lines())
+    def test_truncation_error_is_the_distance_from_exact(self, cell, lines):
+        exact = network.compose_exact(cell, lines).s_meas.entries
+        for k in range(6):
+            out = network.compose_neumann(cell, lines, order=k)
+            measured = np.max(np.abs(out.s_meas.entries - exact))
+            assert abs(out.truncation_error - measured) < 1e-12
+
+    @COMPOSE_SETTINGS
+    @given(cell_matrices(), passive_lines())
+    def test_order_zero_is_s11(self, cell, lines):
+        s11, *_ = permuted_blocks(lines)
+        out = network.compose_neumann(cell, lines, order=0)
+        assert np.array_equal(out.s_meas.entries, s11)
+
+    @pytest.mark.parametrize("compose", [
+        network.compose_exact,
+        lambda cell, lines: network.compose_neumann(cell, lines, order=2),
+    ])
+    def test_rejects_non_four_port_cell(self, compose):
+        with pytest.raises(ValueError, match="4-port"):
+            compose(network.PortMatrix(np.eye(3)), network.ideal_lines())
 
 
 class TestSimplifiedForward:
