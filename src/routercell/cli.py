@@ -47,18 +47,6 @@ def _freq_grid(config: dict) -> np.ndarray:
     return np.linspace(g["f_start_hz"], g["f_stop_hz"], int(g["n_points"]))
 
 
-def _line_spec(config: dict) -> synth.LineSpec:
-    ln = config["lines"]
-    return synth.LineSpec(
-        transmission_db=ln["transmission_db"],
-        jitter_db=ln["jitter_db"],
-        reflection_bound=ln["reflection_bound"],
-        isolation_db=ln["isolation_db"],
-        ripple_db=ln["ripple_db"],
-        ripple_periods=ln["ripple_periods"],
-    )
-
-
 def _cell_truth_payload(cell: model.CellParams, seed: int | None) -> dict:
     return {
         "truth": {
@@ -110,7 +98,7 @@ def _cmd_simulate(config, inputs, run_dir, seed, fmt, run_id):
 def _cmd_synth(config, inputs, run_dir, seed, fmt, run_id):
     cell = io.cell_params_from_config(config)
     campaign = synth.CampaignConfig(
-        cell=cell, lines=_line_spec(config), freqs=_freq_grid(config),
+        cell=cell, lines=synth.LineSpec(**config["lines"]), freqs=_freq_grid(config),
         noise_sigma=config["noise"]["sigma"], seed=seed,
     )
     result = synth.gen_spectrum(campaign)

@@ -36,8 +36,9 @@ from .model import (
     SaturationParams,
     ThermalCoefficients,
     cell_response,
+    efficiency_thermal,
     n_thermal,
-    resonant_efficiency,
+    saturation_curve,
 )
 
 __all__ = [
@@ -383,9 +384,7 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
     gphi_init = max(slope - g1_init, 1e-6 * max(slope, 1.0))
 
     def residual(x):
-        g1, gphi = x
-        rate = n_th * (g1 + gphi) + 0.5 * g1
-        return resonant_efficiency(gamma_a, gamma_b, rate) - e
+        return efficiency_thermal(n_th, gamma_a, gamma_b, ThermalCoefficients(*x)) - e
 
     return _least_squares(
         ("gamma1_zero", "gamma_phi_zero"), residual, [g1_init, gphi_init], seed,
@@ -422,8 +421,7 @@ def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
     d0 = max(d0, float(pos.min()))
 
     def residual(x):
-        a, b, c, d = x
-        return a - b / (1.0 + n**c / d) - y
+        return saturation_curve(n, SaturationParams(*x)) - y
 
     return _least_squares(
         ("a", "b", "c", "d"), residual, [a0, b0, 1.0, d0], seed,

@@ -6,6 +6,10 @@ columns; write/read round-trips are lossless at full float precision.
 Four-port touchstone files are supported for ingestion with the port map
 1 = A-in, 2 = A-out, 3 = B-in, 4 = B-out.
 
+CSV tables (spectra, line models) share one writer, :func:`write_columns`,
+and one columnar reader.  Every malformed spectrum or line-model file,
+whatever its bytes, raises :class:`ParseError`.
+
 Configuration files are flat ``key = value`` INI sections, one section
 per concern.  Frequencies and rates are linear Hz in files and on the
 command line; the conversion to the angular units used internally
@@ -138,70 +142,96 @@ def _text_file(path: Path, **kwargs):
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _parse_float(text: str, what: str, line: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"malformed {what} value {text!r}", line) from None
+def _read_table(path, required: list[str], optional=()) -> tuple[list[str], list, tuple[int, ...]]:
+    """Read a CSV table: its header, its field columns and each data row's line number.
 
-
-def _ingest_csv(path: Path) -> ChannelSpectrum:
-    rows: list[list[tuple[float, complex, int]]] = [[] for _ in CHANNELS]
-    meta: dict[str, float] = {}
-    with _text_file(path, newline="") as fh:
-        lineno = 0
-        header: list[str] | None = None
-        for raw in csv.reader(fh):
-            lineno += 1
-            if not raw or raw[0].startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in raw]
-                if header[:4] != _CSV_HEADER:
-                    raise ParseError(
-                        f"malformed header {header!r}; expected {_CSV_HEADER} "
-                        f"(+ optional {_CSV_META})", lineno)
-                extra = header[4:]
-                if any(c not in _CSV_META for c in extra):
-                    raise ParseError(f"unknown columns {extra!r}", lineno)
-                continue
-            if len(raw) != len(header):
-                raise ParseError(f"row has {len(raw)} fields, expected {len(header)}", lineno)
-            ch = raw[1].strip()
-            if ch not in CHANNELS:
-                raise ParseError(f"unknown channel {ch!r}", lineno)
-            f = _parse_float(raw[0], "frequency", lineno)
-            re = _parse_float(raw[2], "re", lineno)
-            im = _parse_float(raw[3], "im", lineno)
-            rows[CHANNELS.index(ch)].append((f, complex(re, im), lineno))
-            for name, cell in zip(header[4:], raw[4:]):
-                if cell.strip():
-                    meta.setdefault(name, _parse_float(cell, name, lineno))
-    if header is None:
+    Blank and ``#`` rows are skipped.  The header is ``required`` plus distinct
+    ``optional`` names, and every row has one field per column.
+    """
+    with _text_file(Path(path), newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            table = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
+        except csv.Error as exc:
+            raise ParseError(f"{path} is not a readable CSV table: {exc}", reader.line_num) from None
+    if not table:
         raise ParseError("empty file", 1)
+    lines, rows = zip(*table)
+    header = [c.strip() for c in rows[0]]
+    extra = header[len(required):]
+    if header[:len(required)] != required or set(extra) - set(optional) or len(set(extra)) < len(extra):
+        raise ParseError(f"malformed header {header!r}; expected {required} "
+                         f"+ optional {list(optional)}", lines[0])
+    for row, line in zip(rows[1:], lines[1:]):
+        if len(row) != len(header):
+            raise ParseError(f"row has {len(row)} fields, expected {len(header)}", line)
+    return header, list(zip(*rows[1:])) or [()] * len(header), lines[1:]
 
-    lengths = dict(zip(CHANNELS, map(len, rows)))
-    if len(set(lengths.values())) != 1 or 0 in lengths.values():
-        raise ParseError(f"channel row counts differ: {lengths}")
-    grid = np.array([[r[0] for r in chrows] for chrows in rows])
-    for ch, fs, chrows in zip(CHANNELS, grid, rows):
-        diffs = np.diff(fs)
-        if np.any(diffs == 0):
-            bad = int(np.flatnonzero(diffs == 0)[0]) + 1
-            raise ParseError(f"duplicate frequency row for channel {ch}", chrows[bad][2])
-        if np.any(diffs < 0):
-            bad = int(np.flatnonzero(diffs < 0)[0]) + 1
-            raise ParseError(f"non-monotone frequency for channel {ch}", chrows[bad][2])
-        if not np.array_equal(grid[0], fs):
-            raise ParseError(f"channel {ch} frequency grid differs from channel AA")
-    traces = np.array([[r[1] for r in chrows] for chrows in rows])
+
+def _floats(column, lines, what: str) -> np.ndarray:
+    """Parse a column of fields as floats; a malformed field raises ParseError naming its line."""
+    try:
+        return np.fromiter(map(float, column), float, len(column))
+    except ValueError:
+        for text, line in zip(column, lines):
+            try:
+                float(text)
+            except ValueError:
+                raise ParseError(f"malformed {what} value {text!r}", line) from None
+
+
+def _group(names, shared: dict[str, np.ndarray], lines, known, kind: str) -> np.ndarray:
+    """Split table rows by name: ``index[k]`` lists, in file order, the rows named ``known[k]``.
+
+    Every name needs the same number of rows and, point by point, the same
+    value in each ``shared`` column, such as the frequency (NaN equals NaN).
+    """
+    codes = {name: k for k, name in enumerate(known)}
+    idx = np.array([codes.get(name.strip(), -1) for name in names], dtype=int)
+    if np.any(idx < 0):
+        i = int(np.argmax(idx < 0))
+        raise ParseError(f"unknown {kind} {names[i].strip()!r}", lines[i])
+    counts = np.bincount(idx, minlength=len(known))
+    if counts.min() != counts.max() or counts[0] == 0:
+        raise ParseError(f"{kind} row counts differ: {dict(zip(known, counts.tolist()))}")
+    index = np.argsort(idx, kind="stable").reshape(len(known), -1)
+    for column, values in shared.items():
+        grids = values[index]
+        differs = (grids != grids[0]) & ~(np.isnan(grids) & np.isnan(grids[0]))
+        if np.any(differs):
+            k, i = np.argwhere(differs)[0]
+            raise ParseError(f"{kind} {known[k]} differs from {kind} {known[0]} in {column}",
+                             lines[index[k, i]])
+    return index
+
+
+def _ingest_csv(path) -> ChannelSpectrum:
+    header, columns, lines = _read_table(path, _CSV_HEADER, _CSV_META)
+    freqs = _floats(columns[0], lines, "frequency")
+    index = _group(columns[1], {"freq_hz": freqs}, lines, CHANNELS, "channel")
+    grid = freqs[index[0]]
+    finite = np.flatnonzero(np.isfinite(grid))
+    diffs = np.diff(grid[finite])
+    for bad, what in ((diffs == 0, "duplicate"), (diffs < 0, "non-monotone")):
+        if np.any(bad):
+            raise ParseError(f"{what} frequency", lines[index[0, finite[np.argmax(bad) + 1]]])
+    re_im = np.column_stack([_floats(c, lines, name) for c, name in zip(columns[2:4], header[2:4])])
+    # a view keeps signed zeros, which re + 1j * im would drop
+    traces = re_im[index].view(complex)[..., 0]
+    meta = {}
+    for name, column in zip(header[4:], columns[4:]):
+        filled = [(text, line) for text, line in zip(column, lines) if text.strip()]
+        if filled:  # the first non-empty field sets the value; all of them must parse
+            meta[name] = float(_floats(*zip(*filled), name)[0])
     # meta holds only _CSV_META columns, which are ChannelSpectrum fields
-    return ChannelSpectrum(*_finite_points(grid[0], traces), **meta)
+    return ChannelSpectrum(*_finite_points(path, grid, traces), **meta)
 
 
-def _finite_points(freqs: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop, with a warning, the points where the grid or any channel is non-finite."""
+def _finite_points(path, freqs: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop, with a warning, the points with a non-finite frequency or value; none left is a ParseError."""
     finite = np.isfinite(freqs) & np.all(np.isfinite(traces), axis=0)
+    if not np.any(finite):
+        raise ParseError(f"{path} holds no finite point")
     dropped = int((~finite).sum())
     if dropped:
         warnings.warn(f"dropped {dropped} non-finite rows during ingestion", stacklevel=4)
@@ -254,7 +284,7 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError(f"touchstone data size {len(numbers)} is not a whole number of 4-port frames")
     data = np.asarray(numbers).reshape(-1, frame)
     freqs = data[:, 0] * unit
-    if np.any(np.diff(freqs) <= 0):
+    if np.any(np.diff(freqs[np.isfinite(freqs)]) <= 0):
         raise ParseError("touchstone frequencies must be strictly increasing")
     pairs = data[:, 1:].reshape(-1, 16, 2)
     if fmt == "RI":
@@ -292,22 +322,20 @@ def spectrum_to_smatrix(spectrum: ChannelSpectrum) -> np.ndarray:
     return s
 
 
-def _ingest_touchstone(path: Path) -> ChannelSpectrum:
+def _ingest_touchstone(path) -> ChannelSpectrum:
     freqs, s = read_touchstone(path)
-    return ChannelSpectrum(*_finite_points(freqs, s[:, _TOUCHSTONE_OUT, _TOUCHSTONE_IN].T))
+    return ChannelSpectrum(*_finite_points(path, freqs, s[:, _TOUCHSTONE_OUT, _TOUCHSTONE_IN].T))
 
 
 def ingest_spectrum(path, fmt: str = "csv") -> ChannelSpectrum:
     """Load a four-channel spectrum from CSV or touchstone.
 
-    Non-finite rows are dropped with a warning reporting the count;
-    structural problems (bad header, non-monotone or duplicate
-    frequencies, channel mismatches) raise :class:`ParseError` with the
-    offending line number.
+    Points with a non-finite frequency or value are dropped with a warning
+    reporting the count.  Every other problem raises :class:`ParseError`,
+    with the offending line number where there is one: undecodable text,
+    a bad header or field, non-monotone or duplicate frequencies, channel
+    mismatches, or no finite point at all.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     if fmt == "csv":
         return _ingest_csv(path)
     if fmt in ("s4p", "touchstone-s4p"):
@@ -349,47 +377,28 @@ def write_line_model(lines: LineModel, path, freqs=None,
 
 
 def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:
-    """Read a network-description file; returns (lines, freqs or None)."""
-    blocks: dict[str, list] = {name: [] for name in _LINE_ELEMENTS}
-    freqs: list[float] = []
-    isolation: list[complex] = []
-    with _text_file(Path(path), newline="") as fh:
-        lineno = 0
-        header = None
-        for raw in csv.reader(fh):
-            lineno += 1
-            if not raw or raw[0].startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in raw]
-                if header != _LINE_HEADER:
-                    raise ParseError(f"malformed line-model header {header!r}", lineno)
-                continue
-            if len(raw) != len(_LINE_HEADER):
-                raise ParseError("line-model row has wrong field count", lineno)
-            name = raw[1].strip()
-            if name not in _LINE_ELEMENTS:
-                raise ParseError(f"unknown line element {name!r}", lineno)
-            vals = [_parse_float(v, "entry", lineno) for v in raw[2:]]
-            m = np.array([[complex(vals[0], vals[1]), complex(vals[2], vals[3])],
-                          [complex(vals[4], vals[5]), complex(vals[6], vals[7])]])
-            blocks[name].append(m)
-            if name == _LINE_ELEMENTS[0]:
-                freqs.append(_parse_float(raw[0], "frequency", lineno)
-                             if raw[0].strip() else math.nan)
-                isolation.append(complex(vals[8], vals[9]))
-    counts = {name: len(v) for name, v in blocks.items()}
-    if len(set(counts.values())) != 1 or 0 in counts.values():
-        raise ParseError(f"line-model element counts differ: {counts}")
-    stacks = {name: np.array(v) for name, v in blocks.items()}
-    iso = np.asarray(isolation)
-    if len(freqs) == 1 and math.isnan(freqs[0]):
-        lines = LineModel(*(s[0] for s in stacks.values()), isolation=complex(iso[0]))
-        return lines, None
-    if any(math.isnan(f) for f in freqs):
+    """Read a network-description file; returns (lines, freqs or None).
+
+    Points may come in any order, but every element must list the same
+    points with the same isolation, and every value must be finite.
+    """
+    header, columns, lines = _read_table(path, _LINE_HEADER)
+    constant = not any(map(str.strip, columns[0]))
+    freqs = np.full(len(lines), math.nan) if constant else _floats(columns[0], lines, "frequency")
+    values = np.column_stack([_floats(c, lines, name) for c, name in zip(columns[2:], header[2:])])
+    shared = {"freq_hz": freqs, "iso_re": values[:, 8], "iso_im": values[:, 9]}
+    index = _group(columns[1], shared, lines, _LINE_ELEMENTS, "element")
+    if constant and index.shape[1] > 1:
         raise ParseError("per-frequency line model is missing frequency values")
-    lines = LineModel(*stacks.values(), isolation=iso)
-    return lines, np.asarray(freqs)
+    finite = np.all(np.isfinite(values), axis=1) & (constant | np.isfinite(freqs))
+    if not np.all(finite):
+        raise ParseError("non-finite line-model value", lines[np.argmin(finite)])
+    # (element, point, [s11, s12, s21, s22, iso]); a view keeps signed zeros
+    entries = values[index].view(complex)
+    matrices, iso = entries[..., :4].reshape(len(_LINE_ELEMENTS), -1, 2, 2), entries[0, :, 4]
+    if constant:
+        return LineModel(*matrices[:, 0], isolation=complex(iso[0])), None
+    return LineModel(*matrices, isolation=iso), freqs[index[0]]
 
 
 # ---------------------------------------------------------------------------

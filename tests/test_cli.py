@@ -236,6 +236,16 @@ class TestMainEntry:
         assert err["error"] == "IsADirectoryError"
         assert str(folder) in err["message"]
 
+    def test_oversized_csv_field_gives_parse_error(self, tmp_path, capsys):
+        # csv.reader refuses fields beyond its 131072-character limit
+        big = tmp_path / "big.csv"
+        big.write_text("freq_hz,channel,re,im\n1e9,AA," + "1" * 200_000 + ",0.0\n")
+        code = cli.main(["--out", str(tmp_path), "fit", str(big)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert str(big) in err["message"]
+
     def test_fit_error_reported_machine_readably(self, tmp_path, capsys):
         # a power grid narrower than two decades cannot support the
         # saturation fit; the failure must surface as a JSON summary

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 from io import StringIO
 
 import numpy as np
@@ -250,6 +251,161 @@ class TestCsvErrors:
         assert np.array_equal(back.freqs, [1e9, 3e9])
 
 
+def write_raw(path, fmt, freqs, traces, meta=None):
+    """Write a spectrum that may hold non-finite values, as CSV or s4p."""
+    if fmt == "s4p":
+        s = np.zeros((freqs.size, 4, 4), dtype=complex)
+        s[:, io._TOUCHSTONE_OUT, io._TOUCHSTONE_IN] = traces.T
+        io.write_touchstone(path, freqs, s)
+        return
+    meta = meta or {}
+    rows = traces.size
+    io.write_columns(
+        path, ["freq_hz", "channel", "re", "im", *meta],
+        [np.tile(freqs, 4), [ch for ch in model.CHANNELS for _ in freqs],
+         traces.real, traces.imag, *(["" if v is None else repr(v)] * rows for v in meta.values())])
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("fmt, value", [("csv", math.nan), ("csv", math.inf), ("s4p", math.inf)])
+    def test_non_finite_frequency_dropped_with_warning(self, tmp_path, fmt, value):
+        freqs = np.array([1e9, value, 3e9])
+        path = tmp_path / f"spec.{fmt}"
+        write_raw(path, fmt, freqs, np.ones((4, 3), dtype=complex))
+        with pytest.warns(UserWarning, match="dropped 1"):
+            back = io.ingest_spectrum(path, fmt=fmt)
+        assert np.array_equal(back.freqs, [1e9, 3e9])
+
+    @pytest.mark.parametrize("fmt", ["csv", "s4p"])
+    def test_no_finite_point_names_path(self, tmp_path, fmt):
+        path = tmp_path / f"spec.{fmt}"
+        traces = np.ones((4, 2), dtype=complex)
+        traces[1] = math.nan
+        write_raw(path, fmt, np.array([1e9, 2e9]), traces)
+        with pytest.raises(io.ParseError, match=f"spec.{fmt} holds no finite point"):
+            io.ingest_spectrum(path, fmt=fmt)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def spoiled_spectra(draw, with_meta=True):
+    """(spectrum, freqs, traces): a drawn spectrum with some points made non-finite.
+
+    A spoiled point has a non-finite frequency (all four channel rows) or a
+    single non-finite real or imaginary part.
+    """
+    spectrum = draw(spectra(with_meta))
+    freqs, traces = spectrum.freqs.copy(), spectrum.traces.copy()
+    for k in draw(st.sets(st.integers(0, len(freqs) - 1))):
+        value = draw(NON_FINITE)
+        where = draw(st.sampled_from(["freq", "re", "im"]))
+        if where == "freq":
+            freqs[k] = value
+        else:
+            c = draw(st.integers(0, len(model.CHANNELS) - 1))
+            old = traces[c, k]
+            traces[c, k] = complex(value, old.imag) if where == "re" else complex(old.real, value)
+    return spectrum, freqs, traces
+
+
+def csv_text_tables(header, names):
+    """Text of a header plus random rows: name-grouped rows, shuffled or not, maybe a junk row.
+
+    Half the tables hold numbers only in their value fields, so that they
+    reach the checks behind the field parse.
+    """
+    number = st.sampled_from(["0", "-0.0", " 1 ", "1e9", "2e9", "3", "0.25", "nan", "-inf", "1e400"])
+    token = number | st.sampled_from(["", "x", "#", '"', *names]) | st.text(max_size=4)
+
+    @st.composite
+    def tables(draw):
+        freqs = draw(st.lists(number | st.just(""), max_size=3))
+        value = number if draw(st.booleans()) else token
+        rows = [[f, name, *draw(st.lists(value, min_size=len(header) - 2,
+                                         max_size=len(header) - 2))]
+                for f in freqs for name in names]
+        if draw(st.booleans()):
+            rows = draw(st.permutations(rows))
+        if draw(st.integers(0, 3)) == 0:
+            rows.insert(draw(st.integers(0, len(rows))),
+                        draw(st.lists(token, max_size=len(header) + 1)))
+        return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+    return tables()
+
+
+@st.composite
+def touchstone_texts(draw):
+    """Text of an option line plus a few frames of random tokens, mostly numbers."""
+    option = draw(st.sampled_from(["# HZ S RI R 50", "# GHZ S MA R 50", "# MHZ S DB R 50", "# X"]))
+    number = st.sampled_from(["0", "-0.0", "1", "2", "1e9", "0.5", "nan", "inf", "-1e400", "400"])
+    token = number if draw(st.booleans()) else number | st.sampled_from(["x", "!", "#"])
+    size = 33 * draw(st.integers(1, 2)) + draw(st.sampled_from([0, 0, 0, 1]))
+    return option + "\n" + " ".join(draw(st.lists(token, min_size=size, max_size=size))) + "\n"
+
+
+READERS = {
+    "csv": io.ingest_spectrum,
+    "s4p": lambda path: io.ingest_spectrum(path, fmt="s4p"),
+    "lines": io.read_line_model,
+}
+TEXTS = {
+    "csv": csv_text_tables(["freq_hz", "channel", "re", "im", "bias_ma"], model.CHANNELS),
+    "s4p": touchstone_texts(),
+    "lines": csv_text_tables(io._LINE_HEADER, io._LINE_ELEMENTS),
+}
+
+
+def loads_or_raises_parse_error(reader, path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            READERS[reader](path)
+        except io.ParseError:
+            pass
+
+
+class TestIngestionProperties:
+    @ROUND_TRIP_SETTINGS
+    @given(spoiled_spectra(), st.sampled_from(["csv", "s4p"]))
+    def test_ingestion_keeps_exactly_the_finite_points(self, tmp_path_factory, drawn, fmt):
+        spectrum, freqs, traces = drawn
+        meta = {} if fmt == "s4p" else {key: getattr(spectrum, key)
+                                       for key in ("bias_ma", "power_dbm", "temp_k")}
+        path = tmp_path_factory.mktemp(fmt) / f"spec.{fmt}"
+        write_raw(path, fmt, freqs, traces, meta)
+        finite = np.isfinite(freqs) & np.all(np.isfinite(traces), axis=0)
+        if not finite.any():
+            with pytest.raises(io.ParseError, match="no finite point"):
+                io.ingest_spectrum(path, fmt=fmt)
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            back = io.ingest_spectrum(path, fmt=fmt)
+        dropped = [str(w.message) for w in caught if "dropped" in str(w.message)]
+        n_bad = int((~finite).sum())
+        assert dropped == ([f"dropped {n_bad} non-finite rows during ingestion"] if n_bad else [])
+        expected = ChannelSpectrum(freqs[finite], traces[:, finite], **meta)
+        assert_same_spectrum(back, expected)
+
+    @ROUND_TRIP_SETTINGS
+    @given(st.binary(max_size=300))
+    @pytest.mark.parametrize("reader", READERS)
+    def test_arbitrary_bytes_load_or_raise_parse_error(self, tmp_path_factory, reader, data):
+        path = tmp_path_factory.mktemp(reader) / "input"
+        path.write_bytes(data)
+        loads_or_raises_parse_error(reader, path)
+
+    @ROUND_TRIP_SETTINGS
+    @given(st.data())
+    @pytest.mark.parametrize("reader", READERS)
+    def test_random_rows_load_or_raise_parse_error(self, tmp_path_factory, reader, data):
+        path = tmp_path_factory.mktemp(reader) / "input"
+        path.write_text(data.draw(TEXTS[reader]), encoding="utf-8")
+        loads_or_raises_parse_error(reader, path)
+
+
 class TestTouchstone:
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -404,6 +560,41 @@ class TestLineModelFile:
                           for j in (1, 2) for p in ("re", "im")] + ["iso_re", "iso_im"])
         path.write_text(header + "\n" + ",bogus" + ",0.0" * 10 + "\n")
         with pytest.raises(io.ParseError, match="bogus"):
+            io.read_line_model(path)
+
+    def write_per_frequency(self, tmp_path):
+        from routercell import synth
+        freqs = np.linspace(6.1e9, 6.2e9, 3)
+        lines = synth.gen_lines(synth.LineSpec(ripple_db=0.4), seed=7, freqs=freqs)
+        path = tmp_path / "lines.csv"
+        io.write_line_model(lines, path, freqs=freqs)
+        return path, path.read_text().splitlines()
+
+    def rewrite(self, path, rows, line, column, value):
+        fields = rows[line - 1].split(",")
+        fields[column] = value
+        rows[line - 1] = ",".join(fields)
+        path.write_text("\n".join(rows) + "\n")
+
+    def test_element_frequencies_must_agree(self, tmp_path):
+        path, rows = self.write_per_frequency(tmp_path)
+        self.rewrite(path, rows, 3, 0, "7e9")  # out_a of the first point
+        with pytest.raises(io.ParseError, match="out_a differs from element in_a in freq_hz.*line 3"):
+            io.read_line_model(path)
+
+    def test_isolation_must_agree_within_a_point(self, tmp_path):
+        path, rows = self.write_per_frequency(tmp_path)
+        self.rewrite(path, rows, 8, 11, "0.5")  # iso_im of in_b at the second point
+        with pytest.raises(io.ParseError, match="in_b differs from element in_a in iso_im.*line 8"):
+            io.read_line_model(path)
+
+    @pytest.mark.parametrize("column, value", [(2, "nan"), (11, "inf"), (0, "nan")],
+                             ids=["s11-nan", "iso-inf", "freq-nan"])
+    def test_non_finite_value_names_line(self, tmp_path, column, value):
+        path, rows = self.write_per_frequency(tmp_path)
+        for line in range(6, 10):  # all rows of the second point
+            self.rewrite(path, rows, line, column, value)
+        with pytest.raises(io.ParseError, match="non-finite.*line 6"):
             io.read_line_model(path)
 
     def test_undecodable_file_names_path(self, tmp_path):
