@@ -20,9 +20,7 @@ widths feed a loss budget separating coupling from intrinsic loss.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from types import MappingProxyType
 
 import numpy as np
 
@@ -60,8 +58,7 @@ class ChannelSpectrum:
 
     ``freqs`` is in Hz and strictly increasing; ``traces`` is the complex
     ``(4, n)`` array of the channels in :data:`CHANNELS` order (``AA``,
-    ``BB``, ``AB``, ``BA``).  The constructor also accepts a mapping from
-    those names to traces.  Optional metadata records the measurement
+    ``BB``, ``AB``, ``BA``).  Optional metadata records the measurement
     conditions.
     """
 
@@ -79,12 +76,7 @@ class ChannelSpectrum:
             raise ValueError("freqs must be strictly increasing")
         if not np.all(np.isfinite(freqs)):
             raise ValueError("freqs must be finite")
-        traces = self.traces
-        if isinstance(traces, Mapping):
-            if set(traces) != set(CHANNELS):
-                raise ValueError(f"channels must be exactly {CHANNELS}, got {sorted(traces)}")
-            traces = [traces[name] for name in CHANNELS]
-        rows = [np.asarray(tr, dtype=complex) for tr in traces]
+        rows = [np.asarray(tr, dtype=complex) for tr in self.traces]
         if len(rows) != len(CHANNELS):
             raise ValueError(f"traces must hold {len(CHANNELS)} channels, got {len(rows)}")
         for name, tr in zip(CHANNELS, rows):
@@ -97,11 +89,6 @@ class ChannelSpectrum:
 
     def __len__(self) -> int:
         return self.freqs.size
-
-    @property
-    def channels(self) -> Mapping[str, np.ndarray]:
-        """Read-only view of the traces keyed by channel name."""
-        return MappingProxyType(dict(zip(CHANNELS, self.traces)))
 
     def channel(self, name: str) -> np.ndarray:
         return self.traces[CHANNELS.index(name)]
@@ -190,14 +177,14 @@ def resample(spectrum: ChannelSpectrum, freqs) -> ChannelSpectrum:
     return replace(spectrum, freqs=freqs, traces=traces)
 
 
-def _check_reference(hd: ChannelSpectrum, floor: float) -> None:
+def _check_reference(hd: ChannelSpectrum) -> None:
     for name, tr in zip(CHANNELS, hd.traces):
-        bad = np.flatnonzero(np.abs(tr) < floor)
+        bad = np.flatnonzero(np.abs(tr) < REFERENCE_FLOOR)
         if bad.size:
             freqs = ", ".join(f"{hd.freqs[i]:.6g}" for i in bad[:5])
             more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
             raise CalibrationError(
-                f"high-drive reference {name} below floor {floor:g} at "
+                f"high-drive reference {name} below floor {REFERENCE_FLOOR:g} at "
                 f"{bad.size} frequencies: {freqs}{more} Hz"
             )
 
@@ -208,8 +195,7 @@ def _continuous_sqrt(values: np.ndarray) -> np.ndarray:
     return np.abs(s) * np.exp(1j * unwrap_halved_phase(s))
 
 
-def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum,
-                        floor: float = REFERENCE_FLOOR) -> ChannelSpectrum:
+def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSpectrum:
     """Divide out the measurement lines using a high-drive reference.
 
     Through channels are normalized by their HD references; cross channels
@@ -223,11 +209,11 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum,
     Raises
     ------
     CalibrationError
-        If any HD reference magnitude falls below ``floor``.
+        If any HD reference magnitude falls below :data:`REFERENCE_FLOOR`.
     """
     if not np.array_equal(meas.freqs, hd.freqs):
         hd = resample(hd, meas.freqs)
-    _check_reference(hd, floor)
+    _check_reference(hd)
 
     aa, bb, ab, ba = hd.traces
     through = meas.traces[:2] / hd.traces[:2]

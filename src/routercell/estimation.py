@@ -66,7 +66,7 @@ __all__ = [
 
 MAX_ITER = 200
 STEP_TOL = 1e-10
-#: Worst-case slack on reconstructed populations outside [0, 1].
+#: Largest depth of a reconstructed population below 0.
 POPULATION_SLACK = 0.15
 
 
@@ -284,15 +284,17 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
 # efficiency and dephasing reconstruction
 
 
-def efficiency_trace(raw: ChannelSpectrum, floor: float = REFERENCE_FLOOR) -> np.ndarray:
+def efficiency_trace(raw: ChannelSpectrum) -> np.ndarray:
     """Transfer efficiency ``(t_AB t_BA) / (t_AA t_BB)`` from raw traces.
 
     Needs no calibration: the line transmissions cancel in the ratio, so
     raw measured channels can be used directly (the residual isolation
-    contributes only small additive corrections).
+    contributes only small additive corrections).  Raises
+    :class:`FitError` where ``|t_AA t_BB|`` falls below the square of
+    :data:`~routercell.calibration.REFERENCE_FLOOR`.
     """
     denom = raw.channel("AA") * raw.channel("BB")
-    low = np.abs(denom) < floor**2
+    low = np.abs(denom) < REFERENCE_FLOOR**2
     if np.any(low):
         raise FitError(
             f"through channels below division floor at {int(low.sum())} points"
@@ -573,16 +575,16 @@ def rate_budget(t1_s: float, t_r_s: float, gamma_a: float, gamma_b: float,
 # IQ population decomposition
 
 
-def pca_populations(iq_clouds, zero_drive_key,
-                    slack: float = POPULATION_SLACK) -> PopulationTrace:
+def pca_populations(iq_clouds, zero_drive_key) -> PopulationTrace:
     """Reconstruct excited-state populations from per-setting IQ clouds.
 
     The per-setting cloud means are projected onto their maximum-variance
-    axis; the ground reference is anchored by the zero-drive setting and
-    the excited reference is found by a one-dimensional search minimizing
-    the worst-case violation of ``p in [0, 1]`` within the allowed slack,
-    tie-broken toward a unit maximum population.  The result is invariant
-    under global rotation and rescaling of the IQ plane.
+    axis; the ground reference is anchored by the zero-drive setting.  The
+    excited reference makes the largest population 1, unless the most
+    negative one would then lie below ``-POPULATION_SLACK``, in which case
+    that one sits on it; every population lies in ``[-POPULATION_SLACK,
+    1]``.  The result is invariant under global rotation and rescaling of
+    the IQ plane.
 
     Parameters
     ----------
@@ -590,8 +592,6 @@ def pca_populations(iq_clouds, zero_drive_key,
         Setting value (e.g. drive duration) -> complex sample array.
     zero_drive_key
         Key of the zero-drive (ground state) setting.
-    slack : float
-        Worst-case allowed excursion of populations outside [0, 1].
     """
     if zero_drive_key not in iq_clouds:
         raise ValueError("zero-drive setting missing from the clouds")
@@ -615,29 +615,11 @@ def pca_populations(iq_clouds, zero_drive_key,
     if d[int(np.argmax(np.abs(d)))] < 0:
         axis = -axis
         d = -d
-    d_max = float(d.max())
-    d_min = float(d.min())
-
-    candidates = list(np.geomspace(0.25 * d_max, 4.0 * d_max, 801))
-    candidates.append(d_max)
-    candidates.append(d_max / (1.0 + slack))
-    if d_min < 0:
-        candidates.append(-d_min / slack)
-
-    def violation(scale):
-        p = d / scale
-        over = max(0.0, float(p.max()) - (1.0 + slack))
-        under = max(0.0, -slack - float(p.min()))
-        return max(over, under)
-
-    best = min(candidates,
-               key=lambda s: (round(violation(s) / 1e-12), abs(d_max / s - 1.0)))
+    best = max(float(d.max()), -float(d.min()) / POPULATION_SLACK)
     p = d / best
 
     perp = centered - np.outer(centered @ axis, axis)
     residuals = np.linalg.norm(perp, axis=1) / best
-    if np.any(p < -slack - 1e-9) or np.any(p > 1.0 + slack + 1e-9):
-        warnings.warn("populations exceed the worst-case tolerance band", stacklevel=2)
     return PopulationTrace(
         times=np.asarray(keys, dtype=float),
         p=p,

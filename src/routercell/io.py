@@ -270,6 +270,9 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
                         fmt = tok
                     elif tok == "S":
                         continue
+                    elif tok in ("Y", "Z", "H", "G"):
+                        raise ParseError(f"touchstone parameter type {tok} in option line "
+                                         f"{line!r} is not supported; expected S", lineno)
                     elif tok == "R":
                         break
                 continue
@@ -338,7 +341,7 @@ def ingest_spectrum(path, fmt: str = "csv") -> ChannelSpectrum:
     """
     if fmt == "csv":
         return _ingest_csv(path)
-    if fmt in ("s4p", "touchstone-s4p"):
+    if fmt == "s4p":
         return _ingest_touchstone(path)
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 's4p'")
 
@@ -357,13 +360,16 @@ def write_line_model(lines: LineModel, path, freqs=None,
 
     One row per (frequency point, element).  Frequency-independent lines
     are written as a single point with an empty ``freq_hz`` field;
-    per-frequency lines require ``freqs`` of matching length.
+    per-frequency lines require finite ``freqs`` of matching length.
     """
     n = lines.n_points
     if n is not None:
         if freqs is None or len(freqs) != n:
             raise ValueError("per-frequency lines need a matching freqs array")
-        freq_col = np.repeat(np.asarray(freqs, dtype=float), len(_LINE_ELEMENTS))
+        freqs = np.asarray(freqs, dtype=float)
+        if not np.all(np.isfinite(freqs)):
+            raise ValueError("line-model frequencies must be finite")
+        freq_col = np.repeat(freqs, len(_LINE_ELEMENTS))
     else:
         n = 1
         freq_col = [""] * len(_LINE_ELEMENTS)
@@ -486,11 +492,14 @@ def load_config(path=None) -> dict[str, dict]:
                 elif isinstance(default, int):
                     config[section][key] = int(raw)
                 else:
-                    config[section][key] = float(raw)
+                    value = float(raw)
+                    if not math.isfinite(value):
+                        raise ValueError(raw)
+                    config[section][key] = value
             except ValueError:
-                kind = "an integer" if isinstance(default, int) else "a number"
+                kind = "an integer" if isinstance(default, int) else "a finite number"
                 raise ConfigError(
-                    f"key {key!r} in [{section}] must be {kind}, got {raw!r}"
+                    f"key {key!r} in [{section}] of {path} must be {kind}, got {raw!r}"
                 ) from None
     return config
 

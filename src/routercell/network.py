@@ -38,6 +38,10 @@ __all__ = [
     "ideal_lines",
 ]
 
+#: Rounding allowance on the unit singular-value bound of a passive network.
+PASSIVE_TOL = 1e-9
+
+
 class SingularNetworkError(RuntimeError):
     """Raised when the internal-wave elimination hits a singular system."""
 
@@ -64,9 +68,9 @@ class PortMatrix:
             raise ValueError("port matrix entries must be finite")
         object.__setattr__(self, "entries", m)
 
-    def is_passive(self, tol: float = 1e-9) -> bool:
-        """True if the largest singular value does not exceed 1 + tol."""
-        return bool(np.linalg.norm(self.entries, 2) <= 1.0 + tol)
+    def is_passive(self) -> bool:
+        """True if the largest singular value does not exceed 1 + PASSIVE_TOL."""
+        return bool(np.linalg.norm(self.entries, 2) <= 1.0 + PASSIVE_TOL)
 
     def __array__(self, dtype=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -96,6 +100,8 @@ class LineModel:
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} entries must be finite")
             object.__setattr__(self, name, m)
+        if not np.isfinite(self.isolation).all():
+            raise ValueError("isolation must be finite")
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -117,10 +123,10 @@ class LineModel:
         picked = (m[i] if m.ndim == 3 else m for m in self.matrices)
         return LineModel(*picked, isolation=iso)
 
-    def is_passive(self, tol: float = 1e-9) -> bool:
+    def is_passive(self) -> bool:
         for m in self.matrices:
             stack = m.reshape(-1, 2, 2)
-            if np.any(np.linalg.norm(stack, 2, axis=(1, 2)) > 1.0 + tol):
+            if np.any(np.linalg.norm(stack, 2, axis=(1, 2)) > 1.0 + PASSIVE_TOL):
                 return False
         return True
 
@@ -130,7 +136,6 @@ class CompositionResult:
     """Effective measured S-matrix with composition diagnostics."""
 
     s_meas: PortMatrix
-    order_used: int | str
     truncation_error: float
 
 
@@ -182,7 +187,7 @@ def compose_exact(cell, lines: LineModel) -> CompositionResult:
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularNetworkError("internal-wave system is singular", cond)
     s_meas = np.diag(s11) + s12[:, None] * (s @ np.linalg.solve(core, np.diag(s21)))
-    return CompositionResult(PortMatrix(s_meas), "exact", 0.0)
+    return CompositionResult(PortMatrix(s_meas), 0.0)
 
 
 def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
@@ -217,7 +222,7 @@ def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
     # the summed series; radius < 1 keeps I - x invertible
     summed = np.linalg.solve(np.eye(4) - x, s)
     err = float(np.max(np.abs(outer * (summed - kept))))
-    return CompositionResult(PortMatrix(s_meas), order, err)
+    return CompositionResult(PortMatrix(s_meas), err)
 
 
 def simplified_forward(cell_coeffs, lines: LineModel) -> np.ndarray:

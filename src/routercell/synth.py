@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ChannelSpectrum
-from .model import CHANNELS, THROUGH_CHANNELS, CellParams, FluxModel, cell_coefficients
+from .model import CHANNELS, THROUGH_CHANNELS, CellParams, cell_coefficients
 from .network import LineModel, simplified_forward
 
 __all__ = [
@@ -87,10 +87,6 @@ class CampaignConfig:
     freqs: np.ndarray
     noise_sigma: float = 0.0
     seed: int = 0
-    flux: FluxModel | None = None
-    bias_ma: float | None = None
-    power_dbm: float | None = None
-    temp_k: float | None = None
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
@@ -205,9 +201,8 @@ def gen_spectrum(config: CampaignConfig) -> SynthSpectrum:
 
     rng_meas = np.random.default_rng(derive_seed(config.seed, "noise", "meas"))
     rng_hd = np.random.default_rng(derive_seed(config.seed, "noise", "hd"))
-    meta = dict(bias_ma=config.bias_ma, power_dbm=config.power_dbm, temp_k=config.temp_k)
-    meas = ChannelSpectrum(freqs, _add_noise(meas_clean, config.noise_sigma, rng_meas), **meta)
-    hd = ChannelSpectrum(freqs, _add_noise(hd_clean, config.noise_sigma, rng_hd), **meta)
+    meas = ChannelSpectrum(freqs, _add_noise(meas_clean, config.noise_sigma, rng_meas))
+    hd = ChannelSpectrum(freqs, _add_noise(hd_clean, config.noise_sigma, rng_hd))
     return SynthSpectrum(meas=meas, hd=hd, truth=config.cell, lines=lines)
 
 

@@ -185,6 +185,8 @@ class TestMainEntry:
         "[model]\ngamma_a_hz = 1e6\ngamma_a_hz = 2e6\n",  # duplicate key
         "gamma_a_hz = 1e6\n",  # no section header
         b"[model]\ngamma_a_hz = \xff\xfe\n",  # not UTF-8
+        "[noise]\nsigma = nan\n",  # not a finite number
+        "[lines]\nripple_db = inf\n",
     ])
     def test_malformed_config_gives_machine_readable_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.ini"

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from routercell import calibration, estimation, model, synth
 
@@ -25,11 +26,10 @@ def clean_spectrum(cell=TRUTH, freqs=FREQS):
 
 def noisy_spectrum(sigma, seed, cell=TRUTH, freqs=FREQS):
     rng = np.random.default_rng(seed)
-    coeffs = dict(zip(model.CHANNELS, model.cell_coefficients(TWO_PI * freqs, cell)))
-    traces = {}
-    for ch in model.CHANNELS:
+    traces = []
+    for row in model.cell_coefficients(TWO_PI * freqs, cell):
         noise = rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size)
-        traces[ch] = coeffs[ch] + sigma * noise / np.sqrt(2.0)
+        traces.append(row + sigma * noise / np.sqrt(2.0))
     return calibration.ChannelSpectrum(freqs, traces)
 
 
@@ -484,6 +484,24 @@ class TestPcaPopulations:
         transformed = {k: v * 3.7 * np.exp(1.234j) for k, v in clouds.items()}
         out = estimation.pca_populations(transformed, 0.0)
         np.testing.assert_allclose(out.p, base.p, atol=1e-10)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+        st.lists(st.floats(-0.05, 0.05), min_size=13, max_size=13),
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+    )
+    @example([1.0, -0.5], [0.0] * 13, 1.0)  # the most negative mean sets the scale
+    def test_populations_lie_in_the_slack_band(self, excursions, jitter, axis):
+        # the ground setting plus means along a random axis, jittered off it
+        assume(max(map(abs, excursions)) > 1e-3)
+        depths = [0.0] + excursions
+        clouds = {float(k): np.array([self.Z_G + axis * (q + 1j * j)])
+                  for k, (q, j) in enumerate(zip(depths, jitter))}
+        p = estimation.pca_populations(clouds, 0.0).p
+        slack = estimation.POPULATION_SLACK
+        assert -slack * (1.0 + 1e-12) <= p.min() and p.max() <= 1.0
+        assert p.max() == 1.0 or p.min() == pytest.approx(-slack, rel=1e-12)
 
     def test_degenerate_clouds_rejected(self):
         clouds = {0.0: np.full(8, 1 + 1j), 1.0: np.full(8, 1 + 1j)}
