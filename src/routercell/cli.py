@@ -1,7 +1,9 @@
 """Command-line surface: pipeline subcommands over the library.
 
-Every run writes its outputs under ``<out>/runs/<run-id>/`` together with
-a ``run.json`` record (config snapshot, input digests, output list, tool
+Each subcommand is a pure pipeline step that returns its outputs by file
+name and writes nothing.  :func:`run_command` alone checks the input
+count, writes every output under ``<out>/runs/<run-id>/`` and adds a
+``run.json`` record (config snapshot, input digests, output list, tool
 version).  Output tables are plain CSV ready for external plotting; no
 figures are rendered here.
 
@@ -26,20 +28,9 @@ import numpy as np
 
 from . import calibration, estimation, io, model, synth
 from .io import RunRecord, TOOL_VERSION
-
-SUBCOMMANDS = (
-    "simulate", "synth", "calibrate", "fit",
-    "sweep-bias", "sweep-temp", "sweep-power", "dressed", "report",
-)
+from .network import LineModel
 
 _ENV_PREFIX = "ROUTERCELL_"
-
-
-def _write_json(path: Path, payload: dict, run_id: str) -> None:
-    payload = {"run": run_id, **payload}
-    with path.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _freq_grid(config: dict) -> np.ndarray:
@@ -47,38 +38,15 @@ def _freq_grid(config: dict) -> np.ndarray:
     return np.linspace(g["f_start_hz"], g["f_stop_hz"], int(g["n_points"]))
 
 
-def _cell_truth_payload(cell: model.CellParams, seed: int | None) -> dict:
-    return {
-        "truth": {
-            "gamma_a_hz": float(io.angular_to_hz(cell.gamma_a)),
-            "gamma_b_hz": float(io.angular_to_hz(cell.gamma_b)),
-            "f_ge_hz": float(io.angular_to_hz(cell.omega_ge)),
-            "phi_a_rad": cell.phi_a,
-            "phi_b_rad": cell.phi_b,
-            "gamma_phi_hz": float(io.angular_to_hz(cell.gamma_phi)),
-            "gamma_bath_hz": float(io.angular_to_hz(cell.gamma_bath)),
-        },
-        "seed": seed,
-    }
-
-
-def _report_payload(report: estimation.FitReport) -> dict:
-    payload = asdict(report)
-    payload["flags"] = list(report.flags)
-    return payload
-
-
 # ---------------------------------------------------------------------------
-# subcommand pipelines (each returns the list of files it wrote)
+# subcommand pipelines: each returns {file name: artefact} and writes nothing
 
 
-def _cmd_simulate(config, inputs, run_dir, seed, fmt, run_id):
+def _cmd_simulate(config, inputs, seed, fmt, run_id):
     cell = io.cell_params_from_config(config)
     freqs = _freq_grid(config)
     coeffs = model.cell_coefficients(io.hz_to_angular(freqs), cell)
     spectrum = calibration.ChannelSpectrum(freqs, coeffs)
-    spectrum_path = run_dir / "spectrum.csv"
-    io.write_spectrum(spectrum, spectrum_path, run_id=run_id)
     values = spectrum.traces.ravel()
     # scalar abs and log10: the vectorised ones can round the last bit differently
     mags = [abs(v) for v in values]
@@ -89,60 +57,54 @@ def _cmd_simulate(config, inputs, run_dir, seed, fmt, run_id):
         np.array([20.0 * math.log10(max(m, 1e-300)) for m in mags]),
         np.angle(values),
     ]
-    mag_path = run_dir / "magphase.csv"
-    io.write_columns(mag_path, ["freq_hz", "channel", "mag", "mag_db", "phase_rad"],
-                     columns, run_id)
-    return [spectrum_path, mag_path]
+    return {
+        "spectrum.csv": spectrum,
+        "magphase.csv": (["freq_hz", "channel", "mag", "mag_db", "phase_rad"], columns),
+    }
 
 
-def _cmd_synth(config, inputs, run_dir, seed, fmt, run_id):
+def _cmd_synth(config, inputs, seed, fmt, run_id):
     cell = io.cell_params_from_config(config)
     campaign = synth.CampaignConfig(
         cell=cell, lines=synth.LineSpec(**config["lines"]), freqs=_freq_grid(config),
         noise_sigma=config["noise"]["sigma"], seed=seed,
     )
     result = synth.gen_spectrum(campaign)
-    meas_path = run_dir / "meas.csv"
-    hd_path = run_dir / "hd.csv"
-    truth_path = run_dir / "truth.json"
-    lines_path = run_dir / "lines.csv"
-    io.write_spectrum(result.meas, meas_path, run_id=run_id)
-    io.write_spectrum(result.hd, hd_path, run_id=run_id)
-    _write_json(truth_path, _cell_truth_payload(result.truth, seed), run_id)
+    truth = result.truth
     freqs = campaign.freqs if result.lines.n_points is not None else None
-    io.write_line_model(result.lines, lines_path, freqs=freqs, run_id=run_id)
-    return [meas_path, hd_path, truth_path, lines_path]
+    return {
+        "meas.csv": result.meas,
+        "hd.csv": result.hd,
+        "truth.json": {"seed": seed, "truth": {
+            "gamma_a_hz": float(io.angular_to_hz(truth.gamma_a)),
+            "gamma_b_hz": float(io.angular_to_hz(truth.gamma_b)),
+            "f_ge_hz": float(io.angular_to_hz(truth.omega_ge)),
+            "phi_a_rad": truth.phi_a,
+            "phi_b_rad": truth.phi_b,
+            "gamma_phi_hz": float(io.angular_to_hz(truth.gamma_phi)),
+            "gamma_bath_hz": float(io.angular_to_hz(truth.gamma_bath)),
+        }},
+        "lines.csv": (result.lines, freqs),
+    }
 
 
-def _cmd_calibrate(config, inputs, run_dir, seed, fmt, run_id):
-    if len(inputs) != 2:
-        raise ValueError("calibrate needs two inputs: <meas> <hd>")
-    meas = io.ingest_spectrum(inputs[0], fmt)
-    hd = io.ingest_spectrum(inputs[1], fmt)
-    calibrated = calibration.calibrate_responses(meas, hd)
-    out = run_dir / "calibrated.csv"
-    io.write_spectrum(calibrated, out, run_id=run_id)
-    return [out]
+def _cmd_calibrate(config, inputs, seed, fmt, run_id):
+    meas, hd = (io.ingest_spectrum(path, fmt) for path in inputs)
+    return {"calibrated.csv": calibration.calibrate_responses(meas, hd)}
 
 
-def _cmd_fit(config, inputs, run_dir, seed, fmt, run_id):
-    if len(inputs) != 1:
-        raise ValueError("fit needs one input: <calibrated spectrum>")
+def _cmd_fit(config, inputs, seed, fmt, run_id):
     calibrated = io.ingest_spectrum(inputs[0], fmt)
     init = estimation.initial_guess_from_spectrum(calibrated)
     report = estimation.fit_four_channel(calibrated, init, seed=seed)
-    payload = _report_payload(report)
-    payload["params_hz"] = {
+    return {"fit.json": {**asdict(report), "params_hz": {
         "gamma_a_hz": float(io.angular_to_hz(report.value("gamma_a"))),
         "gamma_b_hz": float(io.angular_to_hz(report.value("gamma_b"))),
         "f_ge_hz": float(io.angular_to_hz(report.value("omega_ge"))),
-    }
-    out = run_dir / "fit.json"
-    _write_json(out, payload, run_id)
-    return [out]
+    }}}
 
 
-def _cmd_sweep_bias(config, inputs, run_dir, seed, fmt, run_id):
+def _cmd_sweep_bias(config, inputs, seed, fmt, run_id):
     cell = io.cell_params_from_config(config)
     flux = io.flux_model_from_config(config)
     fn = config["fluxnoise"]
@@ -173,7 +135,7 @@ def _cmd_sweep_bias(config, inputs, run_dir, seed, fmt, run_id):
     ])
     noise_fit = estimation.fit_flux_noise(recon, biases, flux, seed=seed)
 
-    tables = {
+    return {
         "efficiency_map.csv": (
             ["bias_ma", "freq_hz", "re_e", "im_e", "abs_e"],
             # scalar abs: the vectorised np.abs can round the last bit differently
@@ -184,26 +146,18 @@ def _cmd_sweep_bias(config, inputs, run_dir, seed, fmt, run_id):
         "gamma_phi_vs_bias.csv": (
             ["bias_ma", "gamma_phi_true_hz", "gamma_phi_recon_hz"],
             [biases, io.angular_to_hz(gamma_phi_true), io.angular_to_hz(recon)]),
-    }
-    written = []
-    for name, (header, columns) in tables.items():
-        path = run_dir / name
-        io.write_columns(path, header, columns, run_id)
-        written.append(path)
-    fit_path = run_dir / "bias_fit.json"
-    _write_json(fit_path, {
-        "e_polynomial": _report_payload(poly),
-        "flux_noise": _report_payload(noise_fit),
-        "flux_noise_hz": {
-            "s_i_a2_per_hz": noise_fit.value("s_i"),
-            "gamma_phi0_hz": float(io.angular_to_hz(noise_fit.value("gamma_phi_0"))),
+        "bias_fit.json": {
+            "e_polynomial": asdict(poly),
+            "flux_noise": asdict(noise_fit),
+            "flux_noise_hz": {
+                "s_i_a2_per_hz": noise_fit.value("s_i"),
+                "gamma_phi0_hz": float(io.angular_to_hz(noise_fit.value("gamma_phi_0"))),
+            },
         },
-    }, run_id)
-    written.append(fit_path)
-    return written
+    }
 
 
-def _cmd_sweep_temp(config, inputs, run_dir, seed, fmt, run_id):
+def _cmd_sweep_temp(config, inputs, seed, fmt, run_id):
     cell = io.cell_params_from_config(config)
     th = config["thermal"]
     tc = model.ThermalCoefficients(
@@ -220,20 +174,19 @@ def _cmd_sweep_temp(config, inputs, run_dir, seed, fmt, run_id):
         e = e + sigma * rng.standard_normal(e.shape)
     fit = estimation.fit_thermal(e, temps, cell.gamma_a, cell.gamma_b,
                                  cell.omega_ge, seed=seed)
-    table = run_dir / "thermal.csv"
-    io.write_columns(table, ["temp_k", "n_th", "e_res"], [temps, n_th, e], run_id)
-    fit_path = run_dir / "thermal_fit.json"
-    _write_json(fit_path, {
-        "fit": _report_payload(fit),
-        "fit_hz": {
-            "gamma1_zero_hz": float(io.angular_to_hz(fit.value("gamma1_zero"))),
-            "gamma_phi_zero_hz": float(io.angular_to_hz(fit.value("gamma_phi_zero"))),
+    return {
+        "thermal.csv": (["temp_k", "n_th", "e_res"], [temps, n_th, e]),
+        "thermal_fit.json": {
+            "fit": asdict(fit),
+            "fit_hz": {
+                "gamma1_zero_hz": float(io.angular_to_hz(fit.value("gamma1_zero"))),
+                "gamma_phi_zero_hz": float(io.angular_to_hz(fit.value("gamma_phi_zero"))),
+            },
         },
-    }, run_id)
-    return [table, fit_path]
+    }
 
 
-def _cmd_sweep_power(config, inputs, run_dir, seed, fmt, run_id):
+def _cmd_sweep_power(config, inputs, seed, fmt, run_id):
     cell = io.cell_params_from_config(config)
     sat = config["saturation"]
     g = config["grid"]
@@ -252,19 +205,18 @@ def _cmd_sweep_power(config, inputs, run_dir, seed, fmt, run_id):
             rng = np.random.default_rng(synth.derive_seed(seed, "sweep-power", ch))
             mags = mags + sigma * rng.standard_normal(mags.shape)
         curves.append(mags)
-        fits[ch] = _report_payload(estimation.fit_saturation(mags, n_avg, seed=seed))
-    table = run_dir / "saturation.csv"
-    io.write_columns(table, ["n_avg", "channel", "magnitude"], [
-        np.tile(n_avg, len(model.CHANNELS)),
-        [ch for ch in model.CHANNELS for _ in n_avg],
-        np.array(curves),
-    ], run_id)
-    fit_path = run_dir / "saturation_fit.json"
-    _write_json(fit_path, {"fits": fits}, run_id)
-    return [table, fit_path]
+        fits[ch] = asdict(estimation.fit_saturation(mags, n_avg, seed=seed))
+    return {
+        "saturation.csv": (["n_avg", "channel", "magnitude"], [
+            np.tile(n_avg, len(model.CHANNELS)),
+            [ch for ch in model.CHANNELS for _ in n_avg],
+            np.array(curves),
+        ]),
+        "saturation_fit.json": {"fits": fits},
+    }
 
 
-def _cmd_dressed(config, inputs, run_dir, seed, fmt, run_id):
+def _cmd_dressed(config, inputs, seed, fmt, run_id):
     cell = io.cell_params_from_config(config)
     dr = config["dressed"]
     dm = model.DressedModel(
@@ -278,15 +230,11 @@ def _cmd_dressed(config, inputs, run_dir, seed, fmt, run_id):
     lines = model.dressed_lines(cell.omega_ge, photons, dm)
     freqs = [io.angular_to_hz(w)
              for w in (lines.ge_red, lines.ge_blue, lines.ef_red, lines.ef_blue)]
-    table = run_dir / "dressed_lines.csv"
-    io.write_columns(table, ["n_photons", "f_ge_red_hz", "f_ge_blue_hz",
-                             "f_ef_red_hz", "f_ef_blue_hz"], [photons, *freqs], run_id)
-    return [table]
+    return {"dressed_lines.csv": (["n_photons", "f_ge_red_hz", "f_ge_blue_hz",
+                                   "f_ef_red_hz", "f_ef_blue_hz"], [photons, *freqs])}
 
 
-def _cmd_report(config, inputs, run_dir, seed, fmt, run_id):
-    if len(inputs) != 1:
-        raise ValueError("report needs one input: <fit run directory or fit.json>")
+def _cmd_report(config, inputs, seed, fmt, run_id):
     target = Path(inputs[0])
     fit_file = target / "fit.json" if target.is_dir() else target
 
@@ -319,22 +267,44 @@ def _cmd_report(config, inputs, run_dir, seed, fmt, run_id):
         raise io.ParseError(f"fit file {fit_file} is malformed: {exc}") from None
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    out = run_dir / "report.txt"
-    out.write_text(text)
-    return [out]
+    return {"report.txt": text}
 
 
+#: Each subcommand's step and the names of the inputs it takes, in order.
 _PIPELINES = {
-    "simulate": _cmd_simulate,
-    "synth": _cmd_synth,
-    "calibrate": _cmd_calibrate,
-    "fit": _cmd_fit,
-    "sweep-bias": _cmd_sweep_bias,
-    "sweep-temp": _cmd_sweep_temp,
-    "sweep-power": _cmd_sweep_power,
-    "dressed": _cmd_dressed,
-    "report": _cmd_report,
+    "simulate": (_cmd_simulate, ()),
+    "synth": (_cmd_synth, ()),
+    "calibrate": (_cmd_calibrate, ("meas", "hd")),
+    "fit": (_cmd_fit, ("calibrated",)),
+    "sweep-bias": (_cmd_sweep_bias, ()),
+    "sweep-temp": (_cmd_sweep_temp, ()),
+    "sweep-power": (_cmd_sweep_power, ()),
+    "dressed": (_cmd_dressed, ()),
+    "report": (_cmd_report, ("fit-run-dir|fit.json",)),
 }
+
+SUBCOMMANDS = tuple(_PIPELINES)
+
+
+def _usage(subcommand: str) -> str:
+    """The inputs a subcommand takes, e.g. ``two inputs <meas> <hd>``."""
+    names = _PIPELINES[subcommand][1]
+    return " ".join([("no inputs", "one input", "two inputs")[len(names)],
+                     *(f"<{name}>" for name in names)])
+
+
+def _write(path: Path, artefact, run_id: str) -> None:
+    """Write one pipeline output, choosing the writer by the artefact's kind."""
+    if isinstance(artefact, calibration.ChannelSpectrum):
+        io.write_spectrum(artefact, path, run_id=run_id)
+    elif isinstance(artefact, dict):
+        path.write_text(json.dumps({"run": run_id, **artefact}, indent=2, sort_keys=True) + "\n")
+    elif isinstance(artefact, str):
+        path.write_text(artefact)
+    elif isinstance(artefact[0], LineModel):
+        io.write_line_model(artefact[0], path, freqs=artefact[1], run_id=run_id)
+    else:
+        io.write_columns(path, *artefact, run_id)
 
 
 def run_command(subcommand: str, config, inputs=(), out_dir=".",
@@ -348,16 +318,21 @@ def run_command(subcommand: str, config, inputs=(), out_dir=".",
     """
     if subcommand not in _PIPELINES:
         raise ValueError(f"unknown subcommand {subcommand!r}")
+    step, names = _PIPELINES[subcommand]
+    inputs = [str(p) for p in inputs]
+    if len(inputs) != len(names):
+        raise ValueError(f"{subcommand} takes {_usage(subcommand)}, got {len(inputs)}")
     if not isinstance(config, dict):
         config = io.load_config(config)
     if seed is None:
         seed = int(config["run"]["seed"])
     if run_id is None:
         run_id = io.new_run_id(config, seed, subcommand)
+    artefacts = step(config, inputs, seed, fmt, run_id)
     run_dir = Path(out_dir) / "runs" / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
-    inputs = [str(p) for p in inputs]
-    outputs = _PIPELINES[subcommand](config, inputs, run_dir, seed, fmt, run_id)
+    for name, artefact in artefacts.items():
+        _write(run_dir / name, artefact, run_id)
     record = RunRecord(
         run_id=run_id,
         subcommand=subcommand,
@@ -365,11 +340,11 @@ def run_command(subcommand: str, config, inputs=(), out_dir=".",
         seed=seed,
         config=config,
         input_digests={p: io.file_digest(p) for p in inputs if Path(p).is_file()},
-        outputs=[str(p) for p in outputs],
+        outputs=[str(run_dir / name) for name in artefacts],
     )
     save_path = io.save_run_record(record, run_dir)
-    print(f"run {run_id}: wrote {len(outputs)} outputs under {run_dir}")
-    for p in outputs + [save_path]:
+    print(f"run {run_id}: wrote {len(artefacts)} outputs under {run_dir}")
+    for p in [*record.outputs, save_path]:
         print(f"  {p}")
     return record
 
@@ -396,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--run-id", help="pin the run id (reproduces a recorded run)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} pipeline")
-        p.add_argument("inputs", nargs="*", help="input files for this pipeline")
+        p = sub.add_parser(name, help=f"run the {name} pipeline ({_usage(name)})")
+        p.add_argument("inputs", nargs="*", help=_usage(name))
     return parser
 
 

@@ -248,7 +248,10 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a 4-port touchstone file; returns (freqs_hz, s) with s (n, 4, 4).
 
     Supports RI, MA and DB value formats and the standard frequency-unit
-    multipliers.  Matrix entries are row-major per frequency point.
+    multipliers.  The option line may name only S-parameters and the
+    50-ohm reference ``R 50`` that :func:`write_touchstone` writes; any
+    other token raises :class:`ParseError`.  Matrix entries are row-major
+    per frequency point.
     """
     path = Path(path)
     unit = 1e9
@@ -262,19 +265,28 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
                 continue
             if line.startswith("#"):
                 option_line = lineno
-                tokens = line[1:].upper().split()
-                for i, tok in enumerate(tokens):
+                tokens = iter(line[1:].upper().split())
+                for tok in tokens:
                     if tok in _FREQ_UNITS:
                         unit = _FREQ_UNITS[tok]
                     elif tok in ("RI", "MA", "DB"):
                         fmt = tok
-                    elif tok == "S":
-                        continue
                     elif tok in ("Y", "Z", "H", "G"):
                         raise ParseError(f"touchstone parameter type {tok} in option line "
                                          f"{line!r} is not supported; expected S", lineno)
                     elif tok == "R":
-                        break
+                        ref = next(tokens, "")
+                        try:
+                            ok = float(ref) == 50.0
+                        except ValueError:
+                            ok = False
+                        if not ok:
+                            raise ParseError(f"touchstone reference impedance R {ref or '(none)'} "
+                                             f"in option line {line!r} is not supported; "
+                                             "expected R 50", lineno)
+                    elif tok != "S":
+                        raise ParseError(f"unknown touchstone option {tok!r} in option line "
+                                         f"{line!r}", lineno)
                 continue
             try:
                 numbers.extend(float(tok) for tok in line.split())
@@ -375,7 +387,7 @@ def write_line_model(lines: LineModel, path, freqs=None,
         freq_col = [""] * len(_LINE_ELEMENTS)
     # (4n, 4) complex rows of s11, s12, s21, s22, point-major like the file
     blocks = np.stack([np.broadcast_to(m, (n, 2, 2)) for m in lines.matrices], axis=1)
-    values = blocks.reshape(4 * n, 4).view(float)
+    values = np.ascontiguousarray(blocks.reshape(4 * n, 4)).view(float)
     iso = np.repeat(np.broadcast_to(np.asarray(lines.isolation, dtype=complex), (n,)),
                     len(_LINE_ELEMENTS))
     columns = [freq_col, _LINE_ELEMENTS * n, *values.T, iso.real, iso.imag]

@@ -83,7 +83,8 @@ class LineModel:
     Each line matrix has shape (2, 2) for frequency-independent lines or
     (n, 2, 2) for per-frequency data; ``isolation`` is the residual direct
     wave amplitude between the two waveguides bypassing the cell (a scalar,
-    or length-n array for per-frequency lines).
+    or length-n array for per-frequency lines).  Every per-frequency
+    element must have the same n.
     """
 
     s_in_a: np.ndarray
@@ -93,6 +94,7 @@ class LineModel:
     isolation: complex | np.ndarray = 0.0
 
     def __post_init__(self):
+        lengths = {}  # per-frequency elements and their point counts
         for name in ("s_in_a", "s_out_a", "s_in_b", "s_out_b"):
             m = np.asarray(getattr(self, name), dtype=complex)
             if m.shape[-2:] != (2, 2) or m.ndim not in (2, 3):
@@ -100,8 +102,21 @@ class LineModel:
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{name} entries must be finite")
             object.__setattr__(self, name, m)
-        if not np.isfinite(self.isolation).all():
+            if m.ndim == 3:
+                lengths[name] = len(m)
+        finite = np.isfinite(self.isolation)
+        if not finite.all():
             raise ValueError("isolation must be finite")
+        if finite.ndim > 1:
+            raise ValueError("isolation must be a scalar or a length-n array")
+        if finite.ndim == 1:
+            lengths["isolation"] = len(finite)
+            object.__setattr__(self, "isolation", np.asarray(self.isolation, dtype=complex))
+        first = next(iter(lengths), None)
+        for name, n in lengths.items():
+            if n != lengths[first]:
+                raise ValueError(f"{name} has {n} frequency points "
+                                 f"but {first} has {lengths[first]}")
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -113,7 +128,8 @@ class LineModel:
         for m in self.matrices:
             if m.ndim == 3:
                 return m.shape[0]
-        return None
+        iso = self.isolation
+        return len(iso) if isinstance(iso, np.ndarray) and iso.ndim == 1 else None
 
     def at(self, i: int) -> "LineModel":
         """Single-frequency slice of per-frequency line data."""

@@ -141,19 +141,58 @@ class TestSweeps:
         assert float(at_100["f_ge_blue_hz"]) == pytest.approx(6.163e9 + 3.9e6, abs=1.0)
 
 
+#: Every subcommand's output files, in the order run.json lists them.
+OUTPUTS = {
+    "simulate": ["spectrum.csv", "magphase.csv"],
+    "synth": ["meas.csv", "hd.csv", "truth.json", "lines.csv"],
+    "calibrate": ["calibrated.csv"],
+    "fit": ["fit.json"],
+    "sweep-bias": ["efficiency_map.csv", "resonant_efficiency.csv",
+                   "gamma_phi_vs_bias.csv", "bias_fit.json"],
+    "sweep-temp": ["thermal.csv", "thermal_fit.json"],
+    "sweep-power": ["saturation.csv", "saturation_fit.json"],
+    "dressed": ["dressed_lines.csv"],
+    "report": ["report.txt"],
+}
+
+
+def noisy_config():
+    config = io.load_config(None)
+    config["noise"]["sigma"] = 1e-3
+    return config
+
+
+@pytest.fixture(scope="module")
+def chain_inputs(tmp_path_factory):
+    """Inputs of the subcommands that take files, from one synth-calibrate-fit chain."""
+    out = tmp_path_factory.mktemp("chain")
+    runs = out / "runs"
+    inputs = {
+        "calibrate": [runs / "synth" / "meas.csv", runs / "synth" / "hd.csv"],
+        "fit": [runs / "calibrate" / "calibrated.csv"],
+        "report": [runs / "fit"],
+    }
+    for step in ("synth", "calibrate", "fit"):
+        cli.run_command(step, noisy_config(), inputs.get(step, []), out_dir=out,
+                        seed=9, run_id=step)
+    return inputs
+
+
 class TestReproducibility:
-    def test_pinned_run_id_reproduces_outputs_byte_for_byte(self, tmp_path):
-        config = io.load_config(None)
-        config["noise"]["sigma"] = 1e-3
-        rec = cli.run_command("synth", config, out_dir=tmp_path / "a",
-                              seed=9, run_id="fixed-id")
-        cli.run_command("synth", config, out_dir=tmp_path / "b",
-                        seed=9, run_id="fixed-id")
-        for name in ("meas.csv", "hd.csv", "truth.json", "lines.csv"):
-            a = (tmp_path / "a" / "runs" / "fixed-id" / name).read_bytes()
-            b = (tmp_path / "b" / "runs" / "fixed-id" / name).read_bytes()
-            assert a == b
-        assert rec.run_id == "fixed-id"
+    @pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+    def test_pinned_run_id_reproduces_outputs_byte_for_byte(self, tmp_path, chain_inputs,
+                                                            subcommand):
+        run_dirs = [tmp_path / side / "runs" / "fixed-id" for side in ("a", "b")]
+        for run_dir in run_dirs:
+            rec = cli.run_command(subcommand, noisy_config(), chain_inputs.get(subcommand, []),
+                                  out_dir=run_dir.parents[1], seed=9, run_id="fixed-id")
+            assert rec.run_id == "fixed-id"
+            written = [str(run_dir / name) for name in OUTPUTS[subcommand]]
+            assert io.load_run_record(run_dir / "run.json").outputs == written
+            assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+                OUTPUTS[subcommand] + ["run.json"])
+        for name in OUTPUTS[subcommand]:
+            assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes()
 
     def test_outputs_reference_run_id(self, tmp_path):
         rec = cli.run_command("synth", None, out_dir=tmp_path, seed=1)
@@ -271,6 +310,24 @@ class TestMainEntry:
         assert cli.main(["--seed", "77", "--out", str(flag_out), "synth"]) == 0
         record = io.load_run_record(next((flag_out / "runs").iterdir()) / "run.json")
         assert record.seed == 77
+
+    @pytest.mark.parametrize("argv", [
+        *([name, "stray.csv"] for name in
+          ("simulate", "synth", "sweep-bias", "sweep-temp", "sweep-power", "dressed")),
+        ["fit", "a.csv", "b.csv"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_wrong_input_count_is_refused_before_the_run(self, tmp_path, capsys, argv):
+        # the files exist, so a run that went ahead would digest them as read
+        inputs = [tmp_path / name for name in argv[1:]]
+        for path in inputs:
+            path.write_text("freq_hz,channel,re,im\n")
+        code = cli.main(["--out", str(tmp_path / "out"), argv[0], *map(str, inputs)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{argv[0]} takes ")
+        assert err["message"].endswith(f", got {len(inputs)}")
+        assert not (tmp_path / "out").exists()
 
     def test_all_subcommands_registered(self):
         parser = cli.build_parser()

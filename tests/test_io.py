@@ -444,11 +444,63 @@ class TestTouchstone:
         with pytest.raises(io.ParseError, match=f"type {kind} in option line '# HZ {kind} RI R 50'.*line 2"):
             io.read_touchstone(path)
 
+    @pytest.mark.parametrize("option, token", [
+        ("# HZ S RJ R 50", "'RJ'"),  # a misspelt value format, once read as MA
+        ("# HZ S RI R 50 XX", "'XX'"),
+    ], ids=["misspelt-format", "trailing-token"])
+    def test_unknown_option_token_rejected(self, tmp_path, option, token):
+        path = tmp_path / "opt.s4p"
+        path.write_text(f"! ports 1-4\n{option}\n1e9" + " 0.5 90.0" * 16 + "\n")
+        with pytest.raises(io.ParseError, match=f"unknown touchstone option {token} "
+                                                f"in option line '{option}'.*line 2"):
+            io.read_touchstone(path)
+
+    @pytest.mark.parametrize("option, ref", [
+        ("# HZ S RI R 75", "R 75"), ("# HZ S RI R", "R \\(none\\)"), ("# HZ S RI R ohm", "R OHM"),
+    ], ids=["75-ohm", "missing", "not-a-number"])
+    def test_reference_impedance_other_than_50_rejected(self, tmp_path, option, ref):
+        path = tmp_path / "ref.s4p"
+        path.write_text(f"{option}\n1e9" + " 0.5 0.0" * 16 + "\n")
+        with pytest.raises(io.ParseError, match=f"reference impedance {ref} in option line "
+                                                f"'{option}'.*expected R 50.*line 1"):
+            io.read_touchstone(path)
+
+    @pytest.mark.parametrize("option", ["# HZ S RI R 50.0", "# HZ S RI", "# hz s ri r 5e1"],
+                             ids=["decimal", "default", "exponent"])
+    def test_fifty_ohm_reference_accepted(self, tmp_path, option):
+        path = tmp_path / "ok.s4p"
+        path.write_text(f"{option}\n1e9" + " 0.5 0.0" * 16 + "\n")
+        freqs, s = io.read_touchstone(path)
+        assert np.array_equal(freqs, [1e9]) and np.all(s == 0.5)
+
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "utf16.s4p"
         path.write_bytes(b"\xff\xfe# HZ S RI R 50\n")
         with pytest.raises(io.ParseError, match="utf16.s4p is not UTF-8"):
             io.ingest_spectrum(path, fmt="s4p")
+
+
+def mostly(usual, other):
+    """``usual`` three times in four, else ``other``."""
+    return st.one_of(usual, usual, usual, other)
+
+
+@st.composite
+def config_texts(draw):
+    """INI text of random sections and ``key = value`` lines, mostly schema names and types."""
+    lines = []
+    sections = mostly(st.sampled_from([*io.CONFIG_SCHEMA, "DEFAULT"]), st.text(max_size=8))
+    for section in draw(st.lists(sections, max_size=3, unique=True)):
+        schema = io.CONFIG_SCHEMA.get(section, {"key": 0.0})
+        lines.append(f"[{section}]")
+        keys = mostly(st.sampled_from(sorted(schema)), st.text(max_size=8))
+        for key in draw(st.lists(keys, max_size=4, unique=True)):
+            default = schema.get(key, 0.0)
+            typed = (st.text(max_size=12) if isinstance(default, str)
+                     else st.integers().map(str) if isinstance(default, int)
+                     else st.floats().map(repr))
+            lines.append(f"{key} = {draw(mostly(typed, st.text(max_size=12)))}")
+    return "\n".join(lines).encode()
 
 
 class TestConfig:
@@ -484,6 +536,21 @@ class TestConfig:
         path.write_text("[grid]\nn_points = many\n")
         with pytest.raises(io.ConfigError, match="integer"):
             io.load_config(path)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(mostly(config_texts(), st.binary()))
+    def test_any_bytes_load_or_raise_config_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("config") / "conf.ini"
+        path.write_bytes(data)
+        try:
+            config = io.load_config(path)
+        except io.ConfigError:
+            return
+        assert config.keys() == io.CONFIG_SCHEMA.keys()
+        for section, values in config.items():
+            assert values.keys() == io.CONFIG_SCHEMA[section].keys()
+            for key, value in values.items():
+                assert type(value) is type(io.CONFIG_SCHEMA[section][key])
 
 
 class TestRunRecord:
@@ -604,6 +671,15 @@ class TestLineModelFile:
         lines = network.LineModel(*(np.stack([e, e]),) * 4)
         with pytest.raises(ValueError, match="frequencies must be finite"):
             io.write_line_model(lines, tmp_path / "lines.csv", freqs=[1.0, math.inf])
+
+    def test_per_frequency_isolation_round_trips(self, tmp_path):
+        e = network.ideal_lines().s_in_a
+        lines = network.LineModel(e, e, e, e, isolation=np.array([0.1, 0.2j, -0.3]))
+        path = tmp_path / "lines.csv"
+        io.write_line_model(lines, path, freqs=[1.0, 2.0, 3.0])
+        back, freqs = io.read_line_model(path)
+        assert np.array_equal(freqs, [1.0, 2.0, 3.0])
+        assert np.array_equal(back.isolation, lines.isolation)
 
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "utf16.csv"

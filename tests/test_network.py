@@ -73,6 +73,29 @@ def reference_compose(cell, lines):
     return s11 + s12 @ cell @ np.linalg.solve(np.eye(4) - s22 @ cell, s21)
 
 
+class TestLineModel:
+    E = two_port(1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"s_out_b": np.stack([E] * 3)}, "s_out_b has 3 frequency points but s_in_a has 5"),
+        ({"isolation": np.zeros(7)}, "isolation has 7 frequency points but s_in_a has 5"),
+    ], ids=["matrix", "isolation"])
+    def test_per_frequency_lengths_must_agree(self, kwargs, message):
+        five = np.stack([self.E] * 5)
+        elements = {"s_in_a": five, "s_out_a": self.E, "s_in_b": five, "s_out_b": self.E,
+                    **kwargs}
+        with pytest.raises(ValueError, match=message):
+            network.LineModel(**elements)
+
+    def test_isolation_must_be_scalar_or_one_dimensional(self):
+        with pytest.raises(ValueError, match="isolation must be a scalar or a length-n array"):
+            network.LineModel(self.E, self.E, self.E, self.E, isolation=np.zeros((2, 2)))
+
+    def test_per_frequency_isolation_sets_the_point_count(self):
+        lines = network.LineModel(self.E, self.E, self.E, self.E, isolation=np.zeros(3))
+        assert lines.n_points == 3
+
+
 class TestComplementaryBlocks:
     def test_ideal_lines(self):
         s11, s12, s21, s22 = network.complementary_blocks(network.ideal_lines())
