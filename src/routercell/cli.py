@@ -7,9 +7,9 @@ count, writes every output under ``<out>/runs/<run-id>/`` and adds a
 version).  Output tables are plain CSV ready for external plotting; no
 figures are rendered here.
 
-Settings resolve with precedence config < environment < flag.  The
-recognized environment variables are ``ROUTERCELL_CONFIG``,
-``ROUTERCELL_SEED``, ``ROUTERCELL_OUT`` and ``ROUTERCELL_FORMAT``.
+``--seed`` and ``--out`` override the config's ``[run] seed`` and
+``[run] out``.  A spectrum input is read as touchstone when its name
+ends in ``.s4p`` and as CSV otherwise, so one run may mix the two.
 Re-running with ``--run-id`` pinned to a recorded id reproduces the
 output files byte for byte for the same tool version and seed.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -29,8 +28,6 @@ import numpy as np
 from . import calibration, estimation, io, model, synth
 from .io import RunRecord, TOOL_VERSION
 from .network import LineModel
-
-_ENV_PREFIX = "ROUTERCELL_"
 
 
 def _freq_grid(config: dict) -> np.ndarray:
@@ -42,7 +39,7 @@ def _freq_grid(config: dict) -> np.ndarray:
 # subcommand pipelines: each returns {file name: artefact} and writes nothing
 
 
-def _cmd_simulate(config, inputs, seed, fmt, run_id):
+def _cmd_simulate(config, inputs, seed, run_id):
     cell = io.cell_params_from_config(config)
     freqs = _freq_grid(config)
     coeffs = model.cell_coefficients(io.hz_to_angular(freqs), cell)
@@ -63,7 +60,7 @@ def _cmd_simulate(config, inputs, seed, fmt, run_id):
     }
 
 
-def _cmd_synth(config, inputs, seed, fmt, run_id):
+def _cmd_synth(config, inputs, seed, run_id):
     cell = io.cell_params_from_config(config)
     campaign = synth.CampaignConfig(
         cell=cell, lines=synth.LineSpec(**config["lines"]), freqs=_freq_grid(config),
@@ -88,13 +85,13 @@ def _cmd_synth(config, inputs, seed, fmt, run_id):
     }
 
 
-def _cmd_calibrate(config, inputs, seed, fmt, run_id):
-    meas, hd = (io.ingest_spectrum(path, fmt) for path in inputs)
+def _cmd_calibrate(config, inputs, seed, run_id):
+    meas, hd = (io.ingest_spectrum(path) for path in inputs)
     return {"calibrated.csv": calibration.calibrate_responses(meas, hd)}
 
 
-def _cmd_fit(config, inputs, seed, fmt, run_id):
-    calibrated = io.ingest_spectrum(inputs[0], fmt)
+def _cmd_fit(config, inputs, seed, run_id):
+    calibrated = io.ingest_spectrum(inputs[0])
     init = estimation.initial_guess_from_spectrum(calibrated)
     report = estimation.fit_four_channel(calibrated, init, seed=seed)
     return {"fit.json": {**asdict(report), "params_hz": {
@@ -104,7 +101,7 @@ def _cmd_fit(config, inputs, seed, fmt, run_id):
     }}}
 
 
-def _cmd_sweep_bias(config, inputs, seed, fmt, run_id):
+def _cmd_sweep_bias(config, inputs, seed, run_id):
     cell = io.cell_params_from_config(config)
     flux = io.flux_model_from_config(config)
     fn = config["fluxnoise"]
@@ -157,7 +154,7 @@ def _cmd_sweep_bias(config, inputs, seed, fmt, run_id):
     }
 
 
-def _cmd_sweep_temp(config, inputs, seed, fmt, run_id):
+def _cmd_sweep_temp(config, inputs, seed, run_id):
     cell = io.cell_params_from_config(config)
     th = config["thermal"]
     tc = model.ThermalCoefficients(
@@ -186,7 +183,7 @@ def _cmd_sweep_temp(config, inputs, seed, fmt, run_id):
     }
 
 
-def _cmd_sweep_power(config, inputs, seed, fmt, run_id):
+def _cmd_sweep_power(config, inputs, seed, run_id):
     cell = io.cell_params_from_config(config)
     sat = config["saturation"]
     g = config["grid"]
@@ -216,7 +213,7 @@ def _cmd_sweep_power(config, inputs, seed, fmt, run_id):
     }
 
 
-def _cmd_dressed(config, inputs, seed, fmt, run_id):
+def _cmd_dressed(config, inputs, seed, run_id):
     cell = io.cell_params_from_config(config)
     dr = config["dressed"]
     dm = model.DressedModel(
@@ -234,7 +231,7 @@ def _cmd_dressed(config, inputs, seed, fmt, run_id):
                                    "f_ef_red_hz", "f_ef_blue_hz"], [photons, *freqs])}
 
 
-def _cmd_report(config, inputs, seed, fmt, run_id):
+def _cmd_report(config, inputs, seed, run_id):
     target = Path(inputs[0])
     fit_file = target / "fit.json" if target.is_dir() else target
 
@@ -307,14 +304,15 @@ def _write(path: Path, artefact, run_id: str) -> None:
         io.write_columns(path, *artefact, run_id)
 
 
-def run_command(subcommand: str, config, inputs=(), out_dir=".",
-                seed: int | None = None, fmt: str = "csv",
-                run_id: str | None = None) -> RunRecord:
+def run_command(subcommand: str, config, inputs=(), out_dir=None,
+                seed: int | None = None, run_id: str | None = None) -> RunRecord:
     """Execute one pipeline subcommand and persist its run record.
 
     ``config`` may be a loaded configuration dict or a path to an INI
-    file.  Outputs land in ``<out_dir>/runs/<run_id>/``; the returned
-    record carries the config snapshot, input digests and output paths.
+    file; ``out_dir`` and ``seed`` default to its ``[run] out`` and
+    ``[run] seed``.  Outputs land in ``<out_dir>/runs/<run_id>/``; the
+    returned record carries the config snapshot, input digests and output
+    paths.
     """
     if subcommand not in _PIPELINES:
         raise ValueError(f"unknown subcommand {subcommand!r}")
@@ -326,9 +324,11 @@ def run_command(subcommand: str, config, inputs=(), out_dir=".",
         config = io.load_config(config)
     if seed is None:
         seed = int(config["run"]["seed"])
+    if out_dir is None:
+        out_dir = config["run"]["out"]
     if run_id is None:
         run_id = io.new_run_id(config, seed, subcommand)
-    artefacts = step(config, inputs, seed, fmt, run_id)
+    artefacts = step(config, inputs, seed, run_id)
     run_dir = Path(out_dir) / "runs" / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     for name, artefact in artefacts.items():
@@ -349,25 +349,14 @@ def run_command(subcommand: str, config, inputs=(), out_dir=".",
     return record
 
 
-def _resolve(flag_value, env_name: str, config_value):
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(_ENV_PREFIX + env_name)
-    if env is not None:
-        return env
-    return config_value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="routercell",
         description="Model, calibrate and fit a two-waveguide router basic cell.",
     )
     parser.add_argument("--config", help="INI configuration file")
-    parser.add_argument("--seed", type=int, help="campaign seed (unsigned integer)")
-    parser.add_argument("--out", help="output directory (default '.')")
-    parser.add_argument("--format", choices=["csv", "s4p"], dest="fmt",
-                        help="spectrum input format")
+    parser.add_argument("--seed", type=int, help="unsigned campaign seed (default: [run] seed, 0)")
+    parser.add_argument("--out", help="output directory (default: [run] out, '.')")
     parser.add_argument("--run-id", help="pin the run id (reproduces a recorded run)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
@@ -380,13 +369,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config_path = _resolve(args.config, "CONFIG", None)
-        config = io.load_config(config_path)
-        seed = _resolve(args.seed, "SEED", config["run"]["seed"])
-        out_dir = _resolve(args.out, "OUT", config["run"]["out"])
-        fmt = _resolve(args.fmt, "FORMAT", config["run"]["format"])
-        run_command(args.subcommand, config, args.inputs, out_dir=out_dir,
-                    seed=int(seed), fmt=fmt, run_id=args.run_id)
+        run_command(args.subcommand, io.load_config(args.config), args.inputs,
+                    out_dir=args.out, seed=args.seed, run_id=args.run_id)
     except (ValueError, RuntimeError, OSError) as exc:
         # covers ConfigError/ParseError/CalibrationError (ValueError),
         # FitError/CircleFitError/network errors (RuntimeError) and

@@ -315,22 +315,19 @@ def fit_E_polynomial(e_values, ib_ma, seed: int | None = None) -> FitReport:
     return _linear_report(("c2", "c1", "c0"), design, e, seed)
 
 
-def gamma_phi_from_E(e: float, gamma_a: float, gamma_b: float,
-                     clamp: bool = True) -> float:
+def gamma_phi_from_E(e: float, gamma_a: float, gamma_b: float) -> float:
     """Pure dephasing rate implied by a resonant efficiency value.
 
     Inverts the resonant efficiency for the positive root of
     ``r^2/(gamma_a gamma_b) + r (1/gamma_a + 1/gamma_b) + 1 - 1/E = 0``.
-    Values slightly above 1 occur in normalized noisy data; by default
-    they are clamped to 1 (zero dephasing) with a warning.
+    Values slightly above 1 occur in normalized noisy data; they are
+    clamped to 1 (zero dephasing) with a warning.
     """
     if gamma_a <= 0 or gamma_b <= 0:
         raise ValueError("couplings must be > 0")
     if not np.isfinite(e) or e <= 0:
         raise ValueError(f"efficiency must be in (0, 1], got {e}")
     if e > 1.0:
-        if not clamp:
-            raise ValueError(f"efficiency {e} > 1 has no real dephasing solution")
         warnings.warn(f"efficiency {e:.4f} > 1 clamped to 1", stacklevel=2)
         e = 1.0
     qa = 1.0 / (gamma_a * gamma_b)

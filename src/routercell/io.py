@@ -3,8 +3,8 @@
 The canonical spectrum format is long-form CSV with header
 ``freq_hz,channel,re,im`` plus optional ``bias_ma,power_dbm,temp_k``
 columns; write/read round-trips are lossless at full float precision.
-Four-port touchstone files are supported for ingestion with the port map
-1 = A-in, 2 = A-out, 3 = B-in, 4 = B-out.
+Four-port touchstone files (``.s4p``) are supported for ingestion with
+the port map 1 = A-in, 2 = A-out, 3 = B-in, 4 = B-out.
 
 CSV tables (spectra, line models) share one writer, :func:`write_columns`,
 and one columnar reader.  Every malformed spectrum or line-model file,
@@ -12,9 +12,12 @@ whatever its bytes, raises :class:`ParseError`.
 
 Configuration files are flat ``key = value`` INI sections, one section
 per concern.  Frequencies and rates are linear Hz in files and on the
-command line; the conversion to the angular units used internally
-happens exactly once, in the ``*_from_config`` helpers here.  Unknown
-sections or keys are hard errors rather than silently ignored.
+command line.  They become the angular units used internally through
+:func:`hz_to_angular` where a section is read: in the ``*_from_config``
+helpers here for ``[model]`` and ``[flux]``, and in ``cli`` for
+``[fluxnoise]``, ``[thermal]`` and ``[dressed]``.  Unknown sections or
+keys, ``[DEFAULT]`` among them, are hard errors rather than silently
+ignored.
 """
 
 from __future__ import annotations
@@ -221,8 +224,15 @@ def _ingest_csv(path) -> ChannelSpectrum:
     meta = {}
     for name, column in zip(header[4:], columns[4:]):
         filled = [(text, line) for text, line in zip(column, lines) if text.strip()]
-        if filled:  # the first non-empty field sets the value; all of them must parse
-            meta[name] = float(_floats(*zip(*filled), name)[0])
+        if filled:  # the non-empty fields must parse and agree bit for bit
+            texts, where = zip(*filled)
+            values = _floats(texts, where, name)
+            differs = values.view(np.int64) != values.view(np.int64)[0]
+            if np.any(differs):
+                i = int(np.argmax(differs))
+                raise ParseError(f"{name} value {texts[i]!r} differs from the first, "
+                                 f"{texts[0]!r}", where[i])
+            meta[name] = float(values[0])
     # meta holds only _CSV_META columns, which are ChannelSpectrum fields
     return ChannelSpectrum(*_finite_points(path, grid, traces), **meta)
 
@@ -248,9 +258,10 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a 4-port touchstone file; returns (freqs_hz, s) with s (n, 4, 4).
 
     Supports RI, MA and DB value formats and the standard frequency-unit
-    multipliers.  The option line may name only S-parameters and the
-    50-ohm reference ``R 50`` that :func:`write_touchstone` writes; any
-    other token raises :class:`ParseError`.  Matrix entries are row-major
+    multipliers.  The one option line comes before the data and may name
+    only S-parameters and the 50-ohm reference ``R 50`` that
+    :func:`write_touchstone` writes; any other token, or a second or late
+    option line, raises :class:`ParseError`.  Matrix entries are row-major
     per frequency point.
     """
     path = Path(path)
@@ -264,6 +275,9 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
             if not line:
                 continue
             if line.startswith("#"):
+                if option_line is not None or numbers:
+                    raise ParseError(f"touchstone option line {line!r} must be the only one "
+                                     "and precede the data", lineno)
                 option_line = lineno
                 tokens = iter(line[1:].upper().split())
                 for tok in tokens:
@@ -342,20 +356,19 @@ def _ingest_touchstone(path) -> ChannelSpectrum:
     return ChannelSpectrum(*_finite_points(path, freqs, s[:, _TOUCHSTONE_OUT, _TOUCHSTONE_IN].T))
 
 
-def ingest_spectrum(path, fmt: str = "csv") -> ChannelSpectrum:
-    """Load a four-channel spectrum from CSV or touchstone.
+def ingest_spectrum(path) -> ChannelSpectrum:
+    """Load a four-channel spectrum: touchstone if the name ends in ``.s4p``, else CSV.
 
-    Points with a non-finite frequency or value are dropped with a warning
-    reporting the count.  Every other problem raises :class:`ParseError`,
-    with the offending line number where there is one: undecodable text,
-    a bad header or field, non-monotone or duplicate frequencies, channel
-    mismatches, or no finite point at all.
+    The suffix is matched without regard to case.  Points with a
+    non-finite frequency or value are dropped with a warning reporting the
+    count.  Every other problem raises :class:`ParseError`, with the
+    offending line number where there is one: undecodable text, a bad
+    header or field, non-monotone or duplicate frequencies, channel
+    mismatches, metadata fields that disagree, or no finite point at all.
     """
-    if fmt == "csv":
-        return _ingest_csv(path)
-    if fmt == "s4p":
+    if Path(path).suffix.lower() == ".s4p":
         return _ingest_touchstone(path)
-    raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 's4p'")
+    return _ingest_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +483,7 @@ CONFIG_SCHEMA: dict[str, dict[str, float | int | str]] = {
     "thermal": {"gamma1_zero_hz": 0.26e6, "gamma_phi_zero_hz": 10.38e6},
     "saturation": {"c": 1.0, "d": 1.0},
     "dressed": {"lambda_red_hz": 0.81e6, "lambda_blue_hz": 0.39e6},
-    "run": {"seed": 0, "out": ".", "format": "csv"},
+    "run": {"seed": 0, "out": "."},
 }
 
 
@@ -491,6 +504,9 @@ def load_config(path=None) -> dict[str, dict]:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    if parser.defaults():
+        # configparser would copy these keys into every section
+        raise ConfigError(f"unknown config section [{parser.default_section}] in {path}")
     for section, items in sections.items():
         if section not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")

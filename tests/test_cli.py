@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,12 +268,11 @@ class TestMainEntry:
         assert err["error"] == "ParseError"
         assert str(fit) in err["message"]
 
-    @pytest.mark.parametrize("fmt", ["csv", "s4p"])
-    def test_directory_input_gives_machine_readable_error(self, tmp_path, capsys, fmt):
-        folder = tmp_path / "spectra"
+    @pytest.mark.parametrize("name", ["spectra", "spectra.s4p"], ids=["csv", "s4p"])
+    def test_directory_input_gives_machine_readable_error(self, tmp_path, capsys, name):
+        folder = tmp_path / name
         folder.mkdir()
-        code = cli.main(["--out", str(tmp_path), "--format", fmt,
-                         "calibrate", str(folder), str(folder)])
+        code = cli.main(["--out", str(tmp_path), "calibrate", str(folder), str(folder)])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "IsADirectoryError"
@@ -297,19 +298,47 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FitError"
 
-    def test_env_overrides_config_and_flag_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROUTERCELL_SEED", "123")
-        monkeypatch.setenv("ROUTERCELL_OUT", str(tmp_path / "envout"))
-        assert cli.main(["synth"]) == 0
-        runs = list((tmp_path / "envout" / "runs").iterdir())
+    def test_flag_overrides_config(self, tmp_path):
+        conf = tmp_path / "run.ini"
+        conf.write_text(f"[run]\nseed = 123\nout = {tmp_path / 'confout'}\n")
+        assert cli.main(["--config", str(conf), "synth"]) == 0
+        runs = list((tmp_path / "confout" / "runs").iterdir())
         assert len(runs) == 1
         record = io.load_run_record(runs[0] / "run.json")
         assert record.seed == 123
 
         flag_out = tmp_path / "flagout"
-        assert cli.main(["--seed", "77", "--out", str(flag_out), "synth"]) == 0
+        assert cli.main(["--config", str(conf), "--seed", "77", "--out", str(flag_out),
+                         "synth"]) == 0
         record = io.load_run_record(next((flag_out / "runs").iterdir()) / "run.json")
         assert record.seed == 77
+        assert len(list((tmp_path / "confout" / "runs").iterdir())) == 1
+
+    def test_run_command_falls_back_to_run_section(self, tmp_path):
+        config = io.load_config(None)
+        config["run"].update(seed=5, out=str(tmp_path / "confout"))
+        record = cli.run_command("dressed", config, out_dir=None, run_id="r")
+        assert record.seed == 5
+        assert record.outputs == [str(tmp_path / "confout" / "runs" / "r" / "dressed_lines.csv")]
+
+    def test_touchstone_and_csv_inputs_mix(self, tmp_path, chain_inputs):
+        meas_csv, hd_csv = map(str, chain_inputs["calibrate"])
+        meas = io.ingest_spectrum(meas_csv)
+        meas_s4p = tmp_path / "meas.s4p"
+        io.write_touchstone(meas_s4p, meas.freqs, io.spectrum_to_smatrix(meas))
+        outputs = []
+        for side, meas_path in (("csv", meas_csv), ("mixed", str(meas_s4p))):
+            out = tmp_path / side
+            assert cli.main(["--out", str(out), "--run-id", "r", "calibrate",
+                             meas_path, hd_csv]) == 0
+            outputs.append((out / "runs" / "r" / "calibrated.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_readme_usage_lists_the_parser_flags(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        usage = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        flags = {opt for action in cli.build_parser()._actions for opt in action.option_strings}
+        assert set(re.findall(r"--[a-z-]+", usage)) == flags - {"-h", "--help"}
 
     @pytest.mark.parametrize("argv", [
         *([name, "stray.csv"] for name in

@@ -244,11 +244,9 @@ class TestGammaPhiFromE:
             back = estimation.gamma_phi_from_E(e, GA, GB)
             assert back == pytest.approx(gphi, rel=1e-9, abs=1e-3)
 
-    def test_clamp_and_strict_modes(self):
+    def test_clamps_above_one_and_rejects_non_positive(self):
         with pytest.warns(UserWarning, match="clamped"):
             assert estimation.gamma_phi_from_E(1.02, GA, GB) == 0.0
-        with pytest.raises(ValueError):
-            estimation.gamma_phi_from_E(1.02, GA, GB, clamp=False)
         with pytest.raises(ValueError):
             estimation.gamma_phi_from_E(0.0, GA, GB)
 

@@ -87,7 +87,7 @@ class TestRoundTripProperties:
     def test_touchstone_round_trip_is_exact(self, tmp_path_factory, spectrum):
         path = tmp_path_factory.mktemp("s4p") / "spec.s4p"
         io.write_touchstone(path, spectrum.freqs, io.spectrum_to_smatrix(spectrum))
-        assert_same_spectrum(io.ingest_spectrum(path, fmt="s4p"), spectrum)
+        assert_same_spectrum(io.ingest_spectrum(path), spectrum)
 
 
 SIGNED = st.sampled_from([0.0, -0.0]) | FINITE
@@ -242,6 +242,24 @@ class TestCsvErrors:
         assert len(back) == 2
         assert np.array_equal(back.freqs, [1e9, 3e9])
 
+    @pytest.mark.parametrize("fields, line", [
+        (["0.1", "0.2", "0.3", "0.4"], 3),
+        (["", "0.25", "", "-0.25"], 5),
+        (["0.0", "-0.0", "0.0", "0.0"], 3),  # a sign is a different value
+    ], ids=["all-differ", "empty-skipped", "signed-zero"])
+    def test_disagreeing_metadata_names_column_and_line(self, tmp_path, fields, line):
+        rows = "".join(f"1e9,{ch},1.0,0.0,{v}\n" for ch, v in zip(model.CHANNELS, fields))
+        path = self.write(tmp_path, rows, header="freq_hz,channel,re,im,bias_ma\n")
+        with pytest.raises(io.ParseError, match=f"bias_ma value '{fields[line - 2]}' "
+                                                f"differs.*line {line}"):
+            io.ingest_spectrum(path)
+
+    def test_agreeing_metadata_spellings_load(self, tmp_path):
+        rows = "".join(f"1e9,{ch},1.0,0.0,{v}\n"
+                       for ch, v in zip(model.CHANNELS, ["", "0.1", " 1e-1", "0.10"]))
+        path = self.write(tmp_path, rows, header="freq_hz,channel,re,im,bias_ma\n")
+        assert io.ingest_spectrum(path).bias_ma == 0.1
+
 
 def write_raw(path, fmt, freqs, traces, meta=None):
     """Write a spectrum that may hold non-finite values, as CSV or s4p."""
@@ -265,7 +283,7 @@ class TestNonFinitePoints:
         path = tmp_path / f"spec.{fmt}"
         write_raw(path, fmt, freqs, np.ones((4, 3), dtype=complex))
         with pytest.warns(UserWarning, match="dropped 1"):
-            back = io.ingest_spectrum(path, fmt=fmt)
+            back = io.ingest_spectrum(path)
         assert np.array_equal(back.freqs, [1e9, 3e9])
 
     @pytest.mark.parametrize("fmt", ["csv", "s4p"])
@@ -275,7 +293,7 @@ class TestNonFinitePoints:
         traces[1] = math.nan
         write_raw(path, fmt, np.array([1e9, 2e9]), traces)
         with pytest.raises(io.ParseError, match=f"spec.{fmt} holds no finite point"):
-            io.ingest_spectrum(path, fmt=fmt)
+            io.ingest_spectrum(path)
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -339,7 +357,7 @@ def touchstone_texts(draw):
 
 READERS = {
     "csv": io.ingest_spectrum,
-    "s4p": lambda path: io.ingest_spectrum(path, fmt="s4p"),
+    "s4p": io.ingest_spectrum,
     "lines": io.read_line_model,
 }
 TEXTS = {
@@ -370,11 +388,11 @@ class TestIngestionProperties:
         finite = np.isfinite(freqs) & np.all(np.isfinite(traces), axis=0)
         if not finite.any():
             with pytest.raises(io.ParseError, match="no finite point"):
-                io.ingest_spectrum(path, fmt=fmt)
+                io.ingest_spectrum(path)
             return
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            back = io.ingest_spectrum(path, fmt=fmt)
+            back = io.ingest_spectrum(path)
         dropped = [str(w.message) for w in caught if "dropped" in str(w.message)]
         n_bad = int((~finite).sum())
         assert dropped == ([f"dropped {n_bad} non-finite rows during ingestion"] if n_bad else [])
@@ -385,7 +403,7 @@ class TestIngestionProperties:
     @given(st.binary(max_size=300))
     @pytest.mark.parametrize("reader", READERS)
     def test_arbitrary_bytes_load_or_raise_parse_error(self, tmp_path_factory, reader, data):
-        path = tmp_path_factory.mktemp(reader) / "input"
+        path = tmp_path_factory.mktemp(reader) / f"input.{reader}"
         path.write_bytes(data)
         loads_or_raises_parse_error(reader, path)
 
@@ -393,9 +411,12 @@ class TestIngestionProperties:
     @given(st.data())
     @pytest.mark.parametrize("reader", READERS)
     def test_random_rows_load_or_raise_parse_error(self, tmp_path_factory, reader, data):
-        path = tmp_path_factory.mktemp(reader) / "input"
+        path = tmp_path_factory.mktemp(reader) / f"input.{reader}"
         path.write_text(data.draw(TEXTS[reader]), encoding="utf-8")
         loads_or_raises_parse_error(reader, path)
+
+
+POINT = " 0.5 0.0" * 16  # the 16 entries of one 4-port frame
 
 
 class TestTouchstone:
@@ -416,7 +437,7 @@ class TestTouchstone:
         s = io.spectrum_to_smatrix(spectrum)
         path = tmp_path / "cell.s4p"
         io.write_touchstone(path, spectrum.freqs, s)
-        back = io.ingest_spectrum(path, fmt="s4p")
+        back = io.ingest_spectrum(path)
         for ch in model.CHANNELS:
             assert np.array_equal(back.channel(ch), spectrum.channel(ch))
 
@@ -473,11 +494,36 @@ class TestTouchstone:
         freqs, s = io.read_touchstone(path)
         assert np.array_equal(freqs, [1e9]) and np.all(s == 0.5)
 
+    @pytest.mark.parametrize("lines, bad", [
+        (["# HZ S RI R 50", "# GHZ S MA R 50", "1" + POINT], 2),
+        (["# GHZ S MA R 50", "# HZ S RI R 50", "1e9" + POINT], 2),
+        (["# HZ S RI R 50", "1e9" + POINT, "# GHZ S MA R 50", "2" + POINT], 3),
+        (["# GHZ S MA R 50", "1" + POINT, "# HZ S RI R 50", "2e9" + POINT], 3),
+        (["1e9" + POINT, "# HZ S RI R 50"], 2),
+    ], ids=["hz-then-ghz", "ghz-then-hz", "hz-data-ghz", "ghz-data-hz", "data-first"])
+    def test_option_line_must_be_single_and_first(self, tmp_path, lines, bad):
+        # a later option line once rescaled every point, before it or after
+        path = tmp_path / "twice.s4p"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(io.ParseError, match=f"option line '{lines[bad - 1]}' must be the "
+                                                f"only one and precede the data.*line {bad}"):
+            io.read_touchstone(path)
+
+    @pytest.mark.parametrize("name, touchstone", [("cell.S4P", True), ("cell.s4p.csv", False)])
+    def test_suffix_picks_the_reader(self, tmp_path, name, touchstone):
+        spectrum = sample_spectrum()
+        path = tmp_path / name
+        if touchstone:
+            io.write_touchstone(path, spectrum.freqs, io.spectrum_to_smatrix(spectrum))
+        else:
+            io.write_spectrum(spectrum, path)
+        assert_same_spectrum(io.ingest_spectrum(path), spectrum)
+
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "utf16.s4p"
         path.write_bytes(b"\xff\xfe# HZ S RI R 50\n")
         with pytest.raises(io.ParseError, match="utf16.s4p is not UTF-8"):
-            io.ingest_spectrum(path, fmt="s4p")
+            io.ingest_spectrum(path)
 
 
 def mostly(usual, other):
@@ -529,6 +575,17 @@ class TestConfig:
         path = tmp_path / "conf.ini"
         path.write_text("[mystery]\nx = 1\n")
         with pytest.raises(io.ConfigError, match="mystery"):
+            io.load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nbogus = 1\n",  # once loaded with no error
+        "[DEFAULT]\nsigma = 0.5\n[noise]\n",  # once set sigma = 0.5
+        "[DEFAULT]\nbogus = 1\n[model]\ngamma_a_hz = 1e6\n",  # once blamed [model]
+    ], ids=["alone", "copied-into-noise", "blamed-on-model"])
+    def test_default_section_is_fatal(self, tmp_path, text):
+        path = tmp_path / "conf.ini"
+        path.write_text(text)
+        with pytest.raises(io.ConfigError, match=r"unknown config section \[DEFAULT\]"):
             io.load_config(path)
 
     def test_bad_value_type(self, tmp_path):
