@@ -69,6 +69,4 @@ from .estimation import (
     rate_budget,
 )
 from .synth import CampaignConfig, LineSpec, derive_seed, gen_iq_shots, gen_lines, gen_spectrum
-from .io import ingest_spectrum, write_spectrum
-
-__version__ = "0.1.0"
+from .io import TOOL_VERSION as __version__, ingest_spectrum, write_spectrum

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._lsq import least_squares
 from .model import CHANNELS
 
 __all__ = [
@@ -285,8 +286,7 @@ def circle_fit(trace, freqs) -> CircleFitResult:
         return model(params) - theta
 
     init = np.array([theta[i0], freqs[i0], sign * span / 5.0])
-    from scipy.optimize import least_squares  # imported on use: ~0.35 s
-    fit = least_squares(residual, init, method="lm", xtol=1e-12, ftol=1e-12)
+    fit = least_squares(residual, init, xtol=1e-12, ftol=1e-12)
     theta0, f_res, kappa = fit.x
     kappa = abs(float(kappa))
     if kappa <= 0:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -312,8 +313,12 @@ def run_command(subcommand: str, config, inputs=(), out_dir=None,
     file; ``out_dir`` and ``seed`` default to its ``[run] out`` and
     ``[run] seed``.  Outputs land in ``<out_dir>/runs/<run_id>/``; the
     returned record carries the config snapshot, input digests and output
-    paths.
+    paths.  A given ``run_id`` must be one directory name: not empty, not
+    ``.`` or ``..``, and free of path separators.
     """
+    if run_id is not None and (run_id in ("", ".", "..")
+                               or any(sep and sep in run_id for sep in ("/", os.sep, os.altsep))):
+        raise ValueError(f"run id {run_id!r} is not a single directory name")
     if subcommand not in _PIPELINES:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     step, names = _PIPELINES[subcommand]

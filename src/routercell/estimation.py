@@ -15,10 +15,10 @@ Fits fall into three families:
   population axis anchored by the zero-drive reference.
 
 Every fit is deterministic given its inputs and uses damped least squares
-(max 200 iterations, relative step tolerance 1e-10) with uncertainties
-from the linearized covariance at the optimum.  Parameters whose Jacobian
-column vanishes are flagged ``unidentifiable:<name>`` instead of being
-reported with a meaningless uncertainty.
+(at most 200 residual evaluations, relative step tolerance 1e-10) with
+uncertainties from the linearized covariance at the optimum.  Parameters
+whose Jacobian column vanishes are flagged ``unidentifiable:<name>``
+instead of being reported with a meaningless uncertainty.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._lsq import least_squares
 from .calibration import ChannelSpectrum, REFERENCE_FLOOR
 from .model import (
     CellParams,
@@ -76,7 +77,11 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitReport:
-    """Result of one fit: values, uncertainties and convergence metadata."""
+    """Result of one fit: values, uncertainties and convergence metadata.
+
+    ``n_iter`` counts the solver's residual evaluations (its ``nfev``),
+    not its iterations; a linear solve counts as one.
+    """
 
     params: dict[str, float]
     sigma: dict[str, float]
@@ -172,11 +177,8 @@ def _finish_report(names, result, seed=None) -> FitReport:
 
 def _least_squares(names, residual, x0, seed=None, **kwargs) -> FitReport:
     """Damped least squares with the package's step tolerance and iteration cap."""
-    # scipy.optimize takes ~0.35 s to import, so it is imported on the first fit
-    # and the CLI subcommands that do not fit never load it.
-    from scipy.optimize import least_squares
-    result = least_squares(residual, x0, method="trf", xtol=STEP_TOL, ftol=STEP_TOL,
-                           max_nfev=MAX_ITER, **kwargs)
+    result = least_squares(residual, x0, xtol=STEP_TOL, ftol=STEP_TOL, max_nfev=MAX_ITER,
+                           **kwargs)
     return _finish_report(names, result, seed)
 
 
@@ -267,8 +269,7 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
 
     def jacobian(x):
         _, jac = cell_response(omega, *x, coherence, jacobian=True)
-        # row-major: the solver's BLAS products round differently on a transposed view
-        return np.ascontiguousarray(_real_rows(jac).T)
+        return _real_rows(jac).T
 
     x0 = np.array([init.gamma_a, init.gamma_b, init.omega_ge, init.phi_a, init.phi_b])
     eps = 1e-6
@@ -276,7 +277,7 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     upper = [np.inf, np.inf, np.inf, np.pi / 2 - eps, np.pi / 2 - eps]
     return _least_squares(
         _FOUR_CHANNEL_NAMES, residual, x0, seed, jac=jacobian, bounds=(lower, upper),
-        x_scale=[scale, scale, scale, 1.0, 1.0], gtol=None,
+        x_scale=[scale, scale, scale, 1.0, 1.0],
     )
 
 

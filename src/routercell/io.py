@@ -65,7 +65,7 @@ __all__ = [
     "load_run_record",
 ]
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 TWO_PI = 2.0 * np.pi
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -357,6 +358,21 @@ class TestMainEntry:
         assert err["message"].startswith(f"{argv[0]} takes ")
         assert err["message"].endswith(f", got {len(inputs)}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("run_id, altsep", [
+        ("", os.altsep), (".", os.altsep), ("..", os.altsep), ("../../esc", os.altsep),
+        ("a/b", os.altsep), (f"a{os.sep}b", os.altsep), ("a\\b", "\\"),
+    ], ids=["empty", "dot", "dotdot", "parent-escape", "slash", "sep", "altsep"])
+    def test_run_id_outside_one_directory_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                     run_id, altsep):
+        # os.altsep is None on POSIX, so the backslash case sets one for itself
+        monkeypatch.setattr(os, "altsep", altsep)
+        out = tmp_path / "o" / "x"
+        assert cli.main(["--out", str(out), "--run-id", run_id, "dressed"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"run id {run_id!r} is not a single directory name"}
+        assert list(tmp_path.iterdir()) == []
 
     def test_all_subcommands_registered(self):
         parser = cli.build_parser()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from routercell import calibration, estimation, model, synth
+from routercell import _lsq, calibration, estimation, model, synth
 
 TWO_PI = 2.0 * math.pi
 GA = TWO_PI * 1.82e6
@@ -108,6 +108,111 @@ class TestFourChannelFit:
         assert init.gamma_a == pytest.approx(GA, rel=0.3)
         assert init.gamma_b == pytest.approx(GB, rel=0.3)
         assert init.omega_ge == pytest.approx(W_GE, abs=TWO_PI * 0.5e6)
+
+
+class TestSolver:
+    """The package's least-squares solver against scipy's on the same problems."""
+
+    #: Relative agreement asked of params, sigmas and circle-fit results.
+    SCIPY_REL = 1e-7
+
+    @staticmethod
+    def scipy_trf_references(monkeypatch) -> list:
+        """Have every four-channel fit also solved by scipy's TRF; its reports land in the list."""
+        from scipy.optimize import least_squares as scipy_least_squares
+
+        references = []
+
+        def both(fun, x0, **kwargs):
+            ref = scipy_least_squares(fun, x0, method="trf", gtol=None, **kwargs)
+            references.append(estimation._finish_report(estimation._FOUR_CHANNEL_NAMES, ref))
+            return _lsq.least_squares(fun, x0, **kwargs)
+
+        monkeypatch.setattr(estimation, "least_squares", both)
+        return references
+
+    def test_four_channel_fits_agree_with_scipy_trf(self, monkeypatch):
+        references = self.scipy_trf_references(monkeypatch)
+        line_spec = synth.LineSpec(transmission_db=-2.0, jitter_db=1.0,
+                                   reflection_bound=0.05, isolation_db=-20.0)
+        for seed in range(20):  # the first acceptance-04 campaigns
+            campaign = synth.CampaignConfig(cell=TRUTH, lines=line_spec, freqs=FREQS,
+                                            noise_sigma=1e-3, seed=seed)
+            out = synth.gen_spectrum(campaign)
+            calibrated = calibration.calibrate_responses(out.meas, out.hd)
+            init = estimation.initial_guess_from_spectrum(calibrated)
+            report = estimation.fit_four_channel(calibrated, init)
+            ref = references[-1]
+            assert report.converged and ref.converged
+            for name in estimation._FOUR_CHANNEL_NAMES:
+                assert report.params[name] == pytest.approx(ref.params[name], rel=self.SCIPY_REL)
+                assert report.sigma[name] == pytest.approx(ref.sigma[name], rel=self.SCIPY_REL)
+
+    def test_iteration_cap_reports_not_converged(self, monkeypatch):
+        monkeypatch.setattr(estimation, "MAX_ITER", 3)
+        init = model.CellParams(1.3 * GA, 0.8 * GB, W_GE + TWO_PI * 2e6)
+        report = estimation.fit_four_channel(clean_spectrum(), init)
+        assert not report.converged
+        assert report.n_iter == 3
+        assert all(math.isfinite(v) for v in report.params.values())
+
+    @pytest.mark.parametrize("phi_a", [0.55 * math.pi, 0.7 * math.pi, -0.8 * math.pi],
+                             ids=["0.55pi", "0.7pi", "-0.8pi"])
+    def test_optimum_beyond_a_bound_ends_on_the_bound(self, monkeypatch, phi_a):
+        # phi_a lies outside the fit's box |phi| < pi/2; the other four parameters
+        # must still reach scipy's bounded optimum (seen: within 8e-7 relative)
+        references = self.scipy_trf_references(monkeypatch)
+        coeffs = model.cell_response(TWO_PI * FREQS, GA, GB, W_GE, phi_a, TRUTH.phi_b)
+        report = estimation.fit_four_channel(calibration.ChannelSpectrum(FREQS, coeffs), TRUTH)
+        assert report.converged
+        assert report.params["phi_a"] == math.copysign(math.pi / 2 - 1e-6, phi_a)
+        assert all(math.isfinite(v) for v in [*report.params.values(), report.residual_norm])
+        for name in estimation._FOUR_CHANNEL_NAMES:
+            assert report.params[name] == pytest.approx(references[0].params[name], rel=1e-5)
+
+    def test_time_domain_fits_reach_the_optimum(self, monkeypatch):
+        # the forward-difference step follows x_scale, so a time of ~20 ns is
+        # differenced on its own scale; the reference uses accurate central
+        # differences and tight tolerances
+        from scipy.optimize import least_squares as scipy_least_squares
+
+        pairs = []
+
+        def both(fun, x0, **kwargs):
+            ours = _lsq.least_squares(fun, x0, **kwargs)
+            ref = scipy_least_squares(fun, x0, jac="3-point", diff_step=1e-6, xtol=1e-15,
+                                      ftol=1e-15, gtol=1e-15, bounds=kwargs["bounds"],
+                                      x_scale=kwargs["x_scale"], max_nfev=2000)
+            pairs.append((ours.x, ref.x, np.asarray(kwargs["x_scale"])))
+            return ours
+
+        monkeypatch.setattr(estimation, "least_squares", both)
+        rng = np.random.default_rng(9)
+        t = np.linspace(0, 80e-9, 31)
+        estimation.fit_T1(0.7 * np.exp(-t / 21e-9) + 0.01 * rng.standard_normal(t.size), t)
+        rng = np.random.default_rng(37)
+        t = np.linspace(0, 200e-9, 201)
+        estimation.fit_rabi_decay(
+            TestTimeDomain().rabi_truth(t) + 0.01 * rng.standard_normal(t.size), t)
+        for ours, ref, scale in pairs:
+            assert np.all(np.abs(ours - ref) <= 1e-6 * np.maximum(np.abs(ref), scale))
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-2])
+    def test_circle_fit_agrees_with_minpack(self, monkeypatch, sigma):
+        from scipy.optimize import least_squares as scipy_least_squares
+
+        freqs = np.linspace(F_GE - 30e6, F_GE + 30e6, 401)
+        rng = np.random.default_rng(3)
+        trace = model.t_through("AA", TWO_PI * freqs, TRUTH)
+        trace = trace + sigma * (rng.standard_normal(freqs.size)
+                                 + 1j * rng.standard_normal(freqs.size))
+        fit = calibration.circle_fit(trace, freqs)
+        monkeypatch.setattr(calibration, "least_squares", lambda fun, x0, **kwargs:
+                            scipy_least_squares(fun, x0, method="lm", **kwargs))
+        ref = calibration.circle_fit(trace, freqs)
+        assert fit.kappa_loaded == pytest.approx(ref.kappa_loaded, rel=self.SCIPY_REL)
+        assert fit.omega_res == pytest.approx(ref.omega_res, rel=self.SCIPY_REL)
+        assert fit.background == pytest.approx(ref.background, rel=self.SCIPY_REL)
 
 
 class TestFiniteDifferenceResiduals:

@@ -1,4 +1,4 @@
-"""Start-up cost: the CLI loads no scipy optimizer or constants table."""
+"""Start-up cost: the CLI loads no scipy optimizer or constants table, and fits load no scipy."""
 
 import os
 import subprocess
@@ -13,16 +13,36 @@ from routercell import model
 HEAVY = ("scipy.optimize", "scipy.constants")
 
 
-def test_cli_import_loads_neither_scipy_optimize_nor_constants():
-    # a fresh interpreter: this one has loaded scipy for the tests already
+def run_fresh(code: str, cwd=None) -> str:
+    """Last line of stdout of ``code`` run in a fresh interpreter.
+
+    This interpreter has loaded scipy for the tests already.
+    """
     src = str(Path(routercell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = (f"import sys, routercell.cli; "
-            f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == ""
+                         text=True, check=True, cwd=cwd)
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_neither_scipy_optimize_nor_constants():
+    code = (f"import sys, routercell.cli; "
+            f"print('loaded:' + ','.join(m for m in {HEAVY!r} if m in sys.modules))")
+    assert run_fresh(code) == "loaded:"
+
+
+def test_fit_and_sweep_temp_load_no_scipy(tmp_path):
+    code = "\n".join([
+        "import sys",
+        "from routercell import cli",
+        "for argv in (['synth'], ['calibrate', 'runs/synth/meas.csv', 'runs/synth/hd.csv'],",
+        "             ['fit', 'runs/calibrate/calibrated.csv'], ['sweep-temp']):",
+        "    assert cli.main(['--out', '.', '--run-id', argv[0], *argv]) == 0",
+        "print('scipy:' + ','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+    ])
+    assert run_fresh(code, cwd=tmp_path) == "scipy:"
+    assert (tmp_path / "runs" / "fit" / "fit.json").is_file()
 
 
 def test_si_constants_equal_scipy_values_exactly():
