@@ -8,7 +8,7 @@ table like the ones the measurement pipeline emits.
 
 import numpy as np
 
-from routercell import CellParams, cell_coefficients, cell_smatrix, efficiency
+from routercell.model import CellParams, cell_coefficients, cell_smatrix, efficiency
 from routercell.presets import STEADY_STATE_CELL
 
 TWO_PI = 2 * np.pi

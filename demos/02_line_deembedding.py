@@ -8,17 +8,16 @@ high-drive reference traces.
 
 import numpy as np
 
-from routercell import (
-    cell_smatrix,
+from routercell.model import cell_smatrix
+from routercell.network import (
     compose_exact,
     compose_neumann,
-    gen_lines,
     ideal_lines,
     isolation_from_hd,
     simplified_forward,
 )
 from routercell.presets import STEADY_STATE_CELL
-from routercell.synth import LineSpec, hd_cell_coefficients
+from routercell.synth import LineSpec, gen_lines, hd_cell_coefficients
 
 TWO_PI = 2 * np.pi
 cell = cell_smatrix(STEADY_STATE_CELL.omega_ge + TWO_PI * 1.5e6, STEADY_STATE_CELL)

@@ -9,17 +9,10 @@ traces then separate coupling from intrinsic loss.
 
 import numpy as np
 
-from routercell import (
-    CampaignConfig,
-    LineSpec,
-    calibrate_responses,
-    circle_fit,
-    fit_four_channel,
-    gen_spectrum,
-    initial_guess_from_spectrum,
-    loss_budget,
-)
+from routercell.calibration import calibrate_responses, circle_fit, loss_budget
+from routercell.estimation import fit_four_channel, initial_guess_from_spectrum
 from routercell.presets import STEADY_STATE_CELL
+from routercell.synth import CampaignConfig, LineSpec, gen_spectrum
 
 TWO_PI = 2 * np.pi
 cell = STEADY_STATE_CELL

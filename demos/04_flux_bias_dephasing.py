@@ -11,13 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from routercell import (
-    efficiency,
-    fit_E_polynomial,
-    fit_flux_noise,
-    gamma_phi_from_E,
-    omega_ge_of_bias,
-)
+from routercell.estimation import fit_E_polynomial, fit_flux_noise, gamma_phi_from_E
+from routercell.model import efficiency, omega_ge_of_bias
 from routercell.presets import (
     REFERENCE_CURRENT_NOISE_A2_PER_HZ,
     REFERENCE_FLUX,

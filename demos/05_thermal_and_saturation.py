@@ -8,16 +8,15 @@ number in a measurement pulse is computed from its amplitude.
 
 import numpy as np
 
-from routercell import (
+from routercell.estimation import fit_saturation, fit_thermal
+from routercell.model import (
     SaturationParams,
+    ThermalCoefficients,
     efficiency_thermal,
-    fit_saturation,
-    fit_thermal,
     n_thermal,
     photons_in_pulse,
     saturation_curve,
 )
-from routercell.estimation import as_thermal_coefficients
 from routercell.presets import REFERENCE_THERMAL, THERMAL_SWEEP_CELL
 
 TWO_PI = 2 * np.pi
@@ -35,7 +34,7 @@ print(f"\nzero-occupation efficiency: "
       f"{efficiency_thermal(0.0, cell.gamma_a, cell.gamma_b, tc):.4f}")
 
 report = fit_thermal(e, temps, cell.gamma_a, cell.gamma_b, cell.omega_ge)
-fitted = as_thermal_coefficients(report)
+fitted = ThermalCoefficients(report.value("gamma1_zero"), report.value("gamma_phi_zero"))
 print(f"refit gamma1_0   = 2pi*{fitted.gamma1_zero / TWO_PI / 1e6:.3f} MHz "
       f"(injected 2pi*{tc.gamma1_zero / TWO_PI / 1e6:.2f})")
 print(f"refit gamma_phi0 = 2pi*{fitted.gamma_phi_zero_per_photon / TWO_PI / 1e6:.2f} MHz "

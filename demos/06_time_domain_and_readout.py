@@ -9,16 +9,16 @@ principal axis, anchored by the zero-drive reference.
 
 import numpy as np
 
-from routercell import (
+from routercell.estimation import (
     coupling_limited_t1,
     fit_T1,
     fit_rabi_decay,
-    gen_iq_shots,
     pca_populations,
+    pi_amplitude_consistency,
     rate_budget,
 )
-from routercell.estimation import pi_amplitude_consistency
 from routercell.presets import STEADY_STATE_CELL
+from routercell.synth import gen_iq_shots
 
 TWO_PI = 2 * np.pi
 cell = STEADY_STATE_CELL

@@ -8,7 +8,7 @@ the shifted lines are visible directly in transmission.
 
 import numpy as np
 
-from routercell import dressed_lines
+from routercell.model import dressed_lines
 from routercell.presets import REFERENCE_DRESSED
 
 TWO_PI = 2 * np.pi

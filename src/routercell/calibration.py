@@ -33,8 +33,6 @@ __all__ = [
     "LossBudget",
     "CalibrationError",
     "CircleFitError",
-    "unwrap_halved_phase",
-    "remove_global_phase",
     "resample",
     "calibrate_responses",
     "circle_fit",
@@ -129,7 +127,7 @@ class LossBudget:
     kappa_i: float
 
 
-def unwrap_halved_phase(trace) -> np.ndarray:
+def _unwrap_halved_phase(trace) -> np.ndarray:
     """Continuous phase of a trace whose square-root origin causes pi jumps.
 
     Doubles the phase angles, unwraps with the standard 2 pi algorithm and
@@ -140,20 +138,6 @@ def unwrap_halved_phase(trace) -> np.ndarray:
     if tr.size == 0:
         raise ValueError("trace must be nonempty")
     return 0.5 * np.unwrap(2.0 * np.angle(tr))
-
-
-def remove_global_phase(trace, freqs, f_res: float) -> np.ndarray:
-    """Rotate a trace so its phase is zero at the sample nearest ``f_res``.
-
-    Magnitudes are untouched; applying the rotation twice is a no-op.
-    ``freqs`` and ``f_res`` are in Hz.
-    """
-    tr = np.asarray(trace, dtype=complex)
-    if tr.size == 0:
-        raise ValueError("trace must be nonempty")
-    freqs = np.asarray(freqs, dtype=float)
-    idx = int(np.argmin(np.abs(freqs - f_res)))
-    return tr * np.exp(-1j * np.angle(tr[idx]))
 
 
 def resample(spectrum: ChannelSpectrum, freqs) -> ChannelSpectrum:
@@ -193,7 +177,7 @@ def _check_reference(hd: ChannelSpectrum) -> None:
 def _continuous_sqrt(values: np.ndarray) -> np.ndarray:
     """Pointwise square root with pi jumps removed by phase conditioning."""
     s = np.sqrt(values)
-    return np.abs(s) * np.exp(1j * unwrap_halved_phase(s))
+    return np.abs(s) * np.exp(1j * _unwrap_halved_phase(s))
 
 
 def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSpectrum:

@@ -314,9 +314,10 @@ def run_command(subcommand: str, config, inputs=(), out_dir=None,
     ``[run] seed``.  Outputs land in ``<out_dir>/runs/<run_id>/``; the
     returned record carries the config snapshot, input digests and output
     paths.  A given ``run_id`` must be one directory name: not empty, not
-    ``.`` or ``..``, and free of path separators.
+    ``.`` or ``..``, free of path separators, and printable, so that it
+    fits on the one ``# run:`` comment line of every table it stamps.
     """
-    if run_id is not None and (run_id in ("", ".", "..")
+    if run_id is not None and (run_id in ("", ".", "..") or not run_id.isprintable()
                                or any(sep and sep in run_id for sep in ("/", os.sep, os.altsep))):
         raise ValueError(f"run id {run_id!r} is not a single directory name")
     if subcommand not in _PIPELINES:

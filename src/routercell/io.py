@@ -54,7 +54,6 @@ __all__ = [
     "write_line_model",
     "read_line_model",
     "load_config",
-    "default_config",
     "cell_params_from_config",
     "flux_model_from_config",
     "hz_to_angular",
@@ -62,7 +61,6 @@ __all__ = [
     "new_run_id",
     "file_digest",
     "save_run_record",
-    "load_run_record",
 ]
 
 TOOL_VERSION = "0.2.0"
@@ -487,13 +485,9 @@ CONFIG_SCHEMA: dict[str, dict[str, float | int | str]] = {
 }
 
 
-def default_config() -> dict[str, dict]:
-    return {section: dict(values) for section, values in CONFIG_SCHEMA.items()}
-
-
 def load_config(path=None) -> dict[str, dict]:
     """Defaults overlaid with an optional INI file; unknown keys are fatal."""
-    config = default_config()
+    config = {section: dict(values) for section, values in CONFIG_SCHEMA.items()}
     if path is None:
         return config
     parser = configparser.ConfigParser()
@@ -598,9 +592,3 @@ def save_run_record(record: RunRecord, run_dir) -> Path:
         json.dump(asdict(record), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def load_run_record(path) -> RunRecord:
-    with Path(path).open() as fh:
-        data = json.load(fh)
-    return RunRecord(**data)

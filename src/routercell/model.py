@@ -167,12 +167,6 @@ class ThermalCoefficients:
         if self.gamma1_zero < 0 or self.gamma_phi_zero_per_photon < 0:
             raise ValueError("thermal rate coefficients must be >= 0")
 
-    def gamma_bath(self, n_th):
-        return (2.0 * np.asarray(n_th, dtype=float) + 1.0) * self.gamma1_zero
-
-    def gamma_phi(self, n_th):
-        return np.asarray(n_th, dtype=float) * self.gamma_phi_zero_per_photon
-
     def coherence_rate(self, n_th):
         """Combined rate gamma_phi + gamma_bath/2 entering the efficiency."""
         n = np.asarray(n_th, dtype=float)

@@ -72,9 +72,6 @@ class PortMatrix:
         """True if the largest singular value does not exceed 1 + PASSIVE_TOL."""
         return bool(np.linalg.norm(self.entries, 2) <= 1.0 + PASSIVE_TOL)
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
-
 
 @dataclass(frozen=True)
 class LineModel:

@@ -47,14 +47,14 @@ class TestChannelSpectrum:
 class TestUnwrapHalvedPhase:
     def test_constant_phase(self):
         trace = np.full(64, 0.7 * np.exp(0.3j))
-        out = calibration.unwrap_halved_phase(trace)
+        out = calibration._unwrap_halved_phase(trace)
         np.testing.assert_allclose(out, out[0])
 
     def test_removes_pi_jump_from_halved_wrap(self):
         theta = np.linspace(0.0, 4.0 * np.pi, 400)
         wrapped = np.angle(np.exp(1j * theta))  # 2pi-wrapped copy
         trace = np.exp(1j * wrapped / 2.0)      # halving makes pi jumps
-        out = calibration.unwrap_halved_phase(trace)
+        out = calibration._unwrap_halved_phase(trace)
         assert np.max(np.abs(np.diff(out))) < np.pi / 2
         # recovers theta/2 up to a constant multiple of pi
         diff = out - theta / 2.0
@@ -64,14 +64,14 @@ class TestUnwrapHalvedPhase:
     def test_wrapped_linear_phase_stays_linear(self):
         theta = np.linspace(0.0, 12.0 * np.pi, 600)
         trace = np.exp(1j * theta)
-        out = calibration.unwrap_halved_phase(trace)
+        out = calibration._unwrap_halved_phase(trace)
         np.testing.assert_allclose(np.diff(out), np.diff(theta), atol=1e-9)
         diff = out - theta
         np.testing.assert_allclose(diff, diff[0], atol=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            calibration.unwrap_halved_phase(np.array([]))
+            calibration._unwrap_halved_phase(np.array([]))
 
     def test_step_bound_at_eight_points_per_linewidth(self):
         # model trace sampled at 8 points per loaded linewidth: adjacent
@@ -79,30 +79,8 @@ class TestUnwrapHalvedPhase:
         fwhm = (GA + GB) / np.pi  # Hz
         freqs = np.arange(F_GE - 12 * fwhm, F_GE + 12 * fwhm, fwhm / 8.0)
         trace = model.t_cross("AB", TWO_PI * freqs, CELL)
-        out = calibration.unwrap_halved_phase(trace)
+        out = calibration._unwrap_halved_phase(trace)
         assert np.max(np.abs(np.diff(out))) < np.pi / 2
-
-
-class TestRemoveGlobalPhase:
-    FREQS = np.linspace(6.15e9, 6.17e9, 101)
-
-    def test_zero_phase_at_resonance_sample(self):
-        trace = np.exp(1j * np.linspace(0.2, 1.4, 101)) * 0.8
-        out = calibration.remove_global_phase(trace, self.FREQS, 6.16e9)
-        idx = np.argmin(np.abs(self.FREQS - 6.16e9))
-        assert abs(np.angle(out[idx])) < 1e-15
-
-    def test_idempotent(self):
-        trace = np.exp(1j * np.linspace(-0.5, 0.9, 101))
-        once = calibration.remove_global_phase(trace, self.FREQS, 6.158e9)
-        twice = calibration.remove_global_phase(once, self.FREQS, 6.158e9)
-        np.testing.assert_allclose(once, twice, atol=1e-15)
-
-    def test_magnitudes_unchanged(self):
-        rng = np.random.default_rng(0)
-        trace = rng.normal(size=101) + 1j * rng.normal(size=101)
-        out = calibration.remove_global_phase(trace, self.FREQS, 6.163e9)
-        np.testing.assert_allclose(np.abs(out), np.abs(trace), atol=1e-15)
 
 
 class TestCalibrateResponses:

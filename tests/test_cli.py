@@ -191,7 +191,8 @@ class TestReproducibility:
                                   out_dir=run_dir.parents[1], seed=9, run_id="fixed-id")
             assert rec.run_id == "fixed-id"
             written = [str(run_dir / name) for name in OUTPUTS[subcommand]]
-            assert io.load_run_record(run_dir / "run.json").outputs == written
+            record = io.RunRecord(**json.loads((run_dir / "run.json").read_text()))
+            assert record.outputs == written
             assert sorted(p.name for p in run_dir.iterdir()) == sorted(
                 OUTPUTS[subcommand] + ["run.json"])
         for name in OUTPUTS[subcommand]:
@@ -201,7 +202,7 @@ class TestReproducibility:
         rec = cli.run_command("synth", None, out_dir=tmp_path, seed=1)
         run_dir = tmp_path / "runs" / rec.run_id
         assert (run_dir / "meas.csv").read_text().startswith(f"# run: {rec.run_id}")
-        record = io.load_run_record(run_dir / "run.json")
+        record = io.RunRecord(**json.loads((run_dir / "run.json").read_text()))
         assert record.tool_version == io.TOOL_VERSION
         assert set(record.outputs) == {
             str(run_dir / n)
@@ -305,13 +306,14 @@ class TestMainEntry:
         assert cli.main(["--config", str(conf), "synth"]) == 0
         runs = list((tmp_path / "confout" / "runs").iterdir())
         assert len(runs) == 1
-        record = io.load_run_record(runs[0] / "run.json")
+        record = io.RunRecord(**json.loads((runs[0] / "run.json").read_text()))
         assert record.seed == 123
 
         flag_out = tmp_path / "flagout"
         assert cli.main(["--config", str(conf), "--seed", "77", "--out", str(flag_out),
                          "synth"]) == 0
-        record = io.load_run_record(next((flag_out / "runs").iterdir()) / "run.json")
+        run_json = next((flag_out / "runs").iterdir()) / "run.json"
+        record = io.RunRecord(**json.loads(run_json.read_text()))
         assert record.seed == 77
         assert len(list((tmp_path / "confout" / "runs").iterdir())) == 1
 
@@ -362,7 +364,9 @@ class TestMainEntry:
     @pytest.mark.parametrize("run_id, altsep", [
         ("", os.altsep), (".", os.altsep), ("..", os.altsep), ("../../esc", os.altsep),
         ("a/b", os.altsep), (f"a{os.sep}b", os.altsep), ("a\\b", "\\"),
-    ], ids=["empty", "dot", "dotdot", "parent-escape", "slash", "sep", "altsep"])
+        ("x\nfreq_hz,channel,re,im", os.altsep), ("x\u2028y", os.altsep),
+    ], ids=["empty", "dot", "dotdot", "parent-escape", "slash", "sep", "altsep", "newline",
+            "line-separator"])
     def test_run_id_outside_one_directory_is_refused(self, tmp_path, capsys, monkeypatch,
                                                      run_id, altsep):
         # os.altsep is None on POSIX, so the backslash case sets one for itself

@@ -431,12 +431,6 @@ class TestThermalFit:
         report = estimation.fit_thermal(e, temps, self.GA_T, self.GB_T, W_GE)
         assert any("gamma_phi_zero" in f for f in report.flags)
 
-    def test_coefficient_converter(self):
-        report = estimation.fit_thermal(self.synth_e(), self.TEMPS,
-                                        self.GA_T, self.GB_T, W_GE)
-        tc = estimation.as_thermal_coefficients(report)
-        assert tc.gamma1_zero == report.value("gamma1_zero")
-
 
 class TestSaturationFit:
     N = np.geomspace(1e-2, 1e4, 41)
@@ -634,7 +628,7 @@ class TestFixedPointProperty:
         rng = np.random.default_rng(3)
         y = model.saturation_curve(n, model.SaturationParams(1.0, 0.4, 1.1, 2.0))
         first = estimation.fit_saturation(y + 0.01 * rng.standard_normal(n.size), n)
-        resynth = model.saturation_curve(n, estimation.as_saturation_params(first))
+        resynth = model.saturation_curve(n, model.SaturationParams(**first.params))
         second = estimation.fit_saturation(resynth, n)
         for k in ("a", "b", "c", "d"):
             assert second.value(k) == pytest.approx(first.value(k), rel=1e-3)

@@ -1,4 +1,5 @@
-"""Start-up cost: the CLI loads no scipy optimizer or constants table, and fits load no scipy."""
+"""Start-up cost: the package root loads nothing, the CLI loads no scipy optimizer or
+constants table, and fits load no scipy."""
 
 import os
 import subprocess
@@ -24,6 +25,19 @@ def run_fresh(code: str, cwd=None) -> str:
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, cwd=cwd)
     return out.stdout.splitlines()[-1]
+
+
+def test_package_root_loads_neither_numpy_nor_a_submodule():
+    code = ("import sys, routercell; print('loaded:' + ','.join(sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.startswith('routercell.'))))")
+    assert run_fresh(code) == "loaded:"
+
+
+def test_model_import_loads_no_later_stage():
+    later = tuple(f"routercell.{m}" for m in ("estimation", "synth", "io", "calibration"))
+    code = (f"import sys, routercell.model; "
+            f"print('loaded:' + ','.join(m for m in {later!r} if m in sys.modules))")
+    assert run_fresh(code) == "loaded:"
 
 
 def test_cli_import_loads_neither_scipy_optimize_nor_constants():

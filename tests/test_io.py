@@ -1,9 +1,11 @@
 """File formats: CSV round trips, touchstone ingestion, config validation."""
 
 import csv
+import json
 import math
 import warnings
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -618,8 +620,13 @@ class TestRunRecord:
             input_digests={}, outputs=["spectrum.csv"],
         )
         io.save_run_record(record, tmp_path)
-        back = io.load_run_record(tmp_path / "run.json")
+        back = io.RunRecord(**json.loads((tmp_path / "run.json").read_text()))
         assert back == record
+
+    def test_tool_version_is_the_project_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == io.TOOL_VERSION
 
     def test_run_id_depends_on_config_and_seed(self):
         base = io.load_config(None)
