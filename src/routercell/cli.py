@@ -2,10 +2,10 @@
 
 Each subcommand is a pure pipeline step that returns its outputs by file
 name and writes nothing.  :func:`run_command` alone checks the input
-count, writes every output under ``<out>/runs/<run-id>/`` and adds a
-``run.json`` record (config snapshot, input digests, output list, tool
-version).  Output tables are plain CSV ready for external plotting; no
-figures are rendered here.
+count, the seed and the run id, writes every output under
+``<out>/runs/<run-id>/`` and adds a ``run.json`` record (config
+snapshot, input digests, output list, tool version).  Output tables are
+plain CSV ready for external plotting; no figures are rendered here.
 
 ``--seed`` and ``--out`` override the config's ``[run] seed`` and
 ``[run] out``.  A spectrum input is read as touchstone when its name
@@ -330,6 +330,8 @@ def run_command(subcommand: str, config, inputs=(), out_dir=None,
         config = io.load_config(config)
     if seed is None:
         seed = int(config["run"]["seed"])
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative; the campaign seed is unsigned")
     if out_dir is None:
         out_dir = config["run"]["out"]
     if run_id is None:

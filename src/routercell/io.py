@@ -107,8 +107,11 @@ def write_columns(path, header: list[str], columns, run_id: str | None = None) -
     Each column is a float array, written as the ``repr`` of every value
     (which round-trips float64 exactly), or a sequence of field strings.
     Rows end in CRLF.  No field needs quoting: each is a float ``repr``, a
-    name or empty.
+    name or empty.  A ``run_id`` must be printable, so that it stays on
+    its one ``# run:`` comment line.
     """
+    if run_id is not None and not run_id.isprintable():
+        raise ValueError(f"run id {run_id!r} is not printable")
     fields = (map(repr, c.ravel().tolist()) if isinstance(c, np.ndarray) else c
               for c in columns)
     rows = map(",".join, zip(*fields))

@@ -19,9 +19,10 @@ The response is written once, in :func:`cell_response` (all four channels
 and, on request, their parameter derivatives); every other function here,
 the four-channel fit and the CLI evaluate the cell through it.
 
-All rates and frequencies in this package are angular (rad/s).  Files and
-the CLI use linear Hz; the conversion happens exactly once at the IO
-boundary (:mod:`routercell.io`).
+All rates and frequencies here are angular (rad/s).  Files, configs,
+the CLI and the library's frequency grids (``ChannelSpectrum.freqs``,
+``CampaignConfig.freqs``) use linear Hz; each caller converts its grid
+(README, "Units").  Functions of a scalar return the numpy scalar.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .network import PortMatrix
 
 __all__ = [
     "CHANNELS",
-    "THROUGH_CHANNELS",
-    "CROSS_CHANNELS",
     "CellParams",
     "FluxModel",
     "ThermalCoefficients",
@@ -45,8 +44,6 @@ __all__ = [
     "DressedModel",
     "DressedLines",
     "cell_response",
-    "t_through",
-    "t_cross",
     "cell_coefficients",
     "cell_smatrix",
     "efficiency",
@@ -59,8 +56,6 @@ __all__ = [
     "dressed_lines",
 ]
 
-THROUGH_CHANNELS = ("AA", "BB")
-CROSS_CHANNELS = ("AB", "BA")
 #: Canonical channel order used throughout the package (AA means A -> A').
 CHANNELS = ("AA", "BB", "AB", "BA")
 
@@ -254,51 +249,15 @@ def cell_response(omega, gamma_a, gamma_b, omega_ge, phi_a=0.0, phi_b=0.0,
 
 
 def cell_coefficients(omega, p: CellParams) -> np.ndarray:
-    """All four channel coefficients, shape ``(4,) + omega.shape`` in :data:`CHANNELS` order."""
+    """All four channel coefficients, shape ``(4,) + omega.shape`` in :data:`CHANNELS` order.
+
+    At resonance with real couplings the through rows ``AA``, ``BB`` are
+    ``gamma_other / (gamma_a + gamma_b)`` and the two identical cross rows
+    ``sqrt(gamma_a gamma_b) / (gamma_a + gamma_b)``.
+    """
     _check_finite("omega", omega)
     return cell_response(omega, p.gamma_a, p.gamma_b, p.omega_ge,
                          p.phi_a, p.phi_b, p.coherence_rate)
-
-
-def _scalar_or_array(out):
-    return complex(out) if np.ndim(out) == 0 else out
-
-
-def t_through(channel: str, omega, p: CellParams):
-    """Through-transmission coefficient of waveguide A (``AA``) or B (``BB``).
-
-    Returns ``1 - i gamma_x e^{i phi_x} / (delta + i (gamma_a + gamma_b))``
-    with the complex detuning ``delta = omega - (omega_ge - i (gamma_phi +
-    gamma_bath/2))``.  At resonance with real couplings this reduces to
-    ``gamma_other / (gamma_a + gamma_b)``.
-
-    Parameters
-    ----------
-    channel : {'AA', 'BB'}
-        Driven waveguide.
-    omega : float or ndarray
-        Probe frequency (rad/s).
-    p : CellParams
-
-    Returns
-    -------
-    complex or ndarray
-    """
-    if channel not in THROUGH_CHANNELS:
-        raise ValueError(f"unknown through channel {channel!r}; expected 'AA' or 'BB'")
-    return _scalar_or_array(cell_coefficients(omega, p)[CHANNELS.index(channel)])
-
-
-def t_cross(direction: str, omega, p: CellParams):
-    """Cross-transmission coefficient between the waveguides.
-
-    Returns ``i sqrt(gamma_a gamma_b) e^{i (phi_a + phi_b)/2} / (delta +
-    i (gamma_a + gamma_b))``; identical for both directions (the model is
-    reciprocal).
-    """
-    if direction not in CROSS_CHANNELS:
-        raise ValueError(f"unknown cross direction {direction!r}; expected 'AB' or 'BA'")
-    return _scalar_or_array(cell_coefficients(omega, p)[CHANNELS.index(direction)])
 
 
 def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
@@ -343,7 +302,7 @@ def efficiency(delta, p: CellParams):
     # the response depends on omega only through omega - omega_ge
     aa, bb, ab, ba = cell_response(delta, p.gamma_a, p.gamma_b, 0.0,
                                    p.phi_a, p.phi_b, p.coherence_rate)
-    return _scalar_or_array(ab * ba / (aa * bb))
+    return ab * ba / (aa * bb)
 
 
 def resonant_efficiency(gamma_a: float, gamma_b: float, rate):
@@ -356,15 +315,13 @@ def resonant_efficiency(gamma_a: float, gamma_b: float, rate):
     if gamma_a <= 0 or gamma_b <= 0:
         raise ValueError("couplings must be > 0")
     r = np.asarray(rate, dtype=float)
-    out = 1.0 / (1.0 + r * (1.0 / gamma_a + 1.0 / gamma_b) + r**2 / (gamma_a * gamma_b))
-    return float(out) if np.ndim(out) == 0 else out
+    return 1.0 / (1.0 + r * (1.0 / gamma_a + 1.0 / gamma_b) + r**2 / (gamma_a * gamma_b))
 
 
 def omega_ge_of_bias(ib_ma, f: FluxModel):
     """Transition frequency at bias current ``ib_ma`` (mA), in rad/s."""
     ib = np.asarray(ib_ma, dtype=float)
-    out = f.sweet_spot_omega + f.linear * ib + f.curvature * ib**2
-    return float(out) if np.ndim(out) == 0 else out
+    return f.sweet_spot_omega + f.linear * ib + f.curvature * ib**2
 
 
 def n_thermal(temperature, omega):
@@ -376,8 +333,7 @@ def n_thermal(temperature, omega):
     if np.any(w <= 0):
         raise ValueError("omega must be > 0")
     with np.errstate(over="ignore"):  # expm1 -> inf -> occupation 0 at T -> 0
-        out = 1.0 / np.expm1(hbar * w / (k_B * t))
-    return float(out) if np.ndim(out) == 0 else out
+        return 1.0 / np.expm1(hbar * w / (k_B * t))
 
 
 def efficiency_thermal(n_th, gamma_a: float, gamma_b: float,
@@ -402,8 +358,7 @@ def photons_in_pulse(amplitude, impedance, duration, omega):
     a = np.asarray(amplitude, dtype=float)
     if np.any(a < 0) or impedance <= 0 or duration <= 0 or np.any(np.asarray(omega) <= 0):
         raise ValueError("photons_in_pulse requires nonnegative amplitude and positive Z, duration, omega")
-    out = (a**2 / (2.0 * impedance)) * duration / (hbar * np.asarray(omega, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
+    return (a**2 / (2.0 * impedance)) * duration / (hbar * np.asarray(omega, dtype=float))
 
 
 def saturation_curve(n_avg, s: SaturationParams):
@@ -411,8 +366,7 @@ def saturation_curve(n_avg, s: SaturationParams):
     n = np.asarray(n_avg, dtype=float)
     if np.any(n < 0):
         raise ValueError("n_avg must be >= 0")
-    out = s.a - s.b / (1.0 + n**s.c / s.d)
-    return float(out) if np.ndim(out) == 0 else out
+    return s.a - s.b / (1.0 + n**s.c / s.d)
 
 
 def dressed_lines(omega_drive, n_photons, m: DressedModel) -> DressedLines:

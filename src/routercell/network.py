@@ -253,18 +253,16 @@ def simplified_forward(cell_coeffs, lines: LineModel) -> np.ndarray:
     return np.array([sa * aa * ga, sb * bb * gb, sa * (ab + iso) * gb, sb * (ba + iso) * ga])
 
 
-def isolation_from_hd(hd) -> complex | np.ndarray:
+def isolation_from_hd(hd):
     """Stray coupling amplitude recovered from high-drive reference traces.
 
     ``hd`` stacks the channels AA, BB, AB, BA.  With the emitter
     saturated, the cross references are pure isolation leakage through
     the lines, so ``sqrt((AB * BA) / (AA * BB))`` cancels every line
-    factor (principal square-root branch).
+    factor (principal square-root branch).  Shape ``(4,)`` traces give
+    one complex value, ``(4, n)`` traces one per point.
     """
     aa, bb, ab, ba = np.asarray(hd)
     if np.any(np.abs(aa) == 0) or np.any(np.abs(bb) == 0):
         raise ValueError("through high-drive references must be nonzero")
-    out = np.sqrt((ab * ba) / (aa * bb))
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return np.sqrt((ab * ba) / (aa * bb))

@@ -2,8 +2,9 @@
 
 Two coupling-rate variants exist for the same device, extracted by the
 steady-state four-channel fit and by the thermal-sweep analysis; they
-agree to within their uncertainties.  The steady-state set is the
-package default.
+agree to within their uncertainties.  The demos and the benchmark use
+these sets; the CLI defaults in ``io.CONFIG_SCHEMA`` repeat the
+steady-state numbers by hand, but with both coupling phases 0.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .model import CellParams, DressedModel, FluxModel, ThermalCoefficients
 
 TWO_PI = 2.0 * math.pi
 
-#: Steady-state characterization (default configuration).
+#: Steady-state characterization.
 STEADY_STATE_CELL = CellParams(
     gamma_a=TWO_PI * 1.82e6,
     gamma_b=TWO_PI * 2.31e6,

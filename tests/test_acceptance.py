@@ -28,15 +28,16 @@ def passed(number, message):
 def test_criterion_01_resonant_identities():
     start = time.perf_counter()
     lossless = model.CellParams(GA, GB, W_GE)
-    t_through = abs(model.t_through("AA", W_GE, lossless))
-    t_cross = abs(model.t_cross("AB", W_GE, lossless))
-    assert t_through == pytest.approx(1.0 - GA / (GA + GB), abs=1e-6)
-    assert t_cross == pytest.approx(math.sqrt(GA * GB) / (GA + GB), abs=1e-6)
-    assert round(t_through, 4) == 0.5593
-    assert round(t_cross, 4) == 0.4965
+    coeffs = model.cell_coefficients(W_GE, lossless)
+    through = abs(coeffs[0])
+    cross = abs(coeffs[2])
+    assert through == pytest.approx(1.0 - GA / (GA + GB), abs=1e-6)
+    assert cross == pytest.approx(math.sqrt(GA * GB) / (GA + GB), abs=1e-6)
+    assert round(through, 4) == 0.5593
+    assert round(cross, 4) == 0.4965
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    passed(1, f"|t_AA|={t_through:.6f}, |t_AB|={t_cross:.6f} ({elapsed:.3f}s)")
+    passed(1, f"|t_AA|={through:.6f}, |t_AB|={cross:.6f} ({elapsed:.3f}s)")
 
 
 def test_criterion_02_unitarity_suite():
@@ -115,7 +116,7 @@ def test_criterion_05_loss_budget_and_circle_fits():
     for channel, target_mhz in (("AA", 9.33), ("BB", 8.48)):
         width_gap = TWO_PI * target_mhz * 1e6 - 2 * (GA + GB)
         lossy = model.CellParams(GA, GB, W_GE, gamma_phi=width_gap / 2)
-        trace = model.t_through(channel, TWO_PI * freqs, lossy)
+        trace = model.cell_coefficients(TWO_PI * freqs, lossy)[model.CHANNELS.index(channel)]
         fits[channel] = calibration.circle_fit(trace, freqs)
         err = abs(fits[channel].kappa_loaded - TWO_PI * target_mhz * 1e6)
         assert err / (TWO_PI * target_mhz * 1e6) < 0.005

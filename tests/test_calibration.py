@@ -78,7 +78,7 @@ class TestUnwrapHalvedPhase:
         # phase samples never jump by pi/2 or more
         fwhm = (GA + GB) / np.pi  # Hz
         freqs = np.arange(F_GE - 12 * fwhm, F_GE + 12 * fwhm, fwhm / 8.0)
-        trace = model.t_cross("AB", TWO_PI * freqs, CELL)
+        trace = model.cell_coefficients(TWO_PI * freqs, CELL)[2]
         out = calibration._unwrap_halved_phase(trace)
         assert np.max(np.abs(np.diff(out))) < np.pi / 2
 
@@ -141,7 +141,7 @@ class TestCalibrateResponses:
             shifted, delayed(synth.hd_cell_coefficients(shifted.size), shifted))
         with pytest.warns(UserWarning, match="outside the source grid"):
             calibrated = calibration.calibrate_responses(meas, hd)
-        truth = model.t_through("AA", TWO_PI * self.FREQS, CELL)
+        truth = model.cell_coefficients(TWO_PI * self.FREQS, CELL)[0]
         # the first point lies below the shifted grid, where interpolation clamps
         assert np.max(np.abs(calibrated.channel("AA") - truth)[1:-1]) < 1e-3
 
@@ -178,7 +178,7 @@ class TestCircleFit:
 
     def test_linewidth_of_lossless_model_trace(self):
         freqs = np.linspace(F_GE - 40e6, F_GE + 40e6, 2001)
-        trace = model.t_through("AA", TWO_PI * freqs, CELL)
+        trace = model.cell_coefficients(TWO_PI * freqs, CELL)[0]
         fit = calibration.circle_fit(trace, freqs)
         assert fit.kappa_loaded == pytest.approx(2 * (GA + GB), rel=5e-3)
         assert fit.omega_res == pytest.approx(TWO_PI * F_GE, abs=TWO_PI * 1e3)
@@ -190,13 +190,13 @@ class TestCircleFit:
         kappa_i = TWO_PI * target_mhz * 1e6 - 2 * (GA + GB)
         cell = model.CellParams(GA, GB, TWO_PI * F_GE, gamma_phi=kappa_i / 2)
         freqs = np.linspace(F_GE - 60e6, F_GE + 60e6, 3001)
-        trace = model.t_through(channel, TWO_PI * freqs, cell)
+        trace = model.cell_coefficients(TWO_PI * freqs, cell)[model.CHANNELS.index(channel)]
         fit = calibration.circle_fit(trace, freqs)
         assert fit.kappa_loaded == pytest.approx(TWO_PI * target_mhz * 1e6, rel=5e-3)
 
     def test_invariant_under_complex_rescaling(self):
         freqs = np.linspace(F_GE - 30e6, F_GE + 30e6, 1001)
-        trace = model.t_through("AA", TWO_PI * freqs, CELL)
+        trace = model.cell_coefficients(TWO_PI * freqs, CELL)[0]
         base = calibration.circle_fit(trace, freqs).kappa_loaded
         scaled = calibration.circle_fit(trace * (2.3 * np.exp(0.8j)), freqs).kappa_loaded
         assert abs(scaled - base) / base < 1e-3

@@ -130,7 +130,7 @@ class TestSweeps:
         for ch in model.CHANNELS:
             first = [r for r in rows if r["channel"] == ch][0]
             n, level = float(first["n_avg"]), float(first["magnitude"])
-            high = 1.0 if ch in model.THROUGH_CHANNELS else 0.0
+            high = 1.0 if ch in ("AA", "BB") else 0.0
             # invert a - b / (1 + n^c / d) with a = high, c = d = 1
             weak = high - (high - level) * (1.0 + n)
             assert weak == pytest.approx(abs(resonant[ch]), rel=1e-12)
@@ -360,6 +360,24 @@ class TestMainEntry:
         assert err["message"].startswith(f"{argv[0]} takes ")
         assert err["message"].endswith(f", got {len(inputs)}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", ["dressed", "synth"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_refused_before_the_run(self, tmp_path, capsys, source,
+                                                     subcommand):
+        # dressed once ran and recorded seed -1; synth failed inside numpy
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = ["--seed", "-1"]
+        else:
+            conf = tmp_path / "run.ini"
+            conf.write_text("[run]\nseed = -1\n")
+            argv = ["--config", str(conf)]
+        assert cli.main([*argv, "--out", str(out), subcommand]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "seed -1 is negative; the campaign seed is unsigned"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("run_id, altsep", [
         ("", os.altsep), (".", os.altsep), ("..", os.altsep), ("../../esc", os.altsep),

@@ -203,7 +203,7 @@ class TestSolver:
 
         freqs = np.linspace(F_GE - 30e6, F_GE + 30e6, 401)
         rng = np.random.default_rng(3)
-        trace = model.t_through("AA", TWO_PI * freqs, TRUTH)
+        trace = model.cell_coefficients(TWO_PI * freqs, TRUTH)[0]
         trace = trace + sigma * (rng.standard_normal(freqs.size)
                                  + 1j * rng.standard_normal(freqs.size))
         fit = calibration.circle_fit(trace, freqs)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import warnings
 from io import StringIO
 from pathlib import Path
@@ -179,6 +180,20 @@ class TestWriterBytes:
         path = tmp_path_factory.mktemp("lines") / "lines.csv"
         io.write_line_model(lines, path, freqs=freqs, run_id=run_id)
         assert path.read_bytes() == oracle_line_model_bytes(lines, freqs, run_id)
+
+    @pytest.mark.parametrize("write", [
+        lambda path, run_id: io.write_spectrum(sample_spectrum(), path, run_id=run_id),
+        lambda path, run_id: io.write_line_model(network.ideal_lines(), path, run_id=run_id),
+        lambda path, run_id: io.write_columns(path, ["x"], [np.ones(2)], run_id),
+    ], ids=["spectrum", "line-model", "columns"])
+    @pytest.mark.parametrize("run_id", ["a\nfreq_hz,channel,re,im", "x\u2028y"],
+                             ids=["newline", "line-separator"])
+    def test_unprintable_run_id_is_refused_before_writing(self, tmp_path, write, run_id):
+        # a newline once ended the "# run:" comment and put a row of its own in the table
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=f"run id {re.escape(repr(run_id))} is not printable"):
+            write(path, run_id)
+        assert not path.exists()
 
 
 class TestCsvErrors:
@@ -460,6 +475,13 @@ class TestTouchstone:
         with pytest.raises(io.ParseError):
             io.read_touchstone(path)
 
+    @pytest.mark.parametrize("freqs", [(1e9, 1e9), (2e9, 1e9)], ids=["repeated", "decreasing"])
+    def test_non_increasing_frequencies_rejected(self, tmp_path, freqs):
+        path = tmp_path / "order.s4p"
+        path.write_text("# HZ S RI R 50\n" + "".join(f"{f}{POINT}\n" for f in freqs))
+        with pytest.raises(io.ParseError, match="frequencies must be strictly increasing"):
+            io.read_touchstone(path)
+
     @pytest.mark.parametrize("kind", ["Y", "Z", "H", "G"])
     def test_non_s_parameters_rejected(self, tmp_path, kind):
         path = tmp_path / "other.s4p"
@@ -578,6 +600,10 @@ class TestConfig:
         path.write_text("[mystery]\nx = 1\n")
         with pytest.raises(io.ConfigError, match="mystery"):
             io.load_config(path)
+
+    def test_missing_file_is_fatal(self, tmp_path):
+        with pytest.raises(io.ConfigError, match="cannot read config file .*missing.ini"):
+            io.load_config(tmp_path / "missing.ini")
 
     @pytest.mark.parametrize("text", [
         "[DEFAULT]\nbogus = 1\n",  # once loaded with no error
@@ -735,6 +761,22 @@ class TestLineModelFile:
         lines = network.LineModel(*(np.stack([e, e]),) * 4)
         with pytest.raises(ValueError, match="frequencies must be finite"):
             io.write_line_model(lines, tmp_path / "lines.csv", freqs=[1.0, math.inf])
+
+    @pytest.mark.parametrize("freqs", [None, [1.0, 2.0, 3.0]], ids=["none", "too-long"])
+    def test_per_frequency_lines_need_matching_freqs(self, tmp_path, freqs):
+        e = network.ideal_lines().s_in_a
+        lines = network.LineModel(*(np.stack([e, e]),) * 4)
+        with pytest.raises(ValueError, match="per-frequency lines need a matching freqs array"):
+            io.write_line_model(lines, tmp_path / "lines.csv", freqs=freqs)
+        assert not (tmp_path / "lines.csv").exists()
+
+    def test_blank_frequencies_with_several_points_rejected(self, tmp_path):
+        # read as one constant model, the second point per element would be lost
+        path, rows = self.write_per_frequency(tmp_path)
+        for line in range(2, len(rows) + 1):
+            self.rewrite(path, rows, line, 0, "")
+        with pytest.raises(io.ParseError, match="per-frequency line model is missing frequency"):
+            io.read_line_model(path)
 
     def test_per_frequency_isolation_round_trips(self, tmp_path):
         e = network.ideal_lines().s_in_a

@@ -348,6 +348,20 @@ class TestIsolationRecovery:
         assert abs(recovered - injected) < 1e-10 or abs(recovered + injected) < 1e-10
         assert abs(abs(recovered) - mag) < 1e-12
 
+    def test_per_point_traces_give_one_value_per_point(self):
+        rng = np.random.default_rng(22)
+        injected = 0.05 * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
+        lines = random_lines(rng, reflection=0.0, isolation=injected)
+        hd = network.simplified_forward(synth.hd_cell_coefficients(injected.size), lines)
+        recovered = network.isolation_from_hd(hd)
+        assert recovered.shape == injected.shape
+        # the principal root fixes the sign of each point separately
+        assert np.all(np.minimum(abs(recovered - injected), abs(recovered + injected)) < 1e-10)
+        single = [network.isolation_from_hd(hd[:, i]) for i in range(injected.size)]
+        assert all(isinstance(v, complex) for v in single)
+        # vectorised and scalar complex division may round differently
+        np.testing.assert_allclose(recovered, single, rtol=1e-14, atol=0)
+
     def test_zero_isolation(self):
         lines = network.ideal_lines(isolation=0.0)
         hd = network.simplified_forward(synth.hd_cell_coefficients(), lines)
