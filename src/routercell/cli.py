@@ -6,6 +6,8 @@ count, the seed and the run id, writes every output under
 ``<out>/runs/<run-id>/`` and adds a ``run.json`` record (config
 snapshot, input digests, output list, tool version).  Output tables are
 plain CSV ready for external plotting; no figures are rendered here.
+Each step imports numpy and the library layers it uses inside itself, so
+``report`` runs on the standard library alone.
 
 ``--seed`` and ``--out`` override the config's ``[run] seed`` and
 ``[run] out``.  A spectrum input is read as touchstone when its name
@@ -24,14 +26,12 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
-from . import calibration, estimation, io, model, synth
-from .io import RunRecord, TOOL_VERSION
-from .network import LineModel
+from . import runs
 
 
-def _freq_grid(config: dict) -> np.ndarray:
+def _freq_grid(config: dict):
+    import numpy as np
+
     g = config["grid"]
     return np.linspace(g["f_start_hz"], g["f_stop_hz"], int(g["n_points"]))
 
@@ -41,6 +41,10 @@ def _freq_grid(config: dict) -> np.ndarray:
 
 
 def _cmd_simulate(config, inputs, seed, run_id):
+    import numpy as np
+
+    from . import calibration, io, model
+
     cell = io.cell_params_from_config(config)
     freqs = _freq_grid(config)
     coeffs = model.cell_coefficients(io.hz_to_angular(freqs), cell)
@@ -62,6 +66,8 @@ def _cmd_simulate(config, inputs, seed, run_id):
 
 
 def _cmd_synth(config, inputs, seed, run_id):
+    from . import io, synth
+
     cell = io.cell_params_from_config(config)
     campaign = synth.CampaignConfig(
         cell=cell, lines=synth.LineSpec(**config["lines"]), freqs=_freq_grid(config),
@@ -87,11 +93,15 @@ def _cmd_synth(config, inputs, seed, run_id):
 
 
 def _cmd_calibrate(config, inputs, seed, run_id):
+    from . import calibration, io
+
     meas, hd = (io.ingest_spectrum(path) for path in inputs)
     return {"calibrated.csv": calibration.calibrate_responses(meas, hd)}
 
 
 def _cmd_fit(config, inputs, seed, run_id):
+    from . import estimation, io
+
     calibrated = io.ingest_spectrum(inputs[0])
     init = estimation.initial_guess_from_spectrum(calibrated)
     report = estimation.fit_four_channel(calibrated, init, seed=seed)
@@ -103,6 +113,10 @@ def _cmd_fit(config, inputs, seed, run_id):
 
 
 def _cmd_sweep_bias(config, inputs, seed, run_id):
+    import numpy as np
+
+    from . import estimation, io, model
+
     cell = io.cell_params_from_config(config)
     flux = io.flux_model_from_config(config)
     fn = config["fluxnoise"]
@@ -156,6 +170,10 @@ def _cmd_sweep_bias(config, inputs, seed, run_id):
 
 
 def _cmd_sweep_temp(config, inputs, seed, run_id):
+    import numpy as np
+
+    from . import estimation, io, model, synth
+
     cell = io.cell_params_from_config(config)
     th = config["thermal"]
     tc = model.ThermalCoefficients(
@@ -185,6 +203,10 @@ def _cmd_sweep_temp(config, inputs, seed, run_id):
 
 
 def _cmd_sweep_power(config, inputs, seed, run_id):
+    import numpy as np
+
+    from . import estimation, io, model, synth
+
     cell = io.cell_params_from_config(config)
     sat = config["saturation"]
     g = config["grid"]
@@ -215,6 +237,10 @@ def _cmd_sweep_power(config, inputs, seed, run_id):
 
 
 def _cmd_dressed(config, inputs, seed, run_id):
+    import numpy as np
+
+    from . import io, model
+
     cell = io.cell_params_from_config(config)
     dr = config["dressed"]
     dm = model.DressedModel(
@@ -259,10 +285,10 @@ def _cmd_report(config, inputs, seed, run_id):
         if payload.get("flags"):
             lines.append(f"  flags: {', '.join(payload['flags'])}")
     except KeyError as exc:
-        raise io.ParseError(f"fit file {fit_file} lacks key {exc.args[0]!r}") from None
+        raise runs.ParseError(f"fit file {fit_file} lacks key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         # invalid JSON or UTF-8 (ValueError), a non-object or wrong-typed entry (TypeError)
-        raise io.ParseError(f"fit file {fit_file} is malformed: {exc}") from None
+        raise runs.ParseError(f"fit file {fit_file} is malformed: {exc}") from None
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     return {"report.txt": text}
@@ -293,20 +319,25 @@ def _usage(subcommand: str) -> str:
 
 def _write(path: Path, artefact, run_id: str) -> None:
     """Write one pipeline output, choosing the writer by the artefact's kind."""
-    if isinstance(artefact, calibration.ChannelSpectrum):
-        io.write_spectrum(artefact, path, run_id=run_id)
-    elif isinstance(artefact, dict):
+    if isinstance(artefact, dict):
         path.write_text(json.dumps({"run": run_id, **artefact}, indent=2, sort_keys=True) + "\n")
     elif isinstance(artefact, str):
         path.write_text(artefact)
-    elif isinstance(artefact[0], LineModel):
-        io.write_line_model(artefact[0], path, freqs=artefact[1], run_id=run_id)
-    else:
-        io.write_columns(path, *artefact, run_id)
+    else:  # a table: only its writers need numpy
+        from . import io
+        from .calibration import ChannelSpectrum
+        from .network import LineModel
+
+        if isinstance(artefact, ChannelSpectrum):
+            io.write_spectrum(artefact, path, run_id=run_id)
+        elif isinstance(artefact[0], LineModel):
+            io.write_line_model(artefact[0], path, freqs=artefact[1], run_id=run_id)
+        else:
+            io.write_columns(path, *artefact, run_id)
 
 
 def run_command(subcommand: str, config, inputs=(), out_dir=None,
-                seed: int | None = None, run_id: str | None = None) -> RunRecord:
+                seed: int | None = None, run_id: str | None = None) -> runs.RunRecord:
     """Execute one pipeline subcommand and persist its run record.
 
     ``config`` may be a loaded configuration dict or a path to an INI
@@ -327,30 +358,32 @@ def run_command(subcommand: str, config, inputs=(), out_dir=None,
     if len(inputs) != len(names):
         raise ValueError(f"{subcommand} takes {_usage(subcommand)}, got {len(inputs)}")
     if not isinstance(config, dict):
-        config = io.load_config(config)
+        config = runs.load_config(config)
     if seed is None:
         seed = int(config["run"]["seed"])
     if seed < 0:
         raise ValueError(f"seed {seed} is negative; the campaign seed is unsigned")
     if out_dir is None:
         out_dir = config["run"]["out"]
+    digests = {p: runs.file_digest(p) for p in inputs if Path(p).is_file()}
     if run_id is None:
-        run_id = io.new_run_id(config, seed, subcommand)
+        # a non-file input, such as a fit run directory, is known by its path
+        run_id = runs.new_run_id(config, seed, subcommand, [digests.get(p, p) for p in inputs])
     artefacts = step(config, inputs, seed, run_id)
     run_dir = Path(out_dir) / "runs" / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     for name, artefact in artefacts.items():
         _write(run_dir / name, artefact, run_id)
-    record = RunRecord(
+    record = runs.RunRecord(
         run_id=run_id,
         subcommand=subcommand,
-        tool_version=TOOL_VERSION,
+        tool_version=runs.TOOL_VERSION,
         seed=seed,
         config=config,
-        input_digests={p: io.file_digest(p) for p in inputs if Path(p).is_file()},
+        input_digests=digests,
         outputs=[str(run_dir / name) for name in artefacts],
     )
-    save_path = io.save_run_record(record, run_dir)
+    save_path = runs.save_run_record(record, run_dir)
     print(f"run {run_id}: wrote {len(artefacts)} outputs under {run_dir}")
     for p in [*record.outputs, save_path]:
         print(f"  {p}")
@@ -377,7 +410,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        run_command(args.subcommand, io.load_config(args.config), args.inputs,
+        run_command(args.subcommand, runs.load_config(args.config), args.inputs,
                     out_dir=args.out, seed=args.seed, run_id=args.run_id)
     except (ValueError, RuntimeError, OSError) as exc:
         # covers ConfigError/ParseError/CalibrationError (ValueError),

@@ -1,4 +1,4 @@
-"""File formats, configuration and run persistence.
+"""File formats and the Hz view of configuration sections.
 
 The canonical spectrum format is long-form CSV with header
 ``freq_hz,channel,re,im`` plus optional ``bias_ma,power_dbm,temp_k``
@@ -8,30 +8,24 @@ the port map 1 = A-in, 2 = A-out, 3 = B-in, 4 = B-out.
 
 CSV tables (spectra, line models) share one writer, :func:`write_columns`,
 and one columnar reader.  Every malformed spectrum or line-model file,
-whatever its bytes, raises :class:`ParseError`.
+whatever its bytes, raises :class:`~routercell.runs.ParseError`.
 
-Configuration files are flat ``key = value`` INI sections, one section
-per concern.  Frequencies and rates are linear Hz in files and on the
-command line.  They become the angular units used internally through
-:func:`hz_to_angular` where a section is read: in the ``*_from_config``
-helpers here for ``[model]`` and ``[flux]``, and in ``cli`` for
-``[fluxnoise]``, ``[thermal]`` and ``[dressed]``.  Unknown sections or
-keys, ``[DEFAULT]`` among them, are hard errors rather than silently
-ignored.
+The INI configuration itself, its schema and the run records live in
+:mod:`routercell.runs`, which needs no numpy.  Frequencies and rates are
+linear Hz in files and on the command line.  They become the angular
+units used internally through :func:`hz_to_angular` where a section is
+read: in the ``*_from_config`` helpers here for ``[model]`` and
+``[flux]``, and in ``cli`` for ``[fluxnoise]``, ``[thermal]`` and
+``[dressed]``.
 """
 
 from __future__ import annotations
 
-import configparser
 import csv
-import hashlib
-import json
 import math
-import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +33,9 @@ import numpy as np
 from .calibration import ChannelSpectrum
 from .model import CHANNELS, CellParams, FluxModel
 from .network import LineModel
+from .runs import ParseError
 
 __all__ = [
-    "ParseError",
-    "ConfigError",
-    "RunRecord",
-    "TOOL_VERSION",
     "ingest_spectrum",
     "write_spectrum",
     "write_columns",
@@ -53,17 +44,11 @@ __all__ = [
     "spectrum_to_smatrix",
     "write_line_model",
     "read_line_model",
-    "load_config",
     "cell_params_from_config",
     "flux_model_from_config",
     "hz_to_angular",
     "angular_to_hz",
-    "new_run_id",
-    "file_digest",
-    "save_run_record",
 ]
-
-TOOL_VERSION = "0.2.0"
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,19 +58,6 @@ _CSV_META = ["bias_ma", "power_dbm", "temp_k"]
 #: Touchstone port indices (0-based) of the channels in CHANNELS order.
 _TOUCHSTONE_OUT = [1, 3, 3, 1]
 _TOUCHSTONE_IN = [0, 2, 0, 2]
-
-
-class ParseError(ValueError):
-    """Input file violates the expected format (carries a line number)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        loc = f" (line {line})" if line is not None else ""
-        super().__init__(f"{message}{loc}")
-        self.line = line
-
-
-class ConfigError(ValueError):
-    """Configuration contains unknown or malformed entries."""
 
 
 def hz_to_angular(value):
@@ -101,6 +73,28 @@ def angular_to_hz(value):
 # CSV spectrum format
 
 
+#: Rows per ``write`` call: no column or text is held as Python objects more than a block at a time.
+_WRITE_BLOCK = 4096
+
+
+def _float_fields(values: np.ndarray):
+    """The ``repr`` of every value, computed once per distinct float64 bit pattern.
+
+    ``repr`` round-trips a float64 exactly.  Signed zeros and NaN payloads
+    are distinct bit patterns, so each value keeps its own text.  Only a
+    column of repeats, at most one distinct value in two, keeps its texts
+    for the whole write; any other is formatted a block at a time.
+    """
+    values = np.ascontiguousarray(values).ravel()
+    text, keys = repr, values
+    if values.dtype == np.float64:
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        if 2 * len(bits) <= len(values):
+            text, keys = list(map(repr, bits.view(np.float64).tolist())).__getitem__, inverse
+    return chain.from_iterable(map(text, keys[i:i + _WRITE_BLOCK].tolist())
+                               for i in range(0, len(keys), _WRITE_BLOCK))
+
+
 def write_columns(path, header: list[str], columns, run_id: str | None = None) -> None:
     """Write a CSV table column by column, byte for byte as ``csv.writer`` would.
 
@@ -112,13 +106,14 @@ def write_columns(path, header: list[str], columns, run_id: str | None = None) -
     """
     if run_id is not None and not run_id.isprintable():
         raise ValueError(f"run id {run_id!r} is not printable")
-    fields = (map(repr, c.ravel().tolist()) if isinstance(c, np.ndarray) else c
-              for c in columns)
+    fields = (_float_fields(c) if isinstance(c, np.ndarray) else c for c in columns)
     rows = map(",".join, zip(*fields))
     with Path(path).open("w", newline="") as fh:
         if run_id is not None:
             fh.write(f"# run: {run_id}\n")
-        fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
+        while block := list(islice(rows, _WRITE_BLOCK)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -> None:
@@ -126,7 +121,7 @@ def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -
     meta = (spectrum.bias_ma, spectrum.power_dbm, spectrum.temp_k)
     include_meta = any(v is not None for v in meta)
     columns = [
-        list(map(repr, spectrum.freqs.tolist())) * len(CHANNELS),
+        np.tile(spectrum.freqs, len(CHANNELS)),
         [ch for ch in CHANNELS for _ in spectrum.freqs],
         spectrum.traces.real,
         spectrum.traces.imag,
@@ -146,30 +141,72 @@ def _text_file(path: Path, **kwargs):
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
+def _split_table(path: Path):
+    """``(line numbers, header fields, field columns)`` of a plain table, split in bulk.
+
+    In UTF-8 text free of quotes, NULs and bare CRs, with no line longer
+    than ``csv.field_size_limit()``, every line is one row and every comma
+    a delimiter, so the rows need no ``csv.reader``.  Otherwise, or when
+    the rows' field counts differ or there is no row, this returns None and
+    ``csv.reader`` decides, raising the errors it names (before Python
+    3.11 it also refuses a NUL).
+    """
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\0" in text or "\r" in text:
+        return None
+    physical = text.split("\n")
+    if max(map(len, physical)) > csv.field_size_limit():
+        return None
+    table = [(n, line) for n, line in enumerate(physical, 1) if line and not line.startswith("#")]
+    if not table:
+        return None
+    lines, rows = zip(*table)
+    commas = rows[0].count(",")
+    if any(row.count(",") != commas for row in rows):
+        return None
+    fields = ",".join(rows[1:]).split(",") if len(rows) > 1 else []
+    return lines, rows[0].split(","), [fields[k::commas + 1] for k in range(commas + 1)]
+
+
 def _read_table(path, required: list[str], optional=()) -> tuple[list[str], list, tuple[int, ...]]:
     """Read a CSV table: its header, its field columns and each data row's line number.
 
     Blank and ``#`` rows are skipped.  The header is ``required`` plus distinct
-    ``optional`` names, and every row has one field per column.
+    ``optional`` names, and every row has one field per column.  A plain
+    table is split in bulk; any other goes through ``csv.reader``.
     """
-    with _text_file(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            table = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
-        except csv.Error as exc:
-            raise ParseError(f"{path} is not a readable CSV table: {exc}", reader.line_num) from None
-    if not table:
-        raise ParseError("empty file", 1)
-    lines, rows = zip(*table)
-    header = [c.strip() for c in rows[0]]
+    path = Path(path)
+    table = _split_table(path)
+    if table is None:
+        with _text_file(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                numbered = [(reader.line_num, row) for row in reader
+                            if row and not row[0].startswith("#")]
+            except csv.Error as exc:
+                raise ParseError(f"{path} is not a readable CSV table: {exc}",
+                                 reader.line_num) from None
+        if not numbered:
+            raise ParseError("empty file", 1)
+        lines, rows = zip(*numbered)
+        header = rows[0]
+    else:
+        lines, header, columns = table
+    header = [c.strip() for c in header]
     extra = header[len(required):]
     if header[:len(required)] != required or set(extra) - set(optional) or len(set(extra)) < len(extra):
         raise ParseError(f"malformed header {header!r}; expected {required} "
                          f"+ optional {list(optional)}", lines[0])
-    for row, line in zip(rows[1:], lines[1:]):
-        if len(row) != len(header):
-            raise ParseError(f"row has {len(row)} fields, expected {len(header)}", line)
-    return header, list(zip(*rows[1:])) or [()] * len(header), lines[1:]
+    if table is None:
+        for row, line in zip(rows[1:], lines[1:]):
+            if len(row) != len(header):
+                raise ParseError(f"row has {len(row)} fields, expected {len(header)}", line)
+        columns = list(zip(*rows[1:])) or [()] * len(header)
+    return header, columns, lines[1:]
 
 
 def _floats(column, lines, what: str) -> np.ndarray:
@@ -434,99 +471,7 @@ def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:
 
 
 # ---------------------------------------------------------------------------
-# configuration
-
-#: Allowed keys per section; values are defaults (None means required
-#: only when the consuming subcommand runs).
-CONFIG_SCHEMA: dict[str, dict[str, float | int | str]] = {
-    "model": {
-        "gamma_a_hz": 1.82e6,
-        "gamma_b_hz": 2.31e6,
-        "f_ge_hz": 6.163e9,
-        "f_ef_hz": 6.015e9,
-        "phi_a_rad": 0.0,
-        "phi_b_rad": 0.0,
-        "gamma_phi_hz": 0.0,
-        "gamma_bath_hz": 0.0,
-    },
-    "flux": {
-        "curvature_hz_per_ma2": -352e6,
-        "linear_hz_per_ma": 0.0,
-        "sweet_spot_f_hz": 6.163e9,
-    },
-    "grid": {
-        "f_start_hz": 6.138e9,
-        "f_stop_hz": 6.188e9,
-        "n_points": 401,
-        "bias_start_ma": -0.55,
-        "bias_stop_ma": 0.55,
-        "n_bias": 23,
-        "temp_start_k": 0.02,
-        "temp_stop_k": 0.4,
-        "n_temp": 20,
-        "navg_min": 1e-2,
-        "navg_max": 1e4,
-        "n_navg": 25,
-        "nphot_min": 0.0,
-        "nphot_max": 200.0,
-        "n_nphot": 41,
-    },
-    "lines": {
-        "transmission_db": -3.0,
-        "jitter_db": 1.0,
-        "reflection_bound": 0.05,
-        "isolation_db": -20.0,
-        "ripple_db": 0.0,
-        "ripple_periods": 3.0,
-    },
-    "noise": {"sigma": 0.0},
-    "fluxnoise": {"s_i_a2_per_hz": 3e-19, "gamma_phi0_hz": 0.2e6},
-    "thermal": {"gamma1_zero_hz": 0.26e6, "gamma_phi_zero_hz": 10.38e6},
-    "saturation": {"c": 1.0, "d": 1.0},
-    "dressed": {"lambda_red_hz": 0.81e6, "lambda_blue_hz": 0.39e6},
-    "run": {"seed": 0, "out": "."},
-}
-
-
-def load_config(path=None) -> dict[str, dict]:
-    """Defaults overlaid with an optional INI file; unknown keys are fatal."""
-    config = {section: dict(values) for section, values in CONFIG_SCHEMA.items()}
-    if path is None:
-        return config
-    parser = configparser.ConfigParser()
-    try:
-        read = parser.read(str(path))
-        sections = {name: parser.items(name) for name in parser.sections()}
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from None
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    if parser.defaults():
-        # configparser would copy these keys into every section
-        raise ConfigError(f"unknown config section [{parser.default_section}] in {path}")
-    for section, items in sections.items():
-        if section not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in items:
-            if key not in CONFIG_SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            default = CONFIG_SCHEMA[section][key]
-            try:
-                if isinstance(default, str):
-                    config[section][key] = raw
-                elif isinstance(default, int):
-                    config[section][key] = int(raw)
-                else:
-                    value = float(raw)
-                    if not math.isfinite(value):
-                        raise ValueError(raw)
-                    config[section][key] = value
-            except ValueError:
-                kind = "an integer" if isinstance(default, int) else "a finite number"
-                raise ConfigError(
-                    f"key {key!r} in [{section}] of {path} must be {kind}, got {raw!r}"
-                ) from None
-    return config
+# configuration sections as model objects
 
 
 def cell_params_from_config(config: dict[str, dict]) -> CellParams:
@@ -552,46 +497,3 @@ def flux_model_from_config(config: dict[str, dict]) -> FluxModel:
         sweet_spot_omega=float(hz_to_angular(fx["sweet_spot_f_hz"])),
     )
 
-
-# ---------------------------------------------------------------------------
-# run records
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Provenance of one pipeline run; serialized as runs/<id>/run.json."""
-
-    run_id: str
-    subcommand: str
-    tool_version: str
-    seed: int | None
-    config: dict
-    input_digests: dict[str, str]
-    outputs: list[str]
-
-
-def new_run_id(config: dict, seed: int | None, subcommand: str) -> str:
-    """Timestamped run id with a short hash of (subcommand, config, seed)."""
-    digest = hashlib.sha256(
-        json.dumps([subcommand, config, seed], sort_keys=True, default=str).encode()
-    ).hexdigest()[:8]
-    stamp = time.strftime("%Y%m%dT%H%M%S")
-    return f"{stamp}-{digest}"
-
-
-def file_digest(path) -> str:
-    h = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def save_run_record(record: RunRecord, run_dir) -> Path:
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    path = run_dir / "run.json"
-    with path.open("w") as fh:
-        json.dump(asdict(record), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

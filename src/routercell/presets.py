@@ -3,7 +3,7 @@
 Two coupling-rate variants exist for the same device, extracted by the
 steady-state four-channel fit and by the thermal-sweep analysis; they
 agree to within their uncertainties.  The demos and the benchmark use
-these sets; the CLI defaults in ``io.CONFIG_SCHEMA`` repeat the
+these sets; the CLI defaults in ``runs.CONFIG_SCHEMA`` repeat the
 steady-state numbers by hand, but with both coupling phases 0.
 """
 

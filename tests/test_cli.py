@@ -5,11 +5,12 @@ import math
 import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from routercell import cli, io, model
+from routercell import cli, io, model, runs
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,7 +28,7 @@ class TestSimulate:
         run_dir = tmp_path / "runs" / record.run_id
         assert (run_dir / "run.json").exists()
         spectrum = io.ingest_spectrum(run_dir / "spectrum.csv")
-        config = io.load_config(None)
+        config = runs.load_config(None)
         cell = io.cell_params_from_config(config)
         truth = dict(zip(model.CHANNELS, model.cell_coefficients(TWO_PI * spectrum.freqs, cell)))
         for ch in model.CHANNELS:
@@ -43,7 +44,7 @@ class TestSimulate:
 
 class TestSynthCalibrateFitChain:
     def test_end_to_end_recovers_configured_parameters(self, tmp_path):
-        config = io.load_config(None)
+        config = runs.load_config(None)
         config["noise"]["sigma"] = 1e-3
         config["model"]["phi_a_rad"] = -0.06 * math.pi
         config["model"]["phi_b_rad"] = 0.05 * math.pi
@@ -79,7 +80,7 @@ class TestSynthCalibrateFitChain:
 
 class TestSweeps:
     def test_bias_sweep_ridge_follows_flux_polynomial(self, tmp_path):
-        config = io.load_config(None)
+        config = runs.load_config(None)
         config["grid"].update(n_points=201, n_bias=9,
                               f_start_hz=6.05e9, f_stop_hz=6.18e9)
         record = cli.run_command("sweep-bias", config, out_dir=tmp_path, seed=2)
@@ -120,7 +121,7 @@ class TestSweeps:
         assert fits["AA"]["params"]["c"] == pytest.approx(1.0, abs=0.01)
 
     def test_power_sweep_weak_drive_level_is_the_model_response(self, tmp_path):
-        config = io.load_config(None)
+        config = runs.load_config(None)
         config["model"]["gamma_phi_hz"] = 0.5e6
         config["model"]["phi_a_rad"] = 0.2
         record = cli.run_command("sweep-power", config, out_dir=tmp_path, seed=4)
@@ -160,7 +161,7 @@ OUTPUTS = {
 
 
 def noisy_config():
-    config = io.load_config(None)
+    config = runs.load_config(None)
     config["noise"]["sigma"] = 1e-3
     return config
 
@@ -169,11 +170,11 @@ def noisy_config():
 def chain_inputs(tmp_path_factory):
     """Inputs of the subcommands that take files, from one synth-calibrate-fit chain."""
     out = tmp_path_factory.mktemp("chain")
-    runs = out / "runs"
+    run_root = out / "runs"
     inputs = {
-        "calibrate": [runs / "synth" / "meas.csv", runs / "synth" / "hd.csv"],
-        "fit": [runs / "calibrate" / "calibrated.csv"],
-        "report": [runs / "fit"],
+        "calibrate": [run_root / "synth" / "meas.csv", run_root / "synth" / "hd.csv"],
+        "fit": [run_root / "calibrate" / "calibrated.csv"],
+        "report": [run_root / "fit"],
     }
     for step in ("synth", "calibrate", "fit"):
         cli.run_command(step, noisy_config(), inputs.get(step, []), out_dir=out,
@@ -191,7 +192,7 @@ class TestReproducibility:
                                   out_dir=run_dir.parents[1], seed=9, run_id="fixed-id")
             assert rec.run_id == "fixed-id"
             written = [str(run_dir / name) for name in OUTPUTS[subcommand]]
-            record = io.RunRecord(**json.loads((run_dir / "run.json").read_text()))
+            record = runs.RunRecord(**json.loads((run_dir / "run.json").read_text()))
             assert record.outputs == written
             assert sorted(p.name for p in run_dir.iterdir()) == sorted(
                 OUTPUTS[subcommand] + ["run.json"])
@@ -202,11 +203,47 @@ class TestReproducibility:
         rec = cli.run_command("synth", None, out_dir=tmp_path, seed=1)
         run_dir = tmp_path / "runs" / rec.run_id
         assert (run_dir / "meas.csv").read_text().startswith(f"# run: {rec.run_id}")
-        record = io.RunRecord(**json.loads((run_dir / "run.json").read_text()))
-        assert record.tool_version == io.TOOL_VERSION
+        record = runs.RunRecord(**json.loads((run_dir / "run.json").read_text()))
+        assert record.tool_version == runs.TOOL_VERSION
         assert set(record.outputs) == {
             str(run_dir / n)
             for n in ("meas.csv", "hd.csv", "truth.json", "lines.csv")}
+
+
+    @staticmethod
+    def same_second(monkeypatch):
+        """Give every default run id the same time stamp, as two runs within a second get."""
+        monkeypatch.setattr(runs, "time", SimpleNamespace(strftime=lambda fmt: "20260101T000000"))
+
+    def test_default_run_ids_differ_for_different_input_files(self, tmp_path, monkeypatch):
+        self.same_second(monkeypatch)
+        sources = tmp_path / "sources" / "runs"
+        for seed in (1, 2):
+            cli.run_command("synth", noisy_config(), out_dir=sources.parent, seed=seed,
+                            run_id=f"s{seed}")
+        inputs = [[str(sources / f"s{seed}" / name) for name in ("meas.csv", "hd.csv")]
+                  for seed in (1, 2)]
+        records = [cli.run_command("calibrate", noisy_config(), paths, out_dir=tmp_path, seed=0)
+                   for paths in inputs]
+        assert records[0].run_id != records[1].run_id
+        for record, paths in zip(records, inputs):
+            saved = runs.RunRecord(**json.loads(
+                (tmp_path / "runs" / record.run_id / "run.json").read_text()))
+            assert saved.input_digests == {p: runs.file_digest(p) for p in paths}
+
+    def test_default_run_ids_differ_for_different_input_directories(self, tmp_path, monkeypatch,
+                                                                     chain_inputs):
+        self.same_second(monkeypatch)
+        fit_json = (chain_inputs["report"][0] / "fit.json").read_bytes()
+        fit_dirs = [tmp_path / "fits" / side for side in ("a", "b")]
+        for fit_dir in fit_dirs:
+            fit_dir.mkdir(parents=True)
+            (fit_dir / "fit.json").write_bytes(fit_json)
+        records = [cli.run_command("report", noisy_config(), [fit_dir], out_dir=tmp_path, seed=0)
+                   for fit_dir in fit_dirs]
+        assert records[0].run_id != records[1].run_id
+        for record in records:
+            assert (tmp_path / "runs" / record.run_id / "report.txt").is_file()
 
 
 class TestMainEntry:
@@ -304,21 +341,21 @@ class TestMainEntry:
         conf = tmp_path / "run.ini"
         conf.write_text(f"[run]\nseed = 123\nout = {tmp_path / 'confout'}\n")
         assert cli.main(["--config", str(conf), "synth"]) == 0
-        runs = list((tmp_path / "confout" / "runs").iterdir())
-        assert len(runs) == 1
-        record = io.RunRecord(**json.loads((runs[0] / "run.json").read_text()))
+        run_dirs = list((tmp_path / "confout" / "runs").iterdir())
+        assert len(run_dirs) == 1
+        record = runs.RunRecord(**json.loads((run_dirs[0] / "run.json").read_text()))
         assert record.seed == 123
 
         flag_out = tmp_path / "flagout"
         assert cli.main(["--config", str(conf), "--seed", "77", "--out", str(flag_out),
                          "synth"]) == 0
         run_json = next((flag_out / "runs").iterdir()) / "run.json"
-        record = io.RunRecord(**json.loads(run_json.read_text()))
+        record = runs.RunRecord(**json.loads(run_json.read_text()))
         assert record.seed == 77
         assert len(list((tmp_path / "confout" / "runs").iterdir())) == 1
 
     def test_run_command_falls_back_to_run_section(self, tmp_path):
-        config = io.load_config(None)
+        config = runs.load_config(None)
         config["run"].update(seed=5, out=str(tmp_path / "confout"))
         record = cli.run_command("dressed", config, out_dir=None, run_id="r")
         assert record.seed == 5

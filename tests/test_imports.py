@@ -1,6 +1,8 @@
-"""Start-up cost: the package root loads nothing, the CLI loads no scipy optimizer or
-constants table, and fits load no scipy."""
+"""Start-up cost: the package root loads nothing, the CLI loads no numpy, scipy
+optimizer or constants table, each CLI step loads only the layers it uses, and fits load
+no scipy."""
 
+import json
 import os
 import subprocess
 import sys
@@ -57,6 +59,39 @@ def test_fit_and_sweep_temp_load_no_scipy(tmp_path):
     ])
     assert run_fresh(code, cwd=tmp_path) == "scipy:"
     assert (tmp_path / "runs" / "fit" / "fit.json").is_file()
+
+
+def test_cli_import_loads_no_numpy():
+    code = ("import sys, routercell.cli; print('loaded:' + ','.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy')))")
+    assert run_fresh(code) == "loaded:"
+
+
+def test_report_loads_no_numpy(tmp_path):
+    params = {"gamma_a": 1.1e7, "gamma_b": 1.4e7, "omega_ge": 3.9e10, "phi_a": 0.1, "phi_b": -0.1}
+    (tmp_path / "fit.json").write_text(json.dumps({
+        "params": params, "sigma": dict.fromkeys(params, 1e3), "converged": True,
+        "n_iter": 5, "residual_norm": 1e-3, "flags": []}))
+    code = "\n".join([
+        "import sys",
+        "from routercell import cli",
+        "assert cli.main(['--out', '.', '--run-id', 'report', 'report', 'fit.json']) == 0",
+        "print('loaded:' + ','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))",
+    ])
+    assert run_fresh(code, cwd=tmp_path) == "loaded:"
+    assert (tmp_path / "runs" / "report" / "report.txt").is_file()
+
+
+def test_synth_and_calibrate_load_no_estimation(tmp_path):
+    code = "\n".join([
+        "import sys",
+        "from routercell import cli",
+        "for argv in (['synth'], ['calibrate', 'runs/synth/meas.csv', 'runs/synth/hd.csv']):",
+        "    assert cli.main(['--out', '.', '--run-id', argv[0], *argv]) == 0",
+        "print('loaded:' + ','.join(m for m in ('routercell.estimation',) if m in sys.modules))",
+    ])
+    assert run_fresh(code, cwd=tmp_path) == "loaded:"
+    assert (tmp_path / "runs" / "calibrate" / "calibrated.csv").is_file()
 
 
 def test_si_constants_equal_scipy_values_exactly():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from routercell import io, model, network
+from routercell import io, model, network, runs
 from routercell.calibration import ChannelSpectrum
 
 TWO_PI = 2.0 * math.pi
@@ -95,6 +95,8 @@ class TestRoundTripProperties:
 
 SIGNED = st.sampled_from([0.0, -0.0]) | FINITE
 RUN_IDS = st.sampled_from([None, "r", "20261018T030000-0123abcd"])
+#: values whose texts differ only in sign, or that are not finite
+SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
 
 
 @st.composite
@@ -163,6 +165,18 @@ def oracle_line_model_bytes(lines, freqs, run_id):
     return buf.getvalue().encode()
 
 
+def oracle_columns_bytes(header, columns, run_id):
+    """``write_columns`` row by row through ``csv.writer``."""
+    buf = StringIO(newline="")
+    if run_id is not None:
+        buf.write(f"# run: {run_id}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
+    return buf.getvalue().encode()
+
+
 class TestWriterBytes:
     """The columnar writers produce exactly the bytes of a row-wise ``csv.writer``."""
 
@@ -196,6 +210,64 @@ class TestWriterBytes:
         assert not path.exists()
 
 
+    @staticmethod
+    def long_values(rng, shape, repeats: bool) -> np.ndarray:
+        """All-distinct random values, or few values repeated, signed zeros among them."""
+        if repeats:
+            return rng.choice([0.0, -0.0, 1.5, -2.25e-7], size=shape)
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+
+    @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
+    def test_spectrum_longer_than_a_write_block(self, tmp_path, repeats):
+        rng = np.random.default_rng(7)
+        n = io._WRITE_BLOCK // len(model.CHANNELS) + 5
+        values = self.long_values(rng, (2, len(model.CHANNELS), n), repeats)
+        spectrum = ChannelSpectrum(np.arange(n) * 1e5 + 6e9, values[0] + 1j * values[1],
+                                   bias_ma=-0.0, temp_k=0.02)
+        path = tmp_path / "spec.csv"
+        io.write_spectrum(spectrum, path, run_id="r")
+        assert path.read_bytes() == oracle_spectrum_bytes(spectrum, "r")
+
+    @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
+    def test_line_model_longer_than_a_write_block(self, tmp_path, repeats):
+        rng = np.random.default_rng(8)
+        n = io._WRITE_BLOCK // 4 + 5
+        values = self.long_values(rng, (2, 4, n, 2, 2), repeats)
+        matrices = values[0] + 1j * values[1]
+        lines = network.LineModel(*matrices[:3], np.array([[0.0, -0.0], [1.0, -0.0]]),
+                                  isolation=matrices[3, :, 0, 0])
+        freqs = np.arange(n) * 1e5 + 6e9
+        path = tmp_path / "lines.csv"
+        io.write_line_model(lines, path, freqs=freqs, run_id=None)
+        assert path.read_bytes() == oracle_line_model_bytes(lines, freqs, None)
+
+    @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
+    def test_columns_longer_than_a_write_block(self, tmp_path, repeats):
+        rng = np.random.default_rng(9)
+        n = 2 * io._WRITE_BLOCK + 3
+        values = self.long_values(rng, (2, n), repeats)
+        values[1, rng.integers(0, n, 50)] = rng.choice(SPECIAL, 50)
+        names = [f"n{k % 3}" for k in range(n)]
+        columns = [values[0], names, values[1]]
+        path = tmp_path / "table.csv"
+        io.write_columns(path, ["a", "name", "b"], columns, "r")
+        assert path.read_bytes() == oracle_columns_bytes(["a", "name", "b"], columns, "r")
+
+    @ROUND_TRIP_SETTINGS
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(), min_size=n, max_size=n),
+        st.lists(st.sampled_from(SPECIAL), min_size=n, max_size=n),
+        st.lists(st.sampled_from(SPECIAL) | FINITE, min_size=n, max_size=n),
+    )), st.integers(1, 4), RUN_IDS)
+    def test_columns_match_csv_writer_across_blocks(self, tmp_path_factory, drawn, block, run_id):
+        columns = [np.array(values) for values in drawn]
+        path = tmp_path_factory.mktemp("cols") / "table.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "_WRITE_BLOCK", block)
+            io.write_columns(path, ["a", "b", "c"], columns, run_id)
+        assert path.read_bytes() == oracle_columns_bytes(["a", "b", "c"], columns, run_id)
+
+
 class TestCsvErrors:
     HEADER = "freq_hz,channel,re,im\n"
 
@@ -206,7 +278,7 @@ class TestCsvErrors:
 
     def test_malformed_header(self, tmp_path):
         path = self.write(tmp_path, "", header="frequency,ch,re,im\n")
-        with pytest.raises(io.ParseError, match="header"):
+        with pytest.raises(runs.ParseError, match="header"):
             io.ingest_spectrum(path)
 
     def test_duplicate_frequency_names_line(self, tmp_path):
@@ -216,7 +288,7 @@ class TestCsvErrors:
             for f in (1e9, 1e9, 2e9)
         )
         path = self.write(tmp_path, rows)
-        with pytest.raises(io.ParseError, match="line 3"):
+        with pytest.raises(runs.ParseError, match="line 3"):
             io.ingest_spectrum(path)
 
     def test_non_monotone_frequency(self, tmp_path):
@@ -226,25 +298,25 @@ class TestCsvErrors:
             for f in (2e9, 1e9)
         )
         path = self.write(tmp_path, rows)
-        with pytest.raises(io.ParseError, match="non-monotone"):
+        with pytest.raises(runs.ParseError, match="non-monotone"):
             io.ingest_spectrum(path)
 
     def test_channel_count_mismatch(self, tmp_path):
         rows = "1e9,AA,1.0,0.0\n2e9,AA,1.0,0.0\n1e9,BB,1.0,0.0\n"
         rows += "1e9,AB,1.0,0.0\n2e9,AB,1.0,0.0\n1e9,BA,1.0,0.0\n2e9,BA,1.0,0.0\n"
         path = self.write(tmp_path, rows)
-        with pytest.raises(io.ParseError, match="row counts"):
+        with pytest.raises(runs.ParseError, match="row counts"):
             io.ingest_spectrum(path)
 
     def test_unknown_channel_names_line(self, tmp_path):
         path = self.write(tmp_path, "1e9,XX,1.0,0.0\n")
-        with pytest.raises(io.ParseError, match="line 2"):
+        with pytest.raises(runs.ParseError, match="line 2"):
             io.ingest_spectrum(path)
 
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "utf16.csv"
         path.write_bytes(b"\xff\xfe" + self.HEADER.encode())
-        with pytest.raises(io.ParseError, match="utf16.csv is not UTF-8"):
+        with pytest.raises(runs.ParseError, match="utf16.csv is not UTF-8"):
             io.ingest_spectrum(path)
 
     def test_non_finite_rows_dropped_with_warning(self, tmp_path):
@@ -267,7 +339,7 @@ class TestCsvErrors:
     def test_disagreeing_metadata_names_column_and_line(self, tmp_path, fields, line):
         rows = "".join(f"1e9,{ch},1.0,0.0,{v}\n" for ch, v in zip(model.CHANNELS, fields))
         path = self.write(tmp_path, rows, header="freq_hz,channel,re,im,bias_ma\n")
-        with pytest.raises(io.ParseError, match=f"bias_ma value '{fields[line - 2]}' "
+        with pytest.raises(runs.ParseError, match=f"bias_ma value '{fields[line - 2]}' "
                                                 f"differs.*line {line}"):
             io.ingest_spectrum(path)
 
@@ -309,7 +381,7 @@ class TestNonFinitePoints:
         traces = np.ones((4, 2), dtype=complex)
         traces[1] = math.nan
         write_raw(path, fmt, np.array([1e9, 2e9]), traces)
-        with pytest.raises(io.ParseError, match=f"spec.{fmt} holds no finite point"):
+        with pytest.raises(runs.ParseError, match=f"spec.{fmt} holds no finite point"):
             io.ingest_spectrum(path)
 
 
@@ -389,7 +461,7 @@ def loads_or_raises_parse_error(reader, path):
         warnings.simplefilter("ignore")
         try:
             READERS[reader](path)
-        except io.ParseError:
+        except runs.ParseError:
             pass
 
 
@@ -404,7 +476,7 @@ class TestIngestionProperties:
         write_raw(path, fmt, freqs, traces, meta)
         finite = np.isfinite(freqs) & np.all(np.isfinite(traces), axis=0)
         if not finite.any():
-            with pytest.raises(io.ParseError, match="no finite point"):
+            with pytest.raises(runs.ParseError, match="no finite point"):
                 io.ingest_spectrum(path)
             return
         with warnings.catch_warnings(record=True) as caught:
@@ -431,6 +503,96 @@ class TestIngestionProperties:
         path = tmp_path_factory.mktemp(reader) / f"input.{reader}"
         path.write_text(data.draw(TEXTS[reader]), encoding="utf-8")
         loads_or_raises_parse_error(reader, path)
+
+
+def oracle_read_table(path, required, optional=()):
+    """``_read_table`` row by row through ``csv.reader``, with every check and error it makes."""
+    try:
+        with Path(path).open(encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                table = [(reader.line_num, row) for row in reader
+                         if row and not row[0].startswith("#")]
+            except csv.Error as exc:
+                raise runs.ParseError(f"{path} is not a readable CSV table: {exc}",
+                                      reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        raise runs.ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    if not table:
+        raise runs.ParseError("empty file", 1)
+    lines, rows = zip(*table)
+    header = [c.strip() for c in rows[0]]
+    extra = header[len(required):]
+    if header[:len(required)] != required or set(extra) - set(optional) or len(set(extra)) < len(extra):
+        raise runs.ParseError(f"malformed header {header!r}; expected {required} "
+                              f"+ optional {list(optional)}", lines[0])
+    for row, line in zip(rows[1:], lines[1:]):
+        if len(row) != len(header):
+            raise runs.ParseError(f"row has {len(row)} fields, expected {len(header)}", line)
+    return header, [list(c) for c in zip(*rows[1:])] or [[]] * len(header), lines[1:]
+
+
+#: csv.reader's field size limit while the reader property runs, so that a drawn field can pass it
+SMALL_FIELD_LIMIT = 24
+
+
+@st.composite
+def csv_table_bytes(draw):
+    """Bytes of a small table, plain in half the draws and messy in the other half.
+
+    A plain table holds blank and ``#`` lines, rows with a field too many or
+    too few, and lines ending in LF or CRLF, the last one maybe in nothing.
+    A messy one may also hold quoted fields (some spanning lines or
+    unterminated), NULs, bare CRs, fields longer than
+    :data:`SMALL_FIELD_LIMIT` and bytes that are not UTF-8.
+    """
+    plain = st.sampled_from(["0", "-0.0", "1e9", " 2.5", "nan", "x", "", "#", "# a"])
+    rare = st.sampled_from(['"', '"1e9"', '"q,uoted"', '"multi\nline"', 'a"b', "\0", "\r",
+                            "9" * (SMALL_FIELD_LIMIT + 1)])
+    messy = draw(st.booleans())
+    field = st.one_of(plain, plain, plain, rare) if messy else plain
+    header = draw(st.sampled_from([["x", "y"], ["x", "y", "z"], [" x ", "y"]] * 2
+                                  + [["x", "y", "z", "z"], ["x"], ["y", "x"]]))
+    width = len(header)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "comment":
+            lines.append("# " + ",".join(draw(st.lists(field, max_size=3))))
+        else:
+            n = width if kind == "row" else draw(st.integers(1, width + 2))
+            lines.append(",".join(draw(st.lists(field, min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["# run: r", "", "#,#"])))
+    ends = [draw(st.sampled_from(["\n", "\r\n"] + ["\r"] * messy)) for _ in lines]
+    ends[-1] = draw(st.sampled_from(["\n", "\r\n", ""]))
+    data = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if messy and draw(st.integers(0, 4)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+class TestReaderPaths:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(csv_table_bytes())
+    def test_bulk_split_agrees_with_csv_reader(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        path.write_bytes(data)
+        limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
+        try:
+            outcomes = []
+            for read in (io._read_table, oracle_read_table):
+                try:
+                    header, columns, lines = read(path, ["x", "y"], ("z",))
+                    outcomes.append((header, [list(c) for c in columns], tuple(lines)))
+                except runs.ParseError as exc:
+                    outcomes.append((str(exc), exc.line))
+        finally:
+            csv.field_size_limit(limit)
+        assert outcomes[0] == outcomes[1]
 
 
 POINT = " 0.5 0.0" * 16  # the 16 entries of one 4-port frame
@@ -472,21 +634,21 @@ class TestTouchstone:
     def test_malformed_data_raises(self, tmp_path):
         path = tmp_path / "bad.s4p"
         path.write_text("# HZ S RI R 50\n1e9 0.1 0.2 0.3\n")
-        with pytest.raises(io.ParseError):
+        with pytest.raises(runs.ParseError):
             io.read_touchstone(path)
 
     @pytest.mark.parametrize("freqs", [(1e9, 1e9), (2e9, 1e9)], ids=["repeated", "decreasing"])
     def test_non_increasing_frequencies_rejected(self, tmp_path, freqs):
         path = tmp_path / "order.s4p"
         path.write_text("# HZ S RI R 50\n" + "".join(f"{f}{POINT}\n" for f in freqs))
-        with pytest.raises(io.ParseError, match="frequencies must be strictly increasing"):
+        with pytest.raises(runs.ParseError, match="frequencies must be strictly increasing"):
             io.read_touchstone(path)
 
     @pytest.mark.parametrize("kind", ["Y", "Z", "H", "G"])
     def test_non_s_parameters_rejected(self, tmp_path, kind):
         path = tmp_path / "other.s4p"
         path.write_text(f"! admittances\n# HZ {kind} RI R 50\n1e9" + " 0.5 0.0" * 16 + "\n")
-        with pytest.raises(io.ParseError, match=f"type {kind} in option line '# HZ {kind} RI R 50'.*line 2"):
+        with pytest.raises(runs.ParseError, match=f"type {kind} in option line '# HZ {kind} RI R 50'.*line 2"):
             io.read_touchstone(path)
 
     @pytest.mark.parametrize("option, token", [
@@ -496,7 +658,7 @@ class TestTouchstone:
     def test_unknown_option_token_rejected(self, tmp_path, option, token):
         path = tmp_path / "opt.s4p"
         path.write_text(f"! ports 1-4\n{option}\n1e9" + " 0.5 90.0" * 16 + "\n")
-        with pytest.raises(io.ParseError, match=f"unknown touchstone option {token} "
+        with pytest.raises(runs.ParseError, match=f"unknown touchstone option {token} "
                                                 f"in option line '{option}'.*line 2"):
             io.read_touchstone(path)
 
@@ -506,7 +668,7 @@ class TestTouchstone:
     def test_reference_impedance_other_than_50_rejected(self, tmp_path, option, ref):
         path = tmp_path / "ref.s4p"
         path.write_text(f"{option}\n1e9" + " 0.5 0.0" * 16 + "\n")
-        with pytest.raises(io.ParseError, match=f"reference impedance {ref} in option line "
+        with pytest.raises(runs.ParseError, match=f"reference impedance {ref} in option line "
                                                 f"'{option}'.*expected R 50.*line 1"):
             io.read_touchstone(path)
 
@@ -529,7 +691,7 @@ class TestTouchstone:
         # a later option line once rescaled every point, before it or after
         path = tmp_path / "twice.s4p"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(io.ParseError, match=f"option line '{lines[bad - 1]}' must be the "
+        with pytest.raises(runs.ParseError, match=f"option line '{lines[bad - 1]}' must be the "
                                                 f"only one and precede the data.*line {bad}"):
             io.read_touchstone(path)
 
@@ -546,7 +708,7 @@ class TestTouchstone:
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "utf16.s4p"
         path.write_bytes(b"\xff\xfe# HZ S RI R 50\n")
-        with pytest.raises(io.ParseError, match="utf16.s4p is not UTF-8"):
+        with pytest.raises(runs.ParseError, match="utf16.s4p is not UTF-8"):
             io.ingest_spectrum(path)
 
 
@@ -559,9 +721,9 @@ def mostly(usual, other):
 def config_texts(draw):
     """INI text of random sections and ``key = value`` lines, mostly schema names and types."""
     lines = []
-    sections = mostly(st.sampled_from([*io.CONFIG_SCHEMA, "DEFAULT"]), st.text(max_size=8))
+    sections = mostly(st.sampled_from([*runs.CONFIG_SCHEMA, "DEFAULT"]), st.text(max_size=8))
     for section in draw(st.lists(sections, max_size=3, unique=True)):
-        schema = io.CONFIG_SCHEMA.get(section, {"key": 0.0})
+        schema = runs.CONFIG_SCHEMA.get(section, {"key": 0.0})
         lines.append(f"[{section}]")
         keys = mostly(st.sampled_from(sorted(schema)), st.text(max_size=8))
         for key in draw(st.lists(keys, max_size=4, unique=True)):
@@ -575,7 +737,7 @@ def config_texts(draw):
 
 class TestConfig:
     def test_defaults_build_valid_models(self):
-        config = io.load_config(None)
+        config = runs.load_config(None)
         cell = io.cell_params_from_config(config)
         assert cell.gamma_a == pytest.approx(TWO_PI * 1.82e6)
         flux = io.flux_model_from_config(config)
@@ -584,7 +746,7 @@ class TestConfig:
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "conf.ini"
         path.write_text("[model]\ngamma_a_hz = 2.0e6\n\n[run]\nseed = 42\n")
-        config = io.load_config(path)
+        config = runs.load_config(path)
         assert config["model"]["gamma_a_hz"] == 2.0e6
         assert config["model"]["gamma_b_hz"] == 2.31e6
         assert config["run"]["seed"] == 42
@@ -592,18 +754,18 @@ class TestConfig:
     def test_unknown_key_is_fatal(self, tmp_path):
         path = tmp_path / "conf.ini"
         path.write_text("[model]\ngamma_c_hz = 1e6\n")
-        with pytest.raises(io.ConfigError, match="gamma_c_hz"):
-            io.load_config(path)
+        with pytest.raises(runs.ConfigError, match="gamma_c_hz"):
+            runs.load_config(path)
 
     def test_unknown_section_is_fatal(self, tmp_path):
         path = tmp_path / "conf.ini"
         path.write_text("[mystery]\nx = 1\n")
-        with pytest.raises(io.ConfigError, match="mystery"):
-            io.load_config(path)
+        with pytest.raises(runs.ConfigError, match="mystery"):
+            runs.load_config(path)
 
     def test_missing_file_is_fatal(self, tmp_path):
-        with pytest.raises(io.ConfigError, match="cannot read config file .*missing.ini"):
-            io.load_config(tmp_path / "missing.ini")
+        with pytest.raises(runs.ConfigError, match="cannot read config file .*missing.ini"):
+            runs.load_config(tmp_path / "missing.ini")
 
     @pytest.mark.parametrize("text", [
         "[DEFAULT]\nbogus = 1\n",  # once loaded with no error
@@ -613,14 +775,14 @@ class TestConfig:
     def test_default_section_is_fatal(self, tmp_path, text):
         path = tmp_path / "conf.ini"
         path.write_text(text)
-        with pytest.raises(io.ConfigError, match=r"unknown config section \[DEFAULT\]"):
-            io.load_config(path)
+        with pytest.raises(runs.ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            runs.load_config(path)
 
     def test_bad_value_type(self, tmp_path):
         path = tmp_path / "conf.ini"
         path.write_text("[grid]\nn_points = many\n")
-        with pytest.raises(io.ConfigError, match="integer"):
-            io.load_config(path)
+        with pytest.raises(runs.ConfigError, match="integer"):
+            runs.load_config(path)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(mostly(config_texts(), st.binary()))
@@ -628,45 +790,46 @@ class TestConfig:
         path = tmp_path_factory.mktemp("config") / "conf.ini"
         path.write_bytes(data)
         try:
-            config = io.load_config(path)
-        except io.ConfigError:
+            config = runs.load_config(path)
+        except runs.ConfigError:
             return
-        assert config.keys() == io.CONFIG_SCHEMA.keys()
+        assert config.keys() == runs.CONFIG_SCHEMA.keys()
         for section, values in config.items():
-            assert values.keys() == io.CONFIG_SCHEMA[section].keys()
+            assert values.keys() == runs.CONFIG_SCHEMA[section].keys()
             for key, value in values.items():
-                assert type(value) is type(io.CONFIG_SCHEMA[section][key])
+                assert type(value) is type(runs.CONFIG_SCHEMA[section][key])
 
 
 class TestRunRecord:
     def test_save_and_load(self, tmp_path):
-        record = io.RunRecord(
+        record = runs.RunRecord(
             run_id="20260101T000000-abcd1234", subcommand="simulate",
-            tool_version=io.TOOL_VERSION, seed=7, config={"run": {"seed": 7}},
+            tool_version=runs.TOOL_VERSION, seed=7, config={"run": {"seed": 7}},
             input_digests={}, outputs=["spectrum.csv"],
         )
-        io.save_run_record(record, tmp_path)
-        back = io.RunRecord(**json.loads((tmp_path / "run.json").read_text()))
+        runs.save_run_record(record, tmp_path)
+        back = runs.RunRecord(**json.loads((tmp_path / "run.json").read_text()))
         assert back == record
 
     def test_tool_version_is_the_project_version(self):
         tomllib = pytest.importorskip("tomllib")
         with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
-            assert tomllib.load(fh)["project"]["version"] == io.TOOL_VERSION
+            assert tomllib.load(fh)["project"]["version"] == runs.TOOL_VERSION
 
     def test_run_id_depends_on_config_and_seed(self):
-        base = io.load_config(None)
-        a = io.new_run_id(base, 1, "simulate").split("-")[1]
-        b = io.new_run_id(base, 2, "simulate").split("-")[1]
-        c = io.new_run_id(base, 1, "synth").split("-")[1]
-        assert a != b and a != c
+        base = runs.load_config(None)
+        a = runs.new_run_id(base, 1, "simulate", []).split("-")[1]
+        b = runs.new_run_id(base, 2, "simulate", []).split("-")[1]
+        c = runs.new_run_id(base, 1, "synth", []).split("-")[1]
+        d = runs.new_run_id(base, 1, "simulate", ["0123abcd"]).split("-")[1]
+        assert len({a, b, c, d}) == 4
 
     def test_file_digest_changes_with_content(self, tmp_path):
         p = tmp_path / "x.txt"
         p.write_text("one")
-        d1 = io.file_digest(p)
+        d1 = runs.file_digest(p)
         p.write_text("two")
-        assert io.file_digest(p) != d1
+        assert runs.file_digest(p) != d1
 
 
 class TestLineModelFile:
@@ -715,7 +878,7 @@ class TestLineModelFile:
         header = ",".join(["freq_hz", "element"] + [f"s{i}{j}_{p}" for i in (1, 2)
                           for j in (1, 2) for p in ("re", "im")] + ["iso_re", "iso_im"])
         path.write_text(header + "\n" + ",bogus" + ",0.0" * 10 + "\n")
-        with pytest.raises(io.ParseError, match="bogus"):
+        with pytest.raises(runs.ParseError, match="bogus"):
             io.read_line_model(path)
 
     def write_per_frequency(self, tmp_path):
@@ -735,13 +898,13 @@ class TestLineModelFile:
     def test_element_frequencies_must_agree(self, tmp_path):
         path, rows = self.write_per_frequency(tmp_path)
         self.rewrite(path, rows, 3, 0, "7e9")  # out_a of the first point
-        with pytest.raises(io.ParseError, match="out_a differs from element in_a in freq_hz.*line 3"):
+        with pytest.raises(runs.ParseError, match="out_a differs from element in_a in freq_hz.*line 3"):
             io.read_line_model(path)
 
     def test_isolation_must_agree_within_a_point(self, tmp_path):
         path, rows = self.write_per_frequency(tmp_path)
         self.rewrite(path, rows, 8, 11, "0.5")  # iso_im of in_b at the second point
-        with pytest.raises(io.ParseError, match="in_b differs from element in_a in iso_im.*line 8"):
+        with pytest.raises(runs.ParseError, match="in_b differs from element in_a in iso_im.*line 8"):
             io.read_line_model(path)
 
     @pytest.mark.parametrize("column, value", [(2, "nan"), (11, "inf"), (0, "nan")],
@@ -750,7 +913,7 @@ class TestLineModelFile:
         path, rows = self.write_per_frequency(tmp_path)
         for line in range(6, 10):  # all rows of the second point
             self.rewrite(path, rows, line, column, value)
-        with pytest.raises(io.ParseError, match="non-finite.*line 6"):
+        with pytest.raises(runs.ParseError, match="non-finite.*line 6"):
             io.read_line_model(path)
 
     def test_non_finite_value_is_refused_before_writing(self, tmp_path):
@@ -775,7 +938,7 @@ class TestLineModelFile:
         path, rows = self.write_per_frequency(tmp_path)
         for line in range(2, len(rows) + 1):
             self.rewrite(path, rows, line, 0, "")
-        with pytest.raises(io.ParseError, match="per-frequency line model is missing frequency"):
+        with pytest.raises(runs.ParseError, match="per-frequency line model is missing frequency"):
             io.read_line_model(path)
 
     def test_per_frequency_isolation_round_trips(self, tmp_path):
@@ -790,5 +953,5 @@ class TestLineModelFile:
     def test_undecodable_file_names_path(self, tmp_path):
         path = tmp_path / "utf16.csv"
         path.write_bytes(b"\xff\xfefreq_hz,element\n")
-        with pytest.raises(io.ParseError, match="utf16.csv is not UTF-8"):
+        with pytest.raises(runs.ParseError, match="utf16.csv is not UTF-8"):
             io.read_line_model(path)
