@@ -28,6 +28,8 @@ from pathlib import Path
 
 from . import runs
 
+TWO_PI = 2.0 * math.pi
+
 
 def _freq_grid(config: dict):
     import numpy as np
@@ -43,11 +45,11 @@ def _freq_grid(config: dict):
 def _cmd_simulate(config, inputs, seed, run_id):
     import numpy as np
 
-    from . import calibration, io, model
+    from . import calibration, model, presets
 
-    cell = io.cell_params_from_config(config)
+    cell = presets.cell_params_from_config(config)
     freqs = _freq_grid(config)
-    coeffs = model.cell_coefficients(io.hz_to_angular(freqs), cell)
+    coeffs = model.cell_coefficients(TWO_PI * freqs, cell)
     spectrum = calibration.ChannelSpectrum(freqs, coeffs)
     values = spectrum.traces.ravel()
     # scalar abs and log10: the vectorised ones can round the last bit differently
@@ -66,9 +68,9 @@ def _cmd_simulate(config, inputs, seed, run_id):
 
 
 def _cmd_synth(config, inputs, seed, run_id):
-    from . import io, synth
+    from . import presets, synth
 
-    cell = io.cell_params_from_config(config)
+    cell = presets.cell_params_from_config(config)
     campaign = synth.CampaignConfig(
         cell=cell, lines=synth.LineSpec(**config["lines"]), freqs=_freq_grid(config),
         noise_sigma=config["noise"]["sigma"], seed=seed,
@@ -80,13 +82,13 @@ def _cmd_synth(config, inputs, seed, run_id):
         "meas.csv": result.meas,
         "hd.csv": result.hd,
         "truth.json": {"seed": seed, "truth": {
-            "gamma_a_hz": float(io.angular_to_hz(truth.gamma_a)),
-            "gamma_b_hz": float(io.angular_to_hz(truth.gamma_b)),
-            "f_ge_hz": float(io.angular_to_hz(truth.omega_ge)),
+            "gamma_a_hz": truth.gamma_a / TWO_PI,
+            "gamma_b_hz": truth.gamma_b / TWO_PI,
+            "f_ge_hz": truth.omega_ge / TWO_PI,
             "phi_a_rad": truth.phi_a,
             "phi_b_rad": truth.phi_b,
-            "gamma_phi_hz": float(io.angular_to_hz(truth.gamma_phi)),
-            "gamma_bath_hz": float(io.angular_to_hz(truth.gamma_bath)),
+            "gamma_phi_hz": truth.gamma_phi / TWO_PI,
+            "gamma_bath_hz": truth.gamma_bath / TWO_PI,
         }},
         "lines.csv": (result.lines, freqs),
     }
@@ -106,26 +108,24 @@ def _cmd_fit(config, inputs, seed, run_id):
     init = estimation.initial_guess_from_spectrum(calibrated)
     report = estimation.fit_four_channel(calibrated, init, seed=seed)
     return {"fit.json": {**asdict(report), "params_hz": {
-        "gamma_a_hz": float(io.angular_to_hz(report.value("gamma_a"))),
-        "gamma_b_hz": float(io.angular_to_hz(report.value("gamma_b"))),
-        "f_ge_hz": float(io.angular_to_hz(report.value("omega_ge"))),
+        "gamma_a_hz": report.value("gamma_a") / TWO_PI,
+        "gamma_b_hz": report.value("gamma_b") / TWO_PI,
+        "f_ge_hz": report.value("omega_ge") / TWO_PI,
     }}}
 
 
 def _cmd_sweep_bias(config, inputs, seed, run_id):
     import numpy as np
 
-    from . import estimation, io, model
+    from . import estimation, model, presets
 
-    cell = io.cell_params_from_config(config)
-    flux = io.flux_model_from_config(config)
-    fn = config["fluxnoise"]
-    s_i = fn["s_i_a2_per_hz"]
-    gphi0 = float(io.hz_to_angular(fn["gamma_phi0_hz"]))
+    cell = presets.cell_params_from_config(config)
+    flux = presets.flux_model_from_config(config)
+    s_i, gphi0 = presets.flux_noise_from_config(config)
     g = config["grid"]
     biases = np.linspace(g["bias_start_ma"], g["bias_stop_ma"], int(g["n_bias"]))
     freqs = _freq_grid(config)
-    omega = io.hz_to_angular(freqs)
+    omega = TWO_PI * freqs
 
     e_map = np.empty((biases.size, freqs.size), dtype=complex)
     e_res = np.empty(biases.size)
@@ -154,16 +154,16 @@ def _cmd_sweep_bias(config, inputs, seed, run_id):
             [np.repeat(biases, freqs.size), np.tile(freqs, biases.size),
              e_map.real, e_map.imag, np.array([abs(v) for v in e_map.ravel()])]),
         "resonant_efficiency.csv": (
-            ["bias_ma", "e_res", "f_ge_hz"], [biases, e_res, io.angular_to_hz(w_ges)]),
+            ["bias_ma", "e_res", "f_ge_hz"], [biases, e_res, w_ges / TWO_PI]),
         "gamma_phi_vs_bias.csv": (
             ["bias_ma", "gamma_phi_true_hz", "gamma_phi_recon_hz"],
-            [biases, io.angular_to_hz(gamma_phi_true), io.angular_to_hz(recon)]),
+            [biases, gamma_phi_true / TWO_PI, recon / TWO_PI]),
         "bias_fit.json": {
             "e_polynomial": asdict(poly),
             "flux_noise": asdict(noise_fit),
             "flux_noise_hz": {
                 "s_i_a2_per_hz": noise_fit.value("s_i"),
-                "gamma_phi0_hz": float(io.angular_to_hz(noise_fit.value("gamma_phi_0"))),
+                "gamma_phi0_hz": noise_fit.value("gamma_phi_0") / TWO_PI,
             },
         },
     }
@@ -172,14 +172,10 @@ def _cmd_sweep_bias(config, inputs, seed, run_id):
 def _cmd_sweep_temp(config, inputs, seed, run_id):
     import numpy as np
 
-    from . import estimation, io, model, synth
+    from . import estimation, model, presets, synth
 
-    cell = io.cell_params_from_config(config)
-    th = config["thermal"]
-    tc = model.ThermalCoefficients(
-        gamma1_zero=float(io.hz_to_angular(th["gamma1_zero_hz"])),
-        gamma_phi_zero_per_photon=float(io.hz_to_angular(th["gamma_phi_zero_hz"])),
-    )
+    cell = presets.cell_params_from_config(config)
+    tc = presets.thermal_coefficients_from_config(config)
     g = config["grid"]
     temps = np.linspace(g["temp_start_k"], g["temp_stop_k"], int(g["n_temp"]))
     n_th = model.n_thermal(temps, cell.omega_ge)
@@ -195,8 +191,8 @@ def _cmd_sweep_temp(config, inputs, seed, run_id):
         "thermal_fit.json": {
             "fit": asdict(fit),
             "fit_hz": {
-                "gamma1_zero_hz": float(io.angular_to_hz(fit.value("gamma1_zero"))),
-                "gamma_phi_zero_hz": float(io.angular_to_hz(fit.value("gamma_phi_zero"))),
+                "gamma1_zero_hz": fit.value("gamma1_zero") / TWO_PI,
+                "gamma_phi_zero_hz": fit.value("gamma_phi_zero") / TWO_PI,
             },
         },
     }
@@ -205,9 +201,9 @@ def _cmd_sweep_temp(config, inputs, seed, run_id):
 def _cmd_sweep_power(config, inputs, seed, run_id):
     import numpy as np
 
-    from . import estimation, io, model, synth
+    from . import estimation, model, presets, synth
 
-    cell = io.cell_params_from_config(config)
+    cell = presets.cell_params_from_config(config)
     sat = config["saturation"]
     g = config["grid"]
     n_avg = np.geomspace(g["navg_min"], g["navg_max"], int(g["n_navg"]))
@@ -239,21 +235,13 @@ def _cmd_sweep_power(config, inputs, seed, run_id):
 def _cmd_dressed(config, inputs, seed, run_id):
     import numpy as np
 
-    from . import io, model
+    from . import model, presets
 
-    cell = io.cell_params_from_config(config)
-    dr = config["dressed"]
-    dm = model.DressedModel(
-        lambda_red=float(io.hz_to_angular(dr["lambda_red_hz"])),
-        lambda_blue=float(io.hz_to_angular(dr["lambda_blue_hz"])),
-        omega_ge=cell.omega_ge,
-        omega_ef=cell.omega_ef if cell.omega_ef is not None else cell.omega_ge,
-    )
+    dm = presets.dressed_model_from_config(config)
     g = config["grid"]
     photons = np.linspace(g["nphot_min"], g["nphot_max"], int(g["n_nphot"]))
-    lines = model.dressed_lines(cell.omega_ge, photons, dm)
-    freqs = [io.angular_to_hz(w)
-             for w in (lines.ge_red, lines.ge_blue, lines.ef_red, lines.ef_blue)]
+    lines = model.dressed_lines(dm.omega_ge, photons, dm)
+    freqs = [w / TWO_PI for w in (lines.ge_red, lines.ge_blue, lines.ef_red, lines.ef_blue)]
     return {"dressed_lines.csv": (["n_photons", "f_ge_red_hz", "f_ge_blue_hz",
                                    "f_ef_red_hz", "f_ef_blue_hz"], [photons, *freqs])}
 
@@ -263,7 +251,7 @@ def _cmd_report(config, inputs, seed, run_id):
     fit_file = target / "fit.json" if target.is_dir() else target
 
     def mhz(x):
-        return x / (2.0 * math.pi * 1e6)
+        return x / (TWO_PI * 1e6)
 
     try:
         with fit_file.open() as fh:
@@ -277,8 +265,8 @@ def _cmd_report(config, inputs, seed, run_id):
             f"  residual norm: {payload['residual_norm']:.3e}",
             f"  gamma_a  = 2pi * {mhz(params['gamma_a']):.4f} +/- {mhz(sigma['gamma_a']):.4f} MHz",
             f"  gamma_b  = 2pi * {mhz(params['gamma_b']):.4f} +/- {mhz(sigma['gamma_b']):.4f} MHz",
-            f"  f_ge     = {params['omega_ge'] / (2.0 * math.pi * 1e9):.6f} "
-            f"+/- {sigma['omega_ge'] / (2.0 * math.pi * 1e9):.2e} GHz",
+            f"  f_ge     = {params['omega_ge'] / (TWO_PI * 1e9):.6f} "
+            f"+/- {sigma['omega_ge'] / (TWO_PI * 1e9):.2e} GHz",
             f"  phi_a    = {params['phi_a'] / math.pi:+.4f} pi +/- {sigma['phi_a'] / math.pi:.4f} pi",
             f"  phi_b    = {params['phi_b'] / math.pi:+.4f} pi +/- {sigma['phi_b'] / math.pi:.4f} pi",
         ]
@@ -409,6 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # numpy reads this when a step first imports it; a count the user set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         run_command(args.subcommand, runs.load_config(args.config), args.inputs,
                     out_dir=args.out, seed=args.seed, run_id=args.run_id)

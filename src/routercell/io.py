@@ -1,22 +1,17 @@
-"""File formats and the Hz view of configuration sections.
+"""Spectrum and line-model file formats.
 
 The canonical spectrum format is long-form CSV with header
 ``freq_hz,channel,re,im`` plus optional ``bias_ma,power_dbm,temp_k``
 columns; write/read round-trips are lossless at full float precision.
 Four-port touchstone files (``.s4p``) are supported for ingestion with
-the port map 1 = A-in, 2 = A-out, 3 = B-in, 4 = B-out.
+the port map 1 = A-in, 2 = A-out, 3 = B-in, 4 = B-out.  Text inputs are
+UTF-8 and may start with a byte-order mark.
 
 CSV tables (spectra, line models) share one writer, :func:`write_columns`,
 and one columnar reader.  Every malformed spectrum or line-model file,
 whatever its bytes, raises :class:`~routercell.runs.ParseError`.
-
-The INI configuration itself, its schema and the run records live in
-:mod:`routercell.runs`, which needs no numpy.  Frequencies and rates are
-linear Hz in files and on the command line.  They become the angular
-units used internally through :func:`hz_to_angular` where a section is
-read: in the ``*_from_config`` helpers here for ``[model]`` and
-``[flux]``, and in ``cli`` for ``[fluxnoise]``, ``[thermal]`` and
-``[dressed]``.
+The INI configuration lives in :mod:`routercell.runs`, and
+:mod:`routercell.presets` turns its sections into model objects.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import ChannelSpectrum
-from .model import CHANNELS, CellParams, FluxModel
+from .model import CHANNELS
 from .network import LineModel
 from .runs import ParseError
 
@@ -44,13 +39,7 @@ __all__ = [
     "spectrum_to_smatrix",
     "write_line_model",
     "read_line_model",
-    "cell_params_from_config",
-    "flux_model_from_config",
-    "hz_to_angular",
-    "angular_to_hz",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 _CSV_HEADER = ["freq_hz", "channel", "re", "im"]
 _CSV_META = ["bias_ma", "power_dbm", "temp_k"]
@@ -58,15 +47,6 @@ _CSV_META = ["bias_ma", "power_dbm", "temp_k"]
 #: Touchstone port indices (0-based) of the channels in CHANNELS order.
 _TOUCHSTONE_OUT = [1, 3, 3, 1]
 _TOUCHSTONE_IN = [0, 2, 0, 2]
-
-
-def hz_to_angular(value):
-    """Linear Hz -> angular rad/s, the single conversion point for IO."""
-    return TWO_PI * np.asarray(value, dtype=float)
-
-
-def angular_to_hz(value):
-    return np.asarray(value, dtype=float) / TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +113,8 @@ def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -
 
 @contextmanager
 def _text_file(path: Path, **kwargs):
-    """Open a file for reading as UTF-8; undecodable bytes raise ParseError naming it."""
-    with path.open(encoding="utf-8", **kwargs) as fh:
+    """Open a UTF-8 file, BOM optional; undecodable bytes raise ParseError naming it."""
+    with path.open(encoding="utf-8-sig", **kwargs) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -152,7 +132,7 @@ def _split_table(path: Path):
     3.11 it also refuses a NUL).
     """
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError:
         return None
     text = text.replace("\r\n", "\n")
@@ -468,32 +448,4 @@ def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:
     if constant:
         return LineModel(*matrices[:, 0], isolation=complex(iso[0])), None
     return LineModel(*matrices, isolation=iso), freqs[index[0]]
-
-
-# ---------------------------------------------------------------------------
-# configuration sections as model objects
-
-
-def cell_params_from_config(config: dict[str, dict]) -> CellParams:
-    """Build cell parameters from the [model] section (Hz -> rad/s here)."""
-    m = config["model"]
-    return CellParams(
-        gamma_a=float(hz_to_angular(m["gamma_a_hz"])),
-        gamma_b=float(hz_to_angular(m["gamma_b_hz"])),
-        omega_ge=float(hz_to_angular(m["f_ge_hz"])),
-        omega_ef=float(hz_to_angular(m["f_ef_hz"])),
-        phi_a=float(m["phi_a_rad"]),
-        phi_b=float(m["phi_b_rad"]),
-        gamma_phi=float(hz_to_angular(m["gamma_phi_hz"])),
-        gamma_bath=float(hz_to_angular(m["gamma_bath_hz"])),
-    )
-
-
-def flux_model_from_config(config: dict[str, dict]) -> FluxModel:
-    fx = config["flux"]
-    return FluxModel(
-        curvature=float(hz_to_angular(fx["curvature_hz_per_ma2"])),
-        linear=float(hz_to_angular(fx["linear_hz_per_ma"])),
-        sweet_spot_omega=float(hz_to_angular(fx["sweet_spot_f_hz"])),
-    )
 

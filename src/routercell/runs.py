@@ -1,7 +1,9 @@
 """Configuration, run records and the package's typed input errors.
 
 This module imports only the standard library, so a CLI step that needs
-nothing else, such as ``report``, starts without numpy.
+nothing else, such as ``report``, starts without numpy.  ``configparser``
+and ``hashlib`` are imported where they are used, so that importing
+:mod:`routercell.presets`, which reads :data:`CONFIG_SCHEMA`, loads neither.
 
 Configuration files are flat ``key = value`` INI sections, one section
 per concern, in linear Hz; :data:`CONFIG_SCHEMA` lists every allowed key
@@ -12,8 +14,6 @@ as ``runs/<id>/run.json``.
 
 from __future__ import annotations
 
-import configparser
-import hashlib
 import json
 import math
 import time
@@ -104,13 +104,18 @@ CONFIG_SCHEMA: dict[str, dict[str, float | int | str]] = {
 
 
 def load_config(path=None) -> dict[str, dict]:
-    """Defaults overlaid with an optional INI file; unknown keys are fatal."""
+    """Defaults overlaid with an optional INI file; unknown keys are fatal.
+
+    The file is UTF-8, maybe after a byte-order mark; a ``%`` is literal.
+    """
+    import configparser
+
     config = {section: dict(values) for section, values in CONFIG_SCHEMA.items()}
     if path is None:
         return config
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(str(path))
+        read = parser.read(str(path), encoding="utf-8-sig")
         sections = {name: parser.items(name) for name in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
@@ -167,6 +172,8 @@ def new_run_id(config: dict, seed: int | None, subcommand: str, inputs: list[str
     ``inputs`` names what the run reads, such as the digest of each input
     file, so that runs over different inputs get different ids.
     """
+    import hashlib
+
     digest = hashlib.sha256(
         json.dumps([subcommand, config, seed, inputs], sort_keys=True, default=str).encode()
     ).hexdigest()[:8]
@@ -175,6 +182,8 @@ def new_run_id(config: dict, seed: int | None, subcommand: str, inputs: list[str
 
 
 def file_digest(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with Path(path).open("rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

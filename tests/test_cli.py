@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from routercell import cli, io, model, runs
+from routercell import cli, io, model, presets, runs
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,7 +29,7 @@ class TestSimulate:
         assert (run_dir / "run.json").exists()
         spectrum = io.ingest_spectrum(run_dir / "spectrum.csv")
         config = runs.load_config(None)
-        cell = io.cell_params_from_config(config)
+        cell = presets.cell_params_from_config(config)
         truth = dict(zip(model.CHANNELS, model.cell_coefficients(TWO_PI * spectrum.freqs, cell)))
         for ch in model.CHANNELS:
             assert np.max(np.abs(spectrum.channel(ch) - truth[ch])) < 1e-12
@@ -86,7 +86,7 @@ class TestSweeps:
         record = cli.run_command("sweep-bias", config, out_dir=tmp_path, seed=2)
         run_dir = tmp_path / "runs" / record.run_id
         _, rows = read_rows(run_dir / "efficiency_map.csv")
-        flux = io.flux_model_from_config(config)
+        flux = presets.flux_model_from_config(config)
         by_bias = {}
         for row in rows:
             by_bias.setdefault(float(row["bias_ma"]), []).append(
@@ -126,7 +126,7 @@ class TestSweeps:
         config["model"]["phi_a_rad"] = 0.2
         record = cli.run_command("sweep-power", config, out_dir=tmp_path, seed=4)
         _, rows = read_rows(tmp_path / "runs" / record.run_id / "saturation.csv")
-        cell = io.cell_params_from_config(config)
+        cell = presets.cell_params_from_config(config)
         resonant = dict(zip(model.CHANNELS, model.cell_coefficients(cell.omega_ge, cell)))
         for ch in model.CHANNELS:
             first = [r for r in rows if r["channel"] == ch][0]
@@ -251,6 +251,16 @@ class TestMainEntry:
         code = cli.main(["--out", str(tmp_path), "--seed", "1", "simulate"])
         assert code == 0
         assert "wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_blas_threads_pinned_unless_set(self, tmp_path, monkeypatch, preset, expected):
+        # setenv first, so that teardown restores the variable whatever main does to it
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        (tmp_path / "fit.json").write_text(json.dumps(self.FIT))
+        assert cli.main(["--out", str(tmp_path), "report", str(tmp_path / "fit.json")]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == expected
 
     def test_unknown_config_key_gives_machine_readable_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

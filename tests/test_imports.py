@@ -1,6 +1,6 @@
-"""Start-up cost: the package root loads nothing, the CLI loads no numpy, scipy
-optimizer or constants table, each CLI step loads only the layers it uses, and fits load
-no scipy."""
+"""Start-up cost: the package root loads nothing, presets load no config parser or hash,
+the CLI loads no numpy, scipy optimizer or constants table, each CLI step loads only the
+layers it uses, and fits load no scipy."""
 
 import json
 import os
@@ -39,6 +39,13 @@ def test_model_import_loads_no_later_stage():
     later = tuple(f"routercell.{m}" for m in ("estimation", "synth", "io", "calibration"))
     code = (f"import sys, routercell.model; "
             f"print('loaded:' + ','.join(m for m in {later!r} if m in sys.modules))")
+    assert run_fresh(code) == "loaded:"
+
+
+def test_presets_import_loads_neither_configparser_nor_hashlib():
+    # the benchmark's set-up imports presets, which reads runs.CONFIG_SCHEMA
+    code = ("import sys, routercell.presets; print('loaded:' + ','.join(m for m in "
+            "('configparser', 'hashlib') if m in sys.modules))")
     assert run_fresh(code) == "loaded:"
 
 

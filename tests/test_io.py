@@ -1,9 +1,13 @@
 """File formats: CSV round trips, touchstone ingestion, config validation."""
 
+import codecs
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from io import StringIO
 from pathlib import Path
@@ -13,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from routercell import io, model, network, runs
+from routercell import io, model, network, presets, runs
 from routercell.calibration import ChannelSpectrum
 
 TWO_PI = 2.0 * math.pi
@@ -508,7 +512,7 @@ class TestIngestionProperties:
 def oracle_read_table(path, required, optional=()):
     """``_read_table`` row by row through ``csv.reader``, with every check and error it makes."""
     try:
-        with Path(path).open(encoding="utf-8", newline="") as fh:
+        with Path(path).open(encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 table = [(reader.line_num, row) for row in reader
@@ -712,6 +716,48 @@ class TestTouchstone:
             io.ingest_spectrum(path)
 
 
+def with_bom(path: Path) -> Path:
+    """A copy of ``path`` that starts with a UTF-8 byte-order mark, as ``utf-8-sig`` writes."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("edit", [
+        lambda text: text,
+        lambda text: "# note\n" + text,
+        lambda text: text.replace("freq_hz", '"freq_hz"', 1),  # the csv.reader path
+    ], ids=["plain", "comment-first", "quoted"])
+    def test_spectrum(self, tmp_path, edit):
+        path = tmp_path / "spec.csv"
+        io.write_spectrum(sample_spectrum(), path)
+        path.write_text(edit(path.read_text()))
+        assert_same_spectrum(io.ingest_spectrum(with_bom(path)), io.ingest_spectrum(path))
+
+    def test_line_model(self, tmp_path):
+        from routercell import synth
+        freqs = np.linspace(6.1e9, 6.2e9, 5)
+        path = tmp_path / "lines.csv"
+        lines = synth.gen_lines(synth.LineSpec(ripple_db=0.4), seed=2, freqs=freqs)
+        io.write_line_model(lines, path, freqs=freqs)
+        (plain, plain_freqs), (back, back_freqs) = map(io.read_line_model, (path, with_bom(path)))
+        assert back_freqs.tobytes() == plain_freqs.tobytes()
+        for a, b in zip(back.matrices + (back.isolation,), plain.matrices + (plain.isolation,)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_touchstone(self, tmp_path):
+        spectrum = sample_spectrum()
+        path = tmp_path / "cell.s4p"
+        io.write_touchstone(path, spectrum.freqs, io.spectrum_to_smatrix(spectrum))
+        assert_same_spectrum(io.ingest_spectrum(with_bom(path)), io.ingest_spectrum(path))
+
+    def test_config(self, tmp_path):
+        path = tmp_path / "conf.ini"
+        path.write_text("[model]\ngamma_a_hz = 2.0e6\n\n[run]\nout = work\n")
+        assert runs.load_config(with_bom(path)) == runs.load_config(path)
+
+
 def mostly(usual, other):
     """``usual`` three times in four, else ``other``."""
     return st.one_of(usual, usual, usual, other)
@@ -735,12 +781,24 @@ def config_texts(draw):
     return "\n".join(lines).encode()
 
 
+@st.composite
+def config_values(draw):
+    """A value for every :data:`~routercell.runs.CONFIG_SCHEMA` key, drawn by its default's type.
+
+    Floats are finite; strings are one line with no surrounding whitespace.
+    """
+    line = st.text(st.characters(exclude_characters="\r\n")).filter(lambda s: s == s.strip())
+    typed = {str: line, int: st.integers(), float: FINITE}
+    return {section: {key: draw(typed[type(default)]) for key, default in values.items()}
+            for section, values in runs.CONFIG_SCHEMA.items()}
+
+
 class TestConfig:
     def test_defaults_build_valid_models(self):
         config = runs.load_config(None)
-        cell = io.cell_params_from_config(config)
+        cell = presets.cell_params_from_config(config)
         assert cell.gamma_a == pytest.approx(TWO_PI * 1.82e6)
-        flux = io.flux_model_from_config(config)
+        flux = presets.flux_model_from_config(config)
         assert flux.curvature == pytest.approx(-TWO_PI * 352e6)
 
     def test_file_overrides_defaults(self, tmp_path):
@@ -777,6 +835,34 @@ class TestConfig:
         path.write_text(text)
         with pytest.raises(runs.ConfigError, match=r"unknown config section \[DEFAULT\]"):
             runs.load_config(path)
+
+    def test_utf8_comment_loads_under_c_locale(self, tmp_path):
+        path = tmp_path / "conf.ini"
+        path.write_text("# Kopplung \u03b3a\n[model]\ngamma_a_hz = 2.0e6\n", encoding="utf-8")
+        src = str(Path(runs.__file__).resolve().parents[1])
+        # under the C locale Python turns UTF-8 mode on by itself; off, the locale is ASCII
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=src)
+        code = ("import sys; from routercell import runs; "
+                "print(runs.load_config(sys.argv[1])['model']['gamma_a_hz'])")
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "2000000.0\n"
+
+    @pytest.mark.parametrize("value", ["/tmp/run_100%", "100%%", "%(seed)s"])
+    def test_percent_is_taken_literally(self, tmp_path, value):
+        path = tmp_path / "conf.ini"
+        path.write_text(f"[run]\nout = {value}\n")
+        assert runs.load_config(path)["run"]["out"] == value
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(config_values())
+    def test_written_values_load_back(self, tmp_path_factory, config):
+        path = tmp_path_factory.mktemp("config") / "conf.ini"
+        path.write_text("".join(f"[{section}]\n" + "".join(
+            f"{key} = {value if isinstance(value, str) else repr(value)}\n"
+            for key, value in values.items()) for section, values in config.items()),
+            encoding="utf-8")
+        assert runs.load_config(path) == config
 
     def test_bad_value_type(self, tmp_path):
         path = tmp_path / "conf.ini"
