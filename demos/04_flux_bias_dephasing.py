@@ -45,8 +45,7 @@ print(f"\nquadratic fit of E(I_b): {poly.value('c2'):+.3f}/mA^2 "
 print(f"sweet-spot efficiency: {poly.value('c0'):.3f}")
 
 # invert E for the dephasing rate at each bias and fit the noise model
-recon = np.array([gamma_phi_from_E(min(e, 1.0), cell.gamma_a, cell.gamma_b)
-                  for e in e_res])
+recon = gamma_phi_from_E(e_res, cell.gamma_a, cell.gamma_b)
 noise_fit = fit_flux_noise(recon, biases, flux)
 print(f"\nflux-noise fit:")
 print(f"  S_I        = {noise_fit.value('s_i'):.3e} A^2/Hz "

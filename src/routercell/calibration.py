@@ -186,10 +186,10 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSp
     Through channels are normalized by their HD references; cross channels
     subtract the isolation leakage and rescale by the square-root
     combination of HD references that cancels the line transmissions.
-    The square-root branch is fixed by phase continuity, with the global
-    sign anchored so the cross response at its peak lies in the right
-    half-plane (the model's resonant cross amplitude is positive real for
-    small coupling phases).
+    The square-root branch is fixed by phase continuity and each cross
+    channel's sign by its through dip: ``Re sum(t_AB conj(1 - t_AA)) > 0``
+    (``BA`` with ``BB``), since ``t_AB / (1 - t_AA) = sqrt(gamma_b/gamma_a)
+    e^{i (phi_b - phi_a)/2}`` in the model, with Re > 0 for |phi| < pi/2.
 
     Raises
     ------
@@ -205,8 +205,8 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSp
     # rows AB, BA: each cross channel is rescaled by the opposite direction
     scale = _continuous_sqrt(np.array([ba, ab]) / (aa * bb * hd.traces[2:]))
     cross = (meas.traces[2:] - hd.traces[2:]) * scale
-    peak = cross[[0, 1], np.argmax(np.abs(cross), axis=-1)]
-    cross = np.where((peak.real < 0)[:, None], -cross, cross)
+    anchor = np.sum(cross * np.conj(1.0 - through), axis=-1)
+    cross = np.where((anchor.real < 0)[:, None], -cross, cross)
     return replace(meas, traces=np.concatenate([through, cross]))
 
 

@@ -38,6 +38,21 @@ def _freq_grid(config: dict):
     return np.linspace(g["f_start_hz"], g["f_stop_hz"], int(g["n_points"]))
 
 
+def _add_real_noise(values, config: dict, seed: int, *keys):
+    """``values`` plus real Gaussian noise of ``[noise] sigma`` (>= 0), seeded by ``seed, keys``."""
+    import numpy as np
+
+    from . import synth
+
+    sigma = config["noise"]["sigma"]
+    if sigma < 0:
+        raise ValueError(f"[noise] sigma must be >= 0, got {sigma!r}")
+    if sigma == 0:
+        return values
+    rng = np.random.default_rng(synth.derive_seed(seed, *keys))
+    return values + sigma * rng.standard_normal(values.shape)
+
+
 # ---------------------------------------------------------------------------
 # subcommand pipelines: each returns {file name: artefact} and writes nothing
 
@@ -127,24 +142,14 @@ def _cmd_sweep_bias(config, inputs, seed, run_id):
     freqs = _freq_grid(config)
     omega = TWO_PI * freqs
 
-    e_map = np.empty((biases.size, freqs.size), dtype=complex)
-    e_res = np.empty(biases.size)
-    w_ges = np.empty(biases.size)
-    gamma_phi_true = np.empty(biases.size)
-    for i, ib in enumerate(biases):
-        w_ges[i] = w_ge = model.omega_ge_of_bias(float(ib), flux)
-        slope = float(flux.slope(float(ib))) * 1e3  # rad/s per A
-        gamma_phi = math.pi * slope**2 * s_i + gphi0
-        gamma_phi_true[i] = gamma_phi
-        p = replace(cell, omega_ge=w_ge, gamma_phi=gamma_phi)
-        e_map[i] = model.efficiency(omega - w_ge, p)
-        e_res[i] = model.efficiency(0.0, p).real
+    w_ges = model.omega_ge_of_bias(biases, flux)
+    gamma_phi_true = math.pi * (flux.slope(biases) * 1e3) ** 2 * s_i + gphi0  # slope in rad/s/A
+    cells = [replace(cell, omega_ge=w, gamma_phi=r) for w, r in zip(w_ges, gamma_phi_true)]
+    e_map = np.array([model.efficiency(omega - p.omega_ge, p) for p in cells])
+    e_res = np.array([model.efficiency(0.0, p).real for p in cells])
 
     poly = estimation.fit_E_polynomial(e_res, biases, seed=seed)
-    recon = np.array([
-        estimation.gamma_phi_from_E(float(v), cell.gamma_a, cell.gamma_b)
-        for v in np.minimum(e_res, 1.0)
-    ])
+    recon = estimation.gamma_phi_from_E(e_res, cell.gamma_a, cell.gamma_b)
     noise_fit = estimation.fit_flux_noise(recon, biases, flux, seed=seed)
 
     return {
@@ -172,7 +177,7 @@ def _cmd_sweep_bias(config, inputs, seed, run_id):
 def _cmd_sweep_temp(config, inputs, seed, run_id):
     import numpy as np
 
-    from . import estimation, model, presets, synth
+    from . import estimation, model, presets
 
     cell = presets.cell_params_from_config(config)
     tc = presets.thermal_coefficients_from_config(config)
@@ -180,10 +185,7 @@ def _cmd_sweep_temp(config, inputs, seed, run_id):
     temps = np.linspace(g["temp_start_k"], g["temp_stop_k"], int(g["n_temp"]))
     n_th = model.n_thermal(temps, cell.omega_ge)
     e = model.efficiency_thermal(n_th, cell.gamma_a, cell.gamma_b, tc)
-    sigma = config["noise"]["sigma"]
-    if sigma > 0:
-        rng = np.random.default_rng(synth.derive_seed(seed, "sweep-temp"))
-        e = e + sigma * rng.standard_normal(e.shape)
+    e = _add_real_noise(e, config, seed, "sweep-temp")
     fit = estimation.fit_thermal(e, temps, cell.gamma_a, cell.gamma_b,
                                  cell.omega_ge, seed=seed)
     return {
@@ -210,16 +212,13 @@ def _cmd_sweep_power(config, inputs, seed, run_id):
     # weak drive: the linear cell response on resonance; strong drive: the saturated cell
     low = model.cell_coefficients(cell.omega_ge, cell)
     high = synth.hd_cell_coefficients().real
-    sigma = config["noise"]["sigma"]
     curves = []
     fits = {}
     for ch, a, weak in zip(model.CHANNELS, high, low):
         # scalar abs: the vectorised np.abs can round the last bit differently
         params = model.SaturationParams(a=a, b=a - abs(weak), c=sat["c"], d=sat["d"])
         mags = model.saturation_curve(n_avg, params)
-        if sigma > 0:
-            rng = np.random.default_rng(synth.derive_seed(seed, "sweep-power", ch))
-            mags = mags + sigma * rng.standard_normal(mags.shape)
+        mags = _add_real_noise(mags, config, seed, "sweep-power", ch)
         curves.append(mags)
         fits[ch] = asdict(estimation.fit_saturation(mags, n_avg, seed=seed))
     return {

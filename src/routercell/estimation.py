@@ -311,26 +311,28 @@ def fit_E_polynomial(e_values, ib_ma, seed: int | None = None) -> FitReport:
     return _linear_report(("c2", "c1", "c0"), design, e, seed)
 
 
-def gamma_phi_from_E(e: float, gamma_a: float, gamma_b: float) -> float:
-    """Pure dephasing rate implied by a resonant efficiency value.
+def gamma_phi_from_E(e, gamma_a: float, gamma_b: float):
+    """Pure dephasing rates implied by resonant efficiency values.
 
     Inverts the resonant efficiency for the positive root of
-    ``r^2/(gamma_a gamma_b) + r (1/gamma_a + 1/gamma_b) + 1 - 1/E = 0``.
-    Values slightly above 1 occur in normalized noisy data; they are
-    clamped to 1 (zero dephasing) with a warning.
+    ``r^2/(gamma_a gamma_b) + r (1/gamma_a + 1/gamma_b) + 1 - 1/E = 0`` for
+    each value of ``e``, a scalar or an array.  Noisy values above 1 are
+    clamped to 1 (zero dephasing) with one warning that gives their count.
     """
     if gamma_a <= 0 or gamma_b <= 0:
         raise ValueError("couplings must be > 0")
-    if not np.isfinite(e) or e <= 0:
-        raise ValueError(f"efficiency must be in (0, 1], got {e}")
-    if e > 1.0:
-        warnings.warn(f"efficiency {e:.4f} > 1 clamped to 1", stacklevel=2)
-        e = 1.0
+    e = np.asarray(e, dtype=float)
+    bad = e[~(np.isfinite(e) & (e > 0))]
+    if bad.size:
+        raise ValueError(f"efficiency must be in (0, 1], got {bad[0]}")
+    above = np.count_nonzero(e > 1.0)
+    if above:
+        warnings.warn(f"{above} of {e.size} efficiencies above 1 clamped to 1", stacklevel=2)
     qa = 1.0 / (gamma_a * gamma_b)
     qb = 1.0 / gamma_a + 1.0 / gamma_b
-    qc = 1.0 - 1.0 / e
+    qc = 1.0 - 1.0 / np.minimum(e, 1.0)
     disc = qb * qb - 4.0 * qa * qc
-    return float((-qb + math.sqrt(disc)) / (2.0 * qa))
+    return (-qb + np.sqrt(disc)) / (2.0 * qa)
 
 
 def fit_flux_noise(gamma_phi, ib_ma, flux: FluxModel,
@@ -362,17 +364,15 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
     inverting the efficiency pointwise and fitting the implied rate
     linearly in the photon number, then the rates are polished with a
     bounded nonlinear fit.  Returns ``gamma1_zero`` and ``gamma_phi_zero``
-    (rad/s).
+    (rad/s); needs at least 3 temperatures.
     """
     temps = np.asarray(temps_k, dtype=float)
     e = np.asarray(e_values, dtype=float)
-    if np.any(temps <= 0):
-        raise ValueError("temperatures must be > 0")
+    if temps.size < 3:
+        raise FitError("need at least 3 temperatures")
     n_th = n_thermal(temps, omega_ge)
 
-    rates = np.array([
-        gamma_phi_from_E(min(float(v), 1.0), gamma_a, gamma_b) for v in e
-    ])
+    rates = gamma_phi_from_E(e, gamma_a, gamma_b)
     design = np.column_stack([n_th, np.ones_like(n_th)])
     (slope, intercept), *_ = np.linalg.lstsq(design, rates, rcond=None)
     g1_init = max(2.0 * intercept, 1e-6 * max(slope, 1.0))

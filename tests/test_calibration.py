@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from routercell import calibration, model, network, synth
 
@@ -164,6 +165,51 @@ class TestCalibrateResponses:
         with pytest.raises(calibration.CalibrationError, match="AB") as err:
             calibration.calibrate_responses(meas, hd_bad)
         assert f"{self.FREQS[5]:.6g}" in str(err.value)
+
+
+PHASE = st.floats(min_value=-0.45 * math.pi, max_value=0.45 * math.pi)
+RATE_MHZ = st.floats(min_value=0.3, max_value=5.0)
+
+
+@st.composite
+def cells(draw):
+    """Cells with any allowed coupling phases, dephasing and bath loss."""
+    ga, gb, gphi, gbath = (TWO_PI * 1e6 * draw(rate) for rate in
+                           (RATE_MHZ, RATE_MHZ, st.floats(0.0, 2.0), st.floats(0.0, 1.0)))
+    return model.CellParams(ga, gb, TWO_PI * F_GE, phi_a=draw(PHASE), phi_b=draw(PHASE),
+                            gamma_phi=gphi, gamma_bath=gbath)
+
+
+#: Passive lines without reflections, where ``simplified_forward`` is exact.
+REFLECTIONLESS_LINES = st.builds(
+    synth.LineSpec, transmission_db=st.floats(-20.0, -1.0), jitter_db=st.floats(0.0, 3.0),
+    reflection_bound=st.just(0.0), isolation_db=st.floats(-50.0, -15.0),
+    ripple_db=st.floats(0.0, 0.5))
+
+
+class TestCalibrationProperties:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(cells(), st.integers(5, 80), st.floats(8.0, 30.0), st.floats(-0.3, 0.3),
+           REFLECTIONLESS_LINES, st.integers(0, 2**32 - 1))
+    # five points: the largest cross sample lies off resonance, where its
+    # phase is near +-90 degrees and a peak anchor picked the wrong sign
+    @example(model.CellParams(TWO_PI * 1e6, TWO_PI * 1e6, TWO_PI * F_GE, phi_b=1.0), 5, 9.0,
+             0.25, synth.LineSpec(transmission_db=-1.0, reflection_bound=0.0,
+                                  isolation_db=-15.0), 0)
+    def test_undoes_random_passive_reflectionless_lines(self, cell, n_points, half_widths,
+                                                        offset, line_spec, line_seed):
+        # a coarse grid of n_points over +-half_widths loaded linewidths,
+        # its centre shifted by offset half spans
+        half = half_widths * (cell.gamma_sum + cell.coherence_rate) / TWO_PI
+        centre = F_GE + offset * half
+        freqs = np.linspace(centre - half, centre + half, n_points)
+        lines = synth.gen_lines(line_spec, seed=line_seed, freqs=freqs)
+        truth = model.cell_coefficients(TWO_PI * freqs, cell)
+        meas = calibration.ChannelSpectrum(freqs, network.simplified_forward(truth, lines))
+        hd = calibration.ChannelSpectrum(
+            freqs, network.simplified_forward(synth.hd_cell_coefficients(n_points), lines))
+        calibrated = calibration.calibrate_responses(meas, hd)
+        assert np.max(np.abs(calibrated.traces - truth)) < 1e-10
 
 
 class TestCircleFit:

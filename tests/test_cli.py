@@ -347,6 +347,29 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FitError"
 
+    @pytest.mark.parametrize("n_temp", [0, 1, 2])
+    def test_temp_sweep_with_fewer_than_three_temperatures_fails(self, tmp_path, capsys,
+                                                                 n_temp):
+        # two rates need three temperatures; fewer once wrote converged fits
+        conf = tmp_path / "few.ini"
+        conf.write_text(f"[grid]\nn_temp = {n_temp}\n")
+        code = cli.main(["--config", str(conf), "--out", str(tmp_path), "sweep-temp"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FitError"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("subcommand", ["sweep-temp", "sweep-power"])
+    def test_negative_noise_sigma_is_refused(self, tmp_path, capsys, subcommand):
+        conf = tmp_path / "neg.ini"
+        conf.write_text("[noise]\nsigma = -1e-3\n")
+        code = cli.main(["--config", str(conf), "--out", str(tmp_path), subcommand])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "[noise] sigma" in err["message"] and "-0.001" in err["message"]
+        assert not (tmp_path / "runs").exists()
+
     def test_flag_overrides_config(self, tmp_path):
         conf = tmp_path / "run.ini"
         conf.write_text(f"[run]\nseed = 123\nout = {tmp_path / 'confout'}\n")

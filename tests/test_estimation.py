@@ -1,7 +1,11 @@
 """Parameter fits: recovery, uncertainties, identifiability, fixed points."""
 
+import ast
 import math
+import re
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +359,68 @@ class TestGammaPhiFromE:
         with pytest.raises(ValueError):
             estimation.gamma_phi_from_E(0.0, GA, GB)
 
+    @staticmethod
+    def scalar_inversion(e, gamma_a, gamma_b):
+        """The one-value inversion as each caller once looped it, clamping first."""
+        e = min(float(e), 1.0)
+        qa = 1.0 / (gamma_a * gamma_b)
+        qb = 1.0 / gamma_a + 1.0 / gamma_b
+        disc = qb * qb - 4.0 * qa * (1.0 - 1.0 / e)
+        return float((-qb + math.sqrt(disc)) / (2.0 * qa))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-6, max_value=1.5), min_size=1, max_size=40))
+    @example([0.05, 0.25, 0.82, 1.0, 1.0 + 2**-52, 1.02])
+    def test_array_matches_per_point_scalar_inversion_bit_for_bit(self, values):
+        e = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = estimation.gamma_phi_from_E(e, GA, GB)
+            column = estimation.gamma_phi_from_E(e.reshape(-1, 1), GA, GB)
+            scalars = [estimation.gamma_phi_from_E(v, GA, GB) for v in values]
+        expected = np.array([self.scalar_inversion(v, GA, GB) for v in values])
+        assert out.shape == e.shape and column.shape == (e.size, 1)
+        assert out.tobytes() == column.tobytes() == expected.tobytes()
+        assert np.array(scalars).tobytes() == expected.tobytes()
+        assert all(type(v) is np.float64 for v in scalars)
+
+    def test_one_warning_counts_the_clamped_values(self):
+        e = np.array([0.5, 1.01, 0.9, 1.0, 1.2, 1.0 + 2**-52])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = estimation.gamma_phi_from_E(e, GA, GB)
+        assert [str(w.message) for w in caught] == ["3 of 6 efficiencies above 1 clamped to 1"]
+        assert caught[0].category is UserWarning
+        assert np.all(out[[1, 4, 5]] == out[3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimation.gamma_phi_from_E(e[e <= 1.0], GA, GB)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.3])
+    def test_first_invalid_value_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            estimation.gamma_phi_from_E(np.array([0.5, 1.2, bad, -7.0]), GA, GB)
+
+    def test_no_caller_clamps_or_loops(self):
+        # the inversion owns the E > 1 clamp; callers pass whole sweeps
+        root = Path(__file__).resolve().parents[1]
+        calls = 0
+        for path in [*root.glob("src/routercell/*.py"), *root.glob("demos/*.py")]:
+            tree = ast.parse(path.read_text())
+            loops = [n for n in ast.walk(tree) if isinstance(
+                n, (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp))]
+            in_loop = {id(n) for loop in loops for n in ast.walk(loop)}
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                        "gamma_phi_from_E")):
+                    continue
+                calls += 1
+                where = f"{path.name}:{node.lineno}"
+                assert id(node) not in in_loop, f"per-point call at {where}"
+                args = " ".join(ast.unparse(a) for a in node.args)
+                assert not re.search(r"\b(min|minimum|clip)\(", args), f"pre-clamp at {where}"
+        assert calls == 3  # sweep-bias, fit_thermal and demo 04
+
 
 class TestFluxNoise:
     S_I = 3e-19
@@ -421,6 +487,25 @@ class TestThermalFit:
         report = estimation.fit_thermal(self.synth_e(), self.TEMPS,
                                         self.GA_T, self.GB_T, W_GE)
         assert report.value("gamma_phi_zero") > 10 * report.value("gamma1_zero")
+
+    def test_efficiency_above_one_warns_once(self):
+        e = self.synth_e()
+        e[:2] = [1.003, 1.001]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimation.fit_thermal(e, self.TEMPS, self.GA_T, self.GB_T, W_GE)
+        assert [str(w.message) for w in caught] == ["2 of 24 efficiencies above 1 clamped to 1"]
+
+    @pytest.mark.parametrize("n_temp", [0, 1, 2])
+    def test_fewer_than_three_temperatures_refused(self, n_temp):
+        with pytest.raises(estimation.FitError, match="at least 3 temperatures"):
+            estimation.fit_thermal(self.synth_e()[:n_temp], self.TEMPS[:n_temp],
+                                   self.GA_T, self.GB_T, W_GE)
+
+    def test_non_positive_temperature_refused(self):
+        with pytest.raises(ValueError, match="temperature"):
+            estimation.fit_thermal(self.synth_e()[:3], [0.02, 0.0, 0.04],
+                                   self.GA_T, self.GB_T, W_GE)
 
     def test_frozen_occupation_flags_dephasing_coefficient(self):
         # at negligible occupation only gamma1_zero shapes the data
