@@ -34,13 +34,13 @@ print(f"\nzero-occupation efficiency: "
       f"{efficiency_thermal(0.0, cell.gamma_a, cell.gamma_b, tc):.4f}")
 
 report = fit_thermal(e, temps, cell.gamma_a, cell.gamma_b, cell.omega_ge)
-fitted = ThermalCoefficients(report.value("gamma1_zero"), report.value("gamma_phi_zero"))
+fitted = ThermalCoefficients(**report.params)
 print(f"refit gamma1_0   = 2pi*{fitted.gamma1_zero / TWO_PI / 1e6:.3f} MHz "
       f"(injected 2pi*{tc.gamma1_zero / TWO_PI / 1e6:.2f})")
-print(f"refit gamma_phi0 = 2pi*{fitted.gamma_phi_zero_per_photon / TWO_PI / 1e6:.2f} MHz "
-      f"(injected 2pi*{tc.gamma_phi_zero_per_photon / TWO_PI / 1e6:.2f})")
+print(f"refit gamma_phi0 = 2pi*{fitted.gamma_phi_zero / TWO_PI / 1e6:.2f} MHz "
+      f"(injected 2pi*{tc.gamma_phi_zero / TWO_PI / 1e6:.2f})")
 print("dephasing per thermal photon dominates relaxation by "
-      f"{fitted.gamma_phi_zero_per_photon / fitted.gamma1_zero:.0f}x")
+      f"{fitted.gamma_phi_zero / fitted.gamma1_zero:.0f}x")
 
 # photon number of a 2 us pulse on a 50 ohm line
 print("\n  amplitude (uV)   <n> per pulse")

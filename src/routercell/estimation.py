@@ -16,9 +16,10 @@ Fits fall into three families:
 
 Every fit is deterministic given its inputs and uses damped least squares
 (at most 200 residual evaluations, relative step tolerance 1e-10) with
-uncertainties from the linearized covariance at the optimum.  Parameters
-whose Jacobian column vanishes are flagged ``unidentifiable:<name>``
-instead of being reported with a meaningless uncertainty.
+uncertainties from the linearized covariance at the optimum; a linear fit
+is one solve with the same covariance.  A parameter whose Jacobian column
+is exactly zero is flagged ``unidentifiable:<name>`` instead of being
+reported with a meaningless uncertainty.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,22 +126,21 @@ class RateBudget:
 
 
 def _finish_report(names, result, seed=None) -> FitReport:
-    """Covariance-based uncertainties plus identifiability flags.
+    """Uncertainties and flags of a solved fit (``x``, ``fun``, ``jac``, ``nfev``, ``success``).
 
-    Parameters carry wildly different units (rad/s versus rad), so the
-    normal equations are formed on unit-norm Jacobian columns and the
-    covariance is rescaled afterwards; this keeps the inversion
-    well-conditioned regardless of parameter scales.
+    A parameter whose Jacobian column is exactly zero moves no residual:
+    it is flagged ``unidentifiable`` with an infinite uncertainty, a test
+    that holds whatever the parameters' units.  Parameters carry wildly
+    different units (rad/s versus rad), so the covariance is formed on
+    unit-norm columns and rescaled afterwards; a condition number of that
+    Gram matrix above 1e10 flags the fit ``ill-conditioned``.
     """
     jac = np.atleast_2d(result.jac)
     residuals = np.asarray(result.fun)
     m, n = jac.shape
     col_norms = np.linalg.norm(jac, axis=0)
-    ref = float(col_norms.max()) if col_norms.size else 0.0
-    flags: list[str] = []
-    dead = col_norms <= 1e-12 * max(ref, 1.0)
-    for i in np.flatnonzero(dead):
-        flags.append(f"unidentifiable:{names[i]}")
+    dead = col_norms == 0
+    flags = [f"unidentifiable:{names[i]}" for i in np.flatnonzero(dead)]
 
     dof = max(m - n, 1)
     s2 = float(residuals @ residuals) / dof
@@ -173,28 +174,15 @@ def _least_squares(names, residual, x0, seed=None, **kwargs) -> FitReport:
 
 
 def _linear_report(names, design, target, seed=None) -> FitReport:
-    """FitReport for a plain linear least-squares solve (column-scaled)."""
+    """Linear least squares on unit-norm columns; the design is its own Jacobian."""
     col_norms = np.linalg.norm(design, axis=0)
-    if np.any(col_norms == 0):
-        raise FitError("rank-deficient design matrix; parameters not identifiable")
-    scaled = design / col_norms
-    sol_scaled, _, rank, _ = np.linalg.lstsq(scaled, target, rcond=None)
+    col_norms[col_norms == 0] = 1.0  # a zero column stays zero and lowers the rank
+    sol_scaled, _, rank, _ = np.linalg.lstsq(design / col_norms, target, rcond=None)
     if rank < design.shape[1]:
         raise FitError("rank-deficient design matrix; parameters not identifiable")
     sol = sol_scaled / col_norms
-    residuals = design @ sol - target
-    dof = max(design.shape[0] - design.shape[1], 1)
-    s2 = float(residuals @ residuals) / dof
-    cov_scaled = s2 * np.linalg.inv(scaled.T @ scaled)
-    sig = np.sqrt(np.clip(np.diag(cov_scaled), 0.0, None)) / col_norms
-    return FitReport(
-        params=dict(zip(names, (float(v) for v in sol))),
-        sigma=dict(zip(names, (float(v) for v in sig))),
-        residual_norm=float(np.linalg.norm(residuals)),
-        n_iter=1,
-        converged=True,
-        seed=seed,
-    )
+    solved = SimpleNamespace(x=sol, fun=design @ sol - target, jac=design, nfev=1, success=True)
+    return _finish_report(names, solved, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +264,16 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
 
 
 def efficiency_trace(raw: ChannelSpectrum) -> np.ndarray:
-    """Transfer efficiency ``(t_AB t_BA) / (t_AA t_BB)`` from raw traces.
+    """Transfer efficiency ``(t_AB t_BA) / (t_AA t_BB)`` of four channels.
 
-    Needs no calibration: the line transmissions cancel in the ratio, so
-    raw measured channels can be used directly.  The residual isolation
-    adds to the cross traces and does not cancel: at resonance, over 30
-    seeds of noiseless lines without reflections, the median error is
-    41 % at -20 dB isolation (the ``LineSpec`` default), 13 % at -30 dB
-    and 4 % at -40 dB.  The fix planned in ROADMAP.md subtracts the
-    high-drive cross traces first, ``(AB - AB_hd)(BA - BA_hd) / (AA BB)``,
-    which cancels every line factor.  Raises
+    On raw traces the line transmissions cancel in the ratio, but the
+    residual isolation adds to the cross traces and does not: at
+    resonance, over 30 seeds of noiseless lines without reflections, the
+    median error is 41 % at -20 dB isolation (the ``LineSpec`` default),
+    13 % at -30 dB and 4 % at -40 dB.  On the calibrated traces,
+    ``efficiency_trace(calibrate_responses(meas, hd))``, the ratio is
+    ``(AB - AB_hd)(BA - BA_hd) / (AA BB)``: the high-drive cross traces
+    are subtracted first and every line factor cancels.  Raises
     :class:`FitError` where ``|t_AA t_BB|`` falls below the square of
     :data:`~routercell.calibration.REFERENCE_FLOOR`.
     """
@@ -360,21 +348,24 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
     """Zero-temperature relaxation/dephasing rates from efficiency vs temperature.
 
     Each temperature maps to a thermal photon number; the combined
-    coherence rate grows linearly with it.  Starting values come from
-    inverting the efficiency pointwise and fitting the implied rate
-    linearly in the photon number, then the rates are polished with a
-    bounded nonlinear fit.  Returns ``gamma1_zero`` and ``gamma_phi_zero``
-    (rad/s); needs at least 3 temperatures.
+    coherence rate grows linearly with it.  Starting values come from a
+    line through the rates inverted from the efficiencies above 0; a
+    bounded nonlinear fit of every efficiency, noisy ones <= 0 included,
+    then polishes them.  Returns ``gamma1_zero`` and ``gamma_phi_zero``
+    (rad/s); needs at least 3 temperatures, 2 of them with E > 0.
     """
     temps = np.asarray(temps_k, dtype=float)
     e = np.asarray(e_values, dtype=float)
     if temps.size < 3:
         raise FitError("need at least 3 temperatures")
+    if e.shape != temps.shape:
+        raise ValueError(f"{e.size} efficiencies for {temps.size} temperatures")
     n_th = n_thermal(temps, omega_ge)
 
-    rates = gamma_phi_from_E(e, gamma_a, gamma_b)
-    design = np.column_stack([n_th, np.ones_like(n_th)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, rates, rcond=None)
+    invertible = ~(e <= 0)  # a non-finite value reaches gamma_phi_from_E, which refuses it
+    rates = gamma_phi_from_E(e[invertible], gamma_a, gamma_b)
+    design = np.column_stack([n_th[invertible], np.ones(rates.size)])
+    slope, intercept = _linear_report(("slope", "intercept"), design, rates).params.values()
     g1_init = max(2.0 * intercept, 1e-6 * max(slope, 1.0))
     gphi_init = max(slope - g1_init, 1e-6 * max(slope, 1.0))
 

@@ -152,20 +152,20 @@ class ThermalCoefficients:
     """Per-photon growth of relaxation and dephasing with bath occupation.
 
     ``gamma_bath = (2 n_th + 1) gamma1_zero`` and ``gamma_phi = n_th *
-    gamma_phi_zero_per_photon``; both zero-temperature rates in rad/s.
+    gamma_phi_zero``; both zero-temperature rates in rad/s.
     """
 
     gamma1_zero: float
-    gamma_phi_zero_per_photon: float
+    gamma_phi_zero: float
 
     def __post_init__(self):
-        if self.gamma1_zero < 0 or self.gamma_phi_zero_per_photon < 0:
+        if self.gamma1_zero < 0 or self.gamma_phi_zero < 0:
             raise ValueError("thermal rate coefficients must be >= 0")
 
     def coherence_rate(self, n_th):
         """Combined rate gamma_phi + gamma_bath/2 entering the efficiency."""
         n = np.asarray(n_th, dtype=float)
-        return n * (self.gamma1_zero + self.gamma_phi_zero_per_photon) + 0.5 * self.gamma1_zero
+        return n * (self.gamma1_zero + self.gamma_phi_zero) + 0.5 * self.gamma1_zero
 
 
 @dataclass(frozen=True)

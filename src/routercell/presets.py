@@ -56,7 +56,7 @@ def thermal_coefficients_from_config(config: dict[str, dict]) -> ThermalCoeffici
     th = config["thermal"]
     return ThermalCoefficients(
         gamma1_zero=TWO_PI * th["gamma1_zero_hz"],
-        gamma_phi_zero_per_photon=TWO_PI * th["gamma_phi_zero_hz"],
+        gamma_phi_zero=TWO_PI * th["gamma_phi_zero_hz"],
     )
 
 

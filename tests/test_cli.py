@@ -102,6 +102,10 @@ class TestSweeps:
             fits = json.load(fh)
         assert fits["flux_noise_hz"]["s_i_a2_per_hz"] == pytest.approx(3e-19, rel=0.02)
         assert fits["flux_noise_hz"]["gamma_phi0_hz"] == pytest.approx(0.2e6, rel=0.02)
+        # gamma_phi_0's column is ~1e-25 of s_i's, yet both are identified
+        for fit in ("e_polynomial", "flux_noise"):
+            assert fits[fit]["flags"] == []
+            assert all(math.isfinite(v) for v in fits[fit]["sigma"].values())
 
     def test_temp_sweep_recovers_thermal_coefficients(self, tmp_path):
         record = cli.run_command("sweep-temp", None, out_dir=tmp_path, seed=3)
@@ -110,6 +114,19 @@ class TestSweeps:
             fits = json.load(fh)
         assert fits["fit_hz"]["gamma1_zero_hz"] == pytest.approx(0.26e6, rel=0.01)
         assert fits["fit_hz"]["gamma_phi_zero_hz"] == pytest.approx(10.38e6, rel=0.01)
+
+    def test_temp_sweep_fits_through_noisy_efficiencies_at_or_below_zero(self, tmp_path):
+        # at sigma = 0.05, seed 0 draws an efficiency of -0.0044 at the hot end
+        conf = tmp_path / "noisy.ini"
+        conf.write_text("[noise]\nsigma = 0.05\n")
+        code = cli.main(["--config", str(conf), "--out", str(tmp_path), "--seed", "0",
+                         "--run-id", "hot", "sweep-temp"])
+        assert code == 0
+        fits = json.loads((tmp_path / "runs" / "hot" / "thermal_fit.json").read_text())
+        _, rows = read_rows(tmp_path / "runs" / "hot" / "thermal.csv")
+        assert min(float(row["e_res"]) for row in rows) < 0
+        assert fits["fit"]["converged"] and fits["fit"]["flags"] == []
+        assert fits["fit_hz"]["gamma_phi_zero_hz"] == pytest.approx(10.38e6, rel=0.1)
 
     def test_power_sweep_saturation_fits(self, tmp_path):
         record = cli.run_command("sweep-power", None, out_dir=tmp_path, seed=4)

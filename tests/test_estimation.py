@@ -6,6 +6,7 @@ import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +48,50 @@ def central_difference_jacobian(fun, x, rel_step=1e-6):
         down[i] -= h
         cols.append((fun(up) - fun(down)) / (2.0 * h))
     return np.column_stack(cols)
+
+
+class TestFinishReport:
+    NAMES = ("a", "b", "c", "dead")
+
+    def solved(self, scale=1.0):
+        rng = np.random.default_rng(5)
+        jac = np.column_stack([rng.standard_normal((20, 3)), np.zeros(20)])
+        units = np.array([1.0, scale, 1.0, 1.0])
+        return SimpleNamespace(x=np.array([1.0, 2.0, 3.0, 4.0]) / units,
+                               fun=0.01 * rng.standard_normal(20), jac=jac * units,
+                               nfev=1, success=True)
+
+    def test_flags_and_uncertainties_do_not_depend_on_parameter_units(self):
+        # b re-expressed in a unit 1e15 times smaller: its column shrinks by
+        # 1e15 and its value and uncertainty grow by 1e15
+        base = estimation._finish_report(self.NAMES, self.solved())
+        small = estimation._finish_report(self.NAMES, self.solved(scale=1e-15))
+        assert base.flags == small.flags == ("unidentifiable:dead",)
+        assert small.sigma["b"] == pytest.approx(1e15 * base.sigma["b"], rel=1e-12)
+        for name in ("a", "c"):
+            assert small.sigma[name] == pytest.approx(base.sigma[name], rel=1e-12)
+        assert small.sigma["dead"] == math.inf
+
+    @pytest.mark.parametrize("fit", ["E_polynomial", "flux_noise"])
+    def test_linear_uncertainties_are_the_column_scaled_closed_form(self, fit):
+        ib = np.linspace(-0.55, 0.55, 23)
+        rng = np.random.default_rng(9)
+        if fit == "E_polynomial":
+            design = np.column_stack([ib**2, ib, np.ones_like(ib)])
+            target = -1.29 * ib**2 + 0.82 + 0.01 * rng.standard_normal(ib.size)
+            report = estimation.fit_E_polynomial(target, ib)
+        else:
+            design = np.column_stack([np.pi * (FLUX.slope(ib) * 1e3) ** 2, np.ones_like(ib)])
+            target = design @ [3e-19, TWO_PI * 0.2e6] * (1 + 0.01 * rng.standard_normal(ib.size))
+            report = estimation.fit_flux_noise(target, ib, FLUX)
+        norms = np.linalg.norm(design, axis=0)
+        scaled = design / norms
+        sol = np.linalg.lstsq(scaled, target, rcond=None)[0] / norms
+        residuals = design @ sol - target
+        s2 = residuals @ residuals / (ib.size - design.shape[1])
+        sigma = np.sqrt(np.diag(s2 * np.linalg.inv(scaled.T @ scaled))) / norms
+        np.testing.assert_allclose(list(report.sigma.values()), sigma, rtol=1e-12)
+        assert report.flags == ()
 
 
 class TestFourChannelFit:
@@ -293,6 +338,22 @@ class TestEfficiencyTrace:
                  + abs(iso) ** 2) / np.abs(denom)
         assert np.all(np.abs(e - ref) <= bound + 1e-12)
 
+    def test_calibrated_traces_give_the_model_efficiency(self):
+        # calibrate_responses subtracts the high-drive cross traces, so the
+        # ratio of its channels cancels the isolation with every line factor:
+        # 1.6e-15 relative over 30 seeds, against up to 48 % at resonance on
+        # the raw traces
+        cell = replace(TRUTH, gamma_phi=TWO_PI * 0.3e6)
+        spec = synth.LineSpec(isolation_db=-20.0, ripple_db=0.3, reflection_bound=0.0)
+        ref = model.efficiency(TWO_PI * FREQS - W_GE, cell)
+        raw_errors = []
+        for seed in range(30):
+            pair = synth.gen_spectrum(synth.CampaignConfig(cell, spec, FREQS, seed=seed))
+            calibrated = calibration.calibrate_responses(pair.meas, pair.hd)
+            np.testing.assert_allclose(estimation.efficiency_trace(calibrated), ref, rtol=1e-12)
+            raw_errors.append(abs(estimation.efficiency_trace(pair.meas)[200] / ref[200] - 1))
+        assert min(raw_errors) > 0.3
+
     def test_sweet_spot_resonant_value(self):
         # the fitted bias polynomial pins E(0) at 0.82, matching the rate
         # implied by the resonant-form inversion
@@ -502,10 +563,33 @@ class TestThermalFit:
             estimation.fit_thermal(self.synth_e()[:n_temp], self.TEMPS[:n_temp],
                                    self.GA_T, self.GB_T, W_GE)
 
+    @pytest.mark.parametrize("n_e", [23, 25])
+    def test_one_efficiency_per_temperature(self, n_e):
+        e = np.resize(self.synth_e(), n_e)
+        with pytest.raises(ValueError, match=f"{n_e} efficiencies for 24 temperatures"):
+            estimation.fit_thermal(e, self.TEMPS, self.GA_T, self.GB_T, W_GE)
+
     def test_non_positive_temperature_refused(self):
         with pytest.raises(ValueError, match="temperature"):
             estimation.fit_thermal(self.synth_e()[:3], [0.02, 0.0, 0.04],
                                    self.GA_T, self.GB_T, W_GE)
+
+    def test_efficiencies_at_or_below_zero_still_fit(self):
+        # sigma = 0.05 pushes two high-temperature efficiencies (E ~ 0.03) below 0
+        rng = np.random.default_rng(5)
+        e = self.synth_e() + 0.05 * rng.standard_normal(self.TEMPS.size)
+        assert np.count_nonzero(e <= 0) == 2
+        report = estimation.fit_thermal(e, self.TEMPS, self.GA_T, self.GB_T, W_GE)
+        assert report.converged and report.flags == ()
+        for name, truth in (("gamma1_zero", self.G1), ("gamma_phi_zero", self.GPHI)):
+            assert abs(report.value(name) - truth) < 3 * report.sigma[name]
+
+    @pytest.mark.parametrize("n_valid", [0, 1])
+    def test_fewer_than_two_positive_efficiencies_refused(self, n_valid):
+        e = np.full(self.TEMPS.size, -0.01)
+        e[:n_valid] = 0.5
+        with pytest.raises(estimation.FitError, match="rank-deficient"):
+            estimation.fit_thermal(e, self.TEMPS, self.GA_T, self.GB_T, W_GE)
 
     def test_frozen_occupation_flags_dephasing_coefficient(self):
         # at negligible occupation only gamma1_zero shapes the data
@@ -621,6 +705,26 @@ class TestRateBudget:
         amp_ratio, coupling_ratio = estimation.pi_amplitude_consistency(1.32, 1.0, GA, GB)
         assert amp_ratio == pytest.approx(1.32)
         assert coupling_ratio == pytest.approx(1.27, abs=0.005)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.floats(0.5, 5.0), st.floats(0.5, 5.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+    def test_budget_inverts_the_steady_state_pole(self, ga_mhz, gb_mhz, gphi_mhz, gbath_mhz):
+        # T1 and T_R built from the cell's rates give those rates back, and
+        # the Rabi-decay Gamma2 is the model pole's total width
+        cell = model.CellParams(TWO_PI * ga_mhz * 1e6, TWO_PI * gb_mhz * 1e6, W_GE,
+                                gamma_phi=TWO_PI * gphi_mhz * 1e6,
+                                gamma_bath=TWO_PI * gbath_mhz * 1e6)
+        t1 = 1.0 / (2 * cell.gamma_a + 2 * cell.gamma_b + cell.gamma_bath)
+        gamma_1 = 1.0 / t1
+        gamma_2 = gamma_1 / 2 + cell.gamma_phi
+        with warnings.catch_warnings():
+            # at gamma_bath = 0 rounding can put T1 a hair above the coupling limit
+            warnings.simplefilter("ignore", UserWarning)
+            budget = estimation.rate_budget(t1, 2.0 / (gamma_1 + gamma_2),
+                                            cell.gamma_a, cell.gamma_b)
+        assert budget.gamma_bath == pytest.approx(cell.gamma_bath, abs=1e-12 * gamma_1)
+        assert budget.gamma_phi == pytest.approx(cell.gamma_phi, abs=1e-12 * gamma_1)
+        assert gamma_2 == pytest.approx(cell.gamma_sum + cell.coherence_rate, rel=1e-15)
 
     def test_invalid_times(self):
         with pytest.raises(ValueError):

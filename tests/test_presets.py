@@ -23,7 +23,7 @@ PINNED = {
     "REFERENCE_FLUX": model.FluxModel(curvature=-TWO_PI * 352e6,
                                       sweet_spot_omega=TWO_PI * 6.163e9),
     "REFERENCE_THERMAL": model.ThermalCoefficients(
-        gamma1_zero=TWO_PI * 0.26e6, gamma_phi_zero_per_photon=TWO_PI * 10.38e6),
+        gamma1_zero=TWO_PI * 0.26e6, gamma_phi_zero=TWO_PI * 10.38e6),
     "REFERENCE_DRESSED": model.DressedModel(
         lambda_red=TWO_PI * 0.81e6, lambda_blue=TWO_PI * 0.39e6,
         omega_ge=TWO_PI * 6.163e9, omega_ef=TWO_PI * 6.015e9),
