@@ -9,6 +9,7 @@ same inputs take the same steps.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,7 +38,9 @@ def least_squares(fun, x0, jac=None, bounds=(-np.inf, np.inf), x_scale=1.0, *,
     ``jac`` the Jacobian is a 2-point forward difference with the step
     ``sqrt(eps) max(|x|, x_scale)``, so a parameter far below 1 (a time in
     seconds) is still differenced on its own scale; ``nfev`` does not count
-    these evaluations.
+    these evaluations.  In ``routercell`` only ``fit_saturation``, ``fit_T1``
+    and ``fit_rabi_decay`` still rely on it: the four-channel, thermal and
+    circle fits pass analytic Jacobians.
 
     Returns ``x``, ``fun`` and ``jac`` at that ``x``, ``nfev`` and
     ``success``.  Raises ``ValueError`` when the residuals at the start,
@@ -59,7 +62,7 @@ def least_squares(fun, x0, jac=None, bounds=(-np.inf, np.inf), x_scale=1.0, *,
                                 for i, e in enumerate(np.eye(x.size))])
 
     f = np.asarray(fun(x), dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("residuals are not finite at the initial point")
     cost, nfev, lam, grow, success = 0.5 * (f @ f), 1, 1e-3, 2.0, False
     J = jacobian(x, f)
@@ -74,13 +77,14 @@ def least_squares(fun, x0, jac=None, bounds=(-np.inf, np.inf), x_scale=1.0, *,
         x_new = np.clip(x + scale * step, lower, upper)
         f_new = np.asarray(fun(x_new), dtype=float)
         nfev += 1
-        cost_new = 0.5 * (f_new @ f_new) if np.all(np.isfinite(f_new)) else np.inf
-        s = (x_new - x) / scale
+        cost_new = 0.5 * (f_new @ f_new) if np.isfinite(f_new).all() else np.inf
+        dx = x_new - x
+        s = dx / scale
         predicted = -(g @ s + 0.5 * (s @ a @ s))
         actual = cost - cost_new
         ratio = actual / predicted if predicted > 0 else 0.0
         success = bool((actual < ftol * cost and ratio > 0.25)
-                       or np.linalg.norm(x_new - x) < xtol * (xtol + np.linalg.norm(x)))
+                       or math.sqrt(dx @ dx) < xtol * (xtol + math.sqrt(x @ x)))
         if actual > 0:
             x, f, cost = x_new, f_new, cost_new
             J = jacobian(x, f)

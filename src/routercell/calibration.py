@@ -230,23 +230,44 @@ def circle_fit(trace, freqs) -> CircleFitResult:
     A Kasa algebraic circle fit locates the resonance circle; the phase of
     the trace about the circle center is then fitted with ``theta_0 +
     2 atan(2 (f - f_res) / kappa)``, whose ``kappa`` is the loaded full
-    width at half maximum.
+    width at half maximum, signed by the sense in which the trace turns
+    (``kappa_loaded`` is its magnitude).  The phase fit uses the model's
+    analytic Jacobian.
 
     Parameters
     ----------
     trace : complex array
+        1-D and finite.
     freqs : array
-        Frequency grid in Hz.
+        Frequency grid in Hz: finite, strictly monotonic (ascending or
+        descending) and as long as ``trace``.
 
     Returns
     -------
     CircleFitResult
         With ``omega_res`` and ``kappa_loaded`` in rad/s.
+
+    Raises
+    ------
+    CircleFitError
+        If the inputs break the rules above or the trace does not describe
+        a usable resonance circle.
     """
     tr = np.asarray(trace, dtype=complex)
     freqs = np.asarray(freqs, dtype=float)
+    if tr.ndim != 1:
+        raise CircleFitError(f"trace must be 1-D, got shape {tr.shape}")
+    if freqs.shape != tr.shape:
+        raise CircleFitError(f"{freqs.size} frequencies for {tr.size} samples")
     if tr.size < 5:
         raise CircleFitError("need at least 5 samples for a circle fit")
+    for name, values in (("sample", tr), ("frequency", freqs)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise CircleFitError(f"{name} {bad[0]} is not finite: {values[bad[0]]}")
+    steps = np.diff(freqs)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        raise CircleFitError("freqs must be strictly monotonic")
     xc, yc, radius = _kasa_circle(tr.real, tr.imag)
     center = complex(xc, yc)
 
@@ -264,18 +285,24 @@ def circle_fit(trace, freqs) -> CircleFitResult:
 
     def model(params):
         theta0, f0, kappa = params
-        return theta0 + 2.0 * np.arctan2(2.0 * (freqs - f0), kappa)
+        return theta0 + 2.0 * np.arctan(2.0 * (freqs - f0) / kappa)
 
     def residual(params):
         return model(params) - theta
 
+    def jacobian(params):
+        _, f0, kappa = params
+        u = 2.0 * (freqs - f0)
+        w = 2.0 / (u * u + kappa * kappa)
+        return np.column_stack([np.ones_like(u), -2.0 * kappa * w, -u * w])
+
     init = np.array([theta[i0], freqs[i0], sign * span / 5.0])
-    fit = least_squares(residual, init, xtol=1e-12, ftol=1e-12)
+    fit = least_squares(residual, init, jac=jacobian, xtol=1e-12, ftol=1e-12)
     theta0, f_res, kappa = fit.x
     kappa = abs(float(kappa))
     if kappa <= 0:
         raise CircleFitError("phase fit returned a non-positive linewidth")
-    if not (freqs[0] <= f_res <= freqs[-1]):
+    if not (freqs.min() <= f_res <= freqs.max()):
         warnings.warn("fitted resonance lies outside the scanned span", stacklevel=2)
 
     resonant_point = center + radius * np.exp(1j * float(theta0))

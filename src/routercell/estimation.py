@@ -41,6 +41,7 @@ from .model import (
     cell_response,
     efficiency_thermal,
     n_thermal,
+    resonant_efficiency,
     saturation_curve,
 )
 
@@ -351,8 +352,10 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
     coherence rate grows linearly with it.  Starting values come from a
     line through the rates inverted from the efficiencies above 0; a
     bounded nonlinear fit of every efficiency, noisy ones <= 0 included,
-    then polishes them.  Returns ``gamma1_zero`` and ``gamma_phi_zero``
-    (rad/s); needs at least 3 temperatures, 2 of them with E > 0.
+    then polishes them with the analytic Jacobian, so the uncertainties
+    carry no difference-step noise.  Returns ``gamma1_zero`` and
+    ``gamma_phi_zero`` (rad/s); needs at least 3 temperatures, 2 of them
+    with E > 0.
     """
     temps = np.asarray(temps_k, dtype=float)
     e = np.asarray(e_values, dtype=float)
@@ -372,9 +375,18 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
     def residual(x):
         return efficiency_thermal(n_th, gamma_a, gamma_b, ThermalCoefficients(*x)) - e
 
+    def jacobian(x):
+        rate = ThermalCoefficients(*x).coherence_rate(n_th)
+        d_rate = -resonant_efficiency(gamma_a, gamma_b, rate) ** 2 * (
+            1.0 / gamma_a + 1.0 / gamma_b + 2.0 * rate / (gamma_a * gamma_b))
+        # where the thermal term rounds away against gamma1_zero / 2, the
+        # residual carries no trace of gamma_phi_zero
+        seen = (x[0] == 0.0) | (rate != 0.5 * x[0])
+        return np.column_stack([d_rate * (n_th + 0.5), d_rate * np.where(seen, n_th, 0.0)])
+
     return _least_squares(
         ("gamma1_zero", "gamma_phi_zero"), residual, [g1_init, gphi_init], seed,
-        bounds=([0.0, 0.0], [np.inf, np.inf]),
+        jac=jacobian, bounds=([0.0, 0.0], [np.inf, np.inf]),
         x_scale=[max(g1_init, 1.0), max(gphi_init, 1.0)],
     )
 
@@ -415,14 +427,27 @@ def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
 # time-domain fits
 
 
+def _time_samples(populations, times_s, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Times and populations as float arrays; raises ``ValueError`` unless paired and finite."""
+    t = np.asarray(times_s, dtype=float)
+    p = np.asarray(populations, dtype=float)
+    if p.shape != t.shape:
+        raise ValueError(f"{p.size} populations for {t.size} {what}")
+    bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(p)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"sample {i} is not finite: t = {t[i]} s, population {p[i]}")
+    return t, p
+
+
 def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
     """Exponential energy-relaxation fit ``p0 exp(-t/T1) + p_inf``.
 
     Returns ``t1`` (s), ``p0`` and ``p_inf``.  A vanishing initial
-    population makes ``t1`` unidentifiable and is flagged.
+    population makes ``t1`` unidentifiable and is flagged.  Raises
+    ``ValueError`` unless there is one finite population per finite delay.
     """
-    t = np.asarray(delays_s, dtype=float)
-    p = np.asarray(populations, dtype=float)
+    t, p = _time_samples(populations, delays_s, "delays")
     if t.size < 5:
         raise FitError("need at least 5 delay points")
     p_inf0 = float(np.mean(p[-max(2, t.size // 5):]))
@@ -460,10 +485,10 @@ def fit_rabi_decay(populations, durations_s, seed: int | None = None) -> FitRepo
 
     Model ``(p_max sin^2(pi t / (2 t_pi)) - p_inf) exp(-t/T_R) + p_inf``;
     returns ``t_r`` (s), ``p_max``, ``t_pi`` (s) and ``p_inf``.  The
-    oscillation period starting value comes from the trace's FFT.
+    oscillation period starting value comes from the trace's FFT.  Raises
+    ``ValueError`` unless there is one finite population per finite duration.
     """
-    t = np.asarray(durations_s, dtype=float)
-    p = np.asarray(populations, dtype=float)
+    t, p = _time_samples(populations, durations_s, "durations")
     if t.size < 8:
         raise FitError("need at least 8 duration points")
     period = _dominant_period(t, p)

@@ -261,6 +261,57 @@ class TestCircleFit:
         with pytest.raises(calibration.CircleFitError, match="circle"):
             calibration.circle_fit(trace, freqs)
 
+    FREQS = np.linspace(F_GE - 30e6, F_GE + 30e6, 401)
+
+    def model_trace(self):
+        return model.cell_coefficients(TWO_PI * self.FREQS, CELL)[0]
+
+    def test_descending_grid_fits_the_same_resonance_without_warning(self):
+        trace = self.model_trace()
+        ascending = calibration.circle_fit(trace, self.FREQS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            descending = calibration.circle_fit(trace[::-1], self.FREQS[::-1])
+        assert descending.omega_res == pytest.approx(ascending.omega_res, rel=1e-12)
+        assert descending.kappa_loaded == pytest.approx(ascending.kappa_loaded, rel=1e-8)
+
+    def test_clockwise_trace_fits_the_same_resonance(self):
+        # the conjugate trace circles the other way, so its phase fit ends at kappa < 0
+        trace = self.model_trace()
+        counter = calibration.circle_fit(trace, self.FREQS)
+        clockwise = calibration.circle_fit(np.conj(trace), self.FREQS)
+        assert clockwise.omega_res == pytest.approx(counter.omega_res, rel=1e-12)
+        assert clockwise.kappa_loaded == pytest.approx(counter.kappa_loaded, rel=1e-8)
+        assert clockwise.background == pytest.approx(np.conj(counter.background), abs=1e-9)
+
+    def test_non_finite_sample_rejected_before_the_solvers(self, capfd):
+        trace = self.model_trace()
+        trace[17] = np.nan
+        with pytest.raises(calibration.CircleFitError, match="sample 17 is not finite"):
+            calibration.circle_fit(trace, self.FREQS)
+        assert capfd.readouterr().err == ""  # LAPACK prints nothing: no SVD was attempted
+
+    def test_non_finite_frequency_rejected(self):
+        freqs = self.FREQS.copy()
+        freqs[-1] = np.inf
+        with pytest.raises(calibration.CircleFitError, match="frequency 400 is not finite"):
+            calibration.circle_fit(self.model_trace(), freqs)
+
+    def test_one_frequency_per_sample(self):
+        with pytest.raises(calibration.CircleFitError, match="400 frequencies for 401 samples"):
+            calibration.circle_fit(self.model_trace(), self.FREQS[:-1])
+
+    def test_two_dimensional_trace_rejected(self):
+        traces = model.cell_coefficients(TWO_PI * self.FREQS, CELL)[:2]
+        with pytest.raises(calibration.CircleFitError, match=r"1-D, got shape \(2, 401\)"):
+            calibration.circle_fit(traces, self.FREQS)
+
+    def test_non_monotonic_grid_rejected(self):
+        freqs = self.FREQS.copy()
+        freqs[[10, 11]] = freqs[[11, 10]]
+        with pytest.raises(calibration.CircleFitError, match="strictly monotonic"):
+            calibration.circle_fit(self.model_trace(), freqs)
+
 
 class TestLossBudget:
     @staticmethod

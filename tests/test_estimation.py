@@ -263,6 +263,46 @@ class TestSolver:
         assert fit.omega_res == pytest.approx(ref.omega_res, rel=self.SCIPY_REL)
         assert fit.background == pytest.approx(ref.background, rel=self.SCIPY_REL)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["kappa>0", "kappa<0"])
+    @pytest.mark.parametrize("f0", [F_GE, F_GE + 0.37 * 150e3], ids=["on-grid", "off-grid"])
+    def test_circle_fit_jacobian_matches_central_differences(self, monkeypatch, sign, f0):
+        seen, solve = {}, calibration.least_squares
+
+        def capture(fun, x0, **kwargs):
+            seen.update(fun=fun, jac=kwargs["jac"])
+            return solve(fun, x0, **kwargs)
+
+        monkeypatch.setattr(calibration, "least_squares", capture)
+        freqs = np.linspace(F_GE - 30e6, F_GE + 30e6, 401)  # 150 kHz steps
+        calibration.circle_fit(model.cell_coefficients(TWO_PI * freqs, TRUTH)[0], freqs)
+        x = np.array([0.3, f0, sign * 2.0 * (GA + GB) / TWO_PI])  # kappa: the loaded FWHM in Hz
+        central = central_difference_jacobian(seen["fun"], x)
+        err = np.linalg.norm(seen["jac"](x) - central, axis=0) / np.linalg.norm(central, axis=0)
+        assert np.all(err < 1e-6)
+
+    def test_inactive_bounds_change_no_bit(self):
+        # bounds the optimum and every step stay clear of leave each variable
+        # free, so the bounded solve is the unbounded one, bit for bit
+        t = np.linspace(0.0, 3.0, 40)
+        y = 0.7 * np.exp(-2.0 * t) + 0.1 + 1e-3 * np.random.default_rng(4).standard_normal(t.size)
+
+        def fun(x):
+            return x[0] * np.exp(-x[1] * t) + x[2] - y
+
+        def jac(x):
+            decay = np.exp(-x[1] * t)
+            return np.column_stack([decay, -x[0] * t * decay, np.ones_like(t)])
+
+        for derivative in (None, jac):
+            free = _lsq.least_squares(fun, [1.0, 1.0, 0.0], derivative, xtol=1e-10, ftol=1e-10)
+            boxed = _lsq.least_squares(fun, [1.0, 1.0, 0.0], derivative,
+                                       ([-5.0, 0.01, -5.0], [5.0, 50.0, 5.0]),
+                                       xtol=1e-10, ftol=1e-10)
+            assert free.success and free.nfev > 3
+            assert boxed.x.tobytes() == free.x.tobytes()
+            assert boxed.fun.tobytes() == free.fun.tobytes()
+            assert boxed.nfev == free.nfev
+
 
 class TestFiniteDifferenceResiduals:
     """The difference-quotient Jacobians the bounded fits rely on are sane:
@@ -591,6 +631,41 @@ class TestThermalFit:
         with pytest.raises(estimation.FitError, match="rank-deficient"):
             estimation.fit_thermal(e, self.TEMPS, self.GA_T, self.GB_T, W_GE)
 
+    def captured_problem(self, monkeypatch, e):
+        """The residual and Jacobian ``fit_thermal`` hands to the solver."""
+        seen, solve = {}, estimation.least_squares
+
+        def capture(fun, x0, **kwargs):
+            seen.update(fun=fun, jac=kwargs["jac"])
+            return solve(fun, x0, **kwargs)
+
+        monkeypatch.setattr(estimation, "least_squares", capture)
+        estimation.fit_thermal(e, self.TEMPS, self.GA_T, self.GB_T, W_GE)
+        return seen["fun"], seen["jac"]
+
+    @pytest.mark.parametrize("x", [[0.26e6, 10.38e6], [1.3e6, 2.0e6], [0.01e6, 0.05e6]],
+                             ids=["truth", "away", "near-bound"])
+    def test_jacobian_matches_central_differences(self, monkeypatch, x):
+        fun, jac = self.captured_problem(monkeypatch, self.synth_e())
+        x = TWO_PI * np.array(x)
+        central = central_difference_jacobian(fun, x)
+        err = np.linalg.norm(jac(x) - central, axis=0) / np.linalg.norm(central, axis=0)
+        assert np.all(err < 1e-6)
+
+    def test_uncertainties_do_not_depend_on_a_nudged_start(self, monkeypatch):
+        # starts 7e-15 apart stop at slightly different points; with forward
+        # differences the sigmas then moved ~3e-8 relative, here they agree
+        rng = np.random.default_rng(0)
+        e = self.synth_e() + 1e-3 * rng.standard_normal(self.TEMPS.size)
+        solve, reports = estimation.least_squares, []
+        for nudge in (0.0, 7e-15, -7e-15, 2e-14):
+            monkeypatch.setattr(estimation, "least_squares", lambda fun, x0, **kwargs:
+                                solve(fun, np.asarray(x0) * (1.0 + nudge), **kwargs))
+            reports.append(estimation.fit_thermal(e, self.TEMPS, self.GA_T, self.GB_T, W_GE))
+        for report in reports[1:]:
+            for name, sigma in reports[0].sigma.items():
+                assert report.sigma[name] == pytest.approx(sigma, rel=1e-12)
+
     def test_frozen_occupation_flags_dephasing_coefficient(self):
         # at negligible occupation only gamma1_zero shapes the data
         temps = np.linspace(0.004, 0.006, 8)
@@ -599,6 +674,29 @@ class TestThermalFit:
                                      self.GA_T, self.GB_T, tc)
         report = estimation.fit_thermal(e, temps, self.GA_T, self.GB_T, W_GE)
         assert any("gamma_phi_zero" in f for f in report.flags)
+
+    def test_dephasing_column_vanishes_only_where_the_rate_rounds_it_away(self, monkeypatch):
+        # gamma1_zero / 2 = 1.5 * 2**20 has a half ulp of eps * gamma1_zero / 6, so
+        # a thermal term of 0.2 eps * gamma1_zero still moves the rate at the
+        # hottest point, while every colder one is lost in its rounding
+        temps = np.linspace(0.004, 0.006, 8)
+        n = model.n_thermal(temps, W_GE)
+        tc = model.ThermalCoefficients(self.G1, self.GPHI)
+        e = model.efficiency_thermal(n, self.GA_T, self.GB_T, tc)
+        solve, seen = estimation.least_squares, {}
+
+        def capture(fun, x0, **kwargs):
+            seen.update(fun=fun, jac=kwargs["jac"])
+            return solve(fun, x0, **kwargs)
+
+        monkeypatch.setattr(estimation, "least_squares", capture)
+        estimation.fit_thermal(e, temps, self.GA_T, self.GB_T, W_GE)
+        g1 = 3.0 * 2.0 ** 20
+        x = np.array([g1, 0.2 * np.finfo(float).eps * g1 / n[-1] - g1])
+        rate = model.ThermalCoefficients(*x).coherence_rate(n)
+        assert rate[-1] != 0.5 * g1 and np.all(rate[:-1] == 0.5 * g1)
+        column = seen["jac"](x)[:, 1]
+        assert column[-1] != 0.0 and np.all(column[:-1] == 0.0)
 
 
 class TestSaturationFit:
@@ -656,6 +754,24 @@ class TestTimeDomain:
         t = np.linspace(0, 100e-9, 21)
         report = estimation.fit_T1(np.full(21, 0.3), t)
         assert "unidentifiable:t1" in report.flags
+
+    @pytest.mark.parametrize("fit,what", [(estimation.fit_T1, "delays"),
+                                          (estimation.fit_rabi_decay, "durations")],
+                             ids=["T1", "rabi"])
+    def test_one_population_per_time(self, fit, what):
+        t = np.linspace(0, 100e-9, 41)
+        with pytest.raises(ValueError, match=f"40 populations for 41 {what}"):
+            fit(np.full(40, 0.3), t)
+
+    @pytest.mark.parametrize("fit", [estimation.fit_T1, estimation.fit_rabi_decay],
+                             ids=["T1", "rabi"])
+    @pytest.mark.parametrize("column", ["population", "time"])
+    def test_non_finite_sample_named(self, fit, column):
+        t = np.linspace(0, 100e-9, 41)
+        p = 0.72 * np.exp(-t / self.T1)
+        (p if column == "population" else t)[[7, 30]] = [np.nan, np.inf]
+        with pytest.raises(ValueError, match="sample 7 is not finite"):
+            fit(p, t)
 
     def rabi_truth(self, t, t_r=None):
         t_r = self.T_R if t_r is None else t_r
