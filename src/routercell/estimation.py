@@ -15,9 +15,11 @@ Fits fall into three families:
   population axis anchored by the zero-drive reference.
 
 Every fit is deterministic given its inputs and uses damped least squares
-(at most 200 residual evaluations, relative step tolerance 1e-10) with
-uncertainties from the linearized covariance at the optimum; a linear fit
-is one solve with the same covariance.  A parameter whose Jacobian column
+(at most 200 residual evaluations, relative step tolerance 1e-10) on an
+analytic Jacobian, with uncertainties from the linearized covariance at the
+optimum; a linear fit is one solve with the same covariance.  A fit of
+paired samples refuses, with ``ValueError``, samples that are unpaired or
+not finite, and names the first bad one.  A parameter whose Jacobian column
 is exactly zero is flagged ``unidentifiable:<name>`` instead of being
 reported with a meaningless uncertainty.
 """
@@ -80,8 +82,9 @@ class FitError(RuntimeError):
 class FitReport:
     """Result of one fit: values, uncertainties and convergence metadata.
 
-    ``n_iter`` counts the solver's residual evaluations (its ``nfev``),
-    not its iterations; a linear solve counts as one.
+    ``n_iter`` counts every residual evaluation of the fit (the solver's
+    ``nfev``: no Jacobian is differenced, so none go uncounted), not its
+    iterations; a linear solve counts as one.
     """
 
     params: dict[str, float]
@@ -186,6 +189,22 @@ def _linear_report(names, design, target, seed=None) -> FitReport:
     return _finish_report(names, solved, seed)
 
 
+def _paired_samples(y, x, what: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float arrays; raises ``ValueError`` unless paired and finite.
+
+    ``what`` names the ``y`` and ``x`` samples (plural) in the messages.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.shape != x.shape:
+        raise ValueError(f"{y.size} {what[0]} for {x.size} {what[1]}")
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"sample {i} is not finite: ({what[1]}, {what[0]}) = ({x[i]}, {y[i]})")
+    return x, y
+
+
 # ---------------------------------------------------------------------------
 # simultaneous four-channel fit
 
@@ -256,7 +275,6 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     upper = [np.inf, np.inf, np.inf, np.pi / 2 - eps, np.pi / 2 - eps]
     return _least_squares(
         _FOUR_CHANNEL_NAMES, residual, x0, seed, jac=jacobian, bounds=(lower, upper),
-        x_scale=[scale, scale, scale, 1.0, 1.0],
     )
 
 
@@ -291,9 +309,10 @@ def fit_E_polynomial(e_values, ib_ma, seed: int | None = None) -> FitReport:
     """Quadratic fit of resonant efficiency versus bias current (mA).
 
     Returns coefficients ``c2`` (per mA^2), ``c1`` (per mA) and ``c0``.
+    Raises ``ValueError`` unless there is one finite efficiency per finite
+    bias.
     """
-    ib = np.asarray(ib_ma, dtype=float)
-    e = np.asarray(e_values, dtype=float)
+    ib, e = _paired_samples(e_values, ib_ma, ("efficiencies", "bias points"))
     if ib.size < 3:
         raise FitError("need at least 3 bias points for a quadratic fit")
     design = np.column_stack([ib**2, ib, np.ones_like(ib)])
@@ -331,10 +350,10 @@ def fit_flux_noise(gamma_phi, ib_ma, flux: FluxModel,
     Linear least squares of ``gamma_phi = pi (d omega/d I)^2 s_i +
     gamma_phi_0`` with the frequency slope supplied by the flux model
     (converted to rad/s per ampere).  Returns ``s_i`` in A^2/Hz and
-    ``gamma_phi_0`` in rad/s.
+    ``gamma_phi_0`` in rad/s.  Raises ``ValueError`` unless there is one
+    finite rate per finite bias.
     """
-    ib = np.asarray(ib_ma, dtype=float)
-    gp = np.asarray(gamma_phi, dtype=float)
+    ib, gp = _paired_samples(gamma_phi, ib_ma, ("rates", "bias points"))
     if ib.size < 3:
         raise FitError("need at least 3 bias points")
     slopes = flux.slope(ib) * 1e3  # rad/s per mA -> rad/s per A
@@ -352,20 +371,17 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
     coherence rate grows linearly with it.  Starting values come from a
     line through the rates inverted from the efficiencies above 0; a
     bounded nonlinear fit of every efficiency, noisy ones <= 0 included,
-    then polishes them with the analytic Jacobian, so the uncertainties
-    carry no difference-step noise.  Returns ``gamma1_zero`` and
-    ``gamma_phi_zero`` (rad/s); needs at least 3 temperatures, 2 of them
-    with E > 0.
+    then polishes them.  Returns ``gamma1_zero`` and ``gamma_phi_zero``
+    (rad/s); needs at least 3 temperatures, 2 of them with E > 0.  Raises
+    ``ValueError`` unless there is one finite efficiency per finite
+    temperature.
     """
-    temps = np.asarray(temps_k, dtype=float)
-    e = np.asarray(e_values, dtype=float)
+    temps, e = _paired_samples(e_values, temps_k, ("efficiencies", "temperatures"))
     if temps.size < 3:
         raise FitError("need at least 3 temperatures")
-    if e.shape != temps.shape:
-        raise ValueError(f"{e.size} efficiencies for {temps.size} temperatures")
     n_th = n_thermal(temps, omega_ge)
 
-    invertible = ~(e <= 0)  # a non-finite value reaches gamma_phi_from_E, which refuses it
+    invertible = e > 0
     rates = gamma_phi_from_E(e[invertible], gamma_a, gamma_b)
     design = np.column_stack([n_th[invertible], np.ones(rates.size)])
     slope, intercept = _linear_report(("slope", "intercept"), design, rates).params.values()
@@ -387,19 +403,18 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
     return _least_squares(
         ("gamma1_zero", "gamma_phi_zero"), residual, [g1_init, gphi_init], seed,
         jac=jacobian, bounds=([0.0, 0.0], [np.inf, np.inf]),
-        x_scale=[max(g1_init, 1.0), max(gphi_init, 1.0)],
     )
 
 
 def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
     """Fit the drive-saturation curve ``a - b / (1 + n^c / d)``.
 
-    Requires at least 4 photon numbers spanning two decades.  Starting
-    values take the low- and high-drive plateaus from the data edges and
-    the half-response point for the scale ``d``.
+    Requires at least 4 photon numbers spanning two decades, and raises
+    ``ValueError`` unless there is one finite magnitude per finite photon
+    number.  Starting values take the low- and high-drive plateaus from the
+    data edges and the half-response point for the scale ``d``.
     """
-    n = np.asarray(n_avg, dtype=float)
-    y = np.asarray(magnitudes, dtype=float)
+    n, y = _paired_samples(magnitudes, n_avg, ("magnitudes", "photon numbers"))
     pos = n[n > 0]
     if n.size < 4 or pos.size == 0 or pos.max() / pos.min() < 100.0:
         raise FitError("need >= 4 photon numbers spanning at least two decades")
@@ -412,32 +427,25 @@ def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
     half = 0.5 * (lo + hi)
     d0 = float(n[int(np.argmin(np.abs(y - half)))])
     d0 = max(d0, float(pos.min()))
+    log_n = np.log(np.where(n > 0, n, 1.0))  # an n = 0 row does not move c
 
     def residual(x):
         return saturation_curve(n, SaturationParams(*x)) - y
 
+    def jacobian(x):
+        _, b, c, d = x
+        q = n**c / d
+        w = b * q / (1.0 + q) ** 2
+        return np.column_stack([np.ones_like(n), -1.0 / (1.0 + q), w * log_n, -w / d])
+
     return _least_squares(
-        ("a", "b", "c", "d"), residual, [a0, b0, 1.0, d0], seed,
+        ("a", "b", "c", "d"), residual, [a0, b0, 1.0, d0], seed, jac=jacobian,
         bounds=([-np.inf, -np.inf, 1e-3, 1e-12], [np.inf, np.inf, 10.0, np.inf]),
-        x_scale=[1.0, 1.0, 1.0, max(d0, 1e-6)],
     )
 
 
 # ---------------------------------------------------------------------------
 # time-domain fits
-
-
-def _time_samples(populations, times_s, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Times and populations as float arrays; raises ``ValueError`` unless paired and finite."""
-    t = np.asarray(times_s, dtype=float)
-    p = np.asarray(populations, dtype=float)
-    if p.shape != t.shape:
-        raise ValueError(f"{p.size} populations for {t.size} {what}")
-    bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(p)))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"sample {i} is not finite: t = {t[i]} s, population {p[i]}")
-    return t, p
 
 
 def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
@@ -447,7 +455,7 @@ def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
     population makes ``t1`` unidentifiable and is flagged.  Raises
     ``ValueError`` unless there is one finite population per finite delay.
     """
-    t, p = _time_samples(populations, delays_s, "delays")
+    t, p = _paired_samples(populations, delays_s, ("populations", "delays"))
     if t.size < 5:
         raise FitError("need at least 5 delay points")
     p_inf0 = float(np.mean(p[-max(2, t.size // 5):]))
@@ -458,10 +466,14 @@ def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
         p0, t1, p_inf = x
         return p0 * np.exp(-t / t1) + p_inf - p
 
+    def jacobian(x):
+        p0, t1, _ = x
+        decay = np.exp(-t / t1)
+        return np.column_stack([decay, p0 * decay * t / t1**2, np.ones_like(t)])
+
     report = _least_squares(
-        ("p0", "t1", "p_inf"), residual, [p00, max(t10, 1e-12), p_inf0], seed,
+        ("p0", "t1", "p_inf"), residual, [p00, max(t10, 1e-12), p_inf0], seed, jac=jacobian,
         bounds=([-np.inf, 1e-15, -np.inf], [np.inf, np.inf, np.inf]),
-        x_scale=[max(abs(p00), 0.1), max(t10, 1e-12), 0.1],
     )
     if abs(report.value("p0")) < 1e-6:
         report = replace(report, flags=report.flags + ("unidentifiable:t1",))
@@ -488,7 +500,7 @@ def fit_rabi_decay(populations, durations_s, seed: int | None = None) -> FitRepo
     oscillation period starting value comes from the trace's FFT.  Raises
     ``ValueError`` unless there is one finite population per finite duration.
     """
-    t, p = _time_samples(populations, durations_s, "durations")
+    t, p = _paired_samples(populations, durations_s, ("populations", "durations"))
     if t.size < 8:
         raise FitError("need at least 8 duration points")
     period = _dominant_period(t, p)
@@ -504,10 +516,18 @@ def fit_rabi_decay(populations, durations_s, seed: int | None = None) -> FitRepo
         osc = p_max * np.sin(np.pi * t / (2.0 * t_pi)) ** 2 - p_inf
         return osc * np.exp(-t / t_r) + p_inf - p
 
+    def jacobian(x):
+        p_max, t_pi, p_inf, t_r = x
+        phase = np.pi * t / (2.0 * t_pi)
+        decay = np.exp(-t / t_r)
+        osc = p_max * np.sin(phase) ** 2 - p_inf
+        return np.column_stack([np.sin(phase) ** 2 * decay,
+                                -p_max * np.sin(2.0 * phase) * phase / t_pi * decay,
+                                1.0 - decay, osc * decay * t / t_r**2])
+
     return _least_squares(
         ("p_max", "t_pi", "p_inf", "t_r"), residual, [p_max0, t_pi0, p_inf0, max(t_r0, 1e-12)],
-        seed, bounds=([0.0, 1e-15, -np.inf, 1e-15], [np.inf, np.inf, np.inf, np.inf]),
-        x_scale=[max(p_max0, 0.1), t_pi0, 0.1, max(t_r0, 1e-12)],
+        seed, jac=jacobian, bounds=([0.0, 1e-15, -np.inf, 1e-15], [np.inf] * 4),
     )
 
 
@@ -535,9 +555,15 @@ def rate_budget(t1_s: float, t_r_s: float, gamma_a: float, gamma_b: float,
     2 gamma_b`` and the Rabi decay gives ``gamma_phi = 2 (gamma_R -
     3 gamma_1 / 4)``.  Intervals use worst-case endpoints of ``T1 +-
     unc`` and ``T_R +- unc`` (clipped at zero: rates are nonnegative).
+    Raises ``ValueError`` unless every time and uncertainty is finite, the
+    times positive and the uncertainties in ``[0, time)``.
     """
+    if not all(map(math.isfinite, (t1_s, t_r_s, t1_unc_s, t_r_unc_s))):
+        raise ValueError("decay times and uncertainties must be finite")
     if t1_s <= 0 or t_r_s <= 0:
         raise ValueError("decay times must be positive")
+    if t1_unc_s < 0 or t_r_unc_s < 0:
+        raise ValueError("uncertainties must be >= 0")
     if t1_unc_s >= t1_s or t_r_unc_s >= t_r_s:
         raise ValueError("uncertainties must be smaller than the decay times")
     gamma_1 = 1.0 / t1_s
@@ -588,7 +614,8 @@ def pca_populations(iq_clouds, zero_drive_key) -> PopulationTrace:
     Parameters
     ----------
     iq_clouds : mapping
-        Setting value (e.g. drive duration) -> complex sample array.
+        Setting value (e.g. drive duration) -> complex sample array, each
+        non-empty and finite (else ``ValueError``, naming the setting).
     zero_drive_key
         Key of the zero-drive (ground state) setting.
     """
@@ -597,7 +624,11 @@ def pca_populations(iq_clouds, zero_drive_key) -> PopulationTrace:
     keys = sorted(iq_clouds)
     if len(keys) < 2:
         raise ValueError("need at least 2 distinct settings")
-    means = np.array([np.mean(np.asarray(iq_clouds[k], dtype=complex)) for k in keys])
+    clouds = [np.asarray(iq_clouds[k], dtype=complex) for k in keys]
+    for key, cloud in zip(keys, clouds):
+        if cloud.size == 0 or not np.isfinite(cloud).all():
+            raise ValueError(f"cloud of setting {key!r} is empty or not finite")
+    means = np.array([np.mean(cloud) for cloud in clouds])
     points = np.column_stack([means.real, means.imag])
 
     centered = points - points.mean(axis=0)

@@ -50,6 +50,25 @@ def central_difference_jacobian(fun, x, rel_step=1e-6):
     return np.column_stack(cols)
 
 
+def captured_problem(monkeypatch, module, fit, *args):
+    """The residual and Jacobian that ``fit(*args)`` hands to ``module``'s solver."""
+    seen, solve = {}, module.least_squares
+
+    def capture(fun, x0, **kwargs):
+        seen.update(fun=fun, jac=kwargs["jac"])
+        return solve(fun, x0, **kwargs)
+
+    monkeypatch.setattr(module, "least_squares", capture)
+    fit(*args)
+    return seen["fun"], seen["jac"]
+
+
+def jacobian_error(fun, jac, x):
+    """Per-column relative distance of ``jac(x)`` from central differences."""
+    central = central_difference_jacobian(fun, x)
+    return np.linalg.norm(jac(x) - central, axis=0) / np.linalg.norm(central, axis=0)
+
+
 class TestFinishReport:
     NAMES = ("a", "b", "c", "dead")
 
@@ -220,19 +239,22 @@ class TestSolver:
             assert report.params[name] == pytest.approx(references[0].params[name], rel=1e-5)
 
     def test_time_domain_fits_reach_the_optimum(self, monkeypatch):
-        # the forward-difference step follows x_scale, so a time of ~20 ns is
-        # differenced on its own scale; the reference uses accurate central
-        # differences and tight tolerances
+        # times of ~20 ns sit next to populations of ~1; the reference uses
+        # accurate central differences and tight tolerances, and each
+        # parameter is compared on the larger of its value and its scale
         from scipy.optimize import least_squares as scipy_least_squares
 
+        scales = {3: [0.7, 27e-9, 0.1],  # p0, t1, p_inf
+                  4: [1.2, 24e-9, 0.1, 67e-9]}  # p_max, t_pi, p_inf, t_r
         pairs = []
 
         def both(fun, x0, **kwargs):
             ours = _lsq.least_squares(fun, x0, **kwargs)
+            scale = np.array(scales[len(x0)])
             ref = scipy_least_squares(fun, x0, jac="3-point", diff_step=1e-6, xtol=1e-15,
                                       ftol=1e-15, gtol=1e-15, bounds=kwargs["bounds"],
-                                      x_scale=kwargs["x_scale"], max_nfev=2000)
-            pairs.append((ours.x, ref.x, np.asarray(kwargs["x_scale"])))
+                                      x_scale=scale, max_nfev=2000)
+            pairs.append((ours.x, ref.x, scale))
             return ours
 
         monkeypatch.setattr(estimation, "least_squares", both)
@@ -266,19 +288,28 @@ class TestSolver:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["kappa>0", "kappa<0"])
     @pytest.mark.parametrize("f0", [F_GE, F_GE + 0.37 * 150e3], ids=["on-grid", "off-grid"])
     def test_circle_fit_jacobian_matches_central_differences(self, monkeypatch, sign, f0):
-        seen, solve = {}, calibration.least_squares
-
-        def capture(fun, x0, **kwargs):
-            seen.update(fun=fun, jac=kwargs["jac"])
-            return solve(fun, x0, **kwargs)
-
-        monkeypatch.setattr(calibration, "least_squares", capture)
         freqs = np.linspace(F_GE - 30e6, F_GE + 30e6, 401)  # 150 kHz steps
-        calibration.circle_fit(model.cell_coefficients(TWO_PI * freqs, TRUTH)[0], freqs)
+        fun, jac = captured_problem(monkeypatch, calibration, calibration.circle_fit,
+                                    model.cell_coefficients(TWO_PI * freqs, TRUTH)[0], freqs)
         x = np.array([0.3, f0, sign * 2.0 * (GA + GB) / TWO_PI])  # kappa: the loaded FWHM in Hz
-        central = central_difference_jacobian(seen["fun"], x)
-        err = np.linalg.norm(seen["jac"](x) - central, axis=0) / np.linalg.norm(central, axis=0)
-        assert np.all(err < 1e-6)
+        assert np.all(jacobian_error(fun, jac, x) < 1e-6)
+
+    def test_t1_does_not_depend_on_the_time_unit(self):
+        # the solver scales by the Jacobian's column norms, not by a scale
+        # written for delays in seconds
+        t = np.linspace(0, 80e-9, 31)
+        p = 0.7 * np.exp(-t / 21e-9) + 0.01 * np.random.default_rng(9).standard_normal(t.size)
+        seconds, nanoseconds = estimation.fit_T1(p, t), estimation.fit_T1(p, 1e9 * t)
+        assert 1e9 * seconds.value("t1") == pytest.approx(nanoseconds.value("t1"), rel=1e-12)
+
+    def test_circle_fit_does_not_depend_on_the_frequency_unit(self):
+        freqs = np.linspace(F_GE - 30e6, F_GE + 30e6, 401)
+        rng = np.random.default_rng(3)
+        trace = model.cell_coefficients(TWO_PI * freqs, TRUTH)[0] + 1e-2 * (
+            rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size))
+        hz, ghz = calibration.circle_fit(trace, freqs), calibration.circle_fit(trace, freqs / 1e9)
+        assert hz.kappa_loaded == pytest.approx(1e9 * ghz.kappa_loaded, rel=1e-12)
+        assert hz.omega_res == pytest.approx(1e9 * ghz.omega_res, rel=1e-12)
 
     def test_inactive_bounds_change_no_bit(self):
         # bounds the optimum and every step stay clear of leave each variable
@@ -293,61 +324,80 @@ class TestSolver:
             decay = np.exp(-x[1] * t)
             return np.column_stack([decay, -x[0] * t * decay, np.ones_like(t)])
 
-        for derivative in (None, jac):
-            free = _lsq.least_squares(fun, [1.0, 1.0, 0.0], derivative, xtol=1e-10, ftol=1e-10)
-            boxed = _lsq.least_squares(fun, [1.0, 1.0, 0.0], derivative,
-                                       ([-5.0, 0.01, -5.0], [5.0, 50.0, 5.0]),
-                                       xtol=1e-10, ftol=1e-10)
-            assert free.success and free.nfev > 3
-            assert boxed.x.tobytes() == free.x.tobytes()
-            assert boxed.fun.tobytes() == free.fun.tobytes()
-            assert boxed.nfev == free.nfev
+        free = _lsq.least_squares(fun, [1.0, 1.0, 0.0], jac, xtol=1e-10, ftol=1e-10)
+        boxed = _lsq.least_squares(fun, [1.0, 1.0, 0.0], jac,
+                                   ([-5.0, 0.01, -5.0], [5.0, 50.0, 5.0]),
+                                   xtol=1e-10, ftol=1e-10)
+        assert free.success and free.nfev > 3
+        assert boxed.x.tobytes() == free.x.tobytes()
+        assert boxed.fun.tobytes() == free.fun.tobytes()
+        assert boxed.nfev == free.nfev
 
 
-class TestFiniteDifferenceResiduals:
-    """The difference-quotient Jacobians the bounded fits rely on are sane:
-    a forward-difference estimate agrees with central differences to 1e-5
-    at interior points, so the optimizer sees an accurate local model."""
+class TestAnalyticJacobians:
+    """The Jacobians the time-domain and saturation fits hand to the solver
+    agree with central differences at and away from the data's optimum."""
 
-    @staticmethod
-    def forward_difference_jacobian(fun, x):
-        x = np.asarray(x, dtype=float)
-        f0 = fun(x)
-        cols = []
-        for i in range(x.size):
-            h = math.sqrt(np.finfo(float).eps) * max(abs(x[i]), 1e-30)
-            up = x.copy()
-            up[i] += h
-            cols.append((fun(up) - f0) / h)
-        return np.column_stack(cols)
+    T = np.linspace(0, 200e-9, 201)
+    N = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 30)])  # an n = 0 row
 
-    def check(self, fun, x):
-        forward = self.forward_difference_jacobian(fun, x)
-        central = central_difference_jacobian(fun, x)
-        scale = np.linalg.norm(central, axis=0)
-        err = np.linalg.norm(forward - central, axis=0) / scale
-        assert np.all(err < 1e-5)
+    def problem(self, monkeypatch, fit):
+        if fit == "T1":
+            p = 0.7 * np.exp(-self.T / 21e-9) + 0.01
+            return captured_problem(monkeypatch, estimation, estimation.fit_T1, p, self.T)
+        if fit == "rabi":
+            p = TestTimeDomain().rabi_truth(self.T)
+            return captured_problem(monkeypatch, estimation, estimation.fit_rabi_decay,
+                                    p, self.T)
+        y = model.saturation_curve(self.N, model.SaturationParams(1.0, 0.44, 1.0, 2.0))
+        return captured_problem(monkeypatch, estimation, estimation.fit_saturation, y, self.N)
 
-    def test_thermal_residual(self):
-        temps = np.linspace(0.02, 0.4, 15)
-        n_th = model.n_thermal(temps, W_GE)
-        data = model.efficiency_thermal(
-            n_th, GA, GB, model.ThermalCoefficients(TWO_PI * 0.3e6, TWO_PI * 9e6))
+    @pytest.mark.parametrize("fit,x", [
+        ("T1", [0.7, 21e-9, 0.01]), ("T1", [0.3, 60e-9, -0.05]),
+        ("rabi", [1.2, 24e-9, 0.5, 25e-9]), ("rabi", [0.8, 31e-9, 0.3, 70e-9]),
+        ("saturation", [1.0, 0.44, 1.0, 2.0]), ("saturation", [0.9, -0.5, 1.7, 30.0]),
+    ], ids=["T1-truth", "T1-away", "rabi-truth", "rabi-away", "sat-truth", "sat-away"])
+    def test_matches_central_differences(self, monkeypatch, fit, x):
+        fun, jac = self.problem(monkeypatch, fit)
+        assert np.all(jacobian_error(fun, jac, np.array(x)) < 1e-6)
 
-        def residual(x):
-            rate = n_th * (x[0] + x[1]) + 0.5 * x[0]
-            return model.resonant_efficiency(GA, GB, rate) - data
+    def test_zero_photon_row_does_not_move_the_exponent(self, monkeypatch):
+        # n**c is 0 for every c > 0; its log is taken of 1, not of 0, so the
+        # row adds 0 and raises no warning (warnings are errors here)
+        _, jac = self.problem(monkeypatch, "saturation")
+        column = jac(np.array([1.0, 0.44, 1.3, 2.0]))[:, 2]
+        assert column[0] == 0.0 and np.all(column[1:] != 0.0)
 
-        self.check(residual, [TWO_PI * 0.4e6, TWO_PI * 8e6])
 
-    def test_saturation_residual(self):
-        n = np.geomspace(1e-2, 1e3, 15)
-        data = model.saturation_curve(n, model.SaturationParams(1.0, 0.4, 1.0, 2.0))
+class TestPairedSamples:
+    """Fits of paired samples refuse unpaired or non-finite ones by name."""
 
-        def residual(x):
-            return x[0] - x[1] / (1.0 + n**x[2] / x[3]) - data
+    FITS = {
+        "saturation": (estimation.fit_saturation, np.geomspace(1e-2, 1e4, 9),
+                       "magnitudes for {} photon numbers"),
+        "E_polynomial": (estimation.fit_E_polynomial, np.linspace(-0.5, 0.5, 9),
+                         "efficiencies for {} bias points"),
+        "flux_noise": (lambda y, x: estimation.fit_flux_noise(y, x, FLUX),
+                       np.linspace(-0.5, 0.5, 9), "rates for {} bias points"),
+        "thermal": (lambda y, x: estimation.fit_thermal(y, x, GA, GB, W_GE),
+                    np.linspace(0.02, 0.4, 9), "efficiencies for {} temperatures"),
+    }
 
-        self.check(residual, [0.9, 0.5, 1.2, 1.7])
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("n_y", [8, 10])
+    def test_unpaired_lengths_refused(self, fit, n_y):
+        call, x, what = self.FITS[fit]
+        with pytest.raises(ValueError, match=f"{n_y} {what.format(9)}"):
+            call(np.full(n_y, 0.5), x)
+
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("column", ["y", "x"])
+    def test_non_finite_sample_named(self, fit, column):
+        call, x, _ = self.FITS[fit]
+        y, x = np.linspace(0.3, 0.6, x.size), x.copy()
+        (y if column == "y" else x)[[3, 6]] = [np.nan, np.inf]
+        with pytest.raises(ValueError, match="sample 3 is not finite"):
+            call(y, x)
 
 
 class TestEfficiencyTrace:
@@ -631,26 +681,12 @@ class TestThermalFit:
         with pytest.raises(estimation.FitError, match="rank-deficient"):
             estimation.fit_thermal(e, self.TEMPS, self.GA_T, self.GB_T, W_GE)
 
-    def captured_problem(self, monkeypatch, e):
-        """The residual and Jacobian ``fit_thermal`` hands to the solver."""
-        seen, solve = {}, estimation.least_squares
-
-        def capture(fun, x0, **kwargs):
-            seen.update(fun=fun, jac=kwargs["jac"])
-            return solve(fun, x0, **kwargs)
-
-        monkeypatch.setattr(estimation, "least_squares", capture)
-        estimation.fit_thermal(e, self.TEMPS, self.GA_T, self.GB_T, W_GE)
-        return seen["fun"], seen["jac"]
-
     @pytest.mark.parametrize("x", [[0.26e6, 10.38e6], [1.3e6, 2.0e6], [0.01e6, 0.05e6]],
                              ids=["truth", "away", "near-bound"])
     def test_jacobian_matches_central_differences(self, monkeypatch, x):
-        fun, jac = self.captured_problem(monkeypatch, self.synth_e())
-        x = TWO_PI * np.array(x)
-        central = central_difference_jacobian(fun, x)
-        err = np.linalg.norm(jac(x) - central, axis=0) / np.linalg.norm(central, axis=0)
-        assert np.all(err < 1e-6)
+        fun, jac = captured_problem(monkeypatch, estimation, estimation.fit_thermal,
+                                    self.synth_e(), self.TEMPS, self.GA_T, self.GB_T, W_GE)
+        assert np.all(jacobian_error(fun, jac, TWO_PI * np.array(x)) < 1e-6)
 
     def test_uncertainties_do_not_depend_on_a_nudged_start(self, monkeypatch):
         # starts 7e-15 apart stop at slightly different points; with forward
@@ -683,19 +719,13 @@ class TestThermalFit:
         n = model.n_thermal(temps, W_GE)
         tc = model.ThermalCoefficients(self.G1, self.GPHI)
         e = model.efficiency_thermal(n, self.GA_T, self.GB_T, tc)
-        solve, seen = estimation.least_squares, {}
-
-        def capture(fun, x0, **kwargs):
-            seen.update(fun=fun, jac=kwargs["jac"])
-            return solve(fun, x0, **kwargs)
-
-        monkeypatch.setattr(estimation, "least_squares", capture)
-        estimation.fit_thermal(e, temps, self.GA_T, self.GB_T, W_GE)
+        _, jac = captured_problem(monkeypatch, estimation, estimation.fit_thermal,
+                                  e, temps, self.GA_T, self.GB_T, W_GE)
         g1 = 3.0 * 2.0 ** 20
         x = np.array([g1, 0.2 * np.finfo(float).eps * g1 / n[-1] - g1])
         rate = model.ThermalCoefficients(*x).coherence_rate(n)
         assert rate[-1] != 0.5 * g1 and np.all(rate[:-1] == 0.5 * g1)
-        column = seen["jac"](x)[:, 1]
+        column = jac(x)[:, 1]
         assert column[-1] != 0.0 and np.all(column[:-1] == 0.0)
 
 
@@ -848,6 +878,21 @@ class TestRateBudget:
         with pytest.raises(ValueError):
             estimation.rate_budget(20e-9, 25e-9, GA, GB, t1_unc_s=30e-9)
 
+    @pytest.mark.parametrize("field", ["t1_s", "t_r_s", "t1_unc_s", "t_r_unc_s"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_time_or_uncertainty_refused(self, field, value):
+        # a NaN T1 would otherwise give gamma_phi = gamma_bath = 0
+        args = dict(t1_s=20.5e-9, t_r_s=25e-9, t1_unc_s=2e-9, t_r_unc_s=2e-9)
+        args[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            estimation.rate_budget(gamma_a=GA, gamma_b=GB, **args)
+
+    @pytest.mark.parametrize("field", ["t1_unc_s", "t_r_unc_s"])
+    def test_negative_uncertainty_refused(self, field):
+        # t1_unc_s = -1e-9 would otherwise reverse gamma_bath_range
+        with pytest.raises(ValueError, match="uncertainties must be >= 0"):
+            estimation.rate_budget(20.5e-9, 25e-9, GA, GB, **{field: -1e-9})
+
 
 class TestPcaPopulations:
     Z_G = 0.3 + 0.1j
@@ -913,6 +958,15 @@ class TestPcaPopulations:
     def test_missing_zero_drive_rejected(self):
         with pytest.raises(ValueError):
             estimation.pca_populations({1.0: np.ones(4)}, 0.0)
+
+    @pytest.mark.parametrize("cloud", [np.array([], dtype=complex),
+                                       np.array([1.0, np.nan + 1j]),
+                                       np.array([np.inf, 1j])],
+                             ids=["empty", "nan", "inf"])
+    def test_empty_or_non_finite_cloud_named(self, cloud):
+        clouds = {0.0: np.full(8, self.Z_G), 0.5: cloud, 1.0: np.full(8, self.Z_E)}
+        with pytest.raises(ValueError, match="cloud of setting 0.5 is empty or not finite"):
+            estimation.pca_populations(clouds, 0.0)
 
 
 class TestFixedPointProperty:
