@@ -3,8 +3,9 @@
 Damped Gauss–Newton steps (Moré, *The Levenberg–Marquardt algorithm:
 implementation and theory*, 1978) on normal equations scaled by the
 Jacobian's column norms, with box bounds handled by projection and the
-stopping rules of ``scipy.optimize.least_squares``.  Deterministic: no
-randomness, and the same inputs take the same steps.
+stopping rules of ``scipy.optimize.least_squares``.  As in MINPACK, the
+solver, not its caller, sets when to stop: :data:`TOL` and :data:`MAX_NFEV`.
+Deterministic: no randomness, and the same inputs take the same steps.
 """
 
 from __future__ import annotations
@@ -14,8 +15,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
+#: Relative tolerance on the step and on the cost reduction.
+TOL = 1e-10
+#: Most residual evaluations a fit may spend.
+MAX_NFEV = 200
 
-def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), *, xtol, ftol, max_nfev=None):
+
+def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf)):
     """Minimise ``0.5 |fun(x)|^2`` for ``x`` in the box ``bounds = (lower, upper)``.
 
     ``jac(x)`` returns the ``(m, n)`` Jacobian of ``fun``; nothing is
@@ -32,9 +38,9 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), *, xtol, ftol, max_nfe
     step that lowers the cost, doubled-and-growing after one that does not.
 
     Stops, with ``success=True``, when a step lowers the cost by less than
-    ``ftol`` of it with a gain ratio above 0.25, or moves ``x`` by less
-    than ``xtol * (xtol + |x|)``; ``success=False`` when ``max_nfev``
-    residual evaluations (default ``100 n``) are spent first.
+    ``TOL`` of it with a gain ratio above 0.25, or moves ``x`` by less
+    than ``TOL * (TOL + |x|)``; ``success=False`` when ``MAX_NFEV``
+    residual evaluations are spent first.
 
     Returns ``x``, ``fun`` and ``jac`` at that ``x``, ``nfev`` and
     ``success``.  Raises ``ValueError`` when the residuals at the start,
@@ -43,14 +49,13 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), *, xtol, ftol, max_nfe
     x = np.asarray(x0, dtype=float)
     lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
     x = np.clip(x, lower, upper)
-    max_nfev = 100 * x.size if max_nfev is None else max_nfev
 
     f = np.asarray(fun(x), dtype=float)
     if not np.isfinite(f).all():
         raise ValueError("residuals are not finite at the initial point")
     cost, nfev, lam, grow, success = 0.5 * (f @ f), 1, 1e-3, 2.0, False
     J = np.asarray(jac(x), dtype=float)
-    while not success and nfev < max_nfev:
+    while not success and nfev < MAX_NFEV:
         norms = np.linalg.norm(J, axis=0)
         scale = 1.0 / np.where(norms > 0, norms, 1.0)
         js = J * scale
@@ -66,8 +71,8 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf), *, xtol, ftol, max_nfe
         predicted = -(g @ s + 0.5 * (s @ a @ s))
         actual = cost - cost_new
         ratio = actual / predicted if predicted > 0 else 0.0
-        success = bool((actual < ftol * cost and ratio > 0.25)
-                       or math.sqrt(dx @ dx) < xtol * (xtol + math.sqrt(x @ x)))
+        success = bool((actual < TOL * cost and ratio > 0.25)
+                       or math.sqrt(dx @ dx) < TOL * (TOL + math.sqrt(x @ x)))
         if actual > 0:
             x, f, cost = x_new, f_new, cost_new
             J = np.asarray(jac(x), dtype=float)

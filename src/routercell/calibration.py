@@ -250,8 +250,8 @@ def circle_fit(trace, freqs) -> CircleFitResult:
     Raises
     ------
     CircleFitError
-        If the inputs break the rules above or the trace does not describe
-        a usable resonance circle.
+        If the inputs break the rules above, the trace does not describe
+        a usable resonance circle, or the phase fit does not converge.
     """
     tr = np.asarray(trace, dtype=complex)
     freqs = np.asarray(freqs, dtype=float)
@@ -297,7 +297,9 @@ def circle_fit(trace, freqs) -> CircleFitResult:
         return np.column_stack([np.ones_like(u), -2.0 * kappa * w, -u * w])
 
     init = np.array([theta[i0], freqs[i0], sign * span / 5.0])
-    fit = least_squares(residual, init, jac=jacobian, xtol=1e-12, ftol=1e-12)
+    fit = least_squares(residual, init, jac=jacobian)
+    if not fit.success:
+        raise CircleFitError(f"phase fit did not converge in {fit.nfev} evaluations")
     theta0, f_res, kappa = fit.x
     kappa = abs(float(kappa))
     if kappa <= 0:

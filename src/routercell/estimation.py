@@ -15,13 +15,15 @@ Fits fall into three families:
   population axis anchored by the zero-drive reference.
 
 Every fit is deterministic given its inputs and uses damped least squares
-(at most 200 residual evaluations, relative step tolerance 1e-10) on an
-analytic Jacobian, with uncertainties from the linearized covariance at the
-optimum; a linear fit is one solve with the same covariance.  A fit of
-paired samples refuses, with ``ValueError``, samples that are unpaired or
-not finite, and names the first bad one.  A parameter whose Jacobian column
-is exactly zero is flagged ``unidentifiable:<name>`` instead of being
-reported with a meaningless uncertainty.
+on an analytic Jacobian (:func:`routercell._lsq.least_squares`, which sets
+its own stopping policy), with uncertainties from the linearized covariance
+at the optimum; a linear fit is one solve with the same covariance.  A fit
+of paired samples takes them in any order (it sorts them by abscissa, so a
+shuffled sweep fits as the sorted one) and refuses, with ``ValueError``,
+samples that are unpaired or not finite, naming the first bad one.  A
+parameter whose Jacobian column is exactly zero is flagged
+``unidentifiable:<name>`` instead of being reported with a meaningless
+uncertainty.
 """
 
 from __future__ import annotations
@@ -68,8 +70,6 @@ __all__ = [
     "pca_populations",
 ]
 
-MAX_ITER = 200
-STEP_TOL = 1e-10
 #: Largest depth of a reconstructed population below 0.
 POPULATION_SLACK = 0.15
 
@@ -170,13 +170,6 @@ def _finish_report(names, result, seed=None) -> FitReport:
     )
 
 
-def _least_squares(names, residual, x0, seed=None, **kwargs) -> FitReport:
-    """Damped least squares with the package's step tolerance and iteration cap."""
-    result = least_squares(residual, x0, xtol=STEP_TOL, ftol=STEP_TOL, max_nfev=MAX_ITER,
-                           **kwargs)
-    return _finish_report(names, result, seed)
-
-
 def _linear_report(names, design, target, seed=None) -> FitReport:
     """Linear least squares on unit-norm columns; the design is its own Jacobian."""
     col_norms = np.linalg.norm(design, axis=0)
@@ -190,9 +183,11 @@ def _linear_report(names, design, target, seed=None) -> FitReport:
 
 
 def _paired_samples(y, x, what: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``y`` as float arrays; raises ``ValueError`` unless paired and finite.
+    """``x`` and ``y`` as float arrays, stably sorted by ``x``; raises
+    ``ValueError`` unless paired and finite.
 
-    ``what`` names the ``y`` and ``x`` samples (plural) in the messages.
+    ``what`` names the ``y`` and ``x`` samples (plural) in the messages,
+    which index the samples in the order given.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -202,7 +197,8 @@ def _paired_samples(y, x, what: tuple[str, str]) -> tuple[np.ndarray, np.ndarray
     if bad.size:
         i = bad[0]
         raise ValueError(f"sample {i} is not finite: ({what[1]}, {what[0]}) = ({x[i]}, {y[i]})")
-    return x, y
+    order = np.argsort(x, axis=None, kind="stable")
+    return x.ravel()[order], y.ravel()[order]
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +269,8 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     eps = 1e-6
     lower = [1e-3 * scale, 1e-3 * scale, -np.inf, -np.pi / 2 + eps, -np.pi / 2 + eps]
     upper = [np.inf, np.inf, np.inf, np.pi / 2 - eps, np.pi / 2 - eps]
-    return _least_squares(
-        _FOUR_CHANNEL_NAMES, residual, x0, seed, jac=jacobian, bounds=(lower, upper),
-    )
+    return _finish_report(_FOUR_CHANNEL_NAMES, least_squares(
+        residual, x0, jac=jacobian, bounds=(lower, upper)), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +395,9 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
         seen = (x[0] == 0.0) | (rate != 0.5 * x[0])
         return np.column_stack([d_rate * (n_th + 0.5), d_rate * np.where(seen, n_th, 0.0)])
 
-    return _least_squares(
-        ("gamma1_zero", "gamma_phi_zero"), residual, [g1_init, gphi_init], seed,
-        jac=jacobian, bounds=([0.0, 0.0], [np.inf, np.inf]),
-    )
+    return _finish_report(("gamma1_zero", "gamma_phi_zero"), least_squares(
+        residual, [g1_init, gphi_init], jac=jacobian,
+        bounds=([0.0, 0.0], [np.inf, np.inf])), seed)
 
 
 def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
@@ -418,8 +412,6 @@ def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
     pos = n[n > 0]
     if n.size < 4 or pos.size == 0 or pos.max() / pos.min() < 100.0:
         raise FitError("need >= 4 photon numbers spanning at least two decades")
-    order = np.argsort(n)
-    n, y = n[order], y[order]
 
     lo = float(np.mean(y[:2]))
     hi = float(np.mean(y[-2:]))
@@ -438,10 +430,9 @@ def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
         w = b * q / (1.0 + q) ** 2
         return np.column_stack([np.ones_like(n), -1.0 / (1.0 + q), w * log_n, -w / d])
 
-    return _least_squares(
-        ("a", "b", "c", "d"), residual, [a0, b0, 1.0, d0], seed, jac=jacobian,
-        bounds=([-np.inf, -np.inf, 1e-3, 1e-12], [np.inf, np.inf, 10.0, np.inf]),
-    )
+    return _finish_report(("a", "b", "c", "d"), least_squares(
+        residual, [a0, b0, 1.0, d0], jac=jacobian,
+        bounds=([-np.inf, -np.inf, 1e-3, 1e-12], [np.inf, np.inf, 10.0, np.inf])), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +462,9 @@ def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
         decay = np.exp(-t / t1)
         return np.column_stack([decay, p0 * decay * t / t1**2, np.ones_like(t)])
 
-    report = _least_squares(
-        ("p0", "t1", "p_inf"), residual, [p00, max(t10, 1e-12), p_inf0], seed, jac=jacobian,
-        bounds=([-np.inf, 1e-15, -np.inf], [np.inf, np.inf, np.inf]),
-    )
+    report = _finish_report(("p0", "t1", "p_inf"), least_squares(
+        residual, [p00, max(t10, 1e-12), p_inf0], jac=jacobian,
+        bounds=([-np.inf, 1e-15, -np.inf], [np.inf, np.inf, np.inf])), seed)
     if abs(report.value("p0")) < 1e-6:
         report = replace(report, flags=report.flags + ("unidentifiable:t1",))
     if (t[-1] - t[0]) < 2.0 * report.value("t1"):
@@ -525,10 +515,9 @@ def fit_rabi_decay(populations, durations_s, seed: int | None = None) -> FitRepo
                                 -p_max * np.sin(2.0 * phase) * phase / t_pi * decay,
                                 1.0 - decay, osc * decay * t / t_r**2])
 
-    return _least_squares(
-        ("p_max", "t_pi", "p_inf", "t_r"), residual, [p_max0, t_pi0, p_inf0, max(t_r0, 1e-12)],
-        seed, jac=jacobian, bounds=([0.0, 1e-15, -np.inf, 1e-15], [np.inf] * 4),
-    )
+    return _finish_report(("p_max", "t_pi", "p_inf", "t_r"), least_squares(
+        residual, [p_max0, t_pi0, p_inf0, max(t_r0, 1e-12)], jac=jacobian,
+        bounds=([0.0, 1e-15, -np.inf, 1e-15], [np.inf] * 4)), seed)
 
 
 def coupling_limited_t1(gamma_a: float, gamma_b: float) -> float:

@@ -90,8 +90,9 @@ class CampaignConfig:
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
-        if freqs.ndim != 1 or freqs.size < 2 or np.any(np.diff(freqs) <= 0):
-            raise ValueError("freqs must be a strictly increasing 1-D grid")
+        if (freqs.ndim != 1 or freqs.size < 2 or not np.isfinite(freqs).all()
+                or np.any(np.diff(freqs) <= 0)):
+            raise ValueError("freqs must be a finite, strictly increasing 1-D grid")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         object.__setattr__(self, "freqs", freqs)

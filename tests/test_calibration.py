@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from routercell import calibration, model, network, synth
+from routercell import _lsq, calibration, model, network, synth
 
 TWO_PI = 2.0 * math.pi
 GA = TWO_PI * 1.82e6
@@ -311,6 +311,13 @@ class TestCircleFit:
         freqs[[10, 11]] = freqs[[11, 10]]
         with pytest.raises(calibration.CircleFitError, match="strictly monotonic"):
             calibration.circle_fit(self.model_trace(), freqs)
+
+    def test_unconverged_phase_fit_raises(self, monkeypatch):
+        # a phase fit cut off by the evaluation cap has no resonance to report
+        monkeypatch.setattr(_lsq, "MAX_NFEV", 2)
+        with pytest.raises(calibration.CircleFitError,
+                           match="phase fit did not converge in 2 evaluations"):
+            calibration.circle_fit(self.model_trace(), self.FREQS)
 
 
 class TestLossBudget:

@@ -192,7 +192,8 @@ class TestSolver:
         references = []
 
         def both(fun, x0, **kwargs):
-            ref = scipy_least_squares(fun, x0, method="trf", gtol=None, **kwargs)
+            ref = scipy_least_squares(fun, x0, method="trf", xtol=_lsq.TOL, ftol=_lsq.TOL,
+                                      gtol=None, max_nfev=_lsq.MAX_NFEV, **kwargs)
             references.append(estimation._finish_report(estimation._FOUR_CHANNEL_NAMES, ref))
             return _lsq.least_squares(fun, x0, **kwargs)
 
@@ -217,7 +218,7 @@ class TestSolver:
                 assert report.sigma[name] == pytest.approx(ref.sigma[name], rel=self.SCIPY_REL)
 
     def test_iteration_cap_reports_not_converged(self, monkeypatch):
-        monkeypatch.setattr(estimation, "MAX_ITER", 3)
+        monkeypatch.setattr(_lsq, "MAX_NFEV", 3)
         init = model.CellParams(1.3 * GA, 0.8 * GB, W_GE + TWO_PI * 2e6)
         report = estimation.fit_four_channel(clean_spectrum(), init)
         assert not report.converged
@@ -279,7 +280,8 @@ class TestSolver:
                                  + 1j * rng.standard_normal(freqs.size))
         fit = calibration.circle_fit(trace, freqs)
         monkeypatch.setattr(calibration, "least_squares", lambda fun, x0, **kwargs:
-                            scipy_least_squares(fun, x0, method="lm", **kwargs))
+                            scipy_least_squares(fun, x0, method="lm", xtol=1e-12, ftol=1e-12,
+                                                **kwargs))
         ref = calibration.circle_fit(trace, freqs)
         assert fit.kappa_loaded == pytest.approx(ref.kappa_loaded, rel=self.SCIPY_REL)
         assert fit.omega_res == pytest.approx(ref.omega_res, rel=self.SCIPY_REL)
@@ -324,10 +326,9 @@ class TestSolver:
             decay = np.exp(-x[1] * t)
             return np.column_stack([decay, -x[0] * t * decay, np.ones_like(t)])
 
-        free = _lsq.least_squares(fun, [1.0, 1.0, 0.0], jac, xtol=1e-10, ftol=1e-10)
+        free = _lsq.least_squares(fun, [1.0, 1.0, 0.0], jac)
         boxed = _lsq.least_squares(fun, [1.0, 1.0, 0.0], jac,
-                                   ([-5.0, 0.01, -5.0], [5.0, 50.0, 5.0]),
-                                   xtol=1e-10, ftol=1e-10)
+                                   ([-5.0, 0.01, -5.0], [5.0, 50.0, 5.0]))
         assert free.success and free.nfev > 3
         assert boxed.x.tobytes() == free.x.tobytes()
         assert boxed.fun.tobytes() == free.fun.tobytes()
@@ -398,6 +399,32 @@ class TestPairedSamples:
         (y if column == "y" else x)[[3, 6]] = [np.nan, np.inf]
         with pytest.raises(ValueError, match="sample 3 is not finite"):
             call(y, x)
+
+    @staticmethod
+    def sweep(fit):
+        """The fit and a noiseless sweep ``(y, x)`` for it, in ascending ``x``."""
+        if fit == "T1":
+            t = np.linspace(0, 100e-9, 41)
+            return estimation.fit_T1, 0.72 * np.exp(-t / 20.5e-9) + 1.6e-3, t
+        if fit == "rabi":
+            t = np.linspace(0, 200e-9, 201)
+            return estimation.fit_rabi_decay, TestTimeDomain().rabi_truth(t), t
+        if fit == "saturation":
+            n = TestSaturationFit.N
+            return estimation.fit_saturation, model.saturation_curve(
+                n, model.SaturationParams(1.0, 0.44, 1.0, 2.0)), n
+        thermal = TestThermalFit()
+        return (lambda y, x: estimation.fit_thermal(y, x, thermal.GA_T, thermal.GB_T, W_GE),
+                thermal.synth_e(), thermal.TEMPS)
+
+    @pytest.mark.parametrize("fit", ["T1", "rabi", "saturation", "thermal"])
+    def test_shuffled_sweep_fits_as_the_sorted_one(self, fit):
+        # sweeps are often taken in random order to decorrelate drift; the
+        # starting values read the sweep's first and last samples as its ends
+        call, y, x = self.sweep(fit)
+        y = y + 0.01 * np.random.default_rng(41).standard_normal(x.size)
+        order = np.random.default_rng(5).permutation(x.size)
+        assert repr(call(y[order], x[order])) == repr(call(y, x))
 
 
 class TestEfficiencyTrace:

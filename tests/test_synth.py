@@ -72,6 +72,16 @@ class TestGenLines:
             synth.LineSpec(isolation_db=-3.0)
 
 
+class TestCampaignConfig:
+    @pytest.mark.parametrize("freqs", [[1e9, np.nan, 3e9], [1e9, 2e9, np.inf]],
+                             ids=["nan", "inf"])
+    def test_non_finite_grid_refused(self, freqs):
+        # a monotonicity test alone passes both: NaN compares false with 0,
+        # and a last point at inf follows the one before by a step of +inf
+        with pytest.raises(ValueError, match="freqs must be a finite"):
+            synth.CampaignConfig(cell=CELL, lines=synth.LineSpec(), freqs=freqs)
+
+
 class TestGenSpectrum:
     def test_bit_identical_for_same_config(self):
         a = synth.gen_spectrum(campaign(seed=9))
