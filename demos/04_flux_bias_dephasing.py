@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from routercell.estimation import fit_E_polynomial, fit_flux_noise, gamma_phi_from_E
-from routercell.model import efficiency, omega_ge_of_bias
+from routercell.model import efficiency, gamma_phi_of_bias, omega_ge_of_bias
 from routercell.presets import (
     REFERENCE_CURRENT_NOISE_A2_PER_HZ,
     REFERENCE_FLUX,
@@ -27,8 +27,8 @@ cell = replace(STEADY_STATE_CELL, phi_a=0.0, phi_b=0.0)
 flux = REFERENCE_FLUX
 
 biases = np.linspace(-0.55, 0.55, 23)
-slopes = flux.slope(biases) * 1e3  # rad/s per A
-gamma_phi_true = np.pi * slopes**2 * REFERENCE_CURRENT_NOISE_A2_PER_HZ + REFERENCE_GAMMA_PHI0
+gamma_phi_true = gamma_phi_of_bias(biases, flux, REFERENCE_CURRENT_NOISE_A2_PER_HZ,
+                                   REFERENCE_GAMMA_PHI0)
 
 print("  I_b (mA)   f_ge (GHz)   gamma_phi/2pi (MHz)   E(res)")
 e_res = np.empty(biases.size)

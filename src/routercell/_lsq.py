@@ -3,9 +3,12 @@
 Damped Gauss–Newton steps (Moré, *The Levenberg–Marquardt algorithm:
 implementation and theory*, 1978) on normal equations scaled by the
 Jacobian's column norms, with box bounds handled by projection and the
-stopping rules of ``scipy.optimize.least_squares``.  As in MINPACK, the
-solver, not its caller, sets when to stop: :data:`TOL` and :data:`MAX_NFEV`.
-Deterministic: no randomness, and the same inputs take the same steps.
+stopping rules of ``scipy.optimize.least_squares``.  The problem is one
+function that returns the residuals and their Jacobian together, so a
+fit writes its model once and pays for one call per evaluation.  As in
+MINPACK, the solver, not its caller, sets when to stop: :data:`TOL` and
+:data:`MAX_NFEV`.  Deterministic: no randomness, and the same inputs take
+the same steps.
 """
 
 from __future__ import annotations
@@ -17,15 +20,16 @@ import numpy as np
 
 #: Relative tolerance on the step and on the cost reduction.
 TOL = 1e-10
-#: Most residual evaluations a fit may spend.
+#: Most evaluations of the problem a fit may spend.
 MAX_NFEV = 200
 
 
-def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf)):
-    """Minimise ``0.5 |fun(x)|^2`` for ``x`` in the box ``bounds = (lower, upper)``.
+def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
+    """Minimise ``0.5 |f(x)|^2`` for ``x`` in the box ``bounds = (lower, upper)``.
 
-    ``jac(x)`` returns the ``(m, n)`` Jacobian of ``fun``; nothing is
-    differenced.  Each step scales the variables by the inverse column
+    ``fun(x)`` returns ``(f, J)``: the ``m`` residuals and their ``(m, n)``
+    Jacobian; nothing is differenced, and a rejected trial's ``J`` is
+    discarded.  Each step scales the variables by the inverse column
     norms of the current Jacobian (a zero column keeps scale 1), so the
     Gram matrix ``A = J^T J`` has a unit diagonal, and solves
     ``(A + lam I) s = -g`` with ``g = J^T f``.  That is Marquardt's
@@ -40,21 +44,21 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf)):
     Stops, with ``success=True``, when a step lowers the cost by less than
     ``TOL`` of it with a gain ratio above 0.25, or moves ``x`` by less
     than ``TOL * (TOL + |x|)``; ``success=False`` when ``MAX_NFEV``
-    residual evaluations are spent first.
+    calls of ``fun`` are spent first.
 
-    Returns ``x``, ``fun`` and ``jac`` at that ``x``, ``nfev`` and
-    ``success``.  Raises ``ValueError`` when the residuals at the start,
-    clipped into the box, are not finite.
+    Returns ``x``, the residuals ``fun`` and Jacobian ``jac`` at that
+    ``x``, ``nfev`` (the calls of ``fun``) and ``success``.  Raises
+    ``ValueError`` when the residuals at the start, clipped into the box,
+    are not finite.
     """
     x = np.asarray(x0, dtype=float)
     lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
     x = np.clip(x, lower, upper)
 
-    f = np.asarray(fun(x), dtype=float)
+    f, J = (np.asarray(v, dtype=float) for v in fun(x))
     if not np.isfinite(f).all():
         raise ValueError("residuals are not finite at the initial point")
     cost, nfev, lam, grow, success = 0.5 * (f @ f), 1, 1e-3, 2.0, False
-    J = np.asarray(jac(x), dtype=float)
     while not success and nfev < MAX_NFEV:
         norms = np.linalg.norm(J, axis=0)
         scale = 1.0 / np.where(norms > 0, norms, 1.0)
@@ -63,7 +67,7 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf)):
         free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
         step = -np.linalg.solve(a * np.outer(free, free) + lam * np.eye(x.size), g * free)
         x_new = np.clip(x + scale * step, lower, upper)
-        f_new = np.asarray(fun(x_new), dtype=float)
+        f_new, J_new = (np.asarray(v, dtype=float) for v in fun(x_new))
         nfev += 1
         cost_new = 0.5 * (f_new @ f_new) if np.isfinite(f_new).all() else np.inf
         dx = x_new - x
@@ -74,8 +78,7 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf)):
         success = bool((actual < TOL * cost and ratio > 0.25)
                        or math.sqrt(dx @ dx) < TOL * (TOL + math.sqrt(x @ x)))
         if actual > 0:
-            x, f, cost = x_new, f_new, cost_new
-            J = np.asarray(jac(x), dtype=float)
+            x, f, J, cost = x_new, f_new, J_new, cost_new
             lam, grow = lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0
         else:
             lam, grow = lam * grow, 2.0 * grow

@@ -231,8 +231,8 @@ def circle_fit(trace, freqs) -> CircleFitResult:
     the trace about the circle center is then fitted with ``theta_0 +
     2 atan(2 (f - f_res) / kappa)``, whose ``kappa`` is the loaded full
     width at half maximum, signed by the sense in which the trace turns
-    (``kappa_loaded`` is its magnitude).  The phase fit uses the model's
-    analytic Jacobian.
+    (``kappa_loaded`` is its magnitude).  One function returns the phase
+    residuals and their analytic Jacobian to the solver.
 
     Parameters
     ----------
@@ -283,21 +283,15 @@ def circle_fit(trace, freqs) -> CircleFitResult:
     span = freqs[-1] - freqs[0]
     sign = 1.0 if theta[-1] >= theta[0] else -1.0
 
-    def model(params):
+    def problem(params):
         theta0, f0, kappa = params
-        return theta0 + 2.0 * np.arctan(2.0 * (freqs - f0) / kappa)
-
-    def residual(params):
-        return model(params) - theta
-
-    def jacobian(params):
-        _, f0, kappa = params
         u = 2.0 * (freqs - f0)
         w = 2.0 / (u * u + kappa * kappa)
-        return np.column_stack([np.ones_like(u), -2.0 * kappa * w, -u * w])
+        return (theta0 + 2.0 * np.arctan(u / kappa) - theta,
+                np.column_stack([np.ones_like(u), -2.0 * kappa * w, -u * w]))
 
     init = np.array([theta[i0], freqs[i0], sign * span / 5.0])
-    fit = least_squares(residual, init, jac=jacobian)
+    fit = least_squares(problem, init)
     if not fit.success:
         raise CircleFitError(f"phase fit did not converge in {fit.nfev} evaluations")
     theta0, f_res, kappa = fit.x
@@ -307,7 +301,6 @@ def circle_fit(trace, freqs) -> CircleFitResult:
     if not (freqs.min() <= f_res <= freqs.max()):
         warnings.warn("fitted resonance lies outside the scanned span", stacklevel=2)
 
-    resonant_point = center + radius * np.exp(1j * float(theta0))
     background = center - radius * np.exp(1j * float(theta0))
     return CircleFitResult(
         omega_res=2.0 * np.pi * float(f_res),

@@ -143,7 +143,7 @@ def _cmd_sweep_bias(config, inputs, seed, run_id):
     omega = TWO_PI * freqs
 
     w_ges = model.omega_ge_of_bias(biases, flux)
-    gamma_phi_true = math.pi * (flux.slope(biases) * 1e3) ** 2 * s_i + gphi0  # slope in rad/s/A
+    gamma_phi_true = model.gamma_phi_of_bias(biases, flux, s_i, gphi0)
     cells = [replace(cell, omega_ge=w, gamma_phi=r) for w, r in zip(w_ges, gamma_phi_true)]
     e_map = np.array([model.efficiency(omega - p.omega_ge, p) for p in cells])
     e_res = np.array([model.efficiency(0.0, p).real for p in cells])

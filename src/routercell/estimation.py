@@ -15,15 +15,16 @@ Fits fall into three families:
   population axis anchored by the zero-drive reference.
 
 Every fit is deterministic given its inputs and uses damped least squares
-on an analytic Jacobian (:func:`routercell._lsq.least_squares`, which sets
-its own stopping policy), with uncertainties from the linearized covariance
-at the optimum; a linear fit is one solve with the same covariance.  A fit
-of paired samples takes them in any order (it sorts them by abscissa, so a
-shuffled sweep fits as the sorted one) and refuses, with ``ValueError``,
-samples that are unpaired or not finite, naming the first bad one.  A
-parameter whose Jacobian column is exactly zero is flagged
-``unidentifiable:<name>`` instead of being reported with a meaningless
-uncertainty.
+(:func:`routercell._lsq.least_squares`, which sets its own stopping
+policy) on one function per fit that returns the residuals and their
+analytic Jacobian together, with uncertainties from the linearized
+covariance at the optimum; a linear fit is one solve with the same
+covariance.  A fit of paired samples takes them in any order (it sorts
+them by abscissa, so a shuffled sweep fits as the sorted one) and
+refuses, with ``ValueError``, samples that are unpaired or not finite,
+naming the first bad one.  A parameter whose Jacobian column is exactly
+zero is flagged ``unidentifiable:<name>`` instead of being reported with
+a meaningless uncertainty.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .model import (
     SaturationParams,
     ThermalCoefficients,
     cell_response,
-    efficiency_thermal,
+    gamma_phi_of_bias,
     n_thermal,
     resonant_efficiency,
     saturation_curve,
@@ -82,9 +83,9 @@ class FitError(RuntimeError):
 class FitReport:
     """Result of one fit: values, uncertainties and convergence metadata.
 
-    ``n_iter`` counts every residual evaluation of the fit (the solver's
-    ``nfev``: no Jacobian is differenced, so none go uncounted), not its
-    iterations; a linear solve counts as one.
+    ``n_iter`` counts every evaluation of the fit (the solver's ``nfev``:
+    each call returns the residuals and the Jacobian together, and none is
+    differenced), not its iterations; a linear solve counts as one.
     """
 
     params: dict[str, float]
@@ -258,19 +259,16 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     coherence = init.coherence_rate
     scale = init.gamma_sum
 
-    def residual(x):
-        return _real_rows(cell_response(omega, *x, coherence)) - data
-
-    def jacobian(x):
-        _, jac = cell_response(omega, *x, coherence, jacobian=True)
-        return _real_rows(jac).T
+    def problem(x):
+        t, jac = cell_response(omega, *x, coherence, jacobian=True)
+        return _real_rows(t) - data, _real_rows(jac).T
 
     x0 = np.array([init.gamma_a, init.gamma_b, init.omega_ge, init.phi_a, init.phi_b])
     eps = 1e-6
     lower = [1e-3 * scale, 1e-3 * scale, -np.inf, -np.pi / 2 + eps, -np.pi / 2 + eps]
     upper = [np.inf, np.inf, np.inf, np.pi / 2 - eps, np.pi / 2 - eps]
     return _finish_report(_FOUR_CHANNEL_NAMES, least_squares(
-        residual, x0, jac=jacobian, bounds=(lower, upper)), seed)
+        problem, x0, bounds=(lower, upper)), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +340,19 @@ def fit_flux_noise(gamma_phi, ib_ma, flux: FluxModel,
                    seed: int | None = None) -> FitReport:
     """Bias-current noise density from dephasing versus flux bias.
 
-    Linear least squares of ``gamma_phi = pi (d omega/d I)^2 s_i +
-    gamma_phi_0`` with the frequency slope supplied by the flux model
-    (converted to rad/s per ampere).  Returns ``s_i`` in A^2/Hz and
-    ``gamma_phi_0`` in rad/s.  Raises ``ValueError`` unless there is one
+    Linear least squares of the model's
+    :func:`~routercell.model.gamma_phi_of_bias`, ``gamma_phi = pi (d
+    omega/d I)^2 s_i + gamma_phi_0``, in ``s_i`` (A^2/Hz) and
+    ``gamma_phi_0`` (rad/s).  Raises ``ValueError`` unless there is one
     finite rate per finite bias.
     """
     ib, gp = _paired_samples(gamma_phi, ib_ma, ("rates", "bias points"))
     if ib.size < 3:
         raise FitError("need at least 3 bias points")
-    slopes = flux.slope(ib) * 1e3  # rad/s per mA -> rad/s per A
-    if np.allclose(slopes, 0.0):
+    slope_term = gamma_phi_of_bias(ib, flux, 1.0, 0.0)
+    if np.allclose(slope_term, 0.0):
         raise FitError("all frequency slopes vanish (sweet-spot-only data); s_i unidentifiable")
-    design = np.column_stack([np.pi * slopes**2, np.ones_like(slopes)])
+    design = np.column_stack([slope_term, np.ones_like(ib)])
     return _linear_report(("s_i", "gamma_phi_0"), design, gp, seed)
 
 
@@ -383,21 +381,18 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
     g1_init = max(2.0 * intercept, 1e-6 * max(slope, 1.0))
     gphi_init = max(slope - g1_init, 1e-6 * max(slope, 1.0))
 
-    def residual(x):
-        return efficiency_thermal(n_th, gamma_a, gamma_b, ThermalCoefficients(*x)) - e
-
-    def jacobian(x):
+    def problem(x):
         rate = ThermalCoefficients(*x).coherence_rate(n_th)
-        d_rate = -resonant_efficiency(gamma_a, gamma_b, rate) ** 2 * (
-            1.0 / gamma_a + 1.0 / gamma_b + 2.0 * rate / (gamma_a * gamma_b))
+        eff = resonant_efficiency(gamma_a, gamma_b, rate)
+        d_rate = -eff**2 * (1.0 / gamma_a + 1.0 / gamma_b + 2.0 * rate / (gamma_a * gamma_b))
         # where the thermal term rounds away against gamma1_zero / 2, the
         # residual carries no trace of gamma_phi_zero
         seen = (x[0] == 0.0) | (rate != 0.5 * x[0])
-        return np.column_stack([d_rate * (n_th + 0.5), d_rate * np.where(seen, n_th, 0.0)])
+        return eff - e, np.column_stack(
+            [d_rate * (n_th + 0.5), d_rate * np.where(seen, n_th, 0.0)])
 
     return _finish_report(("gamma1_zero", "gamma_phi_zero"), least_squares(
-        residual, [g1_init, gphi_init], jac=jacobian,
-        bounds=([0.0, 0.0], [np.inf, np.inf])), seed)
+        problem, [g1_init, gphi_init], bounds=([0.0, 0.0], [np.inf, np.inf])), seed)
 
 
 def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
@@ -421,17 +416,15 @@ def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
     d0 = max(d0, float(pos.min()))
     log_n = np.log(np.where(n > 0, n, 1.0))  # an n = 0 row does not move c
 
-    def residual(x):
-        return saturation_curve(n, SaturationParams(*x)) - y
-
-    def jacobian(x):
+    def problem(x):
         _, b, c, d = x
         q = n**c / d
         w = b * q / (1.0 + q) ** 2
-        return np.column_stack([np.ones_like(n), -1.0 / (1.0 + q), w * log_n, -w / d])
+        return saturation_curve(n, SaturationParams(*x)) - y, np.column_stack(
+            [np.ones_like(n), -1.0 / (1.0 + q), w * log_n, -w / d])
 
     return _finish_report(("a", "b", "c", "d"), least_squares(
-        residual, [a0, b0, 1.0, d0], jac=jacobian,
+        problem, [a0, b0, 1.0, d0],
         bounds=([-np.inf, -np.inf, 1e-3, 1e-12], [np.inf, np.inf, 10.0, np.inf])), seed)
 
 
@@ -444,26 +437,26 @@ def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
 
     Returns ``t1`` (s), ``p0`` and ``p_inf``.  A vanishing initial
     population makes ``t1`` unidentifiable and is flagged.  Raises
-    ``ValueError`` unless there is one finite population per finite delay.
+    ``ValueError`` unless there is one finite population per finite delay,
+    and ``FitError`` when every delay is the same.
     """
     t, p = _paired_samples(populations, delays_s, ("populations", "delays"))
     if t.size < 5:
         raise FitError("need at least 5 delay points")
+    if t[-1] == t[0]:
+        raise FitError("every delay is the same; the sweep spans no time")
     p_inf0 = float(np.mean(p[-max(2, t.size // 5):]))
     p00 = float(p[0] - p_inf0)
     t10 = float((t[-1] - t[0]) / 3.0)
 
-    def residual(x):
+    def problem(x):
         p0, t1, p_inf = x
-        return p0 * np.exp(-t / t1) + p_inf - p
-
-    def jacobian(x):
-        p0, t1, _ = x
         decay = np.exp(-t / t1)
-        return np.column_stack([decay, p0 * decay * t / t1**2, np.ones_like(t)])
+        return p0 * decay + p_inf - p, np.column_stack(
+            [decay, p0 * decay * t / t1**2, np.ones_like(t)])
 
     report = _finish_report(("p0", "t1", "p_inf"), least_squares(
-        residual, [p00, max(t10, 1e-12), p_inf0], jac=jacobian,
+        problem, [p00, max(t10, 1e-12), p_inf0],
         bounds=([-np.inf, 1e-15, -np.inf], [np.inf, np.inf, np.inf])), seed)
     if abs(report.value("p0")) < 1e-6:
         report = replace(report, flags=report.flags + ("unidentifiable:t1",))
@@ -488,11 +481,14 @@ def fit_rabi_decay(populations, durations_s, seed: int | None = None) -> FitRepo
     Model ``(p_max sin^2(pi t / (2 t_pi)) - p_inf) exp(-t/T_R) + p_inf``;
     returns ``t_r`` (s), ``p_max``, ``t_pi`` (s) and ``p_inf``.  The
     oscillation period starting value comes from the trace's FFT.  Raises
-    ``ValueError`` unless there is one finite population per finite duration.
+    ``ValueError`` unless there is one finite population per finite
+    duration, and ``FitError`` when every duration is the same.
     """
     t, p = _paired_samples(populations, durations_s, ("populations", "durations"))
     if t.size < 8:
         raise FitError("need at least 8 duration points")
+    if t[-1] == t[0]:
+        raise FitError("every duration is the same; the sweep spans no time")
     period = _dominant_period(t, p)
     t_pi0 = period / 2.0
     if (t[-1] - t[0]) < 3.0 * period:
@@ -501,22 +497,17 @@ def fit_rabi_decay(populations, durations_s, seed: int | None = None) -> FitRepo
     p_max0 = float(np.max(p))
     t_r0 = float((t[-1] - t[0]) / 3.0)
 
-    def residual(x):
-        p_max, t_pi, p_inf, t_r = x
-        osc = p_max * np.sin(np.pi * t / (2.0 * t_pi)) ** 2 - p_inf
-        return osc * np.exp(-t / t_r) + p_inf - p
-
-    def jacobian(x):
+    def problem(x):
         p_max, t_pi, p_inf, t_r = x
         phase = np.pi * t / (2.0 * t_pi)
         decay = np.exp(-t / t_r)
         osc = p_max * np.sin(phase) ** 2 - p_inf
-        return np.column_stack([np.sin(phase) ** 2 * decay,
-                                -p_max * np.sin(2.0 * phase) * phase / t_pi * decay,
-                                1.0 - decay, osc * decay * t / t_r**2])
+        return osc * decay + p_inf - p, np.column_stack(
+            [np.sin(phase) ** 2 * decay, -p_max * np.sin(2.0 * phase) * phase / t_pi * decay,
+             1.0 - decay, osc * decay * t / t_r**2])
 
     return _finish_report(("p_max", "t_pi", "p_inf", "t_r"), least_squares(
-        residual, [p_max0, t_pi0, p_inf0, max(t_r0, 1e-12)], jac=jacobian,
+        problem, [p_max0, t_pi0, p_inf0, max(t_r0, 1e-12)],
         bounds=([0.0, 1e-15, -np.inf, 1e-15], [np.inf] * 4)), seed)
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "efficiency",
     "resonant_efficiency",
     "omega_ge_of_bias",
+    "gamma_phi_of_bias",
     "n_thermal",
     "efficiency_thermal",
     "photons_in_pulse",
@@ -322,6 +323,15 @@ def omega_ge_of_bias(ib_ma, f: FluxModel):
     """Transition frequency at bias current ``ib_ma`` (mA), in rad/s."""
     ib = np.asarray(ib_ma, dtype=float)
     return f.sweet_spot_omega + f.linear * ib + f.curvature * ib**2
+
+
+def gamma_phi_of_bias(ib_ma, f: FluxModel, s_i, gamma_phi0):
+    """Flux-noise dephasing ``pi (d omega/d I)^2 s_i + gamma_phi0`` at bias ``ib_ma`` (mA).
+
+    ``s_i`` is the bias-current noise density in A^2/Hz, so the slope is
+    taken per ampere; ``gamma_phi0`` and the result are in rad/s.
+    """
+    return np.pi * (f.slope(ib_ma) * 1e3) ** 2 * s_i + gamma_phi0
 
 
 def n_thermal(temperature, omega):

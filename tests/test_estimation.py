@@ -50,17 +50,22 @@ def central_difference_jacobian(fun, x, rel_step=1e-6):
     return np.column_stack(cols)
 
 
+def split(fun):
+    """``fun(x) -> (residuals, Jacobian)`` as scipy's separate ``fun`` and ``jac``."""
+    return (lambda x: fun(x)[0]), (lambda x: fun(x)[1])
+
+
 def captured_problem(monkeypatch, module, fit, *args):
     """The residual and Jacobian that ``fit(*args)`` hands to ``module``'s solver."""
     seen, solve = {}, module.least_squares
 
     def capture(fun, x0, **kwargs):
-        seen.update(fun=fun, jac=kwargs["jac"])
+        seen.update(fun=fun)
         return solve(fun, x0, **kwargs)
 
     monkeypatch.setattr(module, "least_squares", capture)
     fit(*args)
-    return seen["fun"], seen["jac"]
+    return split(seen["fun"])
 
 
 def jacobian_error(fun, jac, x):
@@ -192,30 +197,58 @@ class TestSolver:
         references = []
 
         def both(fun, x0, **kwargs):
-            ref = scipy_least_squares(fun, x0, method="trf", xtol=_lsq.TOL, ftol=_lsq.TOL,
-                                      gtol=None, max_nfev=_lsq.MAX_NFEV, **kwargs)
+            residual, jac = split(fun)
+            ref = scipy_least_squares(residual, x0, jac=jac, method="trf", xtol=_lsq.TOL,
+                                      ftol=_lsq.TOL, gtol=None, max_nfev=_lsq.MAX_NFEV,
+                                      **kwargs)
             references.append(estimation._finish_report(estimation._FOUR_CHANNEL_NAMES, ref))
             return _lsq.least_squares(fun, x0, **kwargs)
 
         monkeypatch.setattr(estimation, "least_squares", both)
         return references
 
-    def test_four_channel_fits_agree_with_scipy_trf(self, monkeypatch):
-        references = self.scipy_trf_references(monkeypatch)
+    @staticmethod
+    def acceptance_04(seed):
+        """The calibrated spectrum and starting point of one acceptance-04 campaign."""
         line_spec = synth.LineSpec(transmission_db=-2.0, jitter_db=1.0,
                                    reflection_bound=0.05, isolation_db=-20.0)
+        campaign = synth.CampaignConfig(cell=TRUTH, lines=line_spec, freqs=FREQS,
+                                        noise_sigma=1e-3, seed=seed)
+        out = synth.gen_spectrum(campaign)
+        calibrated = calibration.calibrate_responses(out.meas, out.hd)
+        return calibrated, estimation.initial_guess_from_spectrum(calibrated)
+
+    def test_four_channel_fits_agree_with_scipy_trf(self, monkeypatch):
+        references = self.scipy_trf_references(monkeypatch)
         for seed in range(20):  # the first acceptance-04 campaigns
-            campaign = synth.CampaignConfig(cell=TRUTH, lines=line_spec, freqs=FREQS,
-                                            noise_sigma=1e-3, seed=seed)
-            out = synth.gen_spectrum(campaign)
-            calibrated = calibration.calibrate_responses(out.meas, out.hd)
-            init = estimation.initial_guess_from_spectrum(calibrated)
-            report = estimation.fit_four_channel(calibrated, init)
+            report = estimation.fit_four_channel(*self.acceptance_04(seed))
             ref = references[-1]
             assert report.converged and ref.converged
             for name in estimation._FOUR_CHANNEL_NAMES:
                 assert report.params[name] == pytest.approx(ref.params[name], rel=self.SCIPY_REL)
                 assert report.sigma[name] == pytest.approx(ref.sigma[name], rel=self.SCIPY_REL)
+
+    def test_fun_is_called_nfev_times_and_jac_comes_with_x(self, monkeypatch):
+        # campaign 32 takes 6 evaluations and its last trial is rejected, so
+        # the Jacobian returned must be the one kept from the accepted point
+        calls, results = [], []
+
+        def spy(fun, x0, **kwargs):
+            def recorded(x):
+                calls.append((x.copy(), *fun(x)))
+                return calls[-1][1:]
+
+            results.append(_lsq.least_squares(recorded, x0, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(estimation, "least_squares", spy)
+        estimation.fit_four_channel(*self.acceptance_04(32))
+        (result,) = results
+        assert result.success and len(calls) == result.nfev == 6
+        assert calls[-1][0].tobytes() != result.x.tobytes()
+        [(_, f, jac)] = [c for c in calls if c[0].tobytes() == result.x.tobytes()]
+        assert result.fun.tobytes() == f.tobytes()
+        assert result.jac.tobytes() == jac.tobytes()
 
     def test_iteration_cap_reports_not_converged(self, monkeypatch):
         monkeypatch.setattr(_lsq, "MAX_NFEV", 3)
@@ -252,7 +285,7 @@ class TestSolver:
         def both(fun, x0, **kwargs):
             ours = _lsq.least_squares(fun, x0, **kwargs)
             scale = np.array(scales[len(x0)])
-            ref = scipy_least_squares(fun, x0, jac="3-point", diff_step=1e-6, xtol=1e-15,
+            ref = scipy_least_squares(split(fun)[0], x0, jac="3-point", diff_step=1e-6, xtol=1e-15,
                                       ftol=1e-15, gtol=1e-15, bounds=kwargs["bounds"],
                                       x_scale=scale, max_nfev=2000)
             pairs.append((ours.x, ref.x, scale))
@@ -279,9 +312,13 @@ class TestSolver:
         trace = trace + sigma * (rng.standard_normal(freqs.size)
                                  + 1j * rng.standard_normal(freqs.size))
         fit = calibration.circle_fit(trace, freqs)
-        monkeypatch.setattr(calibration, "least_squares", lambda fun, x0, **kwargs:
-                            scipy_least_squares(fun, x0, method="lm", xtol=1e-12, ftol=1e-12,
-                                                **kwargs))
+
+        def minpack(fun, x0):
+            residual, jac = split(fun)
+            return scipy_least_squares(residual, x0, jac=jac, method="lm", xtol=1e-12,
+                                       ftol=1e-12)
+
+        monkeypatch.setattr(calibration, "least_squares", minpack)
         ref = calibration.circle_fit(trace, freqs)
         assert fit.kappa_loaded == pytest.approx(ref.kappa_loaded, rel=self.SCIPY_REL)
         assert fit.omega_res == pytest.approx(ref.omega_res, rel=self.SCIPY_REL)
@@ -320,15 +357,12 @@ class TestSolver:
         y = 0.7 * np.exp(-2.0 * t) + 0.1 + 1e-3 * np.random.default_rng(4).standard_normal(t.size)
 
         def fun(x):
-            return x[0] * np.exp(-x[1] * t) + x[2] - y
-
-        def jac(x):
             decay = np.exp(-x[1] * t)
-            return np.column_stack([decay, -x[0] * t * decay, np.ones_like(t)])
+            return (x[0] * decay + x[2] - y,
+                    np.column_stack([decay, -x[0] * t * decay, np.ones_like(t)]))
 
-        free = _lsq.least_squares(fun, [1.0, 1.0, 0.0], jac)
-        boxed = _lsq.least_squares(fun, [1.0, 1.0, 0.0], jac,
-                                   ([-5.0, 0.01, -5.0], [5.0, 50.0, 5.0]))
+        free = _lsq.least_squares(fun, [1.0, 1.0, 0.0])
+        boxed = _lsq.least_squares(fun, [1.0, 1.0, 0.0], ([-5.0, 0.01, -5.0], [5.0, 50.0, 5.0]))
         assert free.success and free.nfev > 3
         assert boxed.x.tobytes() == free.x.tobytes()
         assert boxed.fun.tobytes() == free.fun.tobytes()
@@ -829,6 +863,15 @@ class TestTimeDomain:
         (p if column == "population" else t)[[7, 30]] = [np.nan, np.inf]
         with pytest.raises(ValueError, match="sample 7 is not finite"):
             fit(p, t)
+
+    @pytest.mark.parametrize("fit,what", [(estimation.fit_T1, "delay"),
+                                          (estimation.fit_rabi_decay, "duration")],
+                             ids=["T1", "rabi"])
+    def test_zero_time_span_refused(self, fit, what):
+        # one repeated time leaves no span to set a decay time against, and
+        # Rabi's FFT period estimate would divide by a zero time step
+        with pytest.raises(estimation.FitError, match=f"every {what} is the same"):
+            fit(np.linspace(0, 1, 10), np.full(10, 5e-9))
 
     def rabi_truth(self, t, t_r=None):
         t_r = self.T_R if t_r is None else t_r

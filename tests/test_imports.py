@@ -1,7 +1,8 @@
 """Start-up cost: the package root loads nothing, presets load no config parser or hash,
 the CLI loads no numpy, scipy optimizer or constants table, each CLI step loads only the
-layers it uses, and fits load no scipy."""
+layers it uses, fits load no scipy, and no package module imports a name it never uses."""
 
+import ast
 import json
 import os
 import subprocess
@@ -104,3 +105,65 @@ def test_synth_and_calibrate_load_no_estimation(tmp_path):
 def test_si_constants_equal_scipy_values_exactly():
     assert model.hbar == scipy.constants.hbar
     assert model.k_B == scipy.constants.k
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an import binds and its scope never reads.
+
+    The scope is the function the import sits in, or the whole module;
+    a name listed in ``__all__`` counts as read.
+    """
+    tree = ast.parse(source)
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= {e.value for e in node.value.elts}
+
+    def unused_in(scope) -> list[str]:
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)} | exported
+        found, todo = [], list(scope.body)
+        while todo:
+            node = todo.pop(0)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += unused_in(node)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{name} (line {node.lineno})")
+            else:
+                todo += ast.iter_child_nodes(node)
+        return found
+
+    return unused_in(tree)
+
+
+def test_unused_import_check_sees_module_and_function_scopes():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import math, os.path",
+        "from .model import cell_response, efficiency_thermal, n_thermal",
+        "__all__ = ['n_thermal']",
+        "class C:",
+        "    def f(self):",
+        "        from . import io, synth",
+        "        return io.x + math.pi",
+        "def g():",
+        "    try:",
+        "        import numpy",
+        "    except ImportError:",
+        "        import scipy",
+        "    return cell_response",
+    ])
+    assert set(unused_imports(source)) == {"os (line 2)", "efficiency_thermal (line 3)",
+                                           "synth (line 7)", "numpy (line 11)", "scipy (line 13)"}
+
+
+def test_no_package_module_imports_a_name_it_never_uses():
+    package = Path(routercell.__file__).resolve().parent
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -267,6 +267,16 @@ class TestFlux:
         with pytest.raises(ValueError):
             model.FluxModel(curvature=1.0, sweet_spot_omega=W_GE)
 
+    def test_flux_noise_dephasing(self):
+        # at 0.5 mA the slope is 2 * curvature * 0.5 mA = -2 pi * 352 MHz per mA
+        s_i, gphi0 = 3e-19, TWO_PI * 0.2e6
+        assert model.gamma_phi_of_bias(0.0, self.FLUX, s_i, gphi0) == gphi0
+        assert model.gamma_phi_of_bias(0.5, self.FLUX, s_i, gphi0) == pytest.approx(
+            math.pi * (TWO_PI * 352e6 * 1e3) ** 2 * s_i + gphi0, rel=1e-14)
+        ib = np.linspace(-0.5, 0.5, 5)
+        np.testing.assert_array_equal(model.gamma_phi_of_bias(ib, self.FLUX, s_i, gphi0), [
+            model.gamma_phi_of_bias(v, self.FLUX, s_i, gphi0) for v in ib])
+
 
 class TestThermal:
     def test_frozen_bath(self):
