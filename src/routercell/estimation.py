@@ -3,11 +3,12 @@
 Fits fall into three families:
 
 * steady state -- a simultaneous complex least-squares fit of all four
-  calibrated transmission channels against the closed-form model (they
-  share one parameter set; residual and analytic Jacobian both come from
-  :func:`routercell.model.cell_response`), dephasing reconstruction from
-  the transfer efficiency, flux-noise and thermal fits of the
-  reconstructed rates, and drive-saturation fits;
+  calibrated channels against :func:`routercell.model.cell_response`
+  (residuals and analytic Jacobian), started from one closed-form solve
+  for their shared pole that is exact on noiseless data, with the
+  coherence rate held at 0; dephasing reconstruction from the transfer
+  efficiency, flux-noise and thermal fits of the reconstructed rates,
+  and drive-saturation fits;
 * time domain -- exponential energy-relaxation and damped-Rabi fits plus
   the rate budget that splits the measured decay into coupling, bath and
   pure-dephasing contributions;
@@ -206,6 +207,7 @@ def _paired_samples(y, x, what: tuple[str, str]) -> tuple[np.ndarray, np.ndarray
 # simultaneous four-channel fit
 
 _FOUR_CHANNEL_NAMES = ("gamma_a", "gamma_b", "omega_ge", "phi_a", "phi_b")
+_PHASE_BOUND = np.pi / 2 - 1e-6  # the fit's box for each phase, inside |phi| < pi/2
 
 
 def _real_rows(values: np.ndarray) -> np.ndarray:
@@ -215,33 +217,32 @@ def _real_rows(values: np.ndarray) -> np.ndarray:
 
 
 def initial_guess_from_spectrum(calibrated: ChannelSpectrum) -> CellParams:
-    """Data-driven starting point for the four-channel fit.
+    """Start of the four-channel fit from the pole all four channels share.
 
-    The resonance sits at the through-dip minimum; the dip depths give the
-    coupling split (``1 - |t_xx|`` at resonance is ``gamma_x`` over the
-    total) and the FWHM of the AA dip sets the total linewidth.
+    With ``p = omega_ge - i (gamma_a + gamma_b + coherence_rate)``, ``(t_xx
+    - 1)(omega - p) = -n_x`` and ``t_AB (omega - p) = t_BA (omega - p) =
+    n_c`` are linear in ``p`` and the ``n`` (Levy's fit); given ``p`` each
+    ``n`` is a channel mean, which leaves ``p`` in closed form.  Exact on
+    noiseless data: ``gamma_x e^{i phi_x} = -i n_x``, ``omega_ge = Re p``.
+    The coherence rate stays 0, as :func:`fit_four_channel` holds it at the
+    start (its seed would be ``-Im p - gamma_a - gamma_b``).  Raises
+    ``FitError`` when the channels show no resonance.
     """
-    f = calibrated.freqs
-    mag_aa = np.abs(calibrated.channel("AA"))
-    mag_bb = np.abs(calibrated.channel("BB"))
-    i0 = int(np.argmin(mag_aa))
-    depth_a = float(np.clip(1.0 - mag_aa[i0], 0.05, 0.95))
-    depth_b = float(np.clip(1.0 - mag_bb[int(np.argmin(mag_bb))], 0.05, 0.95))
-
-    half = 1.0 - 0.5 * depth_a
-    above = mag_aa > half
-    left = np.flatnonzero(above[:i0])
-    right = np.flatnonzero(above[i0:])
-    if left.size and right.size:
-        fwhm = f[i0 + right[0]] - f[left[-1]]
-    else:
-        fwhm = (f[-1] - f[0]) / 5.0
-    total = math.pi * float(fwhm)  # half width sum gamma_a + gamma_b, rad/s
-    return CellParams(
-        gamma_a=depth_a * total,
-        gamma_b=depth_b * total,
-        omega_ge=2.0 * math.pi * float(f[i0]),
-    )
+    omega = 2.0 * np.pi * calibrated.freqs
+    w = omega - omega.mean()
+    y = calibrated.traces - np.array([[1.0], [1.0], [0.0], [0.0]])  # t_xx - 1, t_AB, t_BA
+    mean = y.mean(axis=1)
+    mean[2:] = mean[2:].mean()  # AB and BA share n_c
+    dev = y - mean[:, None]  # the n eliminated, residuals are (y w)~ - p y~; ~ drops the mean
+    denom = np.vdot(dev, dev).real
+    if not denom > np.finfo(float).eps * np.vdot(y, y).real:  # y~ below sqrt(eps) |y| is rounding
+        raise FitError("the channels are flat: no resonance to start the fit from")
+    p = np.vdot(dev, y * w) / denom
+    g = 1j * np.mean(y[:2] * (w - p), axis=1)  # gamma_x e^{i phi_x}, x = a, b
+    if not np.all(np.isfinite(g) & (g != 0.0)):
+        raise FitError(f"degenerate pole solve: couplings {np.abs(g).tolist()}")
+    phi = np.clip(np.angle(g), -_PHASE_BOUND, _PHASE_BOUND)  # into the fit's bounds
+    return CellParams(*np.abs(g).tolist(), float(omega.mean() + p.real), *phi.tolist())
 
 
 def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
@@ -264,9 +265,8 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
         return _real_rows(t) - data, _real_rows(jac).T
 
     x0 = np.array([init.gamma_a, init.gamma_b, init.omega_ge, init.phi_a, init.phi_b])
-    eps = 1e-6
-    lower = [1e-3 * scale, 1e-3 * scale, -np.inf, -np.pi / 2 + eps, -np.pi / 2 + eps]
-    upper = [np.inf, np.inf, np.inf, np.pi / 2 - eps, np.pi / 2 - eps]
+    lower = [1e-3 * scale, 1e-3 * scale, -np.inf, -_PHASE_BOUND, -_PHASE_BOUND]
+    upper = [np.inf, np.inf, np.inf, _PHASE_BOUND, _PHASE_BOUND]
     return _finish_report(_FOUR_CHANNEL_NAMES, least_squares(
         problem, x0, bounds=(lower, upper)), seed)
 

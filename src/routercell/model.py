@@ -264,10 +264,10 @@ def cell_coefficients(omega, p: CellParams) -> np.ndarray:
 def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
     """Full 4x4 cell S-matrix in port order (A-in, A-out, B-in, B-out).
 
-    Transmissions are the :func:`cell_response` channels; each reflection
-    is the point-scatterer form ``t_xx - 1 = -i gamma_x e^{i phi_x} /
-    (delta + i (gamma_a + gamma_b))``, so that the lossless real-coupling
-    matrix is exactly unitary.
+    Transmissions are the :func:`cell_response` channels and each
+    reflection is ``t_xx - 1``.  With real couplings the matrix is unitary
+    at zero coherence rate and passive at any; the phased cell is active
+    (with the preset's phases the largest singular value reaches 1.171).
     """
     t_a, t_b, x, _ = cell_coefficients(float(omega), p)
     r_a = t_a - 1.0

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from routercell import cli, io, model, presets, runs
+from routercell import calibration, cli, io, model, presets, runs
 
 TWO_PI = 2.0 * math.pi
 
@@ -363,6 +363,18 @@ class TestMainEntry:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FitError"
+
+    def test_fit_of_a_spectrum_without_resonance_fails(self, tmp_path, capsys):
+        # ideal flat channels leave the start's pole undetermined
+        freqs = np.linspace(6.1e9, 6.2e9, 101)
+        flat = tmp_path / "flat.csv"
+        io.write_spectrum(calibration.ChannelSpectrum(freqs, np.outer([1, 1, 0, 0], np.ones(101))),
+                          flat)
+        code = cli.main(["--out", str(tmp_path), "fit", str(flat)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FitError"
+        assert "flat" in err["message"]
 
     @pytest.mark.parametrize("n_temp", [0, 1, 2])
     def test_temp_sweep_with_fewer_than_three_temperatures_fails(self, tmp_path, capsys,

@@ -1,12 +1,13 @@
 """Closed-form model: resonant values, unitarity, flux/thermal/dressed extensions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from routercell import model
+from routercell import model, presets
 
 TWO_PI = 2.0 * math.pi
 GA = TWO_PI * 1.82e6
@@ -246,6 +247,21 @@ class TestCellResponseKernel:
         for w in sweep(p, 17):
             s = model.cell_smatrix(w, p).entries
             assert np.max(np.abs(s.conj().T @ s - np.eye(4))) < 1e-12
+
+    @KERNEL_SETTINGS
+    @given(cells(lossless=True), DECAY_RATES, DECAY_RATES)
+    def test_real_coupling_smatrix_is_passive_at_any_decay(self, p, gamma_phi, gamma_bath):
+        # at zero decay it is unitary (above)
+        p = replace(p, gamma_phi=gamma_phi, gamma_bath=gamma_bath)
+        for w in sweep(p, 17):
+            assert model.cell_smatrix(w, p).is_passive()
+
+    def test_phased_preset_cell_is_active(self):
+        # its largest singular value peaks at 1.1714, 109 kHz above resonance
+        p = presets.STEADY_STATE_CELL
+        gains = [np.linalg.norm(model.cell_smatrix(w, p).entries, 2)
+                 for w in p.omega_ge + TWO_PI * np.linspace(-1e6, 1e6, 201)]
+        assert max(gains) == pytest.approx(1.1714, abs=1e-4)
 
 
 class TestFlux:
