@@ -42,9 +42,11 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
     step that lowers the cost, doubled-and-growing after one that does not.
 
     Stops, with ``success=True``, when a step lowers the cost by less than
-    ``TOL`` of it with a gain ratio above 0.25, or moves ``x`` by less
-    than ``TOL * (TOL + |x|)``; ``success=False`` when ``MAX_NFEV``
-    calls of ``fun`` are spent first.
+    ``TOL`` of it with a gain ratio above 0.25, when a rejected step
+    raised the cost by less than ``TOL`` of it and predicted a reduction
+    below ``TOL`` of it (the fit is at its minimum to within ``TOL``), or
+    when a step moves ``x`` by less than ``TOL * (TOL + |x|)``;
+    ``success=False`` when ``MAX_NFEV`` calls of ``fun`` are spent first.
 
     Returns ``x``, the residuals ``fun`` and Jacobian ``jac`` at that
     ``x``, ``nfev`` (the calls of ``fun``) and ``success``.  Raises
@@ -75,7 +77,9 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
         predicted = -(g @ s + 0.5 * (s @ a @ s))
         actual = cost - cost_new
         ratio = actual / predicted if predicted > 0 else 0.0
-        success = bool((actual < TOL * cost and ratio > 0.25)
+        # a rejected step that lost and promised less than TOL of the cost: at the minimum
+        flat = actual <= 0 and -actual < TOL * cost and predicted < TOL * cost
+        success = bool((actual < TOL * cost and ratio > 0.25) or flat
                        or math.sqrt(dx @ dx) < TOL * (TOL + math.sqrt(x @ x)))
         if actual > 0:
             x, f, J, cost = x_new, f_new, J_new, cost_new

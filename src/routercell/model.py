@@ -67,7 +67,7 @@ k_B = 1.380649e-23
 
 
 def _check_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise ValueError(f"{name} must be finite")
 
 
@@ -261,6 +261,11 @@ def cell_coefficients(omega, p: CellParams) -> np.ndarray:
                          p.phi_a, p.phi_b, p.coherence_rate)
 
 
+#: Where :func:`cell_smatrix` reads each entry: slots 0-3 are the
+#: :data:`CHANNELS`, 4 and 5 the reflections ``t_AA - 1`` and ``t_BB - 1``.
+_SMATRIX_SLOTS = np.array([[4, 0, 3, 3], [0, 4, 3, 3], [2, 2, 5, 1], [2, 2, 1, 5]])
+
+
 def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
     """Full 4x4 cell S-matrix in port order (A-in, A-out, B-in, B-out).
 
@@ -269,19 +274,8 @@ def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
     at zero coherence rate and passive at any; the phased cell is active
     (with the preset's phases the largest singular value reaches 1.171).
     """
-    t_a, t_b, x, _ = cell_coefficients(float(omega), p)
-    r_a = t_a - 1.0
-    r_b = t_b - 1.0
-    s = np.array(
-        [
-            [r_a, t_a, x, x],
-            [t_a, r_a, x, x],
-            [x, x, r_b, t_b],
-            [x, x, t_b, r_b],
-        ],
-        dtype=complex,
-    )
-    return PortMatrix(s)
+    t = cell_coefficients(float(omega), p)
+    return PortMatrix(np.concatenate((t, t[:2] - 1.0))[_SMATRIX_SLOTS])
 
 
 def efficiency(delta, p: CellParams):

@@ -9,6 +9,15 @@ either exactly (block elimination of the internal waves, one linear solve
 multiple-reflection series, and provides the simplified scalar forward map
 used when line reflections are negligible.
 
+Each composition first checks that it is defined: the exact one that
+``I - S22 S`` is not singular (condition number at most 1e14), the series
+that the spectral radius of ``S S22`` is below 1.  On well-matched lines a
+row-sum bound settles both checks without a factorisation: with ``q`` the
+largest row sum of ``|S22 S|``, ``cond_2(I - S22 S) <= 4 (1 + q) / (1 - q)``,
+and the largest row sum of ``|S S22|`` is at least its spectral radius.
+The SVD or the eigenvalues run only when a bound cannot settle its check,
+so the bounds save work without changing when either composition raises.
+
 Port order of every 4x4 matrix is (A-in, A-out, B-in, B-out).  Two-port
 line matrices are oriented so port 1 faces the instrument for input lines
 and the cell for output lines; the ``S21`` entry (row 2, column 1) is
@@ -40,6 +49,7 @@ __all__ = [
 
 #: Rounding allowance on the unit singular-value bound of a passive network.
 PASSIVE_TOL = 1e-9
+_EYE = np.eye(4)
 
 
 class SingularNetworkError(RuntimeError):
@@ -64,7 +74,7 @@ class PortMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"port matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("port matrix entries must be finite")
         object.__setattr__(self, "entries", m)
 
@@ -96,7 +106,7 @@ class LineModel:
             m = np.asarray(getattr(self, name), dtype=complex)
             if m.shape[-2:] != (2, 2) or m.ndim not in (2, 3):
                 raise ValueError(f"{name} must have shape (2, 2) or (n, 2, 2)")
-            if not np.all(np.isfinite(m)):
+            if not np.isfinite(m).all():
                 raise ValueError(f"{name} entries must be finite")
             object.__setattr__(self, name, m)
             if m.ndim == 3:
@@ -165,22 +175,21 @@ def complementary_blocks(lines: LineModel) -> tuple[np.ndarray, ...]:
     internal wave (facing the cell); entry k of each diagonal belongs to
     line k in port order.  Input lines face the instrument with port 1,
     so block ``sij`` reads ``m[i, j]`` (0-based); output lines face it with
-    port 2, so it reads ``m[1 - i, 1 - j]``.
+    port 2, so it reads ``m[1 - i, 1 - j]``.  The four diagonals are views
+    of one ``(4, 2, 2)`` array holding the output lines flipped.
     """
     if lines.n_points is not None:
         raise ValueError("complementary_blocks expects single-frequency lines; use LineModel.at")
     ia, oa, ib, ob = lines.matrices
-    return tuple(
-        np.array([ia[i, j], oa[1 - i, 1 - j], ib[i, j], ob[1 - i, 1 - j]])
-        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
-    )
+    m = np.array((ia, oa[::-1, ::-1], ib, ob[::-1, ::-1]))
+    return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
 
 
 def _cell_matrix(cell) -> np.ndarray:
     """The 4x4 cell matrix of a PortMatrix or array."""
     s = np.asarray(getattr(cell, "entries", cell), dtype=complex)
-    if s.shape != (4, 4):
-        raise ValueError("cell must be a 4-port matrix")
+    if s.shape != (4, 4) or not np.isfinite(s).all():
+        raise ValueError("cell must be a finite 4-port matrix")
     return s
 
 
@@ -190,16 +199,22 @@ def compose_exact(cell, lines: LineModel) -> CompositionResult:
     Returns ``s_meas = S11 + S12 S (I - S22 S)^-1 S21`` where S is the cell
     matrix and the Sij are the complementary line blocks.  The cell is
     never inverted, so a singular cell is an ordinary input; a singular
-    ``I - S22 S`` (condition number above 1e14) raises
-    :class:`SingularNetworkError`.
+    ``I - S22 S`` (condition number above 1e14, or not finite) raises
+    :class:`SingularNetworkError`.  The SVD behind that condition number
+    runs only when ``q``, the largest row sum of ``|S22 S|``, is at least
+    1/2: ``cond_2(I - S22 S) <= 4 (1 + q) / (1 - q)``, at most 12 below
+    that, so the bound never changes whether the composition raises.
     """
     s = _cell_matrix(cell)
     s11, s12, s21, s22 = complementary_blocks(lines)
-    core = np.eye(4) - s22[:, None] * s
-    cond = np.linalg.cond(core)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularNetworkError("internal-wave system is singular", cond)
-    s_meas = np.diag(s11) + s12[:, None] * (s @ np.linalg.solve(core, np.diag(s21)))
+    x = s22[:, None] * s
+    core = _EYE - x
+    if not np.abs(x).sum(axis=1).max() < 0.5:
+        cond = np.linalg.cond(core)
+        if not np.isfinite(cond) or cond > 1e14:
+            raise SingularNetworkError("internal-wave system is singular", cond)
+    s_meas = s12[:, None] * (s @ np.linalg.solve(core, np.diag(s21)))
+    s_meas.flat[::5] += s11
     return CompositionResult(PortMatrix(s_meas), 0.0)
 
 
@@ -212,28 +227,39 @@ def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
     through ``S S22``.  The truncation error is the maximum entry
     magnitude of the difference from the summed series ``S12 (I - S
     S22)^-1 S S21``, which equals the exact composition.
+
+    :class:`DivergenceError` is raised when the spectral radius of ``S
+    S22`` is at least 1, or ``I - S S22`` is exactly singular.  The
+    largest row sum of ``|S S22|`` bounds that radius, so the eigenvalues
+    are computed only when it is at least 1; the bound never changes
+    whether the series raises.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     s = _cell_matrix(cell)
     s11, s12, s21, s22 = complementary_blocks(lines)
     x = s * s22
-    radius = float(np.max(np.abs(np.linalg.eigvals(x))))
-    if radius >= 1.0:
-        raise DivergenceError(
-            f"reflection series diverges: spectral radius {radius:.6f} >= 1"
-        )
+    if not np.abs(x).sum(axis=1).max() < 1.0:
+        radius = float(np.max(np.abs(np.linalg.eigvals(x))))
+        if radius >= 1.0:
+            raise DivergenceError(
+                f"reflection series diverges: spectral radius {radius:.6f} >= 1"
+            )
     partial = np.zeros((4, 4), dtype=complex)
-    term = np.eye(4, dtype=complex)
-    for _ in range(order):
+    for k in range(order):
+        term = x @ term if k else _EYE
         partial = partial + term
-        term = x @ term
     # S12 M S21 with diagonal blocks scales entry (i, j) of M by s12[i] s21[j]
     outer = s12[:, None] * s21
     kept = partial @ s
-    s_meas = np.diag(s11) + outer * kept
-    # the summed series; radius < 1 keeps I - x invertible
-    summed = np.linalg.solve(np.eye(4) - x, s)
+    s_meas = outer * kept
+    s_meas.flat[::5] += s11
+    # the summed series; radius < 1 keeps I - x invertible, bar a radius of
+    # exactly 1 that eigvals rounded below 1
+    try:
+        summed = np.linalg.solve(_EYE - x, s)
+    except np.linalg.LinAlgError:
+        raise DivergenceError("reflection series diverges: I - S S22 is singular") from None
     err = float(np.max(np.abs(outer * (summed - kept))))
     return CompositionResult(PortMatrix(s_meas), err)
 

@@ -128,6 +128,21 @@ class TestSweeps:
         assert fits["fit"]["converged"] and fits["fit"]["flags"] == []
         assert fits["fit_hz"]["gamma_phi_zero_hz"] == pytest.approx(10.38e6, rel=0.1)
 
+    def test_temp_sweep_fit_stops_on_a_rejected_step_at_its_minimum(self, tmp_path):
+        # this noisy config's thermal fit reaches its minimum at evaluation 4; the
+        # fifth is a rejected step whose cost change and predicted reduction are both
+        # below TOL * cost, which ends the fit (a sixth used to wait for the step rule)
+        conf = tmp_path / "noisy.ini"
+        conf.write_text("[model]\nphi_a_rad = -0.19\nphi_b_rad = 0.16\n"
+                        "gamma_phi_hz = 0.1e6\ngamma_bath_hz = 0.05e6\n"
+                        "[flux]\nlinear_hz_per_ma = 20e6\n[noise]\nsigma = 1e-3\n")
+        code = cli.main(["--config", str(conf), "--out", str(tmp_path), "--seed", "9",
+                         "--run-id", "flat", "sweep-temp"])
+        assert code == 0
+        fit = json.loads((tmp_path / "runs" / "flat" / "thermal_fit.json").read_text())["fit"]
+        assert fit["converged"] and fit["flags"] == []
+        assert fit["n_iter"] == 5
+
     def test_power_sweep_saturation_fits(self, tmp_path):
         record = cli.run_command("sweep-power", None, out_dir=tmp_path, seed=4)
         run_dir = tmp_path / "runs" / record.run_id

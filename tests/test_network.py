@@ -236,7 +236,48 @@ def cell_matrices(draw):
     return model.cell_smatrix(p.omega_ge + detuning * (p.gamma_sum + p.coherence_rate), p)
 
 
+@st.composite
+def reflective_lines(draw):
+    """Four two-ports with transmissions up to 0.8 and reflections up to 0.95.
+
+    Not all passive.  Against a cell from :func:`cell_matrices` the row
+    sum of ``|S22 S|`` often exceeds 1/2, so these draws exercise the
+    SVD behind :func:`network.compose_exact`'s singularity check.
+    """
+    def entry(lo, hi):
+        return draw(st.floats(min_value=lo, max_value=hi)) * np.exp(1j * draw(PHASE))
+
+    mats = [two_port(t21=entry(0.3, 0.8), t12=entry(0.3, 0.8),
+                     r11=entry(0.0, 0.95), r22=entry(0.0, 0.95)) for _ in range(4)]
+    return network.LineModel(*mats)
+
+
+UNIT = st.sampled_from([1.0, 1j, -1.0, -1j])
+
+
+@st.composite
+def reflector_networks(draw):
+    """A through cell with unit-phase transmissions between lines whose
+    internal ports reflect 1/2 or 1 with a unit phase.
+
+    The eigenvalues of ``S S22`` are then exactly ``±sqrt(r r' t^2)``, so
+    some draws have spectral radius 1 and an exactly singular ``I - S22 S``,
+    others a radius of 1/sqrt(2) under a row sum of 1, and others 1/2.
+    """
+    cell = np.zeros((4, 4), dtype=complex)
+    cell[0, 1] = cell[1, 0] = draw(UNIT)
+    cell[2, 3] = cell[3, 2] = draw(UNIT)
+    internal = [draw(st.sampled_from([0.5, 1.0])) * draw(UNIT) for _ in range(4)]
+    # input lines face the cell with port 2, output lines with port 1
+    mats = [two_port(0.5, r22=r) if k % 2 == 0 else two_port(0.5, r11=r)
+            for k, r in enumerate(internal)]
+    return cell, network.LineModel(*mats)
+
+
 COMPOSE_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+#: Cells and lines on both sides of each composition's row-sum bound.
+EITHER_SIDE_OF_THE_BOUND = st.one_of(st.tuples(cell_matrices(), reflective_lines()),
+                                     reflector_networks())
 
 
 class TestCompositionProperties:
@@ -264,13 +305,98 @@ class TestCompositionProperties:
         out = network.compose_neumann(cell, lines, order=0)
         assert np.array_equal(out.s_meas.entries, s11)
 
+    @COMPOSE_SETTINGS
+    @given(EITHER_SIDE_OF_THE_BOUND)
+    def test_exact_raises_exactly_when_ill_conditioned(self, net):
+        cell, lines = net
+        s = np.asarray(getattr(cell, "entries", cell))
+        *_, s22 = permuted_blocks(lines)
+        cond = np.linalg.cond(np.eye(4) - s22 @ s)
+        if not np.isfinite(cond) or cond > 1e14:
+            with pytest.raises(network.SingularNetworkError):
+                network.compose_exact(cell, lines)
+            return
+        out = network.compose_exact(cell, lines).s_meas.entries
+        ref = reference_compose(s, lines)
+        # both solve the same I - S22 S; only the products around the solve round differently
+        assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @COMPOSE_SETTINGS
+    @given(EITHER_SIDE_OF_THE_BOUND)
+    def test_series_diverges_exactly_when_the_spectral_radius_reaches_one(self, net):
+        cell, lines = net
+        s = np.asarray(getattr(cell, "entries", cell))
+        *_, s22 = permuted_blocks(lines)
+        radius = np.max(np.abs(np.linalg.eigvals(s @ s22)))
+        try:
+            out = network.compose_neumann(cell, lines, order=3)
+        except network.DivergenceError:
+            # at an eigenvalue of exactly 1, eigvals may round the radius just below 1
+            assert radius >= 1.0 - 1e-12
+            return
+        assert radius < 1.0
+        cond = np.linalg.cond(np.eye(4) - s22 @ s)
+        if cond <= 1e14:
+            ref = reference_compose(s, lines)
+            measured = np.max(np.abs(out.s_meas.entries - ref))
+            # the series sums through I - S S22, the reference through I - S22 S
+            tol = 1e-14 * cond * max(1.0, np.max(np.abs(ref)))
+            assert abs(out.truncation_error - measured) <= tol
+
+    def test_nilpotent_loop_composes_past_both_row_sum_bounds(self):
+        # S S22 and S22 S are strictly upper triangular with row sum 2: both
+        # bounds fail, the spectral radius is 0, and the series ends after two terms
+        cell = np.zeros((4, 4), dtype=complex)
+        cell[0, 1] = cell[2, 3] = 2.0
+        lines = network.LineModel(two_port(0.5, r22=1.0), two_port(0.5, r11=1.0),
+                                  two_port(0.5, r22=1.0), two_port(0.5, r11=1.0))
+        *_, s22 = network.complementary_blocks(lines)
+        assert np.abs(s22[:, None] * cell).sum(axis=1).max() == 2.0
+        assert np.abs(cell * s22).sum(axis=1).max() == 2.0
+        exact = network.compose_exact(cell, lines).s_meas.entries
+        assert np.max(np.abs(exact - reference_compose(cell, lines))) < 1e-15
+        series = network.compose_neumann(cell, lines, order=2)
+        assert series.truncation_error == 0.0
+        assert np.array_equal(series.s_meas.entries, exact)
+
+    def test_series_at_unit_spectral_radius_raises(self):
+        # eigenvalues of S S22 are exactly +-1 on the B block; eigvals rounds
+        # the radius below 1, and the singular I - S S22 is what reports it
+        cell = np.zeros((4, 4), dtype=complex)
+        cell[0, 1] = cell[1, 0] = cell[2, 3] = cell[3, 2] = 1.0
+        lines = network.LineModel(two_port(0.5), two_port(0.5, r11=0.5),
+                                  two_port(0.5, r22=1j), two_port(0.5, r11=-1j))
+        with pytest.raises(network.DivergenceError):
+            network.compose_neumann(cell, lines, order=2)
+        with pytest.raises(network.SingularNetworkError):
+            network.compose_exact(cell, lines)
+
+    def test_matched_lines_skip_the_svd_and_the_eigenvalues(self, monkeypatch):
+        # reflections up to 0.1 keep both row sums below their bounds, so
+        # neither check needs a factorisation of its own
+        def unused(*args, **kwargs):
+            raise AssertionError("the row-sum bound should have settled the check")
+
+        lines = random_lines(np.random.default_rng(11), reflection=0.1)
+        monkeypatch.setattr(np.linalg, "cond", unused)
+        monkeypatch.setattr(np.linalg, "eigvals", unused)
+        for df in np.linspace(-6e6, 6e6, 7):
+            cell = model.cell_smatrix(CELL.omega_ge + TWO_PI * df, CELL)
+            network.compose_exact(cell, lines)
+            network.compose_neumann(cell, lines, order=3)
+
     @pytest.mark.parametrize("compose", [
         network.compose_exact,
         lambda cell, lines: network.compose_neumann(cell, lines, order=2),
-    ])
-    def test_rejects_non_four_port_cell(self, compose):
+    ], ids=["exact", "series"])
+    @pytest.mark.parametrize("cell", [
+        network.PortMatrix(np.eye(3)),
+        np.where(np.eye(4) > 0, np.nan, 0.0),
+        np.where(np.eye(4) > 0, np.inf, 0.0),
+    ], ids=["three-port", "nan", "inf"])
+    def test_rejects_non_four_port_cell(self, compose, cell):
         with pytest.raises(ValueError, match="4-port"):
-            compose(network.PortMatrix(np.eye(3)), network.ideal_lines())
+            compose(cell, network.ideal_lines())
 
 
 class TestSimplifiedForward:
