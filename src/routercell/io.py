@@ -121,72 +121,33 @@ def _text_file(path: Path, **kwargs):
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _split_table(path: Path):
-    """``(line numbers, header fields, field columns)`` of a plain table, split in bulk.
-
-    In UTF-8 text free of quotes, NULs and bare CRs, with no line longer
-    than ``csv.field_size_limit()``, every line is one row and every comma
-    a delimiter, so the rows need no ``csv.reader``.  Otherwise, or when
-    the rows' field counts differ or there is no row, this returns None and
-    ``csv.reader`` decides, raising the errors it names (before Python
-    3.11 it also refuses a NUL).
-    """
-    try:
-        text = path.read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError:
-        return None
-    text = text.replace("\r\n", "\n")
-    if '"' in text or "\0" in text or "\r" in text:
-        return None
-    physical = text.split("\n")
-    if max(map(len, physical)) > csv.field_size_limit():
-        return None
-    table = [(n, line) for n, line in enumerate(physical, 1) if line and not line.startswith("#")]
-    if not table:
-        return None
-    lines, rows = zip(*table)
-    commas = rows[0].count(",")
-    if any(row.count(",") != commas for row in rows):
-        return None
-    fields = ",".join(rows[1:]).split(",") if len(rows) > 1 else []
-    return lines, rows[0].split(","), [fields[k::commas + 1] for k in range(commas + 1)]
-
-
 def _read_table(path, required: list[str], optional=()) -> tuple[list[str], list, tuple[int, ...]]:
     """Read a CSV table: its header, its field columns and each data row's line number.
 
     Blank and ``#`` rows are skipped.  The header is ``required`` plus distinct
-    ``optional`` names, and every row has one field per column.  A plain
-    table is split in bulk; any other goes through ``csv.reader``.
+    ``optional`` names, and every row has one field per column.
     """
     path = Path(path)
-    table = _split_table(path)
-    if table is None:
-        with _text_file(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                numbered = [(reader.line_num, row) for row in reader
-                            if row and not row[0].startswith("#")]
-            except csv.Error as exc:
-                raise ParseError(f"{path} is not a readable CSV table: {exc}",
-                                 reader.line_num) from None
-        if not numbered:
-            raise ParseError("empty file", 1)
-        lines, rows = zip(*numbered)
-        header = rows[0]
-    else:
-        lines, header, columns = table
-    header = [c.strip() for c in header]
+    with _text_file(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            numbered = [(reader.line_num, row) for row in reader
+                        if row and not row[0].startswith("#")]
+        except csv.Error as exc:
+            raise ParseError(f"{path} is not a readable CSV table: {exc}",
+                             reader.line_num) from None
+    if not numbered:
+        raise ParseError("empty file", 1)
+    lines, rows = zip(*numbered)
+    header = [c.strip() for c in rows[0]]
     extra = header[len(required):]
     if header[:len(required)] != required or set(extra) - set(optional) or len(set(extra)) < len(extra):
         raise ParseError(f"malformed header {header!r}; expected {required} "
                          f"+ optional {list(optional)}", lines[0])
-    if table is None:
-        for row, line in zip(rows[1:], lines[1:]):
-            if len(row) != len(header):
-                raise ParseError(f"row has {len(row)} fields, expected {len(header)}", line)
-        columns = list(zip(*rows[1:])) or [()] * len(header)
-    return header, columns, lines[1:]
+    for row, line in zip(rows[1:], lines[1:]):
+        if len(row) != len(header):
+            raise ParseError(f"row has {len(row)} fields, expected {len(header)}", line)
+    return header, list(zip(*rows[1:])) or [()] * len(header), lines[1:]
 
 
 def _floats(column, lines, what: str) -> np.ndarray:

@@ -582,7 +582,7 @@ def csv_table_bytes(draw):
 class TestReaderPaths:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(csv_table_bytes())
-    def test_bulk_split_agrees_with_csv_reader(self, tmp_path_factory, data):
+    def test_read_table_agrees_with_oracle(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("table") / "table.csv"
         path.write_bytes(data)
         limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
@@ -727,7 +727,7 @@ class TestByteOrderMark:
     @pytest.mark.parametrize("edit", [
         lambda text: text,
         lambda text: "# note\n" + text,
-        lambda text: text.replace("freq_hz", '"freq_hz"', 1),  # the csv.reader path
+        lambda text: text.replace("freq_hz", '"freq_hz"', 1),  # a quoted header name
     ], ids=["plain", "comment-first", "quoted"])
     def test_spectrum(self, tmp_path, edit):
         path = tmp_path / "spec.csv"
@@ -756,6 +756,45 @@ class TestByteOrderMark:
         path = tmp_path / "conf.ini"
         path.write_text("[model]\ngamma_a_hz = 2.0e6\n\n[run]\nout = work\n")
         assert runs.load_config(with_bom(path)) == runs.load_config(path)
+
+
+def quote_all(path: Path) -> Path:
+    """A copy of a CSV table with every field quoted, as some spreadsheet exports write it."""
+    copy = path.with_name("quoted-" + path.name)
+    with path.open(newline="") as src, copy.open("w", newline="") as dst:
+        csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+    return copy
+
+
+class TestQuotedExport:
+    def test_spectrum(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.choice([0.0, -0.0, 1.5, -2.25e-7], size=(2, len(model.CHANNELS), FREQS.size))
+        spectrum = ChannelSpectrum(FREQS, values[0] + 1j * values[1], bias_ma=-0.0, temp_k=0.02)
+        path = tmp_path / "spec.csv"
+        io.write_spectrum(spectrum, path)
+        quoted = quote_all(path)
+        assert quoted.read_text().startswith('"freq_hz","channel","re","im","bias_ma",')
+        back = io.ingest_spectrum(quoted)
+        assert_same_spectrum(back, io.ingest_spectrum(path))
+        assert back.traces.tobytes() == spectrum.traces.tobytes()
+
+    @pytest.mark.parametrize("per_frequency", [True, False], ids=["per-frequency", "constant"])
+    def test_line_model(self, tmp_path, per_frequency):
+        rng = np.random.default_rng(6)
+        n = FREQS.size if per_frequency else 1
+        values = rng.choice([0.0, -0.0, 0.5, -2.25e-7], size=(2, 4, n, 2, 2))
+        matrices = values[0] + 1j * values[1]
+        if not per_frequency:
+            matrices = matrices[:, 0]
+        lines = network.LineModel(*matrices, isolation=complex(-0.0, 1e-3))
+        path = tmp_path / "lines.csv"
+        io.write_line_model(lines, path, freqs=FREQS if per_frequency else None)
+        (plain, plain_freqs), (back, back_freqs) = map(io.read_line_model, (path, quote_all(path)))
+        assert np.asarray(back_freqs).tobytes() == np.asarray(plain_freqs).tobytes()
+        for a, b in zip(back.matrices + (back.isolation,), plain.matrices + (plain.isolation,)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.matrices, lines.matrices))
 
 
 def mostly(usual, other):
