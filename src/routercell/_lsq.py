@@ -3,7 +3,10 @@
 Damped Gauss–Newton steps (Moré, *The Levenberg–Marquardt algorithm:
 implementation and theory*, 1978) on normal equations scaled by the
 Jacobian's column norms, with box bounds handled by projection and the
-stopping rules of ``scipy.optimize.least_squares``.  The problem is one
+stopping rules of ``scipy.optimize.least_squares``.  The normal
+equations are formed first, ``J^T J`` and ``J^T f`` from the unscaled
+Jacobian, once per accepted point, and scaled afterwards: the only passes
+over the ``m`` residuals are those two products.  The problem is one
 function that returns the residuals and their Jacobian together, so a
 fit writes its model once and pays for one call per evaluation.  As in
 MINPACK, the solver, not its caller, sets when to stop: :data:`TOL` and
@@ -31,13 +34,20 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
     Jacobian; nothing is differenced, and a rejected trial's ``J`` is
     discarded.  Each step scales the variables by the inverse column
     norms of the current Jacobian (a zero column keeps scale 1), so the
-    Gram matrix ``A = J^T J`` has a unit diagonal, and solves
-    ``(A + lam I) s = -g`` with ``g = J^T f``.  That is Marquardt's
-    ``(A + lam diag A)``, whose step does not change under any positive
-    diagonal rescaling of the variables: the result does not depend on
-    their units.  A variable sitting on a bound with its gradient pointing
-    out of the box is held fixed (its rows and columns of ``A`` are
-    zeroed); the others step and the result is clipped back into the box.
+    Gram matrix ``A`` of the scaled Jacobian has a unit diagonal, and
+    solves ``(A + lam I) s = -g`` with ``g`` its gradient.  That is
+    Marquardt's ``(A + lam diag A)``, whose step does not change under any
+    positive diagonal rescaling of the variables: the steps do not depend
+    on their units (the last stopping rule below does, through ``|x|``).
+    ``A`` and ``g`` are built Gram-first: with ``D`` the diagonal of
+    scales, ``A = D (J^T J) D`` and ``g = D (J^T f)`` equal ``(J D)^T (J
+    D)`` and ``(J D)^T f`` entry by entry up to rounding, and the column
+    norms are ``sqrt(diag J^T J)``, so the scaled Jacobian is never
+    formed; a rejected step leaves ``x``, and so ``A`` and ``g``, as they
+    were.  A variable sitting on a bound with its gradient pointing out of
+    the box is held fixed (its rows and columns of ``A`` and its entry of
+    ``g`` are zeroed, only when some variable is held); the others step
+    and the result is clipped back into the box.
     ``lam`` follows Nielsen's update: shrunk by the gain ratio after a
     step that lowers the cost, doubled-and-growing after one that does not.
 
@@ -60,28 +70,38 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
     f, J = (np.asarray(v, dtype=float) for v in fun(x))
     if not np.isfinite(f).all():
         raise ValueError("residuals are not finite at the initial point")
-    cost, nfev, lam, grow, success = 0.5 * (f @ f), 1, 1e-3, 2.0, False
+    cost, nfev, lam, grow, success = 0.5 * float(f @ f), 1, 1e-3, 2.0, False
+    eye, moved = np.eye(x.size), True
     while not success and nfev < MAX_NFEV:
-        norms = np.linalg.norm(J, axis=0)
-        scale = 1.0 / np.where(norms > 0, norms, 1.0)
-        js = J * scale
-        a, g = js.T @ js, js.T @ f
-        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
-        step = -np.linalg.solve(a * np.outer(free, free) + lam * np.eye(x.size), g * free)
-        x_new = np.clip(x + scale * step, lower, upper)
+        if moved:  # a rejected step leaves x, f and J, so the system too
+            a, g = J.T @ J, J.T @ f
+            norms = np.sqrt(a.diagonal())
+            scale = 1.0 / np.where(norms > 0, norms, 1.0)
+            a *= scale
+            a *= scale[:, None]
+            g *= scale
+            held = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
+            if held.any():
+                a[held] = 0.0
+                a[:, held] = 0.0
+                g[held] = 0.0
+        x_new = x - scale * np.linalg.solve(a + lam * eye, g)
+        np.clip(x_new, lower, upper, out=x_new)
         f_new, J_new = (np.asarray(v, dtype=float) for v in fun(x_new))
         nfev += 1
-        cost_new = 0.5 * (f_new @ f_new) if np.isfinite(f_new).all() else np.inf
+        # a residual that is not finite makes the cost inf or nan: either rejects the step
+        cost_new = 0.5 * float(f_new @ f_new)
         dx = x_new - x
         s = dx / scale
-        predicted = -(g @ s + 0.5 * (s @ a @ s))
+        predicted = -float(g @ s + 0.5 * (s @ a @ s))
         actual = cost - cost_new
         ratio = actual / predicted if predicted > 0 else 0.0
         # a rejected step that lost and promised less than TOL of the cost: at the minimum
         flat = actual <= 0 and -actual < TOL * cost and predicted < TOL * cost
-        success = bool((actual < TOL * cost and ratio > 0.25) or flat
-                       or math.sqrt(dx @ dx) < TOL * (TOL + math.sqrt(x @ x)))
-        if actual > 0:
+        success = ((actual < TOL * cost and ratio > 0.25) or flat
+                   or math.sqrt(dx @ dx) < TOL * (TOL + math.sqrt(x @ x)))
+        moved = actual > 0
+        if moved:
             x, f, J, cost = x_new, f_new, J_new, cost_new
             lam, grow = lam * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0
         else:

@@ -288,7 +288,7 @@ def circle_fit(trace, freqs) -> CircleFitResult:
         u = 2.0 * (freqs - f0)
         w = 2.0 / (u * u + kappa * kappa)
         return (theta0 + 2.0 * np.arctan(u / kappa) - theta,
-                np.column_stack([np.ones_like(u), -2.0 * kappa * w, -u * w]))
+                np.array([np.ones_like(u), -2.0 * kappa * w, -u * w]).T)
 
     init = np.array([theta[i0], freqs[i0], sign * span / 5.0])
     fit = least_squares(problem, init)

@@ -144,7 +144,8 @@ def _finish_report(names, result, seed=None) -> FitReport:
     jac = np.atleast_2d(result.jac)
     residuals = np.asarray(result.fun)
     m, n = jac.shape
-    col_norms = np.linalg.norm(jac, axis=0)
+    gram = jac.T @ jac
+    col_norms = np.sqrt(gram.diagonal())
     dead = col_norms == 0
     flags = [f"unidentifiable:{names[i]}" for i in np.flatnonzero(dead)]
 
@@ -153,8 +154,7 @@ def _finish_report(names, result, seed=None) -> FitReport:
     sig = np.full(n, np.inf)
     alive = ~dead
     if np.any(alive):
-        jn = jac[:, alive] / col_norms[alive]
-        gram = jn.T @ jn
+        gram = gram[np.ix_(alive, alive)] / np.outer(col_norms[alive], col_norms[alive])
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > 1e10:
             flags.append("ill-conditioned")
@@ -211,9 +211,13 @@ _PHASE_BOUND = np.pi / 2 - 1e-6  # the fit's box for each phase, inside |phi| < 
 
 
 def _real_rows(values: np.ndarray) -> np.ndarray:
-    """``(..., 4, n)`` complex -> ``(..., 8 n)`` real: per channel, real then imaginary part."""
-    stacked = np.stack([values.real, values.imag], axis=-2)
-    return stacked.reshape(*values.shape[:-2], -1)
+    """``(..., 4, n)`` complex -> ``(..., 8 n)`` real, a view of C-contiguous ``values``.
+
+    Row ``2 (c n + k)`` is the real part of channel ``c`` at point ``k`` and
+    row ``2 (c n + k) + 1`` its imaginary part: channels in order, and
+    within each the real and imaginary parts interleaved point by point.
+    """
+    return values.view(float).reshape(*values.shape[:-2], -1)
 
 
 def initial_guess_from_spectrum(calibrated: ChannelSpectrum) -> CellParams:
@@ -256,13 +260,13 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     reported through ``converged=False`` rather than raised.
     """
     omega = 2.0 * np.pi * calibrated.freqs
-    data = _real_rows(calibrated.traces)
+    data = calibrated.traces
     coherence = init.coherence_rate
     scale = init.gamma_sum
 
     def problem(x):
         t, jac = cell_response(omega, *x, coherence, jacobian=True)
-        return _real_rows(t) - data, _real_rows(jac).T
+        return _real_rows(t - data), _real_rows(jac).T
 
     x0 = np.array([init.gamma_a, init.gamma_b, init.omega_ge, init.phi_a, init.phi_b])
     lower = [1e-3 * scale, 1e-3 * scale, -np.inf, -_PHASE_BOUND, -_PHASE_BOUND]

@@ -106,6 +106,12 @@ class CellParams:
             _check_finite(name, getattr(self, name))
         if self.gamma_a <= 0 or self.gamma_b <= 0:
             raise ValueError("coupling rates gamma_a, gamma_b must be > 0")
+        # Python floats: a sum that overflows is inf, without a numpy warning
+        for name, rate in (("gamma_a + gamma_b", float(self.gamma_a) + float(self.gamma_b)),
+                           ("gamma_phi + gamma_bath / 2",
+                            float(self.gamma_phi) + 0.5 * float(self.gamma_bath))):
+            if not math.isfinite(rate):
+                raise ValueError(f"{name} must be finite, got {rate}")
         if abs(self.phi_a) >= math.pi / 2 or abs(self.phi_b) >= math.pi / 2:
             raise ValueError("coupling phases must satisfy |phi| < pi/2")
         if self.gamma_phi < 0 or self.gamma_bath < 0:

@@ -1,7 +1,8 @@
 """Typed-error guards: each input check raises its own exception type and message.
 
 One row per guard that the rest of the suite never reaches, driven through
-the public API; warnings and flags that are not exceptions follow the table.
+the public API where a call reaches it; warnings and flags that are not
+exceptions follow the table.
 """
 
 import json
@@ -11,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from routercell import calibration, cli, estimation, io, model, network, synth
+from routercell import _lsq, calibration, cli, estimation, io, model, network, synth
 
 TWO_PI = 2.0 * math.pi
 W_GE = TWO_PI * 6.163e9
@@ -26,11 +27,14 @@ def clean_spectrum(traces=None):
     return calibration.ChannelSpectrum(FREQS, traces)
 
 
-def fit_from_overflowing_start():
-    """A four-channel fit started from couplings whose sum overflows to inf."""
-    huge = model.CellParams(1e308, 1e308, W_GE)
-    with np.errstate(all="ignore"):
-        return estimation.fit_four_channel(clean_spectrum(), huge)
+def solve_from_non_finite_start():
+    """The solver on residuals that are NaN from the start.
+
+    No public call is known to reach it: the fits refuse non-finite samples,
+    and ``CellParams`` now refuses the couplings whose sum overflowed, the
+    route this row once took.
+    """
+    return _lsq.least_squares(lambda x: (np.full(3, np.nan), np.ones((3, 1))), [1.0])
 
 
 def lines_with(s_in_a):
@@ -38,7 +42,7 @@ def lines_with(s_in_a):
 
 
 GUARDS = {
-    "lsq-start-not-finite": (fit_from_overflowing_start,
+    "lsq-start-not-finite": (solve_from_non_finite_start,
                              ValueError, "residuals are not finite at the initial point"),
     "spectrum-empty-grid": (lambda: calibration.ChannelSpectrum(np.array([]), np.zeros((4, 0))),
                             ValueError, "freqs must be a nonempty 1-D array"),

@@ -413,14 +413,24 @@ def spoiled_spectra(draw, with_meta=True):
     return spectrum, freqs, traces
 
 
+#: csv.reader's field size limit while the reader properties run, so that a drawn field can pass it
+SMALL_FIELD_LIMIT = 24
+#: Fields a messy table holds: quoted ones (one spanning two lines, one unterminated, one
+#: with a stray quote), a NUL, a bare CR and one longer than SMALL_FIELD_LIMIT
+MESSY_FIELDS = ['"', '"1e9"', '"q,uoted"', '"multi\nline"', 'a"b', "\0", "\r",
+                "9" * (SMALL_FIELD_LIMIT + 1)]
+
+
 def csv_text_tables(header, names):
-    """Text of a header plus random rows: name-grouped rows, shuffled or not, maybe a junk row.
+    """Bytes of a header plus random rows: name-grouped rows, shuffled or not, maybe a junk row.
 
     Half the tables hold numbers only in their value fields, so that they
-    reach the checks behind the field parse.
+    reach the checks behind the field parse; the others may hold
+    :data:`MESSY_FIELDS`.
     """
     number = st.sampled_from(["0", "-0.0", " 1 ", "1e9", "2e9", "3", "0.25", "nan", "-inf", "1e400"])
-    token = number | st.sampled_from(["", "x", "#", '"', *names]) | st.text(max_size=4)
+    token = (number | st.sampled_from(["", "x", "#", *names]) | st.sampled_from(MESSY_FIELDS)
+             | st.text(max_size=4))
 
     @st.composite
     def tables(draw):
@@ -434,39 +444,103 @@ def csv_text_tables(header, names):
         if draw(st.integers(0, 3)) == 0:
             rows.insert(draw(st.integers(0, len(rows))),
                         draw(st.lists(token, max_size=len(header) + 1)))
-        return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+        return ("\n".join(",".join(row) for row in [header, *rows]) + "\n").encode()
     return tables()
 
 
 @st.composite
 def touchstone_texts(draw):
-    """Text of an option line plus a few frames of random tokens, mostly numbers."""
+    """Bytes of an option line plus a few frames of random tokens, mostly numbers."""
     option = draw(st.sampled_from(["# HZ S RI R 50", "# GHZ S MA R 50", "# MHZ S DB R 50", "# X"]))
     number = st.sampled_from(["0", "-0.0", "1", "2", "1e9", "0.5", "nan", "inf", "-1e400", "400"])
     token = number if draw(st.booleans()) else number | st.sampled_from(["x", "!", "#"])
     size = 33 * draw(st.integers(1, 2)) + draw(st.sampled_from([0, 0, 0, 1]))
-    return option + "\n" + " ".join(draw(st.lists(token, min_size=size, max_size=size))) + "\n"
+    text = option + "\n" + " ".join(draw(st.lists(token, min_size=size, max_size=size))) + "\n"
+    return text.encode()
+
+
+@st.composite
+def csv_table_bytes(draw):
+    """Bytes of a small table for ``_read_table``, plain in half the draws and messy in the other half.
+
+    A plain table holds blank and ``#`` lines, rows with a field too many or
+    too few, and lines ending in LF or CRLF, the last one maybe in nothing.
+    A messy one may also hold :data:`MESSY_FIELDS`, lines ending in a bare
+    CR and bytes that are not UTF-8.
+    """
+    plain = st.sampled_from(["0", "-0.0", "1e9", " 2.5", "nan", "x", "", "#", "# a"])
+    messy = draw(st.booleans())
+    field = st.one_of(plain, plain, plain, st.sampled_from(MESSY_FIELDS)) if messy else plain
+    header = draw(st.sampled_from([["x", "y"], ["x", "y", "z"], [" x ", "y"]] * 2
+                                  + [["x", "y", "z", "z"], ["x"], ["y", "x"]]))
+    width = len(header)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "comment":
+            lines.append("# " + ",".join(draw(st.lists(field, max_size=3))))
+        else:
+            n = width if kind == "row" else draw(st.integers(1, width + 2))
+            lines.append(",".join(draw(st.lists(field, min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["# run: r", "", "#,#"])))
+    ends = [draw(st.sampled_from(["\n", "\r\n"] + ["\r"] * messy)) for _ in lines]
+    ends[-1] = draw(st.sampled_from(["\n", "\r\n", ""]))
+    data = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if messy and draw(st.integers(0, 4)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
 
 
 READERS = {
     "csv": io.ingest_spectrum,
     "s4p": io.ingest_spectrum,
     "lines": io.read_line_model,
+    "table": lambda path: io._read_table(path, ["x", "y"], ("z",)),
 }
 TEXTS = {
     "csv": csv_text_tables(["freq_hz", "channel", "re", "im", "bias_ma"], model.CHANNELS),
     "s4p": touchstone_texts(),
     "lines": csv_text_tables(io._LINE_HEADER, io._LINE_ELEMENTS),
+    "table": csv_table_bytes(),
 }
+#: The five errors ``_read_table`` raises; the readers built on it add their own
+TABLE_ERRORS = re.compile(
+    r"\S+ is not UTF-8 text: .+"
+    r"|\S+ is not a readable CSV table: .+ \(line \d+\)"
+    r"|empty file \(line 1\)"
+    r"|malformed header \[.*\]; expected \['x', 'y'\] \+ optional \['z'\] \(line \d+\)"
+    r"|row has \d+ fields, expected \d+ \(line \d+\)", re.DOTALL)
 
 
 def loads_or_raises_parse_error(reader, path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            READERS[reader](path)
-        except runs.ParseError:
-            pass
+    """Read ``path`` under a small field limit; a ``ParseError`` must name a line of the file.
+
+    For the ``table`` reader the error must be one of :data:`TABLE_ERRORS`,
+    and a table it returns must have the requested header, one field per
+    column in each row, and rows numbered in file order after the header.
+    """
+    n_lines = max(1, len(path.read_bytes().decode("utf-8", "replace").splitlines()))
+    limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            loaded = READERS[reader](path)
+    except runs.ParseError as exc:
+        assert exc.line is None or 1 <= exc.line <= n_lines, (str(exc), n_lines)
+        assert exc.line is None or str(exc).endswith(f" (line {exc.line})")
+        assert reader != "table" or TABLE_ERRORS.fullmatch(str(exc)), str(exc)
+        return
+    finally:
+        csv.field_size_limit(limit)
+    if reader == "table":
+        header, columns, lines = loaded
+        assert header[:2] == ["x", "y"] and set(header[2:]) <= {"z"} and len(header) <= 3
+        assert len(columns) == len(header) and all(len(c) == len(lines) for c in columns)
+        assert list(lines) == sorted(set(lines)) and all(1 < line <= n_lines for line in lines)
 
 
 class TestIngestionProperties:
@@ -505,98 +579,50 @@ class TestIngestionProperties:
     @pytest.mark.parametrize("reader", READERS)
     def test_random_rows_load_or_raise_parse_error(self, tmp_path_factory, reader, data):
         path = tmp_path_factory.mktemp(reader) / f"input.{reader}"
-        path.write_text(data.draw(TEXTS[reader]), encoding="utf-8")
+        path.write_bytes(data.draw(TEXTS[reader]))
         loads_or_raises_parse_error(reader, path)
 
 
-def oracle_read_table(path, required, optional=()):
-    """``_read_table`` row by row through ``csv.reader``, with every check and error it makes."""
-    try:
-        with Path(path).open(encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                table = [(reader.line_num, row) for row in reader
-                         if row and not row[0].startswith("#")]
-            except csv.Error as exc:
-                raise runs.ParseError(f"{path} is not a readable CSV table: {exc}",
-                                      reader.line_num) from None
-    except UnicodeDecodeError as exc:
-        raise runs.ParseError(f"{path} is not UTF-8 text: {exc}") from None
-    if not table:
-        raise runs.ParseError("empty file", 1)
-    lines, rows = zip(*table)
-    header = [c.strip() for c in rows[0]]
-    extra = header[len(required):]
-    if header[:len(required)] != required or set(extra) - set(optional) or len(set(extra)) < len(extra):
-        raise runs.ParseError(f"malformed header {header!r}; expected {required} "
-                              f"+ optional {list(optional)}", lines[0])
-    for row, line in zip(rows[1:], lines[1:]):
-        if len(row) != len(header):
-            raise runs.ParseError(f"row has {len(row)} fields, expected {len(header)}", line)
-    return header, [list(c) for c in zip(*rows[1:])] or [[]] * len(header), lines[1:]
-
-
-#: csv.reader's field size limit while the reader property runs, so that a drawn field can pass it
-SMALL_FIELD_LIMIT = 24
-
-
-@st.composite
-def csv_table_bytes(draw):
-    """Bytes of a small table, plain in half the draws and messy in the other half.
-
-    A plain table holds blank and ``#`` lines, rows with a field too many or
-    too few, and lines ending in LF or CRLF, the last one maybe in nothing.
-    A messy one may also hold quoted fields (some spanning lines or
-    unterminated), NULs, bare CRs, fields longer than
-    :data:`SMALL_FIELD_LIMIT` and bytes that are not UTF-8.
-    """
-    plain = st.sampled_from(["0", "-0.0", "1e9", " 2.5", "nan", "x", "", "#", "# a"])
-    rare = st.sampled_from(['"', '"1e9"', '"q,uoted"', '"multi\nline"', 'a"b', "\0", "\r",
-                            "9" * (SMALL_FIELD_LIMIT + 1)])
-    messy = draw(st.booleans())
-    field = st.one_of(plain, plain, plain, rare) if messy else plain
-    header = draw(st.sampled_from([["x", "y"], ["x", "y", "z"], [" x ", "y"]] * 2
-                                  + [["x", "y", "z", "z"], ["x"], ["y", "x"]]))
-    width = len(header)
-    lines = [",".join(header)]
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment", "ragged"]))
-        if kind == "blank":
-            lines.append("")
-        elif kind == "comment":
-            lines.append("# " + ",".join(draw(st.lists(field, max_size=3))))
-        else:
-            n = width if kind == "row" else draw(st.integers(1, width + 2))
-            lines.append(",".join(draw(st.lists(field, min_size=n, max_size=n))))
-    if draw(st.booleans()):
-        lines.insert(0, draw(st.sampled_from(["# run: r", "", "#,#"])))
-    ends = [draw(st.sampled_from(["\n", "\r\n"] + ["\r"] * messy)) for _ in lines]
-    ends[-1] = draw(st.sampled_from(["\n", "\r\n", ""]))
-    data = "".join(line + end for line, end in zip(lines, ends)).encode()
-    if messy and draw(st.integers(0, 4)) == 0:
-        cut = draw(st.integers(0, len(data)))
-        data = data[:cut] + b"\xff" + data[cut:]
-    return data
-
-
 class TestReaderPaths:
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(csv_table_bytes())
-    def test_read_table_agrees_with_oracle(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("table") / "table.csv"
+    """``_read_table`` on one table of each messy kind: what it returns, or its error and line."""
+
+    @pytest.mark.parametrize("data, expected", [
+        (b'x,y\n"1e9","q,uoted"\n', (["x", "y"], [("1e9",), ("q,uoted",)], (2,))),
+        # a record spanning lines is numbered by its last line
+        (b'x,y\n"multi\nline",1\n2,3\n', (["x", "y"], [("multi\nline", "2"), ("1", "3")], (3, 4))),
+        (b'x,y,z\na"b,1,2\n', (["x", "y", "z"], [('a"b',), ("1",), ("2",)], (2,))),
+        (b" x ,y\n1, 2 \n", (["x", "y"], [("1",), (" 2 ",)], (2,))),
+        (b"x,y\r1,2\r3,4", (["x", "y"], [("1", "3"), ("2", "4")], (2, 3))),
+        (b'x,y\r\n"a\rb",2\r\n', (["x", "y"], [("a\rb",), ("2",)], (3,))),
+        # an unterminated quote takes the rest of the file into one field
+        (b'x,y\n1,2\n"3,4\n', ("row has 1 fields, expected 2", 3)),
+        (b"x,y\n1," + b"9" * (SMALL_FIELD_LIMIT + 1) + b"\n",
+         ("{path} is not a readable CSV table: field larger than field limit (24)", 2)),
+        (b"x,y\n1,2\n\n# c\n1\n", ("row has 1 fields, expected 2", 5)),
+        (b"# run: r\n\ny,x\n1,2\n",
+         ("malformed header ['y', 'x']; expected ['x', 'y'] + optional ['z']", 3)),
+        (b"# only\n\n", ("empty file", 1)),
+        (b"x,y\n1,\xff\n", ("{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                             "in position 6: invalid start byte", None)),
+        # before 3.11 csv.reader refuses a NUL
+        (b"x,y\n1,\0\n", (["x", "y"], [("1",), ("\0",)], (2,)) if sys.version_info >= (3, 11)
+         else ("{path} is not a readable CSV table: line contains NUL", 2)),
+    ], ids=["quoted", "multi-line", "stray-quote", "padded-header", "bare-cr", "cr-in-quotes",
+            "unterminated", "oversized", "ragged", "header", "empty", "not-utf-8", "nul"])
+    def test_messy_table(self, tmp_path, data, expected):
+        path = tmp_path / "table.csv"
         path.write_bytes(data)
         limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
         try:
-            outcomes = []
-            for read in (io._read_table, oracle_read_table):
-                try:
-                    header, columns, lines = read(path, ["x", "y"], ("z",))
-                    outcomes.append((header, [list(c) for c in columns], tuple(lines)))
-                except runs.ParseError as exc:
-                    outcomes.append((str(exc), exc.line))
+            outcome = io._read_table(path, ["x", "y"], ("z",))
+        except runs.ParseError as exc:
+            message, line = expected
+            message = message.format(path=path)
+            outcome = (str(exc), exc.line)
+            expected = (message if line is None else f"{message} (line {line})", line)
         finally:
             csv.field_size_limit(limit)
-        assert outcomes[0] == outcomes[1]
+        assert outcome == expected
 
 
 POINT = " 0.5 0.0" * 16  # the 16 entries of one 4-port frame

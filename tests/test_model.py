@@ -1,6 +1,7 @@
 """Closed-form model: resonant values, unitarity, flux/thermal/dressed extensions."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,16 @@ class TestCellParams:
             make_cell(gamma_phi=-1.0)
         with pytest.raises(ValueError):
             make_cell(omega_ge=math.inf)
+
+    @pytest.mark.parametrize("rates, name", [
+        (dict(gamma_a=1e308, gamma_b=1e308), "gamma_a + gamma_b"),
+        (dict(gamma_a=np.float64(1e308), gamma_b=np.float64(1e308)), "gamma_a + gamma_b"),
+        (dict(gamma_phi=1.5e308, gamma_bath=1e308), "gamma_phi + gamma_bath / 2"),
+    ], ids=["couplings", "numpy-couplings", "coherence"])
+    def test_rate_sums_that_overflow_are_refused(self, rates, name):
+        # each rate is finite, but the pole width the kernel divides by is not
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got inf")):
+            make_cell(**rates)
 
     def test_coherence_rate_combines_dephasing_and_bath(self):
         p = make_cell(gamma_phi=3.0, gamma_bath=4.0)
