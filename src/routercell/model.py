@@ -280,7 +280,11 @@ def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
     at zero coherence rate and passive at any; the phased cell is active
     (with the preset's phases the largest singular value reaches 1.171).
     """
-    t = cell_coefficients(float(omega), p)
+    omega = float(omega)
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
+    t = cell_response(omega, p.gamma_a, p.gamma_b, p.omega_ge,
+                      p.phi_a, p.phi_b, p.coherence_rate)
     return PortMatrix(np.concatenate((t, t[:2] - 1.0))[_SMATRIX_SLOTS])
 
 

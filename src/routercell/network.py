@@ -50,6 +50,7 @@ __all__ = [
 #: Rounding allowance on the unit singular-value bound of a passive network.
 PASSIVE_TOL = 1e-9
 _EYE = np.eye(4)
+_LINE_NAMES = ("s_in_a", "s_out_a", "s_in_b", "s_out_b")
 
 
 class SingularNetworkError(RuntimeError):
@@ -102,7 +103,7 @@ class LineModel:
 
     def __post_init__(self):
         lengths = {}  # per-frequency elements and their point counts
-        for name in ("s_in_a", "s_out_a", "s_in_b", "s_out_b"):
+        for name in _LINE_NAMES:
             m = np.asarray(getattr(self, name), dtype=complex)
             if m.shape[-2:] != (2, 2) or m.ndim not in (2, 3):
                 raise ValueError(f"{name} must have shape (2, 2) or (n, 2, 2)")
@@ -139,12 +140,20 @@ class LineModel:
         return len(iso) if isinstance(iso, np.ndarray) and iso.ndim == 1 else None
 
     def at(self, i: int) -> "LineModel":
-        """Single-frequency slice of per-frequency line data."""
+        """Single-frequency slice of per-frequency line data.
+
+        The slice holds views of this model's arrays, which
+        ``__post_init__`` has already validated, so it is not validated
+        again; a later change to those arrays shows in the slice.
+        """
         iso = self.isolation
-        if np.ndim(iso) > 0:
-            iso = complex(np.asarray(iso)[i])
-        picked = (m[i] if m.ndim == 3 else m for m in self.matrices)
-        return LineModel(*picked, isolation=iso)
+        if np.ndim(iso):
+            iso = complex(iso[i])
+        line = object.__new__(LineModel)
+        for name, m in zip(_LINE_NAMES, self.matrices):
+            object.__setattr__(line, name, m[i] if m.ndim == 3 else m)
+        object.__setattr__(line, "isolation", iso)
+        return line
 
     def is_passive(self) -> bool:
         for m in self.matrices:
@@ -197,9 +206,12 @@ def compose_exact(cell, lines: LineModel) -> CompositionResult:
     """Measured S-matrix with the internal waves eliminated exactly.
 
     Returns ``s_meas = S11 + S12 S (I - S22 S)^-1 S21`` where S is the cell
-    matrix and the Sij are the complementary line blocks.  The cell is
-    never inverted, so a singular cell is an ordinary input; a singular
-    ``I - S22 S`` (condition number above 1e14, or not finite) raises
+    matrix and the Sij are the complementary line blocks.  The blocks are
+    diagonal, so they only scale the rows and columns of ``S (I - S22
+    S)^-1 = [solve((I - S22 S)^T, S^T)]^T``: one solve on the system that
+    the check below has just passed.  The cell is never inverted, so a
+    singular cell is an ordinary input; a singular ``I - S22 S``
+    (condition number above 1e14, or not finite) raises
     :class:`SingularNetworkError`.  The SVD behind that condition number
     runs only when ``q``, the largest row sum of ``|S22 S|``, is at least
     1/2: ``cond_2(I - S22 S) <= 4 (1 + q) / (1 - q)``, at most 12 below
@@ -213,7 +225,7 @@ def compose_exact(cell, lines: LineModel) -> CompositionResult:
         cond = np.linalg.cond(core)
         if not np.isfinite(cond) or cond > 1e14:
             raise SingularNetworkError("internal-wave system is singular", cond)
-    s_meas = s12[:, None] * (s @ np.linalg.solve(core, np.diag(s21)))
+    s_meas = np.linalg.solve(core.T, s.T).T * (s12[:, None] * s21)
     s_meas.flat[::5] += s11
     return CompositionResult(PortMatrix(s_meas), 0.0)
 
@@ -224,9 +236,11 @@ def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
     ``order`` counts the retained series terms: order 0 keeps only the
     direct line response S11, order 1 adds the single cell passage
     ``S12 S S21``, and each further order adds one internal round trip
-    through ``S S22``.  The truncation error is the maximum entry
-    magnitude of the difference from the summed series ``S12 (I - S
-    S22)^-1 S S21``, which equals the exact composition.
+    through ``S S22``.  With ``x = S S22`` the kept terms ``(I + x + ... +
+    x^(order-1)) S`` are summed by Horner's rule, ``S + x (S + x (S +
+    ...))``.  The truncation error is the maximum entry magnitude of the
+    difference from the summed series ``S12 (I - S S22)^-1 S S21``, which
+    equals the exact composition.
 
     :class:`DivergenceError` is raised when the spectral radius of ``S
     S22`` is at least 1, or ``I - S S22`` is exactly singular.  The
@@ -245,13 +259,11 @@ def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
             raise DivergenceError(
                 f"reflection series diverges: spectral radius {radius:.6f} >= 1"
             )
-    partial = np.zeros((4, 4), dtype=complex)
-    for k in range(order):
-        term = x @ term if k else _EYE
-        partial = partial + term
+    kept = s if order else np.zeros((4, 4), dtype=complex)
+    for _ in range(order - 1):
+        kept = s + x @ kept
     # S12 M S21 with diagonal blocks scales entry (i, j) of M by s12[i] s21[j]
     outer = s12[:, None] * s21
-    kept = partial @ s
     s_meas = outer * kept
     s_meas.flat[::5] += s11
     # the summed series; radius < 1 keeps I - x invertible, bar a radius of

@@ -85,6 +85,10 @@ GUARDS = {
     "neumann-order": (lambda: network.compose_neumann(
                           model.cell_smatrix(W_GE, CELL), network.ideal_lines(), -1),
                       ValueError, "order must be >= 0"),
+    "cell-smatrix-omega-nan": (lambda: model.cell_smatrix(np.nan, CELL),
+                               ValueError, "omega must be finite"),
+    "cell-smatrix-omega-inf": (lambda: model.cell_smatrix(np.inf, CELL),
+                               ValueError, "omega must be finite"),
     "line-spec-ripple": (lambda: synth.LineSpec(ripple_db=-1.0),
                          ValueError, "ripple_db must be >= 0"),
     "campaign-noise": (lambda: synth.CampaignConfig(CELL, synth.LineSpec(), FREQS, noise_sigma=-1.0),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from routercell import model, network, synth
+from routercell.presets import STEADY_STATE_CELL
 
 TWO_PI = 2.0 * math.pi
 CELL = model.CellParams(gamma_a=TWO_PI * 1.82e6, gamma_b=TWO_PI * 2.31e6,
@@ -73,6 +74,10 @@ def reference_compose(cell, lines):
     return s11 + s12 @ cell @ np.linalg.solve(np.eye(4) - s22 @ cell, s21)
 
 
+#: Finite real or imaginary parts of line entries.
+ENTRY = st.floats(min_value=-2.0, max_value=2.0)
+
+
 class TestLineModel:
     E = two_port(1.0)
 
@@ -94,6 +99,47 @@ class TestLineModel:
     def test_per_frequency_isolation_sets_the_point_count(self):
         lines = network.LineModel(self.E, self.E, self.E, self.E, isolation=np.zeros(3))
         assert lines.n_points == 3
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_slice_equals_a_validated_model_of_its_entries(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        def entries(shape):
+            parts = data.draw(st.lists(ENTRY, min_size=2 * math.prod(shape),
+                                       max_size=2 * math.prod(shape)))
+            return (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(shape)
+        mats = [entries(data.draw(st.sampled_from([(2, 2), (n, 2, 2)]))) for _ in range(4)]
+        per_frequency = data.draw(st.booleans())
+        iso = entries((n,)) if per_frequency else complex(*data.draw(st.tuples(ENTRY, ENTRY)))
+        lines = network.LineModel(*mats, isolation=iso)
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+
+        point = lines.at(i)
+        built = network.LineModel(*(m[i] if m.ndim == 3 else m for m in mats),
+                                  isolation=complex(iso[i]) if per_frequency else iso)
+        for got, want in zip(point.matrices, built.matrices):
+            assert got.dtype == want.dtype == complex
+            assert got.shape == (2, 2)
+            assert np.array_equal(got, want)
+        assert type(point.isolation) is complex
+        assert point.isolation == built.isolation
+        assert point.n_points is None and built.n_points is None
+        for got, want in zip(network.complementary_blocks(point),
+                             network.complementary_blocks(built)):
+            assert np.array_equal(got, want)
+
+    def test_slice_is_not_validated_again(self, monkeypatch):
+        lines = network.LineModel(np.stack([self.E] * 3), self.E, self.E, self.E,
+                                  isolation=np.zeros(3))
+
+        def refuse(self):
+            raise AssertionError("LineModel.at validated its slice again")
+
+        monkeypatch.setattr(network.LineModel, "__post_init__", refuse)
+        point = lines.at(1)
+        assert np.shares_memory(point.s_in_a, lines.s_in_a)
+        assert point.s_out_a is lines.s_out_a
+        assert point.n_points is None
 
 
 class TestComplementaryBlocks:
@@ -300,6 +346,18 @@ class TestCompositionProperties:
 
     @COMPOSE_SETTINGS
     @given(cell_matrices(), passive_lines())
+    def test_series_keeps_order_terms(self, cell, lines):
+        s = cell.entries
+        s11, s12, s21, s22 = permuted_blocks(lines)
+        x = s @ s22
+        for k in range(6):
+            kept = sum((np.linalg.matrix_power(x, j) for j in range(k)), np.zeros((4, 4)))
+            ref = s11 + s12 @ kept @ s @ s21
+            out = network.compose_neumann(cell, lines, order=k).s_meas.entries
+            assert np.max(np.abs(out - ref)) < 1e-12
+
+    @COMPOSE_SETTINGS
+    @given(cell_matrices(), passive_lines())
     def test_order_zero_is_s11(self, cell, lines):
         s11, *_ = permuted_blocks(lines)
         out = network.compose_neumann(cell, lines, order=0)
@@ -397,6 +455,51 @@ class TestCompositionProperties:
     def test_rejects_non_four_port_cell(self, compose, cell):
         with pytest.raises(ValueError, match="4-port"):
             compose(cell, network.ideal_lines())
+
+
+class TestDeembedSweep:
+    """Per-frequency lines of the de-embedding benchmark, composed one point at a time."""
+
+    SPEC = synth.LineSpec(transmission_db=-2.0, jitter_db=1.0,
+                          reflection_bound=0.2, ripple_db=0.5)
+    FREQS = np.linspace(6.138e9, 6.188e9, 401)
+
+    def sweep(self, seed):
+        lines = synth.gen_lines(self.SPEC, seed, self.FREQS)
+        assert lines.n_points == len(self.FREQS)
+        for i, f in enumerate(self.FREQS):
+            yield model.cell_smatrix(TWO_PI * f, STEADY_STATE_CELL), lines.at(i)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_compositions_match_the_reference(self, seed):
+        for cell, point in self.sweep(seed):
+            exact = network.compose_exact(cell, point).s_meas.entries
+            assert np.max(np.abs(exact - reference_compose(cell.entries, point))) < 1e-12
+            series = network.compose_neumann(cell, point, order=3)
+            measured = np.max(np.abs(series.s_meas.entries - exact))
+            assert abs(series.truncation_error - measured) < 1e-12
+
+    def test_each_composition_makes_one_solve(self, monkeypatch):
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append("solve")
+            return solve(*args, **kwargs)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the row-sum bound should have settled the check")
+
+        points = list(self.sweep(0))
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(np.linalg, "cond", unused)
+        monkeypatch.setattr(np.linalg, "eigvals", unused)
+        for cell, point in points:
+            for compose in (network.compose_exact,
+                            lambda c, p: network.compose_neumann(c, p, order=3)):
+                calls.clear()
+                compose(cell, point)
+                assert calls == ["solve"]
 
 
 class TestSimplifiedForward:
