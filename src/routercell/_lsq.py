@@ -38,7 +38,7 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
     solves ``(A + lam I) s = -g`` with ``g`` its gradient.  That is
     Marquardt's ``(A + lam diag A)``, whose step does not change under any
     positive diagonal rescaling of the variables: the steps do not depend
-    on their units (the last stopping rule below does, through ``|x|``).
+    on their units, and nor do the stopping rules below.
     ``A`` and ``g`` are built Gram-first: with ``D`` the diagonal of
     scales, ``A = D (J^T J) D`` and ``g = D (J^T f)`` equal ``(J D)^T (J
     D)`` and ``(J D)^T f`` entry by entry up to rounding, and the column
@@ -55,7 +55,8 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
     ``TOL`` of it with a gain ratio above 0.25, when a rejected step
     raised the cost by less than ``TOL`` of it and predicted a reduction
     below ``TOL`` of it (the fit is at its minimum to within ``TOL``), or
-    when a step moves ``x`` by less than ``TOL * (TOL + |x|)``;
+    when the scaled step is short, ``|s| < TOL * (TOL + |D^-1 x|)`` as in
+    MINPACK, so that no variable's units set the length;
     ``success=False`` when ``MAX_NFEV`` calls of ``fun`` are spent first.
 
     Returns ``x``, the residuals ``fun`` and Jacobian ``jac`` at that
@@ -98,8 +99,9 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
         ratio = actual / predicted if predicted > 0 else 0.0
         # a rejected step that lost and promised less than TOL of the cost: at the minimum
         flat = actual <= 0 and -actual < TOL * cost and predicted < TOL * cost
+        xs = x / scale
         success = ((actual < TOL * cost and ratio > 0.25) or flat
-                   or math.sqrt(dx @ dx) < TOL * (TOL + math.sqrt(x @ x)))
+                   or math.sqrt(s @ s) < TOL * (TOL + math.sqrt(xs @ xs)))
         moved = actual > 0
         if moved:
             x, f, J, cost = x_new, f_new, J_new, cost_new

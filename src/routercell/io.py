@@ -35,8 +35,6 @@ __all__ = [
     "write_spectrum",
     "write_columns",
     "read_touchstone",
-    "write_touchstone",
-    "spectrum_to_smatrix",
     "write_line_model",
     "read_line_model",
 ]
@@ -238,9 +236,8 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
 
     Supports RI, MA and DB value formats and the standard frequency-unit
     multipliers.  The one option line comes before the data and may name
-    only S-parameters and the 50-ohm reference ``R 50`` that
-    :func:`write_touchstone` writes; any other token, or a second or late
-    option line, raises :class:`ParseError`.  Matrix entries are row-major
+    only S-parameters and the 50-ohm reference ``R 50``; any other token,
+    or a second or late option line, raises :class:`ParseError`.  Matrix entries are row-major
     per frequency point.
     """
     path = Path(path)
@@ -302,32 +299,6 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
         mag = pairs[..., 0] if fmt == "MA" else 10.0 ** (pairs[..., 0] / 20.0)
         values = mag * np.exp(1j * np.deg2rad(pairs[..., 1]))
     return freqs, values.reshape(-1, 4, 4)
-
-
-def write_touchstone(path, freqs, smatrix) -> None:
-    """Write a 4-port touchstone file in RI format (fixture support)."""
-    freqs = np.asarray(freqs, dtype=float)
-    s = np.asarray(smatrix, dtype=complex)
-    if s.shape != (freqs.size, 4, 4):
-        raise ValueError("smatrix must have shape (n, 4, 4)")
-    with Path(path).open("w") as fh:
-        fh.write("! 4-port S-parameters, ports: 1=A-in 2=A-out 3=B-in 4=B-out\n")
-        fh.write("# HZ S RI R 50\n")
-        for f, mat in zip(freqs, s):
-            for row in range(4):
-                head = repr(float(f)) if row == 0 else ""
-                entries = " ".join(
-                    f"{float(mat[row, col].real)!r} {float(mat[row, col].imag)!r}"
-                    for col in range(4)
-                )
-                fh.write(f"{head} {entries}\n".lstrip())
-
-
-def spectrum_to_smatrix(spectrum: ChannelSpectrum) -> np.ndarray:
-    """Embed the four channels into (n, 4, 4) matrices at their port slots."""
-    s = np.zeros((len(spectrum), 4, 4), dtype=complex)
-    s[:, _TOUCHSTONE_OUT, _TOUCHSTONE_IN] = spectrum.traces.T
-    return s
 
 
 def _ingest_touchstone(path) -> ChannelSpectrum:

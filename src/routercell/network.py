@@ -24,12 +24,16 @@ and the cell for output lines; the ``S21`` entry (row 2, column 1) is
 therefore always the transmission in the propagation direction.  Port k
 of the cell meets only line k, so the line blocks ``S11`` (external to
 external), ``S12``, ``S21`` and ``S22`` (internal to internal) are all
-diagonal and are held as their length-4 diagonals.
+diagonal and are held as their length-4 diagonals: views of one
+read-only stack of the four lines that a :class:`LineModel` builds on first
+use, so the per-frequency slices that :meth:`LineModel.at` hands out read
+their blocks without building anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +97,10 @@ class LineModel:
     wave amplitude between the two waveguides bypassing the cell (a scalar,
     or length-n array for per-frequency lines).  Every per-frequency
     element must have the same n.
+
+    The arrays are stored as read-only copies of the ones passed in, so a
+    later change to the caller's arrays does not reach the model, and
+    writing into the model's arrays raises ``ValueError``.
     """
 
     s_in_a: np.ndarray
@@ -104,11 +112,12 @@ class LineModel:
     def __post_init__(self):
         lengths = {}  # per-frequency elements and their point counts
         for name in _LINE_NAMES:
-            m = np.asarray(getattr(self, name), dtype=complex)
+            m = np.array(getattr(self, name), dtype=complex)
             if m.shape[-2:] != (2, 2) or m.ndim not in (2, 3):
                 raise ValueError(f"{name} must have shape (2, 2) or (n, 2, 2)")
             if not np.isfinite(m).all():
                 raise ValueError(f"{name} entries must be finite")
+            m.flags.writeable = False
             object.__setattr__(self, name, m)
             if m.ndim == 3:
                 lengths[name] = len(m)
@@ -119,7 +128,9 @@ class LineModel:
             raise ValueError("isolation must be a scalar or a length-n array")
         if finite.ndim == 1:
             lengths["isolation"] = len(finite)
-            object.__setattr__(self, "isolation", np.asarray(self.isolation, dtype=complex))
+            iso = np.array(self.isolation, dtype=complex)
+            iso.flags.writeable = False
+            object.__setattr__(self, "isolation", iso)
         first = next(iter(lengths), None)
         for name, n in lengths.items():
             if n != lengths[first]:
@@ -139,12 +150,29 @@ class LineModel:
         iso = self.isolation
         return len(iso) if isinstance(iso, np.ndarray) and iso.ndim == 1 else None
 
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, ...]:
+        """Line-block diagonals ``(s11, s12, s21, s22)``, ``(4,)`` or ``(n, 4)``.
+
+        Views of one read-only ``(..., 4, 2, 2)`` stack of the four lines,
+        output lines flipped (see :func:`complementary_blocks`), built on
+        first use.
+        """
+        n = self.n_points
+        shape = (2, 2) if n is None else (n, 2, 2)
+        ia, oa, ib, ob = self.matrices
+        stack = np.stack([np.broadcast_to(m, shape)
+                          for m in (ia, oa[..., ::-1, ::-1], ib, ob[..., ::-1, ::-1])], axis=-3)
+        stack.flags.writeable = False
+        return stack[..., 0, 0], stack[..., 0, 1], stack[..., 1, 0], stack[..., 1, 1]
+
     def at(self, i: int) -> "LineModel":
         """Single-frequency slice of per-frequency line data.
 
-        The slice holds views of this model's arrays, which
+        The slice holds views of this model's read-only arrays, which
         ``__post_init__`` has already validated, so it is not validated
-        again; a later change to those arrays shows in the slice.
+        again, and row ``i`` of this model's line-block diagonals, which
+        :func:`complementary_blocks` returns as they are.
         """
         iso = self.isolation
         if np.ndim(iso):
@@ -153,6 +181,10 @@ class LineModel:
         for name, m in zip(_LINE_NAMES, self.matrices):
             object.__setattr__(line, name, m[i] if m.ndim == 3 else m)
         object.__setattr__(line, "isolation", iso)
+        s11, s12, s21, s22 = blocks = self._blocks
+        if s11.ndim == 2:
+            blocks = s11[i], s12[i], s21[i], s22[i]
+        object.__setattr__(line, "_blocks", blocks)
         return line
 
     def is_passive(self) -> bool:
@@ -184,20 +216,29 @@ def complementary_blocks(lines: LineModel) -> tuple[np.ndarray, ...]:
     internal wave (facing the cell); entry k of each diagonal belongs to
     line k in port order.  Input lines face the instrument with port 1,
     so block ``sij`` reads ``m[i, j]`` (0-based); output lines face it with
-    port 2, so it reads ``m[1 - i, 1 - j]``.  The four diagonals are views
-    of one ``(4, 2, 2)`` array holding the output lines flipped.
+    port 2, so it reads ``m[1 - i, 1 - j]``.  The four diagonals are
+    read-only views of one ``(4, 2, 2)`` stack holding the output lines
+    flipped, which ``lines`` builds once and keeps; per-frequency lines
+    raise ``ValueError``.
     """
-    if lines.n_points is not None:
+    blocks = lines._blocks
+    if blocks[0].ndim != 1:
         raise ValueError("complementary_blocks expects single-frequency lines; use LineModel.at")
-    ia, oa, ib, ob = lines.matrices
-    m = np.array((ia, oa[::-1, ::-1], ib, ob[::-1, ::-1]))
-    return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    return blocks
 
 
 def _cell_matrix(cell) -> np.ndarray:
-    """The 4x4 cell matrix of a PortMatrix or array."""
-    s = np.asarray(getattr(cell, "entries", cell), dtype=complex)
-    if s.shape != (4, 4) or not np.isfinite(s).all():
+    """The 4x4 cell matrix of a PortMatrix or array.
+
+    A PortMatrix was checked square and finite when it was built, so only
+    its port count is checked here; an array is checked in full.
+    """
+    if isinstance(cell, PortMatrix):
+        s, finite = cell.entries, True
+    else:
+        s = np.asarray(cell, dtype=complex)
+        finite = np.isfinite(s).all()
+    if s.shape != (4, 4) or not finite:
         raise ValueError("cell must be a finite 4-port matrix")
     return s
 

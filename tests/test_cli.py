@@ -12,6 +12,8 @@ import pytest
 
 from routercell import calibration, cli, io, model, presets, runs
 
+from touchstone_fixture import spectrum_to_smatrix, write_touchstone
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -442,7 +444,7 @@ class TestMainEntry:
         meas_csv, hd_csv = map(str, chain_inputs["calibrate"])
         meas = io.ingest_spectrum(meas_csv)
         meas_s4p = tmp_path / "meas.s4p"
-        io.write_touchstone(meas_s4p, meas.freqs, io.spectrum_to_smatrix(meas))
+        write_touchstone(meas_s4p, meas.freqs, spectrum_to_smatrix(meas))
         outputs = []
         for side, meas_path in (("csv", meas_csv), ("mixed", str(meas_s4p))):
             out = tmp_path / side

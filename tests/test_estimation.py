@@ -417,8 +417,7 @@ class TestSolver:
     def test_steps_do_not_depend_on_a_variable_unit(self, i, k, boxed):
         # variable i in a unit 10^k times smaller: its value and bounds grow by
         # 10^k and its Jacobian column shrinks by 10^k.  Both problems end on the
-        # cost rule; one that ends on the step rule, |dx| < TOL (TOL + |x|),
-        # is not invariant, since |x| adds up values in different units.
+        # cost rule; the next test covers one that ends on the step rule.
         # Seen over every i, k and box: x within 2.3e-16 relative.
         unit = np.ones(3)
         unit[i] = 10.0**k
@@ -433,6 +432,27 @@ class TestSolver:
                                    tuple(np.array(b) * unit for b in bounds))
         assert (other.nfev, other.success) == (base.nfev, base.success) == (6, True)
         np.testing.assert_allclose(other.x / unit, base.x, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_step_rule_does_not_depend_on_a_held_variable_unit(self, k):
+        # x0 is held on its lower bound 0.8 and the fit ends on the step rule.
+        # With x0 in a unit 10^k times smaller, a rule on the raw step,
+        # |dx| < TOL (TOL + |x|), let the large x0 set |x| and stopped after
+        # 10, 9, 8 and 6 evaluations with x off by up to 7.7e-4 relative; the
+        # scaled step s = dx / scale does not see the unit
+        unit = np.array([10.0**k, 1.0, 1.0])
+        bounds = (np.array([0.8, 0.01, -5.0]), np.array([5.0, 50.0, 5.0]))
+
+        def rescaled(x):
+            f, jac = self.decay(x / unit)
+            return f, jac / unit
+
+        base = _lsq.least_squares(self.decay, [1.0, 1.0, 0.0], bounds)
+        other = _lsq.least_squares(rescaled, np.array([1.0, 1.0, 0.0]) * unit,
+                                   tuple(b * unit for b in bounds))
+        assert base.x[0] == 0.8
+        assert (other.nfev, other.success) == (base.nfev, base.success) == (11, True)
+        np.testing.assert_allclose(other.x / unit, base.x, rtol=1e-12, atol=0.0)
 
     def test_zero_column_and_held_variable(self):
         # x2 moves no residual (scale 1, step 0); the first step clips x0 onto

@@ -7,12 +7,11 @@ exceptions follow the table.
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 
-from routercell import _lsq, calibration, cli, estimation, io, model, network, synth
+from routercell import _lsq, calibration, cli, estimation, model, network, synth
 
 TWO_PI = 2.0 * math.pi
 W_GE = TWO_PI * 6.163e9
@@ -63,8 +62,6 @@ GUARDS = {
                         estimation.FitError, "need at least 8 duration points"),
     "pca-one-setting": (lambda: estimation.pca_populations({0.0: np.ones(3)}, 0.0),
                         ValueError, "need at least 2 distinct settings"),
-    "touchstone-shape": (lambda: io.write_touchstone(os.devnull, [1e9], np.zeros((1, 2, 2))),
-                         ValueError, "smatrix must have shape (n, 4, 4)"),
     "thermal-negative": (lambda: model.ThermalCoefficients(-1.0, 0.0),
                          ValueError, "thermal rate coefficients must be >= 0"),
     "dressed-coupling": (lambda: model.DressedModel(0.0, 1.0, W_GE, W_GE),

@@ -167,3 +167,50 @@ def test_no_package_module_imports_a_name_it_never_uses():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+#: Exported names that no package, benchmark or demo code uses yet, each with
+#: the ROADMAP item that gives it a caller.
+UNUSED_EXPORTS = {
+    "estimation.efficiency_trace": "item 7: the dephasing and thermal chains from data",
+    "io.read_line_model": "item 4: the fit through the known lines",
+}
+
+
+def unreferenced_exports(modules: dict[str, str], code: list[str]) -> set[str]:
+    """``module.name`` for each ``__all__`` name that no source in ``code`` reads.
+
+    A name counts as read where it appears as a name, an attribute or an
+    imported name; ``__all__`` itself and docstrings do not count.
+    """
+    read = set()
+    for source in code:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.split(".")[-1])
+    found = set()
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                found |= {f"{module}.{e.value}" for e in node.value.elts if e.value not in read}
+    return found
+
+
+def test_unreferenced_export_check_sees_names_attributes_and_imports():
+    module = '"""Uses used_doc."""\n__all__ = ["f", "g", "h", "k"]\ndef f(): pass\ndef g(): pass\n'
+    code = [module, "from m import g\nimport m\nm.h()\nprint(k)\n"]
+    assert unreferenced_exports({"m": module}, code) == {"m.f"}
+
+
+def test_every_export_is_used_outside_the_tests():
+    root = Path(__file__).resolve().parents[1]
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((root / "src" / "routercell").glob("*.py"))}
+    code = [p.read_text(encoding="utf-8") for folder in ("src", "bench", "demos")
+            for p in sorted((root / folder).rglob("*.py")) if not p.name.startswith("test_")]
+    assert unreferenced_exports(modules, code) == set(UNUSED_EXPORTS)

@@ -20,6 +20,8 @@ from hypothesis.extra.numpy import arrays
 from routercell import io, model, network, presets, runs
 from routercell.calibration import ChannelSpectrum
 
+from touchstone_fixture import spectrum_to_smatrix, write_touchstone
+
 TWO_PI = 2.0 * math.pi
 FREQS = np.linspace(6.14e9, 6.19e9, 37)
 
@@ -93,7 +95,7 @@ class TestRoundTripProperties:
     @given(spectra(with_meta=False))
     def test_touchstone_round_trip_is_exact(self, tmp_path_factory, spectrum):
         path = tmp_path_factory.mktemp("s4p") / "spec.s4p"
-        io.write_touchstone(path, spectrum.freqs, io.spectrum_to_smatrix(spectrum))
+        write_touchstone(path, spectrum.freqs, spectrum_to_smatrix(spectrum))
         assert_same_spectrum(io.ingest_spectrum(path), spectrum)
 
 
@@ -359,7 +361,7 @@ def write_raw(path, fmt, freqs, traces, meta=None):
     if fmt == "s4p":
         s = np.zeros((freqs.size, 4, 4), dtype=complex)
         s[:, io._TOUCHSTONE_OUT, io._TOUCHSTONE_IN] = traces.T
-        io.write_touchstone(path, freqs, s)
+        write_touchstone(path, freqs, s)
         return
     meta = meta or {}
     rows = traces.size
@@ -634,7 +636,7 @@ class TestTouchstone:
         s = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
         freqs = np.linspace(1e9, 2e9, 5)
         path = tmp_path / "cell.s4p"
-        io.write_touchstone(path, freqs, s)
+        write_touchstone(path, freqs, s)
         freqs2, s2 = io.read_touchstone(path)
         assert np.array_equal(freqs2, freqs)
         assert np.array_equal(s2, s)
@@ -643,9 +645,9 @@ class TestTouchstone:
         # ports: 1=A-in, 2=A-out, 3=B-in, 4=B-out; channels are
         # output<-input entries of the matrix
         spectrum = sample_spectrum()
-        s = io.spectrum_to_smatrix(spectrum)
+        s = spectrum_to_smatrix(spectrum)
         path = tmp_path / "cell.s4p"
-        io.write_touchstone(path, spectrum.freqs, s)
+        write_touchstone(path, spectrum.freqs, s)
         back = io.ingest_spectrum(path)
         for ch in model.CHANNELS:
             assert np.array_equal(back.channel(ch), spectrum.channel(ch))
@@ -730,7 +732,7 @@ class TestTouchstone:
         spectrum = sample_spectrum()
         path = tmp_path / name
         if touchstone:
-            io.write_touchstone(path, spectrum.freqs, io.spectrum_to_smatrix(spectrum))
+            write_touchstone(path, spectrum.freqs, spectrum_to_smatrix(spectrum))
         else:
             io.write_spectrum(spectrum, path)
         assert_same_spectrum(io.ingest_spectrum(path), spectrum)
@@ -775,7 +777,7 @@ class TestByteOrderMark:
     def test_touchstone(self, tmp_path):
         spectrum = sample_spectrum()
         path = tmp_path / "cell.s4p"
-        io.write_touchstone(path, spectrum.freqs, io.spectrum_to_smatrix(spectrum))
+        write_touchstone(path, spectrum.freqs, spectrum_to_smatrix(spectrum))
         assert_same_spectrum(io.ingest_spectrum(with_bom(path)), io.ingest_spectrum(path))
 
     def test_config(self, tmp_path):

@@ -141,6 +141,47 @@ class TestLineModel:
         assert point.s_out_a is lines.s_out_a
         assert point.n_points is None
 
+    def test_slices_share_one_stack_built_once(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        per_point = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        lines = network.LineModel(per_point, two_port(0.9, r11=0.1), per_point[::-1],
+                                  two_port(0.8, r22=0.2j), isolation=np.full(5, 1e-2))
+        stack = np.stack
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append("stack")
+            return stack(*args, **kwargs)
+
+        monkeypatch.setattr(np, "stack", counted)
+        diagonals = lines._blocks
+        base = diagonals[0].base
+        assert all(d.base is base and d.shape == (5, 4) for d in diagonals)
+        assert base.shape == (5, 4, 2, 2) and not base.flags.writeable
+        for i in range(5):
+            for got, d in zip(network.complementary_blocks(lines.at(i)), diagonals):
+                assert got.base is base and np.shares_memory(got, d)
+                assert np.array_equal(got, d[i])
+        assert calls == ["stack"]
+
+    def test_arrays_are_read_only_copies(self):
+        rng = np.random.default_rng(3)
+        s_in_a = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        iso = np.full(4, 1e-3 + 0j)
+        lines = network.LineModel(s_in_a, self.E, self.E, self.E, isolation=iso)
+        kept = [m.copy() for m in lines.matrices]
+        before = [d.copy() for d in network.complementary_blocks(lines.at(2))]
+        for m in (*lines.matrices, lines.isolation):
+            with pytest.raises(ValueError, match="read-only"):
+                m[...] = 0.0
+        s_in_a[...] = 7.0
+        iso[...] = 7.0
+        for got, want in zip(lines.matrices, kept):
+            assert np.array_equal(got, want)
+        assert np.all(lines.isolation == 1e-3)
+        for got, want in zip(network.complementary_blocks(lines.at(2)), before):
+            assert np.array_equal(got, want)
+
 
 class TestComplementaryBlocks:
     def test_ideal_lines(self):
@@ -173,6 +214,18 @@ class TestComplementaryBlocks:
         m = np.repeat(two_port(0.9)[None], 3, axis=0)
         lines = network.LineModel(m, m, m, m)
         with pytest.raises(ValueError):
+            network.complementary_blocks(lines)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"s_in_b": np.repeat(two_port(0.9)[None], 3, axis=0)},
+        {"isolation": np.zeros(3)},
+    ], ids=["lines", "isolation"])
+    def test_rejects_per_frequency_lines_after_slicing(self, kwargs):
+        m = two_port(0.9)
+        lines = network.LineModel(**{"s_in_a": m, "s_out_a": m, "s_in_b": m, "s_out_b": m,
+                                     **kwargs})
+        network.complementary_blocks(lines.at(1))  # builds and keeps the stack
+        with pytest.raises(ValueError, match="single-frequency"):
             network.complementary_blocks(lines)
 
 
@@ -326,6 +379,13 @@ EITHER_SIDE_OF_THE_BOUND = st.one_of(st.tuples(cell_matrices(), reflective_lines
                                      reflector_networks())
 
 
+#: Both compositions, the series at order 2.
+COMPOSITIONS = pytest.mark.parametrize("compose", [
+    network.compose_exact,
+    lambda cell, lines: network.compose_neumann(cell, lines, order=2),
+], ids=["exact", "series"])
+
+
 class TestCompositionProperties:
     @COMPOSE_SETTINGS
     @given(cell_matrices(), passive_lines())
@@ -443,10 +503,27 @@ class TestCompositionProperties:
             network.compose_exact(cell, lines)
             network.compose_neumann(cell, lines, order=3)
 
-    @pytest.mark.parametrize("compose", [
-        network.compose_exact,
-        lambda cell, lines: network.compose_neumann(cell, lines, order=2),
-    ], ids=["exact", "series"])
+    @COMPOSITIONS
+    def test_port_matrix_cell_is_not_checked_again(self, monkeypatch, compose):
+        # a PortMatrix was checked finite when it was built; a raw array is checked here
+        isfinite = np.isfinite
+        checked = []
+
+        def spy(a, *args, **kwargs):
+            checked.append(a)
+            return isfinite(a, *args, **kwargs)
+
+        cell = model.cell_smatrix(CELL.omega_ge, CELL)
+        raw = cell.entries.copy()
+        lines = random_lines(np.random.default_rng(5))
+        monkeypatch.setattr(np, "isfinite", spy)
+        compose(cell, lines)
+        assert not any(a is cell.entries for a in checked)
+        checked.clear()
+        compose(raw, lines)
+        assert any(a is raw for a in checked)
+
+    @COMPOSITIONS
     @pytest.mark.parametrize("cell", [
         network.PortMatrix(np.eye(3)),
         np.where(np.eye(4) > 0, np.nan, 0.0),

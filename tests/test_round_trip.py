@@ -1,0 +1,62 @@
+"""No silent wrong answers: the in-process round trip over its configurations.
+
+Each run of ``gen_spectrum -> calibrate_responses -> initial_guess_from_spectrum
+-> fit_four_channel`` must end in one of three ways: a typed error, a fit that
+says it is unsure (``converged=False`` or a flag), or couplings within
+``K_SIGMA`` of their reported standard errors of the truth.  This is ROADMAP
+item 16's contract; the coherence rate stays 0 until item 5 fits it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from routercell import calibration, estimation, model, synth
+
+TWO_PI = 2.0 * math.pi
+F_GE = 6.163e9
+CELL = model.CellParams(TWO_PI * 1.82e6, TWO_PI * 2.31e6, TWO_PI * F_GE,
+                        phi_a=-0.06 * math.pi, phi_b=0.05 * math.pi)
+FREQS = np.linspace(F_GE - 25e6, F_GE + 25e6, 401)
+K_SIGMA = 5.0
+TYPED_ERRORS = (ValueError, calibration.CalibrationError, estimation.FitError)
+
+
+def silent_misses(isolation_db: float, sigma: float, seeds) -> list[tuple[int, dict]]:
+    """Seeds whose fit converged unflagged with a coupling beyond ``K_SIGMA``, with their |z|.
+
+    The lines are acceptance 04's apart from the isolation.
+    """
+    lines = synth.LineSpec(transmission_db=-2.0, jitter_db=1.0, reflection_bound=0.05,
+                           isolation_db=isolation_db)
+    misses = []
+    for seed in seeds:
+        config = synth.CampaignConfig(cell=CELL, lines=lines, freqs=FREQS,
+                                      noise_sigma=sigma, seed=seed)
+        try:
+            out = synth.gen_spectrum(config)
+            calibrated = calibration.calibrate_responses(out.meas, out.hd)
+            init = estimation.initial_guess_from_spectrum(calibrated)
+            report = estimation.fit_four_channel(calibrated, init, seed=seed)
+        except TYPED_ERRORS:
+            continue
+        if not report.converged or report.flags:
+            continue
+        z = {name: abs(report.value(name) - getattr(out.truth, name)) / report.sigma[name]
+             for name in ("gamma_a", "gamma_b")}
+        if not all(v <= K_SIGMA for v in z.values()):  # a NaN sigma is a miss too
+            misses.append((seed, z))
+    return misses
+
+
+def test_acceptance_04_lines_keep_the_contract():
+    assert silent_misses(-20.0, 1e-3, range(10)) == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 14: at -40 dB isolation the cross-channel calibration divides by "
+    "leakage near the noise, and the fits end converged, unflagged and wrong"))
+def test_good_isolation_and_low_signal_keep_the_contract():
+    # measured: all 10 seeds converge with no flag, coupling errors 49-100 %
+    assert silent_misses(-40.0, 0.01, range(10)) == []

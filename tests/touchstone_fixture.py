@@ -1,0 +1,37 @@
+"""Four-port touchstone fixtures: the test writer that ``io.read_touchstone`` reads back.
+
+Nothing in the package writes touchstone files; the tests write them here,
+in RI format with the port map of :mod:`routercell.io`, to feed its reader.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from routercell.io import _TOUCHSTONE_IN, _TOUCHSTONE_OUT
+
+
+def write_touchstone(path, freqs, smatrix) -> None:
+    """Write a 4-port touchstone file in RI format."""
+    freqs = np.asarray(freqs, dtype=float)
+    s = np.asarray(smatrix, dtype=complex)
+    if s.shape != (freqs.size, 4, 4):
+        raise ValueError("smatrix must have shape (n, 4, 4)")
+    with Path(path).open("w") as fh:
+        fh.write("! 4-port S-parameters, ports: 1=A-in 2=A-out 3=B-in 4=B-out\n")
+        fh.write("# HZ S RI R 50\n")
+        for f, mat in zip(freqs, s):
+            for row in range(4):
+                head = repr(float(f)) if row == 0 else ""
+                entries = " ".join(
+                    f"{float(mat[row, col].real)!r} {float(mat[row, col].imag)!r}"
+                    for col in range(4)
+                )
+                fh.write(f"{head} {entries}\n".lstrip())
+
+
+def spectrum_to_smatrix(spectrum) -> np.ndarray:
+    """Embed the four channels into (n, 4, 4) matrices at their port slots."""
+    s = np.zeros((len(spectrum), 4, 4), dtype=complex)
+    s[:, _TOUCHSTONE_OUT, _TOUCHSTONE_IN] = spectrum.traces.T
+    return s
