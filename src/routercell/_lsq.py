@@ -3,7 +3,9 @@
 Damped Gauss–Newton steps (Moré, *The Levenberg–Marquardt algorithm:
 implementation and theory*, 1978) on normal equations scaled by the
 Jacobian's column norms, with box bounds handled by projection and the
-stopping rules of ``scipy.optimize.least_squares``.  The normal
+stopping rules of ``scipy.optimize.least_squares``.  The bounds are
+tested once per fit: the held-variable test and the clip into the box run
+only when some bound is finite.  The normal
 equations are formed first, ``J^T J`` and ``J^T f`` from the unscaled
 Jacobian, once per accepted point, and scaled afterwards: the only passes
 over the ``m`` residuals are those two products.  The problem is one
@@ -47,7 +49,8 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
     were.  A variable sitting on a bound with its gradient pointing out of
     the box is held fixed (its rows and columns of ``A`` and its entry of
     ``g`` are zeroed, only when some variable is held); the others step
-    and the result is clipped back into the box.
+    and the result is clipped back into the box; with no finite bound, as
+    by default, neither the held test nor the clip runs.
     ``lam`` follows Nielsen's update: shrunk by the gain ratio after a
     step that lowers the cost, doubled-and-growing after one that does not.
 
@@ -64,9 +67,12 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
     ``ValueError`` when the residuals at the start, clipped into the box,
     are not finite.
     """
-    x = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float)
     lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
-    x = np.clip(x, lower, upper)
+    # an infinite box holds no variable and clips nothing: decided once per fit
+    bounded = bool(np.isfinite(lower).any() or np.isfinite(upper).any())
+    if bounded:
+        np.clip(x, lower, upper, out=x)
 
     f, J = (np.asarray(v, dtype=float) for v in fun(x))
     if not np.isfinite(f).all():
@@ -81,13 +87,17 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
             a *= scale
             a *= scale[:, None]
             g *= scale
-            held = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
-            if held.any():
-                a[held] = 0.0
-                a[:, held] = 0.0
-                g[held] = 0.0
+            if bounded:
+                held = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
+                if held.any():
+                    a[held] = 0.0
+                    a[:, held] = 0.0
+                    g[held] = 0.0
+            xs = x / scale
+            x_norm = math.sqrt(xs @ xs)  # |D^-1 x| of the step rule, once per accepted point
         x_new = x - scale * np.linalg.solve(a + lam * eye, g)
-        np.clip(x_new, lower, upper, out=x_new)
+        if bounded:
+            np.clip(x_new, lower, upper, out=x_new)
         f_new, J_new = (np.asarray(v, dtype=float) for v in fun(x_new))
         nfev += 1
         # a residual that is not finite makes the cost inf or nan: either rejects the step
@@ -99,9 +109,8 @@ def least_squares(fun, x0, bounds=(-np.inf, np.inf)):
         ratio = actual / predicted if predicted > 0 else 0.0
         # a rejected step that lost and promised less than TOL of the cost: at the minimum
         flat = actual <= 0 and -actual < TOL * cost and predicted < TOL * cost
-        xs = x / scale
         success = ((actual < TOL * cost and ratio > 0.25) or flat
-                   or math.sqrt(s @ s) < TOL * (TOL + math.sqrt(xs @ xs)))
+                   or math.sqrt(s @ s) < TOL * (TOL + x_norm))
         moved = actual > 0
         if moved:
             x, f, J, cost = x_new, f_new, J_new, cost_new

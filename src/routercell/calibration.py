@@ -81,10 +81,12 @@ class ChannelSpectrum:
         for name, tr in zip(CHANNELS, rows):
             if tr.shape != freqs.shape:
                 raise ValueError(f"channel {name} length {tr.size} != {freqs.size} frequencies")
-            if not np.all(np.isfinite(tr)):
-                raise ValueError(f"channel {name} contains non-finite samples")
+        traces = np.array(rows)
+        finite = np.isfinite(traces).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"channel {CHANNELS[int(np.argmin(finite))]} contains non-finite samples")
         object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "traces", np.array(rows))
+        object.__setattr__(self, "traces", traces)
 
     def __len__(self) -> int:
         return self.freqs.size
@@ -163,15 +165,16 @@ def resample(spectrum: ChannelSpectrum, freqs) -> ChannelSpectrum:
 
 
 def _check_reference(hd: ChannelSpectrum) -> None:
-    for name, tr in zip(CHANNELS, hd.traces):
-        bad = np.flatnonzero(np.abs(tr) < REFERENCE_FLOOR)
-        if bad.size:
-            freqs = ", ".join(f"{hd.freqs[i]:.6g}" for i in bad[:5])
-            more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
-            raise CalibrationError(
-                f"high-drive reference {name} below floor {REFERENCE_FLOOR:g} at "
-                f"{bad.size} frequencies: {freqs}{more} Hz"
-            )
+    low = np.abs(hd.traces) < REFERENCE_FLOOR
+    if low.any():
+        row = int(np.argmax(low.any(axis=1)))  # the first channel below the floor
+        bad = np.flatnonzero(low[row])
+        freqs = ", ".join(f"{hd.freqs[i]:.6g}" for i in bad[:5])
+        more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
+        raise CalibrationError(
+            f"high-drive reference {CHANNELS[row]} below floor {REFERENCE_FLOOR:g} at "
+            f"{bad.size} frequencies: {freqs}{more} Hz"
+        )
 
 
 def _continuous_sqrt(values: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import ChannelSpectrum
-from .model import CHANNELS
+from .model import _CHANNEL_IN, _CHANNEL_OUT, CHANNELS
 from .network import LineModel
 from .runs import ParseError
 
@@ -41,10 +41,6 @@ __all__ = [
 
 _CSV_HEADER = ["freq_hz", "channel", "re", "im"]
 _CSV_META = ["bias_ma", "power_dbm", "temp_k"]
-
-#: Touchstone port indices (0-based) of the channels in CHANNELS order.
-_TOUCHSTONE_OUT = [1, 3, 3, 1]
-_TOUCHSTONE_IN = [0, 2, 0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +299,7 @@ def read_touchstone(path) -> tuple[np.ndarray, np.ndarray]:
 
 def _ingest_touchstone(path) -> ChannelSpectrum:
     freqs, s = read_touchstone(path)
-    return ChannelSpectrum(*_finite_points(path, freqs, s[:, _TOUCHSTONE_OUT, _TOUCHSTONE_IN].T))
+    return ChannelSpectrum(*_finite_points(path, freqs, s[:, _CHANNEL_OUT, _CHANNEL_IN].T))
 
 
 def ingest_spectrum(path) -> ChannelSpectrum:

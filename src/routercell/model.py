@@ -267,9 +267,20 @@ def cell_coefficients(omega, p: CellParams) -> np.ndarray:
                          p.phi_a, p.phi_b, p.coherence_rate)
 
 
+#: Port order of every 4x4 matrix: the cell's, and a touchstone file's.
+_PORTS = ("A-in", "A-out", "B-in", "B-out")
+#: Channel ``XY`` runs from port ``X-in`` to port ``Y-out``: the output and
+#: input port indices of the :data:`CHANNELS`, in their order.
+_CHANNEL_OUT = [_PORTS.index(f"{ch[1]}-out") for ch in CHANNELS]
+_CHANNEL_IN = [_PORTS.index(f"{ch[0]}-in") for ch in CHANNELS]
 #: Where :func:`cell_smatrix` reads each entry: slots 0-3 are the
 #: :data:`CHANNELS`, 4 and 5 the reflections ``t_AA - 1`` and ``t_BB - 1``.
-_SMATRIX_SLOTS = np.array([[4, 0, 3, 3], [0, 4, 3, 3], [2, 2, 5, 1], [2, 2, 1, 5]])
+#: The emitter radiates both ways along each waveguide (ports ``2w`` and
+#: ``2w + 1``), so each channel fills the 2x2 block of its two waveguides.
+_WAVEGUIDE_CHANNEL = np.empty((2, 2), dtype=int)
+_WAVEGUIDE_CHANNEL[np.floor_divide(_CHANNEL_OUT, 2), np.floor_divide(_CHANNEL_IN, 2)] = range(len(CHANNELS))
+_SMATRIX_SLOTS = np.kron(_WAVEGUIDE_CHANNEL, np.ones((2, 2), dtype=int))
+np.fill_diagonal(_SMATRIX_SLOTS, [4, 4, 5, 5])
 
 
 def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:

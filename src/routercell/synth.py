@@ -10,6 +10,15 @@ Determinism: identical (config, seed) produce bit-identical outputs.
 Independent sweep points may be generated in parallel using per-point
 seeds from :func:`derive_seed`, which mixes the campaign seed with any
 number of integer or string keys through ``numpy.random.SeedSequence``.
+
+The lines come from the stream ``derive_seed(seed, "lines")``, drawn in
+this order: for each line (``s_in_a``, ``s_out_a``, ``s_in_b``,
+``s_out_b``) four phases and then two reflection magnitudes; then the
+isolation phase; then, for rippled lines, one ripple offset per line in
+the same order.  A line with through level ``t`` and reflections ``r``
+has spectral norm at most ``t + max r``, so it is passive as drawn when
+that sum is at most 1; only when ``t + max r > 1`` (less a margin for
+rounding) does an SVD find the norm and scale an active line below 1.
 """
 
 from __future__ import annotations
@@ -113,15 +122,14 @@ def _random_two_port(rng: np.random.Generator, trans_db: float,
     t_mag = 10.0 ** (trans_db / 20.0)
     phases = rng.uniform(-np.pi, np.pi, size=4)
     r_mags = rng.uniform(0.0, reflection_bound, size=2)
-    m = np.array(
-        [
-            [r_mags[0] * np.exp(1j * phases[0]), t_mag * np.exp(1j * phases[1])],
-            [t_mag * np.exp(1j * phases[2]), r_mags[1] * np.exp(1j * phases[3])],
-        ]
-    )
-    top = np.linalg.norm(m, 2)
-    if top > 1.0:
-        m = m / (top * (1.0 + 1e-12))
+    m = (np.array([r_mags[0], t_mag, t_mag, r_mags[1]]) * np.exp(1j * phases)).reshape(2, 2)
+    # t + max r is sqrt(|m|_1 |m|_inf) >= |m|_2: below 1 by more than the few
+    # ulps a computed norm can exceed the true one by (a lossless matched line's
+    # computes above 1 for one phase draw in ten), it proves no scaling is needed
+    if t_mag + r_mags.max() > 1.0 - 1e-12:
+        top = np.linalg.norm(m, 2)
+        if top > 1.0:
+            m = m / (top * (1.0 + 1e-12))
     return m
 
 
@@ -130,35 +138,25 @@ def gen_lines(spec: LineSpec, seed: int, freqs=None) -> LineModel:
 
     With ``freqs`` given and ``ripple_db > 0``, the through transmissions
     acquire a smooth per-frequency level ripple and the line matrices have
-    shape (n, 2, 2); otherwise they are frequency independent.
+    shape (n, 2, 2); otherwise they are frequency independent.  The draw
+    order is the module docstring's.
     """
     rng = np.random.default_rng(derive_seed(seed, "lines"))
     quarter = spec.jitter_db / 4.0
-    levels = {
-        "s_in_a": spec.transmission_db + quarter,
-        "s_out_a": spec.transmission_db + quarter,
-        "s_in_b": spec.transmission_db - quarter,
-        "s_out_b": spec.transmission_db - quarter,
-    }
-    matrices = {
-        name: _random_two_port(rng, db, spec.reflection_bound)
-        for name, db in levels.items()
-    }
+    # s_in_a, s_out_a, s_in_b, s_out_b
+    levels = (spec.transmission_db + quarter,) * 2 + (spec.transmission_db - quarter,) * 2
+    matrices = np.array([_random_two_port(rng, db, spec.reflection_bound) for db in levels])
     iso = 10.0 ** (spec.isolation_db / 20.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
 
     if freqs is not None and spec.ripple_db > 0.0:
         f = np.asarray(freqs, dtype=float)
         phase = (f - f[0]) / (f[-1] - f[0]) * 2.0 * np.pi * spec.ripple_periods
-        rippled = {}
-        for name, m in matrices.items():
-            offset = rng.uniform(-np.pi, np.pi)
-            level = 10.0 ** (spec.ripple_db * np.sin(phase + offset) / 20.0)
-            stack = np.repeat(m[None, :, :], f.size, axis=0)
-            stack[:, 1, 0] *= level
-            stack[:, 0, 1] *= level
-            rippled[name] = stack
-        matrices = rippled
-    return LineModel(isolation=complex(iso), **matrices)
+        offsets = rng.uniform(-np.pi, np.pi, size=len(levels))
+        level = 10.0 ** (spec.ripple_db * np.sin(phase + offsets[:, None]) / 20.0)
+        matrices = np.repeat(matrices[:, None], f.size, axis=1)
+        matrices[..., 1, 0] *= level
+        matrices[..., 0, 1] *= level
+    return LineModel(*matrices, isolation=complex(iso))
 
 
 def hd_cell_coefficients(n_points: int | None = None) -> np.ndarray:

@@ -44,6 +44,28 @@ class TestChannelSpectrum:
         with pytest.raises(ValueError, match="4 channels"):
             calibration.ChannelSpectrum(self.FREQS, stacked[:3])
 
+    @pytest.mark.parametrize("rows, named", [((3,), "BA"), ((2, 3), "AB"), ((0, 3), "AA")])
+    def test_stacked_traces_name_the_first_non_finite_channel(self, rows, named):
+        stacked = np.ones((4, 11), dtype=complex)
+        stacked[list(rows), 7] = np.nan
+        with pytest.raises(ValueError, match=f"channel {named} contains non-finite"):
+            calibration.ChannelSpectrum(self.FREQS, stacked)
+
+    def test_ragged_rows_raise_the_length_message(self):
+        rows = [np.ones(11), np.ones(11), np.ones(10), np.ones(11)]
+        with pytest.raises(ValueError, match="channel AB length 10 != 11 frequencies"):
+            calibration.ChannelSpectrum(self.FREQS, rows)
+        with pytest.raises(ValueError, match="channel AA length 12 != 11 frequencies"):
+            calibration.ChannelSpectrum(self.FREQS, np.ones((4, 12)))
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_stored_traces_are_a_copy(self, dtype):
+        stacked = np.arange(44, dtype=dtype).reshape(4, 11)
+        spectrum = calibration.ChannelSpectrum(self.FREQS, stacked)
+        stacked[1, 2] = -1.0
+        assert spectrum.traces.dtype == complex
+        assert spectrum.traces[1, 2] == 13.0
+
 
 class TestUnwrapHalvedPhase:
     def test_constant_phase(self):
@@ -165,6 +187,15 @@ class TestCalibrateResponses:
         with pytest.raises(calibration.CalibrationError, match="AB") as err:
             calibration.calibrate_responses(meas, hd_bad)
         assert f"{self.FREQS[5]:.6g}" in str(err.value)
+
+    def test_reference_error_names_the_first_channel_below_the_floor(self):
+        meas, hd = self.make_pair()
+        broken = hd.traces.copy()
+        broken[model.CHANNELS.index("BA"), :3] = 0.0
+        broken[model.CHANNELS.index("AB"), 10:17] = 1e-9
+        with pytest.raises(calibration.CalibrationError,
+                           match=r"reference AB below floor 1e-08 at 7 frequencies: .* \(\+2 more\) Hz"):
+            calibration.calibrate_responses(meas, calibration.ChannelSpectrum(self.FREQS, broken))
 
 
 PHASE = st.floats(min_value=-0.45 * math.pi, max_value=0.45 * math.pi)

@@ -412,6 +412,35 @@ class TestSolver:
         assert boxed.fun.tobytes() == free.fun.tobytes()
         assert boxed.nfev == free.nfev
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.floats(0.3, 3.0), st.floats(0.3, 4.0), st.floats(-0.5, 0.5), st.integers(0, 2**16))
+    def test_infinite_and_idle_bounds_take_the_same_steps(self, amp, rate, offset, seed):
+        # the solver tests its bounds once: an infinite box, defaulted or given,
+        # holds and clips nothing, so it skips both; a finite box that no trial
+        # reaches runs both and must change no bit
+        t = self.DECAY_T
+        y = amp * np.exp(-rate * t) + offset + 1e-3 * np.random.default_rng(seed).standard_normal(t.size)
+
+        def solve(*bounds):
+            trials = []
+
+            def fun(x):
+                trials.append(x.tobytes())
+                e = np.exp(-x[1] * t)
+                return x[0] * e + x[2] - y, np.column_stack([e, -x[0] * t * e, np.ones_like(e)])
+
+            result = _lsq.least_squares(fun, [1.0, 1.0, 0.0], *bounds)
+            return result, trials
+
+        free, trials = solve()
+        reached = np.abs(np.frombuffer(b"".join(trials)).reshape(-1, 3)).max()
+        assert free.success and reached < 1e3
+        for bounds in [(-np.inf, np.inf), ([-np.inf] * 3, [np.inf] * 3), (-1e3, 1e3),
+                       ([-1e3, -np.inf, -1e3], [np.inf, 1e3, 1e3])]:
+            other, other_trials = solve(bounds)
+            assert other_trials == trials
+            assert other.x.tobytes() == free.x.tobytes() and other.nfev == free.nfev
+
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(st.integers(0, 2), st.integers(-8, 8), st.booleans())
     def test_steps_do_not_depend_on_a_variable_unit(self, i, k, boxed):

@@ -360,7 +360,7 @@ def write_raw(path, fmt, freqs, traces, meta=None):
     """Write a spectrum that may hold non-finite values, as CSV or s4p."""
     if fmt == "s4p":
         s = np.zeros((freqs.size, 4, 4), dtype=complex)
-        s[:, io._TOUCHSTONE_OUT, io._TOUCHSTONE_IN] = traces.T
+        s[:, model._CHANNEL_OUT, model._CHANNEL_IN] = traces.T
         write_touchstone(path, freqs, s)
         return
     meta = meta or {}
@@ -651,6 +651,16 @@ class TestTouchstone:
         back = io.ingest_spectrum(path)
         for ch in model.CHANNELS:
             assert np.array_equal(back.channel(ch), spectrum.channel(ch))
+
+    def test_touchstone_and_cell_share_one_port_map(self):
+        # channel XY runs from port X-in to port Y-out, ports in the order
+        # (A-in, A-out, B-in, B-out); the cell matrix carries each channel there
+        out, into = model._CHANNEL_OUT, model._CHANNEL_IN
+        assert (out, into) == ([1, 3, 3, 1], [0, 2, 0, 2])
+        assert model._SMATRIX_SLOTS.tolist() == [[4, 0, 3, 3], [0, 4, 3, 3], [2, 2, 5, 1], [2, 2, 1, 5]]
+        cell = presets.STEADY_STATE_CELL
+        s = model.cell_smatrix(cell.omega_ge, cell).entries
+        assert np.array_equal(s[out, into], model.cell_coefficients(cell.omega_ge, cell))
 
     def test_ma_format_and_units(self, tmp_path):
         path = tmp_path / "ma.s4p"

@@ -1,14 +1,15 @@
 """Four-port touchstone fixtures: the test writer that ``io.read_touchstone`` reads back.
 
 Nothing in the package writes touchstone files; the tests write them here,
-in RI format with the port map of :mod:`routercell.io`, to feed its reader.
+in RI format with the port map of :mod:`routercell.model`, to feed the reader
+of :mod:`routercell.io`.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from routercell.io import _TOUCHSTONE_IN, _TOUCHSTONE_OUT
+from routercell.model import _CHANNEL_IN, _CHANNEL_OUT
 
 
 def write_touchstone(path, freqs, smatrix) -> None:
@@ -33,5 +34,5 @@ def write_touchstone(path, freqs, smatrix) -> None:
 def spectrum_to_smatrix(spectrum) -> np.ndarray:
     """Embed the four channels into (n, 4, 4) matrices at their port slots."""
     s = np.zeros((len(spectrum), 4, 4), dtype=complex)
-    s[:, _TOUCHSTONE_OUT, _TOUCHSTONE_IN] = spectrum.traces.T
+    s[:, _CHANNEL_OUT, _CHANNEL_IN] = spectrum.traces.T
     return s
