@@ -324,7 +324,7 @@ def gamma_phi_from_E(e, gamma_a: float, gamma_b: float):
     each value of ``e``, a scalar or an array.  Noisy values above 1 are
     clamped to 1 (zero dephasing) with one warning that gives their count.
     """
-    if gamma_a <= 0 or gamma_b <= 0:
+    if not (gamma_a > 0 and gamma_b > 0):
         raise ValueError("couplings must be > 0")
     e = np.asarray(e, dtype=float)
     bad = e[~(np.isfinite(e) & (e > 0))]

@@ -329,9 +329,10 @@ def write_line_model(lines: LineModel, path, freqs=None,
                      run_id: str | None = None) -> None:
     """Write a network description: the four two-ports and the isolation.
 
-    One row per (frequency point, element).  Frequency-independent lines
-    are written as a single point with an empty ``freq_hz`` field;
-    per-frequency lines require finite ``freqs`` of matching length.
+    One row per (frequency point, element) of ``lines.two_ports``.
+    Frequency-independent lines are written as a single point with an
+    empty ``freq_hz`` field; per-frequency lines require finite ``freqs``
+    of matching length.
     """
     n = lines.n_points
     if n is not None:
@@ -345,8 +346,8 @@ def write_line_model(lines: LineModel, path, freqs=None,
         n = 1
         freq_col = [""] * len(_LINE_ELEMENTS)
     # (4n, 4) complex rows of s11, s12, s21, s22, point-major like the file
-    blocks = np.stack([np.broadcast_to(m, (n, 2, 2)) for m in lines.matrices], axis=1)
-    values = np.ascontiguousarray(blocks.reshape(4 * n, 4)).view(float)
+    blocks = lines.two_ports.reshape(len(_LINE_ELEMENTS), n, 4).swapaxes(0, 1)
+    values = np.ascontiguousarray(blocks).reshape(4 * n, 4).view(float)
     iso = np.repeat(np.broadcast_to(np.asarray(lines.isolation, dtype=complex), (n,)),
                     len(_LINE_ELEMENTS))
     columns = [freq_col, _LINE_ELEMENTS * n, *values.T, iso.real, iso.imag]
@@ -372,8 +373,8 @@ def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:
         raise ParseError("non-finite line-model value", lines[np.argmin(finite)])
     # (element, point, [s11, s12, s21, s22, iso]); a view keeps signed zeros
     entries = values[index].view(complex)
-    matrices, iso = entries[..., :4].reshape(len(_LINE_ELEMENTS), -1, 2, 2), entries[0, :, 4]
+    two_ports, iso = entries[..., :4].reshape(len(_LINE_ELEMENTS), -1, 2, 2), entries[0, :, 4]
     if constant:
-        return LineModel(*matrices[:, 0], isolation=complex(iso[0])), None
-    return LineModel(*matrices, isolation=iso), freqs[index[0]]
+        return LineModel(two_ports[:, 0], isolation=complex(iso[0])), None
+    return LineModel(two_ports, isolation=iso), freqs[index[0]]
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import PortMatrix
+from .network import _PORTS, PortMatrix
 
 __all__ = [
     "CHANNELS",
@@ -166,6 +166,8 @@ class ThermalCoefficients:
     gamma_phi_zero: float
 
     def __post_init__(self):
+        _check_finite("gamma1_zero", self.gamma1_zero)
+        _check_finite("gamma_phi_zero", self.gamma_phi_zero)
         if self.gamma1_zero < 0 or self.gamma_phi_zero < 0:
             raise ValueError("thermal rate coefficients must be >= 0")
 
@@ -189,6 +191,8 @@ class SaturationParams:
     d: float
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            _check_finite(name, getattr(self, name))
         if self.d <= 0:
             raise ValueError("photon-number scale d must be > 0")
         if self.c <= 0:
@@ -205,6 +209,8 @@ class DressedModel:
     omega_ef: float
 
     def __post_init__(self):
+        for name in ("lambda_red", "lambda_blue", "omega_ge", "omega_ef"):
+            _check_finite(name, getattr(self, name))
         if self.lambda_red <= 0 or self.lambda_blue <= 0:
             raise ValueError("dressed coupling strengths must be > 0")
 
@@ -267,8 +273,6 @@ def cell_coefficients(omega, p: CellParams) -> np.ndarray:
                          p.phi_a, p.phi_b, p.coherence_rate)
 
 
-#: Port order of every 4x4 matrix: the cell's, and a touchstone file's.
-_PORTS = ("A-in", "A-out", "B-in", "B-out")
 #: Channel ``XY`` runs from port ``X-in`` to port ``Y-out``: the output and
 #: input port indices of the :data:`CHANNELS`, in their order.
 _CHANNEL_OUT = [_PORTS.index(f"{ch[1]}-out") for ch in CHANNELS]
@@ -328,7 +332,7 @@ def resonant_efficiency(gamma_a: float, gamma_b: float, rate):
     gamma_b))`` -- the closed resonant form of :func:`efficiency` with
     ``rate = gamma_phi + gamma_bath / 2``.
     """
-    if gamma_a <= 0 or gamma_b <= 0:
+    if not (gamma_a > 0 and gamma_b > 0):
         raise ValueError("couplings must be > 0")
     r = np.asarray(rate, dtype=float)
     return 1.0 / (1.0 + r * (1.0 / gamma_a + 1.0 / gamma_b) + r**2 / (gamma_a * gamma_b))
@@ -353,9 +357,9 @@ def n_thermal(temperature, omega):
     """Bose-Einstein mean photon number at ``temperature`` (K) and ``omega`` (rad/s)."""
     t = np.asarray(temperature, dtype=float)
     w = np.asarray(omega, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValueError("temperature must be > 0")
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise ValueError("omega must be > 0")
     with np.errstate(over="ignore"):  # expm1 -> inf -> occupation 0 at T -> 0
         return 1.0 / np.expm1(hbar * w / (k_B * t))
@@ -369,7 +373,7 @@ def efficiency_thermal(n_th, gamma_a: float, gamma_b: float,
     the combined rate ``n_th (gamma1_zero + gamma_phi_zero) + gamma1_zero/2``
     replaces the pure dephasing rate in the resonant efficiency.
     """
-    if np.any(np.asarray(n_th) < 0):
+    if not np.all(np.asarray(n_th) >= 0):
         raise ValueError("n_th must be >= 0")
     return resonant_efficiency(gamma_a, gamma_b, tc.coherence_rate(n_th))
 
@@ -381,7 +385,7 @@ def photons_in_pulse(amplitude, impedance, duration, omega):
     energy ``hbar omega``.
     """
     a = np.asarray(amplitude, dtype=float)
-    if np.any(a < 0) or impedance <= 0 or duration <= 0 or np.any(np.asarray(omega) <= 0):
+    if not (np.all(a >= 0) and impedance > 0 and duration > 0 and np.all(np.asarray(omega) > 0)):
         raise ValueError("photons_in_pulse requires nonnegative amplitude and positive Z, duration, omega")
     return (a**2 / (2.0 * impedance)) * duration / (hbar * np.asarray(omega, dtype=float))
 
@@ -389,7 +393,7 @@ def photons_in_pulse(amplitude, impedance, duration, omega):
 def saturation_curve(n_avg, s: SaturationParams):
     """Transmission magnitude versus mean photon number, ``a - b/(1 + n^c/d)``."""
     n = np.asarray(n_avg, dtype=float)
-    if np.any(n < 0):
+    if not np.all(n >= 0):
         raise ValueError("n_avg must be >= 0")
     return s.a - s.b / (1.0 + n**s.c / s.d)
 
@@ -403,7 +407,7 @@ def dressed_lines(omega_drive, n_photons, m: DressedModel) -> DressedLines:
     ``lambda_blue``, for both the ge and ef manifolds.
     """
     n = np.asarray(n_photons, dtype=float)
-    if np.any(n < 0):
+    if not np.all(n >= 0):
         raise ValueError("n_photons must be >= 0")
     det2 = (np.asarray(omega_drive, dtype=float) - m.omega_ge) ** 2
     half_red = 0.5 * np.sqrt(det2 + 4.0 * m.lambda_red**2 * n)

@@ -21,13 +21,13 @@ so the bounds save work without changing when either composition raises.
 Port order of every 4x4 matrix is (A-in, A-out, B-in, B-out).  Two-port
 line matrices are oriented so port 1 faces the instrument for input lines
 and the cell for output lines; the ``S21`` entry (row 2, column 1) is
-therefore always the transmission in the propagation direction.  Port k
-of the cell meets only line k, so the line blocks ``S11`` (external to
-external), ``S12``, ``S21`` and ``S22`` (internal to internal) are all
-diagonal and are held as their length-4 diagonals: views of one
-read-only stack of the four lines that a :class:`LineModel` builds on first
-use, so the per-frequency slices that :meth:`LineModel.at` hands out read
-their blocks without building anything.
+therefore always the transmission in the propagation direction.  A
+:class:`LineModel` holds the four lines as one read-only array in port
+order, ``(4, 2, 2)`` or ``(4, n, 2, 2)``.  Port k of the cell meets only
+line k, so the line blocks ``S11`` (external to external), ``S12``,
+``S21`` and ``S22`` (internal to internal) are diagonal.  Their diagonals
+are views of one stack of the lines, output lines flipped, that the model
+builds on first use and the slices from :meth:`LineModel.at` share.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ __all__ = [
 #: Rounding allowance on the unit singular-value bound of a passive network.
 PASSIVE_TOL = 1e-9
 _EYE = np.eye(4)
-_LINE_NAMES = ("s_in_a", "s_out_a", "s_in_b", "s_out_b")
+#: Port order of every 4x4 matrix, of a touchstone file and of ``LineModel.two_ports``.
+_PORTS = ("A-in", "A-out", "B-in", "B-out")
 
 
 class SingularNetworkError(RuntimeError):
@@ -92,107 +93,77 @@ class PortMatrix:
 class LineModel:
     """Two-port models of the four measurement lines plus stray coupling.
 
-    Each line matrix has shape (2, 2) for frequency-independent lines or
-    (n, 2, 2) for per-frequency data; ``isolation`` is the residual direct
-    wave amplitude between the two waveguides bypassing the cell (a scalar,
-    or length-n array for per-frequency lines).  Every per-frequency
-    element must have the same n.
+    ``two_ports`` stacks the four line matrices in port order, shape
+    (4, 2, 2) for frequency-independent lines or (4, n, 2, 2) per
+    frequency; ``isolation`` is the residual direct wave amplitude between
+    the two waveguides bypassing the cell, a scalar or length-n array.
 
     The arrays are stored as read-only copies of the ones passed in, so a
     later change to the caller's arrays does not reach the model, and
     writing into the model's arrays raises ``ValueError``.
     """
 
-    s_in_a: np.ndarray
-    s_out_a: np.ndarray
-    s_in_b: np.ndarray
-    s_out_b: np.ndarray
+    two_ports: np.ndarray
     isolation: complex | np.ndarray = 0.0
 
     def __post_init__(self):
-        lengths = {}  # per-frequency elements and their point counts
-        for name in _LINE_NAMES:
-            m = np.array(getattr(self, name), dtype=complex)
-            if m.shape[-2:] != (2, 2) or m.ndim not in (2, 3):
-                raise ValueError(f"{name} must have shape (2, 2) or (n, 2, 2)")
-            if not np.isfinite(m).all():
-                raise ValueError(f"{name} entries must be finite")
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
-            if m.ndim == 3:
-                lengths[name] = len(m)
-        finite = np.isfinite(self.isolation)
+        m = np.array(self.two_ports, dtype=complex)
+        if m.ndim not in (3, 4) or m.shape[0] != 4 or m.shape[-2:] != (2, 2):
+            raise ValueError("two_ports must have shape (4, 2, 2) or (4, n, 2, 2)")
+        finite = np.isfinite(m).reshape(4, -1).all(axis=1)
         if not finite.all():
+            raise ValueError(f"{_PORTS[np.argmin(finite)]} line entries must be finite")
+        m.flags.writeable = False
+        object.__setattr__(self, "two_ports", m)
+        if not np.isfinite(self.isolation).all():
             raise ValueError("isolation must be finite")
-        if finite.ndim > 1:
-            raise ValueError("isolation must be a scalar or a length-n array")
-        if finite.ndim == 1:
-            lengths["isolation"] = len(finite)
+        if np.ndim(self.isolation):
+            if np.shape(self.isolation) != m.shape[1:-2]:
+                raise ValueError("isolation must be a scalar or one value per frequency point")
             iso = np.array(self.isolation, dtype=complex)
             iso.flags.writeable = False
             object.__setattr__(self, "isolation", iso)
-        first = next(iter(lengths), None)
-        for name, n in lengths.items():
-            if n != lengths[first]:
-                raise ValueError(f"{name} has {n} frequency points "
-                                 f"but {first} has {lengths[first]}")
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
-        return (self.s_in_a, self.s_out_a, self.s_in_b, self.s_out_b)
+        return tuple(self.two_ports)
 
     @property
     def n_points(self) -> int | None:
         """Number of frequency points, or None for frequency-independent lines."""
-        for m in self.matrices:
-            if m.ndim == 3:
-                return m.shape[0]
-        iso = self.isolation
-        return len(iso) if isinstance(iso, np.ndarray) and iso.ndim == 1 else None
+        return self.two_ports.shape[1] if self.two_ports.ndim == 4 else None
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, ...]:
-        """Line-block diagonals ``(s11, s12, s21, s22)``, ``(4,)`` or ``(n, 4)``.
-
-        Views of one read-only ``(..., 4, 2, 2)`` stack of the four lines,
-        output lines flipped (see :func:`complementary_blocks`), built on
-        first use.
-        """
-        n = self.n_points
-        shape = (2, 2) if n is None else (n, 2, 2)
-        ia, oa, ib, ob = self.matrices
-        stack = np.stack([np.broadcast_to(m, shape)
-                          for m in (ia, oa[..., ::-1, ::-1], ib, ob[..., ::-1, ::-1])], axis=-3)
+        """Line-block diagonals ``(s11, s12, s21, s22)``, ``(4,)`` or ``(n, 4)``: views
+        of one read-only ``(..., 4, 2, 2)`` stack of the lines, output lines
+        flipped (see :func:`complementary_blocks`)."""
+        ia, oa, ib, ob = self.two_ports
+        stack = np.stack((ia, oa[..., ::-1, ::-1], ib, ob[..., ::-1, ::-1]), axis=-3)
         stack.flags.writeable = False
         return stack[..., 0, 0], stack[..., 0, 1], stack[..., 1, 0], stack[..., 1, 1]
 
     def at(self, i: int) -> "LineModel":
-        """Single-frequency slice of per-frequency line data.
+        """Single-frequency slice; frequency-independent lines are returned as they are.
 
-        The slice holds views of this model's read-only arrays, which
-        ``__post_init__`` has already validated, so it is not validated
-        again, and row ``i`` of this model's line-block diagonals, which
-        :func:`complementary_blocks` returns as they are.
+        The slice holds views of this model's validated read-only arrays and
+        row ``i`` of its line-block diagonals, which
+        :func:`complementary_blocks` returns as they are: nothing is
+        validated or built again.
         """
+        if self.two_ports.ndim == 3:
+            return self
         iso = self.isolation
-        if np.ndim(iso):
-            iso = complex(iso[i])
         line = object.__new__(LineModel)
-        for name, m in zip(_LINE_NAMES, self.matrices):
-            object.__setattr__(line, name, m[i] if m.ndim == 3 else m)
-        object.__setattr__(line, "isolation", iso)
-        s11, s12, s21, s22 = blocks = self._blocks
-        if s11.ndim == 2:
-            blocks = s11[i], s12[i], s21[i], s22[i]
-        object.__setattr__(line, "_blocks", blocks)
+        object.__setattr__(line, "two_ports", self.two_ports[:, i])
+        object.__setattr__(line, "isolation", complex(iso[i]) if np.ndim(iso) else iso)
+        s11, s12, s21, s22 = self._blocks
+        object.__setattr__(line, "_blocks", (s11[i], s12[i], s21[i], s22[i]))
         return line
 
     def is_passive(self) -> bool:
-        for m in self.matrices:
-            stack = m.reshape(-1, 2, 2)
-            if np.any(np.linalg.norm(stack, 2, axis=(1, 2)) > 1.0 + PASSIVE_TOL):
-                return False
-        return True
+        norms = np.linalg.norm(self.two_ports.reshape(-1, 2, 2), 2, axis=(1, 2))
+        return bool(np.all(norms <= 1.0 + PASSIVE_TOL))
 
 
 @dataclass(frozen=True)
@@ -206,7 +177,7 @@ class CompositionResult:
 def ideal_lines(isolation: complex = 0.0) -> LineModel:
     """Reflectionless unit-transmission lines (identity de-embedding)."""
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return LineModel(swap, swap, swap, swap, isolation=isolation)
+    return LineModel(np.broadcast_to(swap, (4, 2, 2)), isolation=isolation)
 
 
 def complementary_blocks(lines: LineModel) -> tuple[np.ndarray, ...]:
@@ -217,9 +188,9 @@ def complementary_blocks(lines: LineModel) -> tuple[np.ndarray, ...]:
     line k in port order.  Input lines face the instrument with port 1,
     so block ``sij`` reads ``m[i, j]`` (0-based); output lines face it with
     port 2, so it reads ``m[1 - i, 1 - j]``.  The four diagonals are
-    read-only views of one ``(4, 2, 2)`` stack holding the output lines
-    flipped, which ``lines`` builds once and keeps; per-frequency lines
-    raise ``ValueError``.
+    read-only views of the stack of ``lines.two_ports``, output lines
+    flipped, that ``lines`` builds on first use and its slices share;
+    per-frequency lines raise ``ValueError``.
     """
     blocks = lines._blocks
     if blocks[0].ndim != 1:
@@ -326,7 +297,7 @@ def simplified_forward(cell_coeffs, lines: LineModel) -> np.ndarray:
     wave added to the cell coefficient.  Valid when the line reflections
     are small (the truncated series keeps only the direct passage).
     """
-    sa, ga, sb, gb = (m[..., 1, 0] for m in lines.matrices)
+    sa, ga, sb, gb = lines.two_ports[..., 1, 0]
     aa, bb, ab, ba = np.asarray(cell_coeffs)
     iso = np.asarray(lines.isolation)
     return np.array([sa * aa * ga, sb * bb * gb, sa * (ab + iso) * gb, sb * (ba + iso) * ga])

@@ -12,13 +12,13 @@ seeds from :func:`derive_seed`, which mixes the campaign seed with any
 number of integer or string keys through ``numpy.random.SeedSequence``.
 
 The lines come from the stream ``derive_seed(seed, "lines")``, drawn in
-this order: for each line (``s_in_a``, ``s_out_a``, ``s_in_b``,
-``s_out_b``) four phases and then two reflection magnitudes; then the
-isolation phase; then, for rippled lines, one ripple offset per line in
-the same order.  A line with through level ``t`` and reflections ``r``
-has spectral norm at most ``t + max r``, so it is passive as drawn when
-that sum is at most 1; only when ``t + max r > 1`` (less a margin for
-rounding) does an SVD find the norm and scale an active line below 1.
+this order: for each line in port order (A-in, A-out, B-in, B-out) four
+phases and then two reflection magnitudes; then the isolation phase;
+then, for rippled lines, one ripple offset per line in the same order.
+A line with through level ``t`` and reflections ``r`` has spectral norm
+at most ``t + max r``, so it is passive as drawn when that sum is at
+most 1; only when ``t + max r > 1`` (less a margin for rounding) does an
+SVD find the norm and scale an active line below 1.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import ChannelSpectrum
-from .model import CHANNELS, CellParams, cell_coefficients
+from .model import CHANNELS, CellParams, _check_finite, cell_coefficients
 from .network import LineModel, simplified_forward
 
 __all__ = [
@@ -79,6 +79,9 @@ class LineSpec:
     ripple_periods: float = 3.0
 
     def __post_init__(self):
+        for name in ("transmission_db", "jitter_db", "reflection_bound", "isolation_db",
+                     "ripple_db", "ripple_periods"):
+            _check_finite(name, getattr(self, name))
         if not 0.0 <= self.reflection_bound <= 0.2:
             raise ValueError("reflection_bound must lie in [0, 0.2]")
         if self.isolation_db > -10.0:
@@ -102,6 +105,7 @@ class CampaignConfig:
         if (freqs.ndim != 1 or freqs.size < 2 or not np.isfinite(freqs).all()
                 or np.any(np.diff(freqs) <= 0)):
             raise ValueError("freqs must be a finite, strictly increasing 1-D grid")
+        _check_finite("noise_sigma", self.noise_sigma)
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         object.__setattr__(self, "freqs", freqs)
@@ -137,13 +141,13 @@ def gen_lines(spec: LineSpec, seed: int, freqs=None) -> LineModel:
     """Random passive measurement lines, deterministic for a fixed seed.
 
     With ``freqs`` given and ``ripple_db > 0``, the through transmissions
-    acquire a smooth per-frequency level ripple and the line matrices have
-    shape (n, 2, 2); otherwise they are frequency independent.  The draw
-    order is the module docstring's.
+    acquire a smooth per-frequency level ripple and the stack of line
+    matrices has shape (4, n, 2, 2); otherwise it is (4, 2, 2), frequency
+    independent.  The draw order is the module docstring's.
     """
     rng = np.random.default_rng(derive_seed(seed, "lines"))
     quarter = spec.jitter_db / 4.0
-    # s_in_a, s_out_a, s_in_b, s_out_b
+    # A-in, A-out, B-in, B-out
     levels = (spec.transmission_db + quarter,) * 2 + (spec.transmission_db - quarter,) * 2
     matrices = np.array([_random_two_port(rng, db, spec.reflection_bound) for db in levels])
     iso = 10.0 ** (spec.isolation_db / 20.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
@@ -156,7 +160,7 @@ def gen_lines(spec: LineSpec, seed: int, freqs=None) -> LineModel:
         matrices = np.repeat(matrices[:, None], f.size, axis=1)
         matrices[..., 1, 0] *= level
         matrices[..., 0, 1] *= level
-    return LineModel(*matrices, isolation=complex(iso))
+    return LineModel(matrices, isolation=complex(iso))
 
 
 def hd_cell_coefficients(n_points: int | None = None) -> np.ndarray:
@@ -220,7 +224,7 @@ def gen_iq_shots(settings, p_truth, z_g: complex, z_e: complex, sigma: float,
     Returns a mapping setting -> complex shot array, suitable for
     :func:`routercell.estimation.pca_populations`.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     if channel not in ("through", "cross"):
         raise ValueError("channel must be 'through' or 'cross'")

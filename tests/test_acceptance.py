@@ -68,12 +68,12 @@ def test_criterion_03_network_composition_oracle():
             [0.9 * np.exp(1j * rng.uniform(-np.pi, np.pi)),
              r * np.exp(1j * rng.uniform(-np.pi, np.pi))],
         ])
-    reflective = network.LineModel(*(two_port(0.1) for _ in range(4)))
+    reflective = network.LineModel([two_port(0.1) for _ in range(4)])
     errs = [network.compose_neumann(cell, reflective, k).truncation_error
             for k in range(1, 6)]
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
-    clean = network.LineModel(*(two_port(0.0) for _ in range(4)))
+    clean = network.LineModel([two_port(0.0) for _ in range(4)])
     first_order = network.compose_neumann(cell, clean, order=1)
     assert first_order.truncation_error < 1e-13
     elapsed = time.perf_counter() - start

@@ -5,6 +5,7 @@ the public API where a call reaches it; warnings and flags that are not
 exceptions follow the table.
 """
 
+import dataclasses
 import json
 import math
 
@@ -36,8 +37,8 @@ def solve_from_non_finite_start():
     return _lsq.least_squares(lambda x: (np.full(3, np.nan), np.ones((3, 1))), [1.0])
 
 
-def lines_with(s_in_a):
-    return network.LineModel(s_in_a, EYE, EYE, EYE)
+def lines_with(a_in):
+    return network.LineModel([a_in, EYE, EYE, EYE])
 
 
 GUARDS = {
@@ -75,10 +76,10 @@ GUARDS = {
                          ValueError, "n_avg must be >= 0"),
     "dressed-photons": (lambda: model.dressed_lines(W_GE, -1.0, model.DressedModel(1.0, 1.0, W_GE, W_GE)),
                         ValueError, "n_photons must be >= 0"),
-    "line-shape": (lambda: lines_with(np.eye(3)),
-                   ValueError, "s_in_a must have shape (2, 2) or (n, 2, 2)"),
+    "line-shape": (lambda: network.LineModel([EYE, EYE, EYE]),
+                   ValueError, "two_ports must have shape (4, 2, 2) or (4, n, 2, 2)"),
     "line-not-finite": (lambda: lines_with(np.full((2, 2), np.nan)),
-                        ValueError, "s_in_a entries must be finite"),
+                        ValueError, "A-in line entries must be finite"),
     "neumann-order": (lambda: network.compose_neumann(
                           model.cell_smatrix(W_GE, CELL), network.ideal_lines(), -1),
                       ValueError, "order must be >= 0"),
@@ -106,6 +107,56 @@ def test_guard_raises_its_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert message in str(info.value)
+
+
+#: A valid instance of each parameter object, and the float fields it must refuse non-finite.
+PARAMETER_OBJECTS = {
+    "LineSpec": (synth.LineSpec(), ("transmission_db", "jitter_db", "reflection_bound",
+                                    "isolation_db", "ripple_db", "ripple_periods")),
+    "ThermalCoefficients": (model.ThermalCoefficients(1.0, 1.0), ("gamma1_zero", "gamma_phi_zero")),
+    "SaturationParams": (model.SaturationParams(1.0, 0.5, 1.0, 1.0), ("a", "b", "c", "d")),
+    "DressedModel": (model.DressedModel(1.0, 1.0, W_GE, W_GE),
+                     ("lambda_red", "lambda_blue", "omega_ge", "omega_ef")),
+    "CampaignConfig": (synth.CampaignConfig(CELL, synth.LineSpec(), FREQS), ("noise_sigma",)),
+}
+NON_FINITE_FIELDS = [(valid, field) for valid, fields in PARAMETER_OBJECTS.values() for field in fields]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("valid, field", NON_FINITE_FIELDS,
+                         ids=[f"{type(v).__name__}.{f}" for v, f in NON_FINITE_FIELDS])
+def test_parameter_object_refuses_a_non_finite_field(valid, field, bad):
+    dataclasses.replace(valid)  # the unchanged instance builds
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        dataclasses.replace(valid, **{field: bad})
+
+
+SATURATION = model.SaturationParams(1.0, 1.0, 1.0, 1.0)
+DRESSED = model.DressedModel(1.0, 1.0, W_GE, W_GE)
+
+#: Sign guards that NaN must fail: a test written ``x < 0`` lets it through.
+NAN_GUARDS = {
+    "n-thermal-temperature": (lambda: model.n_thermal(math.nan, W_GE), "temperature must be > 0"),
+    "n-thermal-omega": (lambda: model.n_thermal(0.02, [W_GE, math.nan]), "omega must be > 0"),
+    "photons-in-pulse": (lambda: model.photons_in_pulse(math.nan, 50.0, 1e-6, W_GE),
+                         "photons_in_pulse requires nonnegative amplitude"),
+    "saturation-curve": (lambda: model.saturation_curve([1.0, math.nan], SATURATION),
+                         "n_avg must be >= 0"),
+    "dressed-lines": (lambda: model.dressed_lines(W_GE, math.nan, DRESSED), "n_photons must be >= 0"),
+    "efficiency-thermal": (lambda: model.efficiency_thermal(
+                               math.nan, 1.0, 1.0, model.ThermalCoefficients(0.0, 0.0)),
+                           "n_th must be >= 0"),
+    "iq-sigma": (lambda: synth.gen_iq_shots([0.0], [0.0], 0j, 1 + 0j, sigma=math.nan, seed=0),
+                 "sigma must be >= 0"),
+    "resonant-efficiency": (lambda: model.resonant_efficiency(math.nan, 1.0, 0.0), "couplings must be > 0"),
+    "gamma-phi-from-e": (lambda: estimation.gamma_phi_from_E(0.5, 1.0, math.nan), "couplings must be > 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", NAN_GUARDS.values(), ids=NAN_GUARDS.keys())
+def test_nan_fails_the_sign_guard(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def circle_past_the_span():

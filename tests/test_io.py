@@ -117,20 +117,15 @@ def signed_spectra(draw):
 
 @st.composite
 def line_models(draw):
-    """(lines, freqs): frequency-independent, or per-frequency with some constant lines."""
+    """(lines, freqs): frequency-independent, or per-frequency with a scalar or per-point isolation."""
     n = draw(st.none() | st.integers(1, 6))
     entries = st.builds(complex, SIGNED, SIGNED)
-    shapes = [(2, 2)] * 4
-    if n is not None:
-        # per-frequency data in at least one line
-        shapes = [(n, 2, 2)] + [draw(st.sampled_from([(n, 2, 2), (2, 2)])) for _ in range(3)]
-        shapes = draw(st.permutations(shapes))
-    matrices = [draw(arrays(complex, shape, elements=entries)) for shape in shapes]
+    two_ports = draw(arrays(complex, (4, 2, 2) if n is None else (4, n, 2, 2), elements=entries))
     if n is None:
-        return network.LineModel(*matrices, isolation=draw(entries)), None
+        return network.LineModel(two_ports, isolation=draw(entries)), None
     isolation = draw(entries | arrays(complex, (n,), elements=entries))
     freqs = np.array(draw(st.lists(SIGNED, min_size=n, max_size=n)))
-    return network.LineModel(*matrices, isolation=isolation), freqs
+    return network.LineModel(two_ports, isolation=isolation), freqs
 
 
 def oracle_spectrum_bytes(spectrum, run_id):
@@ -240,8 +235,9 @@ class TestWriterBytes:
         n = io._WRITE_BLOCK // 4 + 5
         values = self.long_values(rng, (2, 4, n, 2, 2), repeats)
         matrices = values[0] + 1j * values[1]
-        lines = network.LineModel(*matrices[:3], np.array([[0.0, -0.0], [1.0, -0.0]]),
-                                  isolation=matrices[3, :, 0, 0])
+        iso = matrices[3, :, 0, 0].copy()
+        matrices[3] = np.array([[0.0, -0.0], [1.0, -0.0]])  # one signed-zero line at every point
+        lines = network.LineModel(matrices, isolation=iso)
         freqs = np.arange(n) * 1e5 + 6e9
         path = tmp_path / "lines.csv"
         io.write_line_model(lines, path, freqs=freqs, run_id=None)
@@ -825,7 +821,7 @@ class TestQuotedExport:
         matrices = values[0] + 1j * values[1]
         if not per_frequency:
             matrices = matrices[:, 0]
-        lines = network.LineModel(*matrices, isolation=complex(-0.0, 1e-3))
+        lines = network.LineModel(matrices, isolation=complex(-0.0, 1e-3))
         path = tmp_path / "lines.csv"
         io.write_line_model(lines, path, freqs=FREQS if per_frequency else None)
         (plain, plain_freqs), (back, back_freqs) = map(io.read_line_model, (path, quote_all(path)))
@@ -1081,17 +1077,17 @@ class TestLineModelFile:
 
     def test_non_finite_value_is_refused_before_writing(self, tmp_path):
         # what the reader refuses must not be constructed or written
-        e = network.ideal_lines().s_in_a
+        e = network.ideal_lines().two_ports
         with pytest.raises(ValueError, match="isolation must be finite"):
-            network.LineModel(e, e, e, e, isolation=math.nan)
-        lines = network.LineModel(*(np.stack([e, e]),) * 4)
+            network.LineModel(e, isolation=math.nan)
+        lines = network.LineModel(np.stack([e, e], axis=1))
         with pytest.raises(ValueError, match="frequencies must be finite"):
             io.write_line_model(lines, tmp_path / "lines.csv", freqs=[1.0, math.inf])
 
     @pytest.mark.parametrize("freqs", [None, [1.0, 2.0, 3.0]], ids=["none", "too-long"])
     def test_per_frequency_lines_need_matching_freqs(self, tmp_path, freqs):
-        e = network.ideal_lines().s_in_a
-        lines = network.LineModel(*(np.stack([e, e]),) * 4)
+        e = network.ideal_lines().two_ports
+        lines = network.LineModel(np.stack([e, e], axis=1))
         with pytest.raises(ValueError, match="per-frequency lines need a matching freqs array"):
             io.write_line_model(lines, tmp_path / "lines.csv", freqs=freqs)
         assert not (tmp_path / "lines.csv").exists()
@@ -1105,8 +1101,8 @@ class TestLineModelFile:
             io.read_line_model(path)
 
     def test_per_frequency_isolation_round_trips(self, tmp_path):
-        e = network.ideal_lines().s_in_a
-        lines = network.LineModel(e, e, e, e, isolation=np.array([0.1, 0.2j, -0.3]))
+        e = network.ideal_lines().two_ports
+        lines = network.LineModel(np.stack([e] * 3, axis=1), isolation=np.array([0.1, 0.2j, -0.3]))
         path = tmp_path / "lines.csv"
         io.write_line_model(lines, path, freqs=[1.0, 2.0, 3.0])
         back, freqs = io.read_line_model(path)

@@ -30,7 +30,7 @@ def random_lines(rng, reflection=0.03, isolation=0.0):
             r11=rng.uniform(0, reflection) * np.exp(1j * rng.uniform(-np.pi, np.pi)),
             r22=rng.uniform(0, reflection) * np.exp(1j * rng.uniform(-np.pi, np.pi)),
         )
-    return network.LineModel(mk(), mk(), mk(), mk(), isolation=isolation)
+    return network.LineModel([mk(), mk(), mk(), mk()], isolation=isolation)
 
 
 class TestPortMatrix:
@@ -81,24 +81,45 @@ ENTRY = st.floats(min_value=-2.0, max_value=2.0)
 class TestLineModel:
     E = two_port(1.0)
 
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 2), (4, 2, 3), (4, 3, 1, 2, 2), (2, 4, 2, 2)])
+    def test_stack_must_hold_four_two_ports(self, shape):
+        with pytest.raises(ValueError, match=r"two_ports must have shape \(4, 2, 2\) or \(4, n, 2, 2\)"):
+            network.LineModel(np.zeros(shape))
+
+    @pytest.mark.parametrize("n", [None, 3], ids=["constant", "per-frequency"])
+    @pytest.mark.parametrize("k, port", enumerate(["A-in", "A-out", "B-in", "B-out"]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_names_its_line(self, n, k, port, bad):
+        stack = np.broadcast_to(self.E, (4, 2, 2) if n is None else (4, n, 2, 2)).copy()
+        stack.reshape(4, -1)[k, -1] = bad  # the last entry of line k alone
+        with pytest.raises(ValueError, match=f"^{port} line entries must be finite$"):
+            network.LineModel(stack)
+
+    # the four lines are one array: lines of unequal point counts, or a constant
+    # line beside per-frequency ones, cannot be stacked at all (numpy refuses
+    # the ragged list), and an isolation array must have the stack's point count
     @pytest.mark.parametrize("kwargs, message", [
-        ({"s_out_b": np.stack([E] * 3)}, "s_out_b has 3 frequency points but s_in_a has 5"),
-        ({"isolation": np.zeros(7)}, "isolation has 7 frequency points but s_in_a has 5"),
-    ], ids=["matrix", "isolation"])
+        ({"two_ports": [np.stack([E] * 5)] * 3 + [np.stack([E] * 3)]}, "sequence"),
+        ({"two_ports": [np.stack([E] * 5), E] * 2}, "sequence"),
+        ({"two_ports": [np.stack([E] * 5)] * 4, "isolation": np.zeros(7)},
+         "isolation must be a scalar or one value per frequency point"),
+    ], ids=["matrix", "mixed", "isolation"])
     def test_per_frequency_lengths_must_agree(self, kwargs, message):
-        five = np.stack([self.E] * 5)
-        elements = {"s_in_a": five, "s_out_a": self.E, "s_in_b": five, "s_out_b": self.E,
-                    **kwargs}
         with pytest.raises(ValueError, match=message):
-            network.LineModel(**elements)
+            network.LineModel(**kwargs)
 
     def test_isolation_must_be_scalar_or_one_dimensional(self):
-        with pytest.raises(ValueError, match="isolation must be a scalar or a length-n array"):
-            network.LineModel(self.E, self.E, self.E, self.E, isolation=np.zeros((2, 2)))
+        stack = np.stack([self.E] * 4)
+        with pytest.raises(ValueError, match="isolation must be a scalar or one value per frequency point"):
+            network.LineModel(stack, isolation=np.zeros((2, 2)))
 
-    def test_per_frequency_isolation_sets_the_point_count(self):
-        lines = network.LineModel(self.E, self.E, self.E, self.E, isolation=np.zeros(3))
-        assert lines.n_points == 3
+    def test_per_frequency_isolation_needs_per_frequency_lines(self):
+        # the lines set the point count; frequency-independent lines take a scalar isolation only
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="isolation must be a scalar or one value per frequency point"):
+                network.LineModel(np.stack([self.E] * 4), isolation=np.zeros(n))
+            lines = network.LineModel(np.broadcast_to(self.E, (4, n, 2, 2)), isolation=np.zeros(n))
+            assert lines.n_points == n
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data())
@@ -108,76 +129,82 @@ class TestLineModel:
             parts = data.draw(st.lists(ENTRY, min_size=2 * math.prod(shape),
                                        max_size=2 * math.prod(shape)))
             return (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(shape)
-        mats = [entries(data.draw(st.sampled_from([(2, 2), (n, 2, 2)]))) for _ in range(4)]
+        stack = entries((4, n, 2, 2))
         per_frequency = data.draw(st.booleans())
         iso = entries((n,)) if per_frequency else complex(*data.draw(st.tuples(ENTRY, ENTRY)))
-        lines = network.LineModel(*mats, isolation=iso)
+        lines = network.LineModel(stack, isolation=iso)
         i = data.draw(st.integers(min_value=0, max_value=n - 1))
 
         point = lines.at(i)
-        built = network.LineModel(*(m[i] if m.ndim == 3 else m for m in mats),
-                                  isolation=complex(iso[i]) if per_frequency else iso)
-        for got, want in zip(point.matrices, built.matrices):
-            assert got.dtype == want.dtype == complex
-            assert got.shape == (2, 2)
-            assert np.array_equal(got, want)
+        built = network.LineModel(stack[:, i], isolation=complex(iso[i]) if per_frequency else iso)
+        assert point.two_ports.dtype == complex and point.two_ports.shape == (4, 2, 2)
+        assert np.array_equal(point.two_ports, built.two_ports)
         assert type(point.isolation) is complex
         assert point.isolation == built.isolation
         assert point.n_points is None and built.n_points is None
         for got, want in zip(network.complementary_blocks(point),
                              network.complementary_blocks(built)):
             assert np.array_equal(got, want)
+        assert built.at(i) is built  # frequency-independent lines hold at every point
 
     def test_slice_is_not_validated_again(self, monkeypatch):
-        lines = network.LineModel(np.stack([self.E] * 3), self.E, self.E, self.E,
-                                  isolation=np.zeros(3))
+        lines = network.LineModel(np.broadcast_to(self.E, (4, 3, 2, 2)), isolation=np.zeros(3))
 
         def refuse(self):
             raise AssertionError("LineModel.at validated its slice again")
 
         monkeypatch.setattr(network.LineModel, "__post_init__", refuse)
         point = lines.at(1)
-        assert np.shares_memory(point.s_in_a, lines.s_in_a)
-        assert point.s_out_a is lines.s_out_a
+        assert point.two_ports.base is lines.two_ports
         assert point.n_points is None
 
-    def test_slices_share_one_stack_built_once(self, monkeypatch):
+    def test_matrices_and_slices_are_views_of_the_held_stack(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((4, 6, 2, 2)) + 1j * rng.standard_normal((4, 6, 2, 2))
+        lines = network.LineModel(stack, isolation=np.full(6, 1e-2))
+        held = lines.two_ports
+        assert held.shape == (4, 6, 2, 2) and held.dtype == complex
+        assert not np.shares_memory(held, stack)
+        assert lines.matrices[0].shape == (6, 2, 2)
+        assert all(m.base is held for m in lines.matrices)
+        for i in (0, 5):
+            point = lines.at(i)
+            assert point.two_ports.base is held
+            assert all(m.base is held for m in point.matrices)
+            assert np.array_equal(point.two_ports, stack[:, i])
+
+    def test_slices_share_one_stack_built_once(self):
         rng = np.random.default_rng(7)
         per_point = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
-        lines = network.LineModel(per_point, two_port(0.9, r11=0.1), per_point[::-1],
-                                  two_port(0.8, r22=0.2j), isolation=np.full(5, 1e-2))
-        stack = np.stack
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append("stack")
-            return stack(*args, **kwargs)
-
-        monkeypatch.setattr(np, "stack", counted)
+        lines = network.LineModel([per_point, np.broadcast_to(two_port(0.9, r11=0.1), (5, 2, 2)),
+                                   per_point[::-1], np.broadcast_to(two_port(0.8, r22=0.2j), (5, 2, 2))],
+                                  isolation=np.full(5, 1e-2))
         diagonals = lines._blocks
+        assert lines._blocks is diagonals  # kept after the first use
         base = diagonals[0].base
         assert all(d.base is base and d.shape == (5, 4) for d in diagonals)
         assert base.shape == (5, 4, 2, 2) and not base.flags.writeable
+        assert not np.shares_memory(base, lines.two_ports)
         for i in range(5):
             for got, d in zip(network.complementary_blocks(lines.at(i)), diagonals):
                 assert got.base is base and np.shares_memory(got, d)
                 assert np.array_equal(got, d[i])
-        assert calls == ["stack"]
+        assert lines._blocks is diagonals
 
     def test_arrays_are_read_only_copies(self):
         rng = np.random.default_rng(3)
-        s_in_a = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        stack = rng.standard_normal((4, 4, 2, 2)) + 1j * rng.standard_normal((4, 4, 2, 2))
         iso = np.full(4, 1e-3 + 0j)
-        lines = network.LineModel(s_in_a, self.E, self.E, self.E, isolation=iso)
-        kept = [m.copy() for m in lines.matrices]
+        lines = network.LineModel(stack, isolation=iso)
+        kept = lines.two_ports.copy()
         before = [d.copy() for d in network.complementary_blocks(lines.at(2))]
-        for m in (*lines.matrices, lines.isolation):
+        for m in (lines.two_ports, *lines.matrices, lines.at(2).two_ports, lines.isolation,
+                  *network.complementary_blocks(lines.at(2))):
             with pytest.raises(ValueError, match="read-only"):
                 m[...] = 0.0
-        s_in_a[...] = 7.0
+        stack[...] = 7.0
         iso[...] = 7.0
-        for got, want in zip(lines.matrices, kept):
-            assert np.array_equal(got, want)
+        assert np.array_equal(lines.two_ports, kept)
         assert np.all(lines.isolation == 1e-3)
         for got, want in zip(network.complementary_blocks(lines.at(2)), before):
             assert np.array_equal(got, want)
@@ -194,7 +221,7 @@ class TestComplementaryBlocks:
     def test_uniform_reflection_fills_s11_diagonal(self):
         r = 0.07 - 0.02j
         m = two_port(t21=0.9, r11=r, r22=r)
-        s11, *_ = network.complementary_blocks(network.LineModel(m, m, m, m))
+        s11, *_ = network.complementary_blocks(network.LineModel([m, m, m, m]))
         assert np.allclose(s11, r)
 
     def test_slots_match_permuted_block_product(self):
@@ -206,24 +233,21 @@ class TestComplementaryBlocks:
             assert np.array_equal(np.diag(diag), ref)
         s11, s12, s21, s22 = blocks
         # asymmetric transmissions land in distinct diagonal slots
-        assert s21[0] == lines.s_in_a[1, 0]
-        assert s21[1] == lines.s_out_a[0, 1]
-        assert s12[1] == lines.s_out_a[1, 0]
+        in_a, out_a, *_ = lines.matrices
+        assert s21[0] == in_a[1, 0]
+        assert s21[1] == out_a[0, 1]
+        assert s12[1] == out_a[1, 0]
 
     def test_rejects_per_frequency_lines(self):
         m = np.repeat(two_port(0.9)[None], 3, axis=0)
-        lines = network.LineModel(m, m, m, m)
+        lines = network.LineModel([m, m, m, m])
         with pytest.raises(ValueError):
             network.complementary_blocks(lines)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"s_in_b": np.repeat(two_port(0.9)[None], 3, axis=0)},
-        {"isolation": np.zeros(3)},
-    ], ids=["lines", "isolation"])
-    def test_rejects_per_frequency_lines_after_slicing(self, kwargs):
-        m = two_port(0.9)
-        lines = network.LineModel(**{"s_in_a": m, "s_out_a": m, "s_in_b": m, "s_out_b": m,
-                                     **kwargs})
+    @pytest.mark.parametrize("isolation", [0.1j, np.zeros(3)], ids=["lines", "isolation"])
+    def test_rejects_per_frequency_lines_after_slicing(self, isolation):
+        m = np.repeat(two_port(0.9)[None], 3, axis=0)
+        lines = network.LineModel([m, m, m, m], isolation=isolation)
         network.complementary_blocks(lines.at(1))  # builds and keeps the stack
         with pytest.raises(ValueError, match="single-frequency"):
             network.complementary_blocks(lines)
@@ -241,7 +265,7 @@ class TestComposeExact:
         cell = np.array([[0, 1, 0, 0], [1, 0, 0, 0],
                          [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
         m = two_port(t21=tau)
-        out = network.compose_exact(cell, network.LineModel(m, m, m, m))
+        out = network.compose_exact(cell, network.LineModel([m, m, m, m]))
         i_out, i_in = PORTS["AA"]
         assert out.s_meas.entries[i_out, i_in] == pytest.approx(tau**2, abs=1e-12)
 
@@ -253,7 +277,7 @@ class TestComposeExact:
         # fully reflective internal ports against an identity cell
         m = np.array([[0, 0], [0, 1]], dtype=complex)  # port-2 full reflection
         g = np.array([[1, 0], [0, 0]], dtype=complex)  # port-1 full reflection
-        lines = network.LineModel(m, g, m, g)
+        lines = network.LineModel([m, g, m, g])
         with pytest.raises(network.SingularNetworkError):
             network.compose_exact(np.eye(4), lines)
 
@@ -269,7 +293,7 @@ class TestComposeNeumann:
 
     def test_reflectionless_first_order_equals_exact(self):
         m = two_port(t21=0.8 * np.exp(0.3j), t12=0.7)
-        lines = network.LineModel(m, m, m, m)
+        lines = network.LineModel([m, m, m, m])
         s = model.cell_smatrix(CELL.omega_ge + TWO_PI * 1e6, CELL)
         out = network.compose_neumann(s, lines, order=1)
         assert out.truncation_error < 1e-14
@@ -289,7 +313,7 @@ class TestComposeNeumann:
 
     def test_divergent_series_raises(self):
         full = np.array([[1, 0], [0, 1]], dtype=complex)  # total reflectors
-        lines = network.LineModel(full, full, full, full)
+        lines = network.LineModel([full, full, full, full])
         with pytest.raises(network.DivergenceError):
             network.compose_neumann(np.eye(4), lines, order=2)
 
@@ -316,7 +340,7 @@ def passive_lines(draw):
 
     mats = [two_port(t21=entry(0.3, 0.8), t12=entry(0.3, 0.8),
                      r11=entry(0.0, 0.2), r22=entry(0.0, 0.2)) for _ in range(4)]
-    return network.LineModel(*mats)
+    return network.LineModel(mats)
 
 
 @st.composite
@@ -348,7 +372,7 @@ def reflective_lines(draw):
 
     mats = [two_port(t21=entry(0.3, 0.8), t12=entry(0.3, 0.8),
                      r11=entry(0.0, 0.95), r22=entry(0.0, 0.95)) for _ in range(4)]
-    return network.LineModel(*mats)
+    return network.LineModel(mats)
 
 
 UNIT = st.sampled_from([1.0, 1j, -1.0, -1j])
@@ -370,7 +394,7 @@ def reflector_networks(draw):
     # input lines face the cell with port 2, output lines with port 1
     mats = [two_port(0.5, r22=r) if k % 2 == 0 else two_port(0.5, r11=r)
             for k, r in enumerate(internal)]
-    return cell, network.LineModel(*mats)
+    return cell, network.LineModel(mats)
 
 
 COMPOSE_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
@@ -466,8 +490,8 @@ class TestCompositionProperties:
         # bounds fail, the spectral radius is 0, and the series ends after two terms
         cell = np.zeros((4, 4), dtype=complex)
         cell[0, 1] = cell[2, 3] = 2.0
-        lines = network.LineModel(two_port(0.5, r22=1.0), two_port(0.5, r11=1.0),
-                                  two_port(0.5, r22=1.0), two_port(0.5, r11=1.0))
+        lines = network.LineModel([two_port(0.5, r22=1.0), two_port(0.5, r11=1.0),
+                                   two_port(0.5, r22=1.0), two_port(0.5, r11=1.0)])
         *_, s22 = network.complementary_blocks(lines)
         assert np.abs(s22[:, None] * cell).sum(axis=1).max() == 2.0
         assert np.abs(cell * s22).sum(axis=1).max() == 2.0
@@ -482,8 +506,8 @@ class TestCompositionProperties:
         # the radius below 1, and the singular I - S S22 is what reports it
         cell = np.zeros((4, 4), dtype=complex)
         cell[0, 1] = cell[1, 0] = cell[2, 3] = cell[3, 2] = 1.0
-        lines = network.LineModel(two_port(0.5), two_port(0.5, r11=0.5),
-                                  two_port(0.5, r22=1j), two_port(0.5, r11=-1j))
+        lines = network.LineModel([two_port(0.5), two_port(0.5, r11=0.5),
+                                   two_port(0.5, r22=1j), two_port(0.5, r11=-1j)])
         with pytest.raises(network.DivergenceError):
             network.compose_neumann(cell, lines, order=2)
         with pytest.raises(network.SingularNetworkError):
@@ -591,7 +615,7 @@ class TestSimplifiedForward:
         rng = np.random.default_rng(5)
         lines = random_lines(rng, reflection=0.0, isolation=iso)
         hd = dict(zip(model.CHANNELS, network.simplified_forward(synth.hd_cell_coefficients(), lines)))
-        sa, ga_, sb, gb_ = (m[1, 0] for m in lines.matrices)
+        sa, ga_, sb, gb_ = lines.two_ports[:, 1, 0]
         assert hd["AA"] == pytest.approx(sa * ga_, abs=1e-15)
         assert hd["AB"] == pytest.approx(sa * iso * gb_, abs=1e-15)
         assert hd["BA"] == pytest.approx(sb * iso * ga_, abs=1e-15)
@@ -628,8 +652,7 @@ class TestSimplifiedForward:
         lines = random_lines(rng, reflection=0.02, isolation=0.05)
         theta = 0.7
         rotated = network.LineModel(
-            *(m * np.array([[1, np.exp(1j * theta)], [np.exp(1j * theta), 1]])
-              for m in lines.matrices),
+            lines.two_ports * np.array([[1, np.exp(1j * theta)], [np.exp(1j * theta), 1]]),
             isolation=lines.isolation,
         )
         coeffs = model.cell_coefficients(CELL.omega_ge, CELL)
@@ -657,7 +680,9 @@ class TestIsolationRecovery:
     def test_per_point_traces_give_one_value_per_point(self):
         rng = np.random.default_rng(22)
         injected = 0.05 * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
-        lines = random_lines(rng, reflection=0.0, isolation=injected)
+        constant = random_lines(rng, reflection=0.0).two_ports
+        lines = network.LineModel(np.repeat(constant[:, None], injected.size, axis=1),
+                                  isolation=injected)
         hd = network.simplified_forward(synth.hd_cell_coefficients(injected.size), lines)
         recovered = network.isolation_from_hd(hd)
         assert recovered.shape == injected.shape

@@ -36,7 +36,7 @@ class TestGenLines:
             assert np.array_equal(ma, mb)
         assert a.isolation == b.isolation
         c = synth.gen_lines(synth.LineSpec(), seed=6)
-        assert not np.array_equal(a.s_in_a, c.s_in_a)
+        assert not np.array_equal(a.two_ports, c.two_ports)
 
     def test_passive(self):
         for seed in range(10):
@@ -52,15 +52,16 @@ class TestGenLines:
 
     def test_through_level_asymmetry_matches_jitter(self):
         lines = synth.gen_lines(synth.LineSpec(jitter_db=1.0), seed=3)
-        level_a = abs(lines.s_in_a[1, 0] * lines.s_out_a[1, 0])
-        level_b = abs(lines.s_in_b[1, 0] * lines.s_out_b[1, 0])
+        in_a, out_a, in_b, out_b = lines.two_ports[:, 1, 0]
+        level_a = abs(in_a * out_a)
+        level_b = abs(in_b * out_b)
         assert 20 * np.log10(level_a / level_b) == pytest.approx(1.0, abs=1e-9)
 
     def test_ripple_produces_per_frequency_lines(self):
         line_spec = synth.LineSpec(ripple_db=0.5, ripple_periods=2.0)
         lines = synth.gen_lines(line_spec, seed=4, freqs=FREQS)
         assert lines.n_points == FREQS.size
-        t = np.abs(lines.s_in_a[:, 1, 0])
+        t = np.abs(lines.two_ports[0, :, 1, 0])
         swing_db = 20 * np.log10(t.max() / t.min())
         assert swing_db == pytest.approx(1.0, abs=0.05)
         assert lines.is_passive()
@@ -246,7 +247,7 @@ class TestBitIdentity:
                                       noise_sigma=1e-3, seed=seed)
         out = synth.gen_spectrum(config)
         matrices, iso = reference_lines(CAMPAIGN_LINES, seed, freqs=FREQS)
-        lines = LineModel(*matrices, isolation=iso)
+        lines = LineModel(matrices, isolation=iso)
         coeffs = {"meas": model.cell_coefficients(TWO_PI * FREQS, CELL),
                   "hd": synth.hd_cell_coefficients(FREQS.size)}
         for name, spectrum in (("meas", out.meas), ("hd", out.hd)):
