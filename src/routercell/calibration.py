@@ -51,7 +51,7 @@ class CircleFitError(RuntimeError):
     """Raised when a trace does not describe a usable resonance circle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSpectrum:
     """Frequency grid with the four complex transmission channels.
 

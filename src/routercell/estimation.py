@@ -101,7 +101,7 @@ class FitReport:
         return self.params[name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationTrace:
     """Excited-state populations reconstructed from IQ clouds."""
 

@@ -174,6 +174,8 @@ class ThermalCoefficients:
     def coherence_rate(self, n_th):
         """Combined rate gamma_phi + gamma_bath/2 entering the efficiency."""
         n = np.asarray(n_th, dtype=float)
+        if not np.all(n >= 0):
+            raise ValueError("n_th must be >= 0")
         return n * (self.gamma1_zero + self.gamma_phi_zero) + 0.5 * self.gamma1_zero
 
 
@@ -335,6 +337,8 @@ def resonant_efficiency(gamma_a: float, gamma_b: float, rate):
     if not (gamma_a > 0 and gamma_b > 0):
         raise ValueError("couplings must be > 0")
     r = np.asarray(rate, dtype=float)
+    if not np.all(r >= 0):
+        raise ValueError("rate must be >= 0")
     return 1.0 / (1.0 + r * (1.0 / gamma_a + 1.0 / gamma_b) + r**2 / (gamma_a * gamma_b))
 
 
@@ -373,8 +377,6 @@ def efficiency_thermal(n_th, gamma_a: float, gamma_b: float,
     the combined rate ``n_th (gamma1_zero + gamma_phi_zero) + gamma1_zero/2``
     replaces the pure dephasing rate in the resonant efficiency.
     """
-    if not np.all(np.asarray(n_th) >= 0):
-        raise ValueError("n_th must be >= 0")
     return resonant_efficiency(gamma_a, gamma_b, tc.coherence_rate(n_th))
 
 

@@ -7,7 +7,8 @@ four line matrices into the effective S-matrix seen by the instrument,
 either exactly (block elimination of the internal waves, one linear solve
 ``S12 S (I - S22 S)^-1 S21`` with no inverse of the cell) or as a truncated
 multiple-reflection series, and provides the simplified scalar forward map
-used when line reflections are negligible.
+used when line reflections are negligible.  The compositions take the
+cell as a :class:`PortMatrix`, checked once when built, and nothing else.
 
 Each composition first checks that it is defined: the exact one that
 ``I - S22 S`` is not singular (condition number at most 1e14), the series
@@ -43,7 +44,6 @@ __all__ = [
     "CompositionResult",
     "SingularNetworkError",
     "DivergenceError",
-    "complementary_blocks",
     "compose_exact",
     "compose_neumann",
     "simplified_forward",
@@ -51,8 +51,6 @@ __all__ = [
     "ideal_lines",
 ]
 
-#: Rounding allowance on the unit singular-value bound of a passive network.
-PASSIVE_TOL = 1e-9
 _EYE = np.eye(4)
 #: Port order of every 4x4 matrix, of a touchstone file and of ``LineModel.two_ports``.
 _PORTS = ("A-in", "A-out", "B-in", "B-out")
@@ -70,26 +68,22 @@ class DivergenceError(RuntimeError):
     """Raised when the reflection series cannot converge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PortMatrix:
-    """Square complex scattering matrix with a fixed port count."""
+    """Complex 4x4 scattering matrix in port order, checked 4x4 and finite when built."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"port matrix must be square, got shape {m.shape}")
+        if m.shape != (4, 4):
+            raise ValueError(f"port matrix must be a 4-port, shape (4, 4), got shape {m.shape}")
         if not np.isfinite(m).all():
-            raise ValueError("port matrix entries must be finite")
+            raise ValueError("4-port matrix entries must be finite")
         object.__setattr__(self, "entries", m)
 
-    def is_passive(self) -> bool:
-        """True if the largest singular value does not exceed 1 + PASSIVE_TOL."""
-        return bool(np.linalg.norm(self.entries, 2) <= 1.0 + PASSIVE_TOL)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineModel:
     """Two-port models of the four measurement lines plus stray coupling.
 
@@ -135,9 +129,16 @@ class LineModel:
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, ...]:
-        """Line-block diagonals ``(s11, s12, s21, s22)``, ``(4,)`` or ``(n, 4)``: views
-        of one read-only ``(..., 4, 2, 2)`` stack of the lines, output lines
-        flipped (see :func:`complementary_blocks`)."""
+        """Diagonals ``(s11, s12, s21, s22)`` of the four 4x4 line blocks.
+
+        Index 1 is the external wave (facing the instrument), index 2 the
+        internal wave (facing the cell); entry k of each diagonal belongs
+        to line k in port order.  Input lines face the instrument with
+        port 1, so block ``sij`` reads ``m[i, j]`` (0-based); output lines
+        face it with port 2, so it reads ``m[1 - i, 1 - j]``.  Each
+        diagonal is ``(4,)`` or ``(n, 4)``, a view of one read-only
+        ``(..., 4, 2, 2)`` stack of the lines, output lines flipped.
+        """
         ia, oa, ib, ob = self.two_ports
         stack = np.stack((ia, oa[..., ::-1, ::-1], ib, ob[..., ::-1, ::-1]), axis=-3)
         stack.flags.writeable = False
@@ -147,9 +148,8 @@ class LineModel:
         """Single-frequency slice; frequency-independent lines are returned as they are.
 
         The slice holds views of this model's validated read-only arrays and
-        row ``i`` of its line-block diagonals, which
-        :func:`complementary_blocks` returns as they are: nothing is
-        validated or built again.
+        row ``i`` of its line-block diagonals: nothing is validated or
+        built again.
         """
         if self.two_ports.ndim == 3:
             return self
@@ -161,10 +161,6 @@ class LineModel:
         object.__setattr__(line, "_blocks", (s11[i], s12[i], s21[i], s22[i]))
         return line
 
-    def is_passive(self) -> bool:
-        norms = np.linalg.norm(self.two_ports.reshape(-1, 2, 2), 2, axis=(1, 2))
-        return bool(np.all(norms <= 1.0 + PASSIVE_TOL))
-
 
 @dataclass(frozen=True)
 class CompositionResult:
@@ -174,47 +170,23 @@ class CompositionResult:
     truncation_error: float
 
 
-def ideal_lines(isolation: complex = 0.0) -> LineModel:
-    """Reflectionless unit-transmission lines (identity de-embedding)."""
+def ideal_lines() -> LineModel:
+    """Reflectionless unit-transmission lines without isolation (identity de-embedding)."""
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return LineModel(np.broadcast_to(swap, (4, 2, 2)), isolation=isolation)
+    return LineModel(np.broadcast_to(swap, (4, 2, 2)))
 
 
-def complementary_blocks(lines: LineModel) -> tuple[np.ndarray, ...]:
-    """Diagonals ``(s11, s12, s21, s22)`` of the four 4x4 line blocks.
-
-    Index 1 is the external wave (facing the instrument), index 2 the
-    internal wave (facing the cell); entry k of each diagonal belongs to
-    line k in port order.  Input lines face the instrument with port 1,
-    so block ``sij`` reads ``m[i, j]`` (0-based); output lines face it with
-    port 2, so it reads ``m[1 - i, 1 - j]``.  The four diagonals are
-    read-only views of the stack of ``lines.two_ports``, output lines
-    flipped, that ``lines`` builds on first use and its slices share;
-    per-frequency lines raise ``ValueError``.
-    """
+def _operands(cell: PortMatrix, lines: LineModel) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Cell entries and line-block diagonals; refuses any other cell type and per-frequency lines."""
+    if not isinstance(cell, PortMatrix):
+        raise TypeError(f"cell must be a PortMatrix, got {type(cell).__name__}")
     blocks = lines._blocks
     if blocks[0].ndim != 1:
-        raise ValueError("complementary_blocks expects single-frequency lines; use LineModel.at")
-    return blocks
+        raise ValueError("the compositions take single-frequency lines; use LineModel.at")
+    return cell.entries, blocks
 
 
-def _cell_matrix(cell) -> np.ndarray:
-    """The 4x4 cell matrix of a PortMatrix or array.
-
-    A PortMatrix was checked square and finite when it was built, so only
-    its port count is checked here; an array is checked in full.
-    """
-    if isinstance(cell, PortMatrix):
-        s, finite = cell.entries, True
-    else:
-        s = np.asarray(cell, dtype=complex)
-        finite = np.isfinite(s).all()
-    if s.shape != (4, 4) or not finite:
-        raise ValueError("cell must be a finite 4-port matrix")
-    return s
-
-
-def compose_exact(cell, lines: LineModel) -> CompositionResult:
+def compose_exact(cell: PortMatrix, lines: LineModel) -> CompositionResult:
     """Measured S-matrix with the internal waves eliminated exactly.
 
     Returns ``s_meas = S11 + S12 S (I - S22 S)^-1 S21`` where S is the cell
@@ -229,8 +201,7 @@ def compose_exact(cell, lines: LineModel) -> CompositionResult:
     1/2: ``cond_2(I - S22 S) <= 4 (1 + q) / (1 - q)``, at most 12 below
     that, so the bound never changes whether the composition raises.
     """
-    s = _cell_matrix(cell)
-    s11, s12, s21, s22 = complementary_blocks(lines)
+    s, (s11, s12, s21, s22) = _operands(cell, lines)
     x = s22[:, None] * s
     core = _EYE - x
     if not np.abs(x).sum(axis=1).max() < 0.5:
@@ -242,7 +213,7 @@ def compose_exact(cell, lines: LineModel) -> CompositionResult:
     return CompositionResult(PortMatrix(s_meas), 0.0)
 
 
-def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
+def compose_neumann(cell: PortMatrix, lines: LineModel, order: int) -> CompositionResult:
     """Measured S-matrix from the truncated multiple-reflection series.
 
     ``order`` counts the retained series terms: order 0 keeps only the
@@ -262,8 +233,7 @@ def compose_neumann(cell, lines: LineModel, order: int) -> CompositionResult:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    s = _cell_matrix(cell)
-    s11, s12, s21, s22 = complementary_blocks(lines)
+    s, (s11, s12, s21, s22) = _operands(cell, lines)
     x = s * s22
     if not np.abs(x).sum(axis=1).max() < 1.0:
         radius = float(np.max(np.abs(np.linalg.eigvals(x))))

@@ -59,6 +59,14 @@ def derive_seed(seed: int, *keys) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
+def _grid(freqs) -> np.ndarray:
+    """``freqs`` as floats, checked finite, strictly increasing, 1-D and at least 2 points."""
+    f = np.asarray(freqs, dtype=float)
+    if f.ndim != 1 or f.size < 2 or not np.isfinite(f).all() or np.any(np.diff(f) <= 0):
+        raise ValueError("freqs must be a finite, strictly increasing 1-D grid")
+    return f
+
+
 @dataclass(frozen=True)
 class LineSpec:
     """Statistical description of the measurement lines to generate.
@@ -90,7 +98,7 @@ class LineSpec:
             raise ValueError("ripple_db must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CampaignConfig:
     """Everything needed to synthesize one spectroscopy campaign."""
 
@@ -101,17 +109,14 @@ class CampaignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        if (freqs.ndim != 1 or freqs.size < 2 or not np.isfinite(freqs).all()
-                or np.any(np.diff(freqs) <= 0)):
-            raise ValueError("freqs must be a finite, strictly increasing 1-D grid")
+        freqs = _grid(self.freqs)
         _check_finite("noise_sigma", self.noise_sigma)
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         object.__setattr__(self, "freqs", freqs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthSpectrum:
     """Generated measured/high-drive pair with its ground truth."""
 
@@ -143,8 +148,10 @@ def gen_lines(spec: LineSpec, seed: int, freqs=None) -> LineModel:
     With ``freqs`` given and ``ripple_db > 0``, the through transmissions
     acquire a smooth per-frequency level ripple and the stack of line
     matrices has shape (4, n, 2, 2); otherwise it is (4, 2, 2), frequency
-    independent.  The draw order is the module docstring's.
+    independent.  A given ``freqs`` must be a finite, strictly increasing
+    grid of at least 2 points.  The draw order is the module docstring's.
     """
+    f = None if freqs is None else _grid(freqs)
     rng = np.random.default_rng(derive_seed(seed, "lines"))
     quarter = spec.jitter_db / 4.0
     # A-in, A-out, B-in, B-out
@@ -152,8 +159,7 @@ def gen_lines(spec: LineSpec, seed: int, freqs=None) -> LineModel:
     matrices = np.array([_random_two_port(rng, db, spec.reflection_bound) for db in levels])
     iso = 10.0 ** (spec.isolation_db / 20.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
 
-    if freqs is not None and spec.ripple_db > 0.0:
-        f = np.asarray(freqs, dtype=float)
+    if f is not None and spec.ripple_db > 0.0:
         phase = (f - f[0]) / (f[-1] - f[0]) * 2.0 * np.pi * spec.ripple_periods
         offsets = rng.uniform(-np.pi, np.pi, size=len(levels))
         level = 10.0 ** (spec.ripple_db * np.sin(phase + offsets[:, None]) / 20.0)

@@ -69,6 +69,10 @@ GUARDS = {
                          ValueError, "dressed coupling strengths must be > 0"),
     "resonant-efficiency-couplings": (lambda: model.resonant_efficiency(0.0, 1.0, 0.0),
                                       ValueError, "couplings must be > 0"),
+    "resonant-efficiency-rate": (lambda: model.resonant_efficiency(1.0, 1.0, -0.5),
+                                 ValueError, "rate must be >= 0"),
+    "coherence-rate-n-th": (lambda: model.ThermalCoefficients(1.0, 1.0).coherence_rate([0.0, -1.0]),
+                            ValueError, "n_th must be >= 0"),
     "efficiency-thermal-n-th": (lambda: model.efficiency_thermal(
                                     -1.0, 1.0, 1.0, model.ThermalCoefficients(0.0, 0.0)),
                                 ValueError, "n_th must be >= 0"),
@@ -149,6 +153,9 @@ NAN_GUARDS = {
     "iq-sigma": (lambda: synth.gen_iq_shots([0.0], [0.0], 0j, 1 + 0j, sigma=math.nan, seed=0),
                  "sigma must be >= 0"),
     "resonant-efficiency": (lambda: model.resonant_efficiency(math.nan, 1.0, 0.0), "couplings must be > 0"),
+    "resonant-efficiency-rate": (lambda: model.resonant_efficiency(1.0, 1.0, math.nan), "rate must be >= 0"),
+    "coherence-rate": (lambda: model.ThermalCoefficients(1.0, 1.0).coherence_rate(math.nan),
+                       "n_th must be >= 0"),
     "gamma-phi-from-e": (lambda: estimation.gamma_phi_from_E(0.5, 1.0, math.nan), "couplings must be > 0"),
 }
 
@@ -190,9 +197,23 @@ def test_near_collinear_design_flagged_ill_conditioned():
     assert "ill-conditioned" in report.flags
 
 
-def test_line_beyond_unit_norm_is_not_passive():
-    assert not lines_with(2.0 * EYE).is_passive()
-    assert lines_with(EYE).is_passive()
+#: Each record that holds arrays, built twice from equal arguments.
+ARRAY_RECORDS = {
+    "PortMatrix": lambda: network.PortMatrix(np.eye(4)),
+    "LineModel": lambda: network.LineModel(np.broadcast_to(EYE, (4, 3, 2, 2)), isolation=np.zeros(3)),
+    "ChannelSpectrum": clean_spectrum,
+    "CampaignConfig": lambda: synth.CampaignConfig(CELL, synth.LineSpec(), FREQS),
+    "SynthSpectrum": lambda: synth.gen_spectrum(synth.CampaignConfig(CELL, synth.LineSpec(), FREQS)),
+    "PopulationTrace": lambda: estimation.PopulationTrace(T, np.zeros(T.size)),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_array_record_compares_by_identity(build):
+    # a field-wise == on equal arrays would raise "truth value ... is ambiguous"
+    a, b = build(), build()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_report_lists_fit_flags(tmp_path):

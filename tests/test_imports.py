@@ -178,7 +178,8 @@ UNUSED_EXPORTS = {
 
 
 def unreferenced_exports(modules: dict[str, str], code: list[str]) -> set[str]:
-    """``module.name`` for each ``__all__`` name that no source in ``code`` reads.
+    """``module.name`` for each ``__all__`` name that no source in ``code`` reads,
+    and ``module.Class.name`` for each public method or property of an exported class.
 
     A name counts as read where it appears as a name, an attribute or an
     imported name; ``__all__`` itself and docstrings do not count.
@@ -194,17 +195,39 @@ def unreferenced_exports(modules: dict[str, str], code: list[str]) -> set[str]:
                 read.add(node.name.split(".")[-1])
     found = set()
     for module, source in modules.items():
-        for node in ast.parse(source).body:
+        body = ast.parse(source).body
+        exported = set()
+        for node in body:
             if isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                found |= {f"{module}.{e.value}" for e in node.value.elts if e.value not in read}
+                exported = {e.value for e in node.value.elts}
+        found |= {f"{module}.{name}" for name in exported if name not in read}
+        for node in body:
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                found |= {f"{module}.{node.name}.{f.name}" for f in node.body
+                          if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                          and f.name not in read}
     return found
 
 
 def test_unreferenced_export_check_sees_names_attributes_and_imports():
-    module = '"""Uses used_doc."""\n__all__ = ["f", "g", "h", "k"]\ndef f(): pass\ndef g(): pass\n'
-    code = [module, "from m import g\nimport m\nm.h()\nprint(k)\n"]
-    assert unreferenced_exports({"m": module}, code) == {"m.f"}
+    module = "\n".join([
+        '"""Uses used_doc."""',
+        "__all__ = ['f', 'g', 'h', 'k', 'C']",
+        "def f(): pass",
+        "def g(): pass",
+        "class C:",
+        "    def __init__(self): pass",
+        "    def _private(self): pass",
+        "    def used(self): pass",
+        "    @property",
+        "    def shape(self): pass",
+        "    def unused(self): pass",
+        "class Hidden:",
+        "    def unread(self): pass",
+    ])
+    code = [module, "from m import g\nimport m\nm.h()\nprint(k)\nm.C().used()\nprint(m.C().shape)\n"]
+    assert unreferenced_exports({"m": module}, code) == {"m.f", "m.C.unused"}
 
 
 def test_every_export_is_used_outside_the_tests():

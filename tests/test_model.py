@@ -265,7 +265,8 @@ class TestCellResponseKernel:
         # at zero decay it is unitary (above)
         p = replace(p, gamma_phi=gamma_phi, gamma_bath=gamma_bath)
         for w in sweep(p, 17):
-            assert model.cell_smatrix(w, p).is_passive()
+            s = model.cell_smatrix(w, p).entries
+            assert np.linalg.norm(s, 2) <= 1.0 + 1e-9
 
     def test_phased_preset_cell_is_active(self):
         # its largest singular value peaks at 1.1714, 109 kHz above resonance

@@ -35,14 +35,13 @@ def random_lines(rng, reflection=0.03, isolation=0.0):
 
 class TestPortMatrix:
     def test_requires_square_finite(self):
-        with pytest.raises(ValueError):
-            network.PortMatrix(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            network.PortMatrix(np.array([[np.nan, 0], [0, 0]]))
-
-    def test_passivity_check(self):
-        assert network.PortMatrix(0.5 * np.eye(3)).is_passive()
-        assert not network.PortMatrix(1.5 * np.eye(3)).is_passive()
+        # square and four ports: the one cell type of the compositions
+        for shape in [(2, 3), (3, 3), (5, 5), (4,), (1, 4, 4)]:
+            with pytest.raises(ValueError, match="must be a 4-port"):
+                network.PortMatrix(np.zeros(shape))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                network.PortMatrix(np.where(np.eye(4) > 0, bad, 0.0))
 
 
 # wave order: (a1A, a2A, a1GA, a2GA, a1B, a2B, a1GB, a2GB) maps to
@@ -76,6 +75,13 @@ def reference_compose(cell, lines):
 
 #: Finite real or imaginary parts of line entries.
 ENTRY = st.floats(min_value=-2.0, max_value=2.0)
+#: The through cell: each input port passes everything to its output port.
+THROUGH = network.PortMatrix(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]))
+
+#: Both compositions, the series at order 2.
+BOTH_COMPOSITIONS = (network.compose_exact,
+                     lambda cell, lines: network.compose_neumann(cell, lines, order=2))
+COMPOSITIONS = pytest.mark.parametrize("compose", BOTH_COMPOSITIONS, ids=["exact", "series"])
 
 
 class TestLineModel:
@@ -142,8 +148,7 @@ class TestLineModel:
         assert type(point.isolation) is complex
         assert point.isolation == built.isolation
         assert point.n_points is None and built.n_points is None
-        for got, want in zip(network.complementary_blocks(point),
-                             network.complementary_blocks(built)):
+        for got, want in zip(point._blocks, built._blocks):
             assert np.array_equal(got, want)
         assert built.at(i) is built  # frequency-independent lines hold at every point
 
@@ -186,7 +191,7 @@ class TestLineModel:
         assert base.shape == (5, 4, 2, 2) and not base.flags.writeable
         assert not np.shares_memory(base, lines.two_ports)
         for i in range(5):
-            for got, d in zip(network.complementary_blocks(lines.at(i)), diagonals):
+            for got, d in zip(lines.at(i)._blocks, diagonals):
                 assert got.base is base and np.shares_memory(got, d)
                 assert np.array_equal(got, d[i])
         assert lines._blocks is diagonals
@@ -197,22 +202,24 @@ class TestLineModel:
         iso = np.full(4, 1e-3 + 0j)
         lines = network.LineModel(stack, isolation=iso)
         kept = lines.two_ports.copy()
-        before = [d.copy() for d in network.complementary_blocks(lines.at(2))]
+        before = [d.copy() for d in lines.at(2)._blocks]
         for m in (lines.two_ports, *lines.matrices, lines.at(2).two_ports, lines.isolation,
-                  *network.complementary_blocks(lines.at(2))):
+                  *lines.at(2)._blocks):
             with pytest.raises(ValueError, match="read-only"):
                 m[...] = 0.0
         stack[...] = 7.0
         iso[...] = 7.0
         assert np.array_equal(lines.two_ports, kept)
         assert np.all(lines.isolation == 1e-3)
-        for got, want in zip(network.complementary_blocks(lines.at(2)), before):
+        for got, want in zip(lines.at(2)._blocks, before):
             assert np.array_equal(got, want)
 
 
 class TestComplementaryBlocks:
+    """The line-block diagonals the compositions read, ``LineModel._blocks``."""
+
     def test_ideal_lines(self):
-        s11, s12, s21, s22 = network.complementary_blocks(network.ideal_lines())
+        s11, s12, s21, s22 = network.ideal_lines()._blocks
         assert np.allclose(s11, 0.0)
         assert np.allclose(s22, 0.0)
         assert np.allclose(s12, 1.0)
@@ -221,13 +228,13 @@ class TestComplementaryBlocks:
     def test_uniform_reflection_fills_s11_diagonal(self):
         r = 0.07 - 0.02j
         m = two_port(t21=0.9, r11=r, r22=r)
-        s11, *_ = network.complementary_blocks(network.LineModel([m, m, m, m]))
+        s11, *_ = network.LineModel([m, m, m, m])._blocks
         assert np.allclose(s11, r)
 
     def test_slots_match_permuted_block_product(self):
         rng = np.random.default_rng(42)
         lines = random_lines(rng, reflection=0.05)
-        blocks = network.complementary_blocks(lines)
+        blocks = lines._blocks
         for diag, ref in zip(blocks, permuted_blocks(lines)):
             assert diag.shape == (4,)
             assert np.array_equal(np.diag(diag), ref)
@@ -241,16 +248,18 @@ class TestComplementaryBlocks:
     def test_rejects_per_frequency_lines(self):
         m = np.repeat(two_port(0.9)[None], 3, axis=0)
         lines = network.LineModel([m, m, m, m])
-        with pytest.raises(ValueError):
-            network.complementary_blocks(lines)
+        for compose in BOTH_COMPOSITIONS:
+            with pytest.raises(ValueError, match="single-frequency lines; use LineModel.at"):
+                compose(THROUGH, lines)
 
     @pytest.mark.parametrize("isolation", [0.1j, np.zeros(3)], ids=["lines", "isolation"])
     def test_rejects_per_frequency_lines_after_slicing(self, isolation):
         m = np.repeat(two_port(0.9)[None], 3, axis=0)
         lines = network.LineModel([m, m, m, m], isolation=isolation)
-        network.complementary_blocks(lines.at(1))  # builds and keeps the stack
-        with pytest.raises(ValueError, match="single-frequency"):
-            network.complementary_blocks(lines)
+        network.compose_exact(THROUGH, lines.at(1))  # builds and keeps the stack
+        for compose in BOTH_COMPOSITIONS:
+            with pytest.raises(ValueError, match="single-frequency"):
+                compose(THROUGH, lines)
 
 
 class TestComposeExact:
@@ -262,15 +271,13 @@ class TestComposeExact:
 
     def test_attenuators_square_the_through_path(self):
         tau = 0.4
-        cell = np.array([[0, 1, 0, 0], [1, 0, 0, 0],
-                         [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
         m = two_port(t21=tau)
-        out = network.compose_exact(cell, network.LineModel([m, m, m, m]))
+        out = network.compose_exact(THROUGH, network.LineModel([m, m, m, m]))
         i_out, i_in = PORTS["AA"]
         assert out.s_meas.entries[i_out, i_in] == pytest.approx(tau**2, abs=1e-12)
 
     def test_zero_cell_gives_zero_response(self):
-        out = network.compose_exact(np.zeros((4, 4)), network.ideal_lines())
+        out = network.compose_exact(network.PortMatrix(np.zeros((4, 4))), network.ideal_lines())
         assert np.max(np.abs(out.s_meas.entries)) < 1e-11
 
     def test_singular_internal_system_raises(self):
@@ -279,7 +286,7 @@ class TestComposeExact:
         g = np.array([[1, 0], [0, 0]], dtype=complex)  # port-1 full reflection
         lines = network.LineModel([m, g, m, g])
         with pytest.raises(network.SingularNetworkError):
-            network.compose_exact(np.eye(4), lines)
+            network.compose_exact(network.PortMatrix(np.eye(4)), lines)
 
 
 class TestComposeNeumann:
@@ -288,7 +295,7 @@ class TestComposeNeumann:
         lines = random_lines(rng, reflection=0.1)
         s = model.cell_smatrix(CELL.omega_ge, CELL)
         out = network.compose_neumann(s, lines, order=0)
-        s11, *_ = network.complementary_blocks(lines)
+        s11, *_ = lines._blocks
         assert np.allclose(out.s_meas.entries, np.diag(s11))
 
     def test_reflectionless_first_order_equals_exact(self):
@@ -302,7 +309,7 @@ class TestComposeNeumann:
         rng = np.random.default_rng(3)
         lines = random_lines(rng, reflection=0.1)
         s = model.cell_smatrix(CELL.omega_ge + TWO_PI * 3e6, CELL)
-        *_, s22 = network.complementary_blocks(lines)
+        *_, s22 = lines._blocks
         radius = np.max(np.abs(np.linalg.eigvals(s.entries * s22)))
         errs = [network.compose_neumann(s, lines, order=k).truncation_error
                 for k in range(1, 6)]
@@ -315,7 +322,7 @@ class TestComposeNeumann:
         full = np.array([[1, 0], [0, 1]], dtype=complex)  # total reflectors
         lines = network.LineModel([full, full, full, full])
         with pytest.raises(network.DivergenceError):
-            network.compose_neumann(np.eye(4), lines, order=2)
+            network.compose_neumann(network.PortMatrix(np.eye(4)), lines, order=2)
 
     def test_converges_to_exact(self):
         rng = np.random.default_rng(7)
@@ -394,7 +401,7 @@ def reflector_networks(draw):
     # input lines face the cell with port 2, output lines with port 1
     mats = [two_port(0.5, r22=r) if k % 2 == 0 else two_port(0.5, r11=r)
             for k, r in enumerate(internal)]
-    return cell, network.LineModel(mats)
+    return network.PortMatrix(cell), network.LineModel(mats)
 
 
 COMPOSE_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
@@ -403,18 +410,11 @@ EITHER_SIDE_OF_THE_BOUND = st.one_of(st.tuples(cell_matrices(), reflective_lines
                                      reflector_networks())
 
 
-#: Both compositions, the series at order 2.
-COMPOSITIONS = pytest.mark.parametrize("compose", [
-    network.compose_exact,
-    lambda cell, lines: network.compose_neumann(cell, lines, order=2),
-], ids=["exact", "series"])
-
-
 class TestCompositionProperties:
     @COMPOSE_SETTINGS
     @given(cell_matrices(), passive_lines())
     def test_exact_matches_permuted_reference(self, cell, lines):
-        assert lines.is_passive()
+        assert np.all(np.linalg.norm(lines.two_ports, 2, axis=(1, 2)) <= 1.0 + 1e-9)
         out = network.compose_exact(cell, lines)
         ref = reference_compose(cell.entries, lines)
         assert np.max(np.abs(out.s_meas.entries - ref)) < 1e-12
@@ -451,7 +451,7 @@ class TestCompositionProperties:
     @given(EITHER_SIDE_OF_THE_BOUND)
     def test_exact_raises_exactly_when_ill_conditioned(self, net):
         cell, lines = net
-        s = np.asarray(getattr(cell, "entries", cell))
+        s = cell.entries
         *_, s22 = permuted_blocks(lines)
         cond = np.linalg.cond(np.eye(4) - s22 @ s)
         if not np.isfinite(cond) or cond > 1e14:
@@ -467,7 +467,7 @@ class TestCompositionProperties:
     @given(EITHER_SIDE_OF_THE_BOUND)
     def test_series_diverges_exactly_when_the_spectral_radius_reaches_one(self, net):
         cell, lines = net
-        s = np.asarray(getattr(cell, "entries", cell))
+        s = cell.entries
         *_, s22 = permuted_blocks(lines)
         radius = np.max(np.abs(np.linalg.eigvals(s @ s22)))
         try:
@@ -488,15 +488,16 @@ class TestCompositionProperties:
     def test_nilpotent_loop_composes_past_both_row_sum_bounds(self):
         # S S22 and S22 S are strictly upper triangular with row sum 2: both
         # bounds fail, the spectral radius is 0, and the series ends after two terms
-        cell = np.zeros((4, 4), dtype=complex)
-        cell[0, 1] = cell[2, 3] = 2.0
+        s = np.zeros((4, 4), dtype=complex)
+        s[0, 1] = s[2, 3] = 2.0
+        cell = network.PortMatrix(s)
         lines = network.LineModel([two_port(0.5, r22=1.0), two_port(0.5, r11=1.0),
                                    two_port(0.5, r22=1.0), two_port(0.5, r11=1.0)])
-        *_, s22 = network.complementary_blocks(lines)
-        assert np.abs(s22[:, None] * cell).sum(axis=1).max() == 2.0
-        assert np.abs(cell * s22).sum(axis=1).max() == 2.0
+        *_, s22 = lines._blocks
+        assert np.abs(s22[:, None] * s).sum(axis=1).max() == 2.0
+        assert np.abs(s * s22).sum(axis=1).max() == 2.0
         exact = network.compose_exact(cell, lines).s_meas.entries
-        assert np.max(np.abs(exact - reference_compose(cell, lines))) < 1e-15
+        assert np.max(np.abs(exact - reference_compose(s, lines))) < 1e-15
         series = network.compose_neumann(cell, lines, order=2)
         assert series.truncation_error == 0.0
         assert np.array_equal(series.s_meas.entries, exact)
@@ -504,14 +505,12 @@ class TestCompositionProperties:
     def test_series_at_unit_spectral_radius_raises(self):
         # eigenvalues of S S22 are exactly +-1 on the B block; eigvals rounds
         # the radius below 1, and the singular I - S S22 is what reports it
-        cell = np.zeros((4, 4), dtype=complex)
-        cell[0, 1] = cell[1, 0] = cell[2, 3] = cell[3, 2] = 1.0
         lines = network.LineModel([two_port(0.5), two_port(0.5, r11=0.5),
                                    two_port(0.5, r22=1j), two_port(0.5, r11=-1j)])
         with pytest.raises(network.DivergenceError):
-            network.compose_neumann(cell, lines, order=2)
+            network.compose_neumann(THROUGH, lines, order=2)
         with pytest.raises(network.SingularNetworkError):
-            network.compose_exact(cell, lines)
+            network.compose_exact(THROUGH, lines)
 
     def test_matched_lines_skip_the_svd_and_the_eigenvalues(self, monkeypatch):
         # reflections up to 0.1 keep both row sums below their bounds, so
@@ -529,7 +528,7 @@ class TestCompositionProperties:
 
     @COMPOSITIONS
     def test_port_matrix_cell_is_not_checked_again(self, monkeypatch, compose):
-        # a PortMatrix was checked finite when it was built; a raw array is checked here
+        # a PortMatrix was checked finite when it was built; a raw array is refused
         isfinite = np.isfinite
         checked = []
 
@@ -538,23 +537,24 @@ class TestCompositionProperties:
             return isfinite(a, *args, **kwargs)
 
         cell = model.cell_smatrix(CELL.omega_ge, CELL)
-        raw = cell.entries.copy()
         lines = random_lines(np.random.default_rng(5))
         monkeypatch.setattr(np, "isfinite", spy)
         compose(cell, lines)
         assert not any(a is cell.entries for a in checked)
-        checked.clear()
-        compose(raw, lines)
-        assert any(a is raw for a in checked)
+        with pytest.raises(TypeError, match="cell must be a PortMatrix, got ndarray"):
+            compose(cell.entries.copy(), lines)
 
     @COMPOSITIONS
     @pytest.mark.parametrize("cell", [
-        network.PortMatrix(np.eye(3)),
+        np.eye(3),
         np.where(np.eye(4) > 0, np.nan, 0.0),
         np.where(np.eye(4) > 0, np.inf, 0.0),
     ], ids=["three-port", "nan", "inf"])
     def test_rejects_non_four_port_cell(self, compose, cell):
+        # no PortMatrix holds such a cell, and the compositions take nothing else
         with pytest.raises(ValueError, match="4-port"):
+            network.PortMatrix(cell)
+        with pytest.raises(TypeError, match="cell must be a PortMatrix"):
             compose(cell, network.ideal_lines())
 
 
@@ -694,7 +694,7 @@ class TestIsolationRecovery:
         np.testing.assert_allclose(recovered, single, rtol=1e-14, atol=0)
 
     def test_zero_isolation(self):
-        lines = network.ideal_lines(isolation=0.0)
+        lines = network.ideal_lines()
         hd = network.simplified_forward(synth.hd_cell_coefficients(), lines)
         assert network.isolation_from_hd(hd) == 0.0
 

@@ -13,6 +13,11 @@ CELL = model.CellParams(TWO_PI * 1.82e6, TWO_PI * 2.31e6, TWO_PI * 6.163e9,
 FREQS = np.linspace(6.163e9 - 25e6, 6.163e9 + 25e6, 401)
 
 
+def passive(lines):
+    """Whether every line's largest singular value is at most 1 (1e-9 for rounding)."""
+    return bool(np.all(np.linalg.norm(lines.two_ports, 2, axis=(-2, -1)) <= 1.0 + 1e-9))
+
+
 def campaign(sigma=1e-3, seed=0, **line_kwargs):
     return synth.CampaignConfig(
         cell=CELL, lines=synth.LineSpec(jitter_db=1.0, **line_kwargs),
@@ -42,7 +47,7 @@ class TestGenLines:
         for seed in range(10):
             lines = synth.gen_lines(synth.LineSpec(reflection_bound=0.2,
                                                    transmission_db=-0.2), seed=seed)
-            assert lines.is_passive()
+            assert passive(lines)
 
     def test_zero_reflection_bound_gives_pure_attenuators(self):
         lines = synth.gen_lines(synth.LineSpec(reflection_bound=0.0), seed=2)
@@ -64,7 +69,15 @@ class TestGenLines:
         t = np.abs(lines.two_ports[0, :, 1, 0])
         swing_db = 20 * np.log10(t.max() / t.min())
         assert swing_db == pytest.approx(1.0, abs=0.05)
-        assert lines.is_passive()
+        assert passive(lines)
+
+    # a grid a ripple cannot span; CampaignConfig's check, run before any draw
+    @pytest.mark.parametrize("freqs", [[6.1e9], [6.1e9, 6.1e9, 6.2e9], [6.2e9, 6.1e9, 6.0e9]],
+                             ids=["one-point", "repeated", "descending"])
+    def test_rippled_lines_check_their_grid(self, freqs):
+        # not a 0/0 in the ripple phase, nor a silently reversed ripple
+        with pytest.raises(ValueError, match="freqs must be a finite, strictly increasing 1-D grid"):
+            synth.gen_lines(synth.LineSpec(ripple_db=0.5), seed=0, freqs=freqs)
 
     def test_line_spec_validation(self):
         with pytest.raises(ValueError):
@@ -275,7 +288,7 @@ class TestSkippedWork:
         lines = [synth.gen_lines(CAMPAIGN_LINES, seed, freqs=FREQS) for seed in range(5)]
         assert calls == []
         monkeypatch.undo()
-        assert all(line.is_passive() for line in lines)
+        assert all(passive(line) for line in lines)
 
     # at 0 dB every two-port has t + max r > 1; at -0.2 dB (t = 0.977) the
     # two of these 20 whose larger reflection falls below 0.023 skip the SVD
@@ -285,7 +298,7 @@ class TestSkippedWork:
         lines = [synth.gen_lines(spec, seed, freqs=FREQS) for seed in range(5)]
         assert len(calls) == svds
         monkeypatch.undo()
-        assert all(line.is_passive() for line in lines)
+        assert all(passive(line) for line in lines)
 
 
 class TestGenIqShots:
