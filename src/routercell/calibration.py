@@ -51,14 +51,24 @@ class CircleFitError(RuntimeError):
     """Raised when a trace does not describe a usable resonance circle."""
 
 
+def _grid(freqs, min_points: int) -> np.ndarray:
+    """``freqs`` as a read-only float copy: 1-D, finite, strictly increasing, ``min_points`` or more."""
+    f = np.array(freqs, dtype=float)
+    if f.ndim != 1 or f.size < min_points or not np.isfinite(f).all() or np.any(np.diff(f) <= 0):
+        raise ValueError(f"freqs must be a finite, strictly increasing 1-D grid "
+                         f"of {min_points} or more points")
+    f.flags.writeable = False
+    return f
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelSpectrum:
     """Frequency grid with the four complex transmission channels.
 
-    ``freqs`` is in Hz and strictly increasing; ``traces`` is the complex
-    ``(4, n)`` array of the channels in :data:`CHANNELS` order (``AA``,
-    ``BB``, ``AB``, ``BA``).  Optional metadata records the measurement
-    conditions.
+    ``freqs`` (Hz) is a finite, strictly increasing grid of 1 or more points;
+    ``traces`` the finite complex ``(4, n)`` stack of the channels in
+    :data:`CHANNELS` order (``AA``, ``BB``, ``AB``, ``BA``).  Both are held as
+    read-only copies.  Optional metadata records the measurement conditions.
     """
 
     freqs: np.ndarray
@@ -68,28 +78,16 @@ class ChannelSpectrum:
     temp_k: float | None = None
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        if freqs.ndim != 1 or freqs.size == 0:
-            raise ValueError("freqs must be a nonempty 1-D array")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("freqs must be strictly increasing")
-        if not np.all(np.isfinite(freqs)):
-            raise ValueError("freqs must be finite")
-        rows = [np.asarray(tr, dtype=complex) for tr in self.traces]
-        if len(rows) != len(CHANNELS):
-            raise ValueError(f"traces must hold {len(CHANNELS)} channels, got {len(rows)}")
-        for name, tr in zip(CHANNELS, rows):
-            if tr.shape != freqs.shape:
-                raise ValueError(f"channel {name} length {tr.size} != {freqs.size} frequencies")
-        traces = np.array(rows)
+        freqs = _grid(self.freqs, 1)
+        traces = np.array(self.traces, dtype=complex, order="C")
+        if traces.shape != (len(CHANNELS), freqs.size):
+            raise ValueError(f"traces must have shape ({len(CHANNELS)}, {freqs.size}), got {traces.shape}")
         finite = np.isfinite(traces).all(axis=1)
         if not finite.all():
             raise ValueError(f"channel {CHANNELS[int(np.argmin(finite))]} contains non-finite samples")
+        traces.flags.writeable = False
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "traces", traces)
-
-    def __len__(self) -> int:
-        return self.freqs.size
 
     def channel(self, name: str) -> np.ndarray:
         return self.traces[CHANNELS.index(name)]
@@ -157,10 +155,10 @@ def resample(spectrum: ChannelSpectrum, freqs) -> ChannelSpectrum:
             f"[{spectrum.freqs[0]:.9g}, {spectrum.freqs[-1]:.9g}] Hz and take its end values",
             stacklevel=2,
         )
-    traces = [
+    traces = np.array([
         np.interp(freqs, spectrum.freqs, tr.real) + 1j * np.interp(freqs, spectrum.freqs, tr.imag)
         for tr in spectrum.traces
-    ]
+    ])
     return replace(spectrum, freqs=freqs, traces=traces)
 
 

@@ -462,7 +462,8 @@ def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
     report = _finish_report(("p0", "t1", "p_inf"), least_squares(
         problem, [p00, max(t10, 1e-12), p_inf0],
         bounds=([-np.inf, 1e-15, -np.inf], [np.inf, np.inf, np.inf])), seed)
-    if abs(report.value("p0")) < 1e-6:
+    # p0 exactly 0 leaves the t1 column zero, which _finish_report flags already
+    if abs(report.value("p0")) < 1e-6 and "unidentifiable:t1" not in report.flags:
         report = replace(report, flags=report.flags + ("unidentifiable:t1",))
     if (t[-1] - t[0]) < 2.0 * report.value("t1"):
         warnings.warn("delay span is below twice the fitted T1", stacklevel=2)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import ChannelSpectrum
+from .calibration import ChannelSpectrum, _grid
 from .model import CHANNELS, CellParams, _check_finite, cell_coefficients
 from .network import LineModel, simplified_forward
 
@@ -48,23 +48,14 @@ def derive_seed(seed: int, *keys) -> int:
     """Stable child seed from a campaign seed and mixing keys.
 
     Strings are folded through CRC32 so the mixing is reproducible across
-    processes; the combined entropy feeds a ``SeedSequence``.
+    processes; the seed and the other keys must be non-negative integers, or
+    ``ValueError`` names the first that is not.  The entropy feeds a ``SeedSequence``.
     """
-    entropy = [int(seed)]
-    for key in keys:
-        if isinstance(key, str):
-            entropy.append(zlib.crc32(key.encode()))
-        else:
-            entropy.append(int(key))
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
-
-
-def _grid(freqs) -> np.ndarray:
-    """``freqs`` as floats, checked finite, strictly increasing, 1-D and at least 2 points."""
-    f = np.asarray(freqs, dtype=float)
-    if f.ndim != 1 or f.size < 2 or not np.isfinite(f).all() or np.any(np.diff(f) <= 0):
-        raise ValueError("freqs must be a finite, strictly increasing 1-D grid")
-    return f
+    entropy = [seed] + [zlib.crc32(key.encode()) if isinstance(key, str) else key for key in keys]
+    bad = [v for v in entropy if not isinstance(v, (int, np.integer)) or v < 0]
+    if bad:  # int() would give a seed of 1.5 the stream of seed 1
+        raise ValueError(f"seed and keys must be non-negative integers, got {bad[0]!r}")
+    return int(np.random.SeedSequence([int(v) for v in entropy]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -100,7 +91,11 @@ class LineSpec:
 
 @dataclass(frozen=True, eq=False)
 class CampaignConfig:
-    """Everything needed to synthesize one spectroscopy campaign."""
+    """Everything needed to synthesize one spectroscopy campaign.
+
+    ``freqs`` (Hz) is held as a read-only copy of a finite, strictly
+    increasing grid of 2 or more points, as the line ripple needs a span.
+    """
 
     cell: CellParams
     lines: LineSpec
@@ -109,7 +104,7 @@ class CampaignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        freqs = _grid(self.freqs)
+        freqs = _grid(self.freqs, 2)
         _check_finite("noise_sigma", self.noise_sigma)
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
@@ -148,10 +143,10 @@ def gen_lines(spec: LineSpec, seed: int, freqs=None) -> LineModel:
     With ``freqs`` given and ``ripple_db > 0``, the through transmissions
     acquire a smooth per-frequency level ripple and the stack of line
     matrices has shape (4, n, 2, 2); otherwise it is (4, 2, 2), frequency
-    independent.  A given ``freqs`` must be a finite, strictly increasing
-    grid of at least 2 points.  The draw order is the module docstring's.
+    independent.  A given ``freqs`` must be a grid as in :class:`CampaignConfig`,
+    checked before any draw.  The draw order is the module docstring's.
     """
-    f = None if freqs is None else _grid(freqs)
+    f = None if freqs is None else _grid(freqs, 2)
     rng = np.random.default_rng(derive_seed(seed, "lines"))
     quarter = spec.jitter_db / 4.0
     # A-in, A-out, B-in, B-out
@@ -215,34 +210,34 @@ def gen_spectrum(config: CampaignConfig) -> SynthSpectrum:
     return SynthSpectrum(meas=meas, hd=hd, truth=config.cell, lines=lines)
 
 
+#: Shots in each IQ cloud of :func:`gen_iq_shots`.
+IQ_SHOTS = 400
+
+
 def gen_iq_shots(settings, p_truth, z_g: complex, z_e: complex, sigma: float,
-                 seed: int, n_shots: int = 400, channel: str = "through",
-                 dc_offset: complex = 0.0) -> dict[float, np.ndarray]:
-    """Heterodyne IQ clouds for a list of drive settings.
+                 seed: int, dc_offset: complex = 0.0) -> dict[float, np.ndarray]:
+    """Heterodyne IQ clouds of :data:`IQ_SHOTS` shots for a list of drive settings.
 
     Each setting's cloud is centered on the population mixture
     ``p z_e + (1 - p) z_g`` plus a residual local-oscillator DC offset.
-    The offset leaks through the full line in "through" detection but is
-    suppressed by the waveguide isolation in "cross" detection, an order
-    of magnitude smaller.  ``sigma`` is the per-quadrature noise standard
-    deviation.
+    ``sigma`` is the per-quadrature noise standard deviation.  The
+    settings must be distinct, or ``ValueError`` is raised.
 
     Returns a mapping setting -> complex shot array, suitable for
     :func:`routercell.estimation.pca_populations`.
     """
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
-    if channel not in ("through", "cross"):
-        raise ValueError("channel must be 'through' or 'cross'")
-    settings = list(settings)
+    settings = [float(s) for s in settings]
     p_truth = np.asarray(p_truth, dtype=float)
     if p_truth.size != len(settings):
         raise ValueError("p_truth must match the settings list")
-    offset = dc_offset if channel == "through" else dc_offset / 10.0
+    if len(set(settings)) != len(settings):
+        raise ValueError("settings must be distinct; a repeated one would overwrite a cloud")
     clouds: dict[float, np.ndarray] = {}
     for i, (setting, p) in enumerate(zip(settings, p_truth)):
         rng = np.random.default_rng(derive_seed(seed, "iq", i))
-        mean = p * z_e + (1.0 - p) * z_g + offset
-        noise = rng.standard_normal(n_shots) + 1j * rng.standard_normal(n_shots)
-        clouds[float(setting)] = mean + sigma * noise
+        mean = p * z_e + (1.0 - p) * z_g + dc_offset
+        noise = rng.standard_normal(IQ_SHOTS) + 1j * rng.standard_normal(IQ_SHOTS)
+        clouds[setting] = mean + sigma * noise
     return clouds

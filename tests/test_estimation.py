@@ -976,7 +976,8 @@ class TestTimeDomain:
     def test_t1_unidentifiable_with_zero_amplitude(self):
         t = np.linspace(0, 100e-9, 21)
         report = estimation.fit_T1(np.full(21, 0.3), t)
-        assert "unidentifiable:t1" in report.flags
+        # the zero Jacobian column and the amplitude rule both see it; one flag
+        assert report.flags.count("unidentifiable:t1") == 1
 
     @pytest.mark.parametrize("fit,what", [(estimation.fit_T1, "delays"),
                                           (estimation.fit_rabi_decay, "durations")],

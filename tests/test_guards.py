@@ -45,9 +45,9 @@ GUARDS = {
     "lsq-start-not-finite": (solve_from_non_finite_start,
                              ValueError, "residuals are not finite at the initial point"),
     "spectrum-empty-grid": (lambda: calibration.ChannelSpectrum(np.array([]), np.zeros((4, 0))),
-                            ValueError, "freqs must be a nonempty 1-D array"),
+                            ValueError, "strictly increasing 1-D grid of 1 or more points"),
     "spectrum-grid-not-finite": (lambda: calibration.ChannelSpectrum([1.0, np.inf], np.ones((4, 2))),
-                                 ValueError, "freqs must be finite"),
+                                 ValueError, "freqs must be a finite, strictly increasing 1-D grid"),
     "circle-fit-few-samples": (lambda: calibration.circle_fit(np.ones(4), FREQS[:4]),
                                calibration.CircleFitError, "need at least 5 samples"),
     "efficiency-trace-floor": (lambda: estimation.efficiency_trace(clean_spectrum(np.zeros((4, 41)))),
@@ -97,10 +97,20 @@ GUARDS = {
                        ValueError, "noise_sigma must be >= 0"),
     "iq-sigma": (lambda: synth.gen_iq_shots([0.0], [0.0], 0j, 1 + 0j, sigma=-1.0, seed=0),
                  ValueError, "sigma must be >= 0"),
-    "iq-channel": (lambda: synth.gen_iq_shots([0.0], [0.0], 0j, 1 + 0j, 0.1, 0, channel="sideways"),
-                   ValueError, "channel must be 'through' or 'cross'"),
     "iq-settings": (lambda: synth.gen_iq_shots([0.0, 1.0], [0.0], 0j, 1 + 0j, 0.1, 0),
                     ValueError, "p_truth must match the settings list"),
+    "iq-repeated-setting": (lambda: synth.gen_iq_shots(
+                                [0.0, 0.5, 0.5], [0.0, 0.3, 0.7], 0j, 1 + 0j, 0.1, 0),
+                            ValueError, "settings must be distinct"),
+    "iq-seed-float": (lambda: synth.gen_iq_shots([0.0], [0.0], 0j, 1 + 0j, 0.1, seed=2.0),
+                      ValueError, "seed and keys must be non-negative integers, got 2.0"),
+    "spectrum-seed-fraction": (lambda: synth.gen_spectrum(
+                                   synth.CampaignConfig(CELL, synth.LineSpec(), FREQS, seed=1.5)),
+                               ValueError, "seed and keys must be non-negative integers, got 1.5"),
+    "lines-seed-negative": (lambda: synth.gen_lines(synth.LineSpec(), seed=-1),
+                            ValueError, "seed and keys must be non-negative integers, got -1"),
+    "seed-key-negative": (lambda: synth.derive_seed(0, "iq", -1),
+                          ValueError, "seed and keys must be non-negative integers, got -1"),
     "cli-subcommand": (lambda: cli.run_command("bogus", None),
                        ValueError, "unknown subcommand 'bogus'"),
 }

@@ -1,6 +1,7 @@
 """Start-up cost: the package root loads nothing, presets load no config parser or hash,
 the CLI loads no numpy, scipy optimizer or constants table, each CLI step loads only the
-layers it uses, fits load no scipy, and no package module imports a name it never uses."""
+layers it uses, fits load no scipy, no package module imports a name it never uses, and code
+outside the tests uses every exported name and sets every keyword option of an exported function."""
 
 import ast
 import json
@@ -237,3 +238,75 @@ def test_every_export_is_used_outside_the_tests():
     code = [p.read_text(encoding="utf-8") for folder in ("src", "bench", "demos")
             for p in sorted((root / folder).rglob("*.py")) if not p.name.startswith("test_")]
     assert unreferenced_exports(modules, code) == set(UNUSED_EXPORTS)
+
+
+#: Keyword options of exported functions that no package, benchmark or demo
+#: code sets, each with the reason it stays.
+UNSET_OPTIONS = {
+    "estimation.fit_T1(seed=)": "every fit takes the label that its FitReport records",
+    "estimation.fit_rabi_decay(seed=)": "every fit takes the label that its FitReport records",
+}
+
+
+def unset_keyword_options(modules: dict[str, str], code: list[str]) -> set[str]:
+    """``module.function(name=)`` for each parameter with a default of an ``__all__``
+    function that no call in ``code`` sets.
+
+    A call sets a parameter when it names the function (as a name or an
+    attribute) and passes the parameter by keyword, reaches its position
+    with positional arguments, or unpacks ``*args`` or ``**kwargs`` that
+    might hold it.
+    """
+    options = {}
+    for module, source in modules.items():
+        body = ast.parse(source).body
+        exported = set()
+        for node in body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = {e.value for e in node.value.elts}
+        for node in body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for index, arg in enumerate(positional[first:], first):
+                    options[f"{module}.{node.name}({arg.arg}=)"] = (node.name, arg.arg, index)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        options[f"{module}.{node.name}({arg.arg}=)"] = (node.name, arg.arg, None)
+    calls = [node for source in code for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)]
+
+    def sets(call, function, name, index) -> bool:
+        called = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        if called != function:
+            return False
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        return index is not None and (len(call.args) > index or any(
+            isinstance(a, ast.Starred) for a in call.args))
+
+    return {key for key, (function, name, index) in options.items()
+            if not any(sets(call, function, name, index) for call in calls)}
+
+
+def test_unset_option_check_sees_keywords_positions_and_unpacking():
+    module = "\n".join([
+        "__all__ = ['f', 'g', 'h']",
+        "def f(a, b=1, c=2, *, d=3, e): pass",
+        "def g(a, b=1): pass",
+        "def h(a=1): pass",
+        "def hidden(a=1): pass",
+    ])
+    code = [module, "f(0, 1, d=4, e=5)\nm.g(*args)\nh(**options)\n"]
+    assert unset_keyword_options({"m": module}, code) == {"m.f(c=)"}
+
+
+def test_every_keyword_option_is_set_outside_the_tests():
+    root = Path(__file__).resolve().parents[1]
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((root / "src" / "routercell").glob("*.py"))}
+    code = [p.read_text(encoding="utf-8") for folder in ("src", "bench", "demos")
+            for p in sorted((root / folder).rglob("*.py")) if not p.name.startswith("test_")]
+    assert unset_keyword_options(modules, code) == set(UNSET_OPTIONS)

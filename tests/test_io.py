@@ -330,7 +330,7 @@ class TestCsvErrors:
         path = self.write(tmp_path, "\n".join(rows) + "\n")
         with pytest.warns(UserWarning, match="dropped 1"):
             back = io.ingest_spectrum(path)
-        assert len(back) == 2
+        assert back.freqs.size == 2
         assert np.array_equal(back.freqs, [1e9, 3e9])
 
     @pytest.mark.parametrize("fields, line", [

@@ -76,7 +76,7 @@ class TestGenLines:
                              ids=["one-point", "repeated", "descending"])
     def test_rippled_lines_check_their_grid(self, freqs):
         # not a 0/0 in the ripple phase, nor a silently reversed ripple
-        with pytest.raises(ValueError, match="freqs must be a finite, strictly increasing 1-D grid"):
+        with pytest.raises(ValueError, match="strictly increasing 1-D grid of 2 or more points"):
             synth.gen_lines(synth.LineSpec(ripple_db=0.5), seed=0, freqs=freqs)
 
     def test_line_spec_validation(self):
@@ -94,6 +94,16 @@ class TestCampaignConfig:
         # and a last point at inf follows the one before by a step of +inf
         with pytest.raises(ValueError, match="freqs must be a finite"):
             synth.CampaignConfig(cell=CELL, lines=synth.LineSpec(), freqs=freqs)
+
+    def test_holds_a_read_only_copy_of_the_grid(self):
+        freqs = FREQS.copy()
+        config = synth.CampaignConfig(cell=CELL, lines=synth.LineSpec(), freqs=freqs)
+        out = synth.gen_spectrum(config)
+        freqs[3] = freqs[1]  # the caller's grid stops increasing
+        for grid in (config.freqs, out.meas.freqs, out.hd.freqs):
+            assert np.array_equal(grid, FREQS)
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0] = 0.0
 
 
 class TestGenSpectrum:
@@ -311,13 +321,12 @@ class TestGenIqShots:
         mean = 0.4 * self.Z_E + 0.6 * self.Z_G
         assert np.all(clouds[1.0] == mean)
 
-    def test_dc_offset_ratio_between_channels(self):
+    def test_dc_offset_shifts_every_cloud(self):
         dc = 0.08 + 0.01j
-        kw = dict(z_g=0.0j, z_e=0.0j, sigma=0.0, seed=1, dc_offset=dc)
-        through = synth.gen_iq_shots([0.0], [0.0], channel="through", **kw)
-        cross = synth.gen_iq_shots([0.0], [0.0], channel="cross", **kw)
-        ratio = np.mean(through[0.0]) / np.mean(cross[0.0])
-        assert ratio == pytest.approx(10.0, rel=1e-12)
+        clouds = synth.gen_iq_shots([0.0, 1.0], [0.0, 1.0], self.Z_G, self.Z_E,
+                                    sigma=0.0, seed=1, dc_offset=dc)
+        assert np.all(clouds[0.0] == self.Z_G + dc) and np.all(clouds[1.0] == self.Z_E + dc)
+        assert clouds[0.0].shape == (synth.IQ_SHOTS,)
 
     def test_population_round_trip_within_bound(self):
         amps = np.linspace(0, 2.0, 21)

@@ -33,6 +33,6 @@ def write_touchstone(path, freqs, smatrix) -> None:
 
 def spectrum_to_smatrix(spectrum) -> np.ndarray:
     """Embed the four channels into (n, 4, 4) matrices at their port slots."""
-    s = np.zeros((len(spectrum), 4, 4), dtype=complex)
+    s = np.zeros((spectrum.freqs.size, 4, 4), dtype=complex)
     s[:, _CHANNEL_OUT, _CHANNEL_IN] = spectrum.traces.T
     return s
