@@ -7,8 +7,11 @@ the through channels carry only the lines and the cross channels only the
 isolation leakage -- lets the line factors be divided out exactly:
 
 * through:  ``t = t_meas / t_hd``
-* cross:    ``t = (t_meas - t_hd) * sqrt(t_other_hd /
-  (t_aa_hd * t_bb_hd * t_same_hd))``
+* cross:    ``t_AB = d_AB * sqrt(1 / (rho * t_aa_hd * t_bb_hd))`` and
+  ``t_BA = d_BA * sqrt(rho / (t_aa_hd * t_bb_hd))``, with ``d = t_meas -
+  t_hd`` and the line ratio ``rho = (conj(h_BA) h_AB + conj(d_BA) d_AB) /
+  (|h_BA|^2 + |d_BA|^2)`` fitted per point to ``h_AB = rho h_BA`` and
+  ``d_AB = rho d_BA`` (``h`` the HD cross traces)
 
 The square roots require continuous phases; since halving a phase turns
 2 pi wraps into pi jumps, phases are conditioned by doubling, unwrapping
@@ -90,6 +93,8 @@ class ChannelSpectrum:
         object.__setattr__(self, "traces", traces)
 
     def channel(self, name: str) -> np.ndarray:
+        if name not in CHANNELS:
+            raise ValueError(f"unknown channel {name!r}; the channels are {', '.join(CHANNELS)}")
         return self.traces[CHANNELS.index(name)]
 
 
@@ -185,8 +190,18 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSp
     """Divide out the measurement lines using a high-drive reference.
 
     Through channels are normalized by their HD references; cross channels
-    subtract the isolation leakage and rescale by the square-root
-    combination of HD references that cancels the line transmissions.
+    subtract the isolation leakage ``h`` and rescale by the square root
+    that cancels the line transmissions.  That scale needs the line ratio
+    ``rho = (s_in,A s_out,B) / (s_in,B s_out,A)``, which the cell's
+    reciprocity (the same response for AB and BA) puts in both the leakage,
+    ``h_AB = rho h_BA``, and the resonant signal, ``d_AB = rho d_BA``; it is
+    solved per point from both by least squares, so it stays set where the
+    leakage sinks into the noise.  It is exact on noiseless data.  With
+    acceptance 04's lines at 401 points, the fitted couplings stay within
+    5 sigma of the truth from -60 to -20 dB of isolation at noise sigma up
+    to 0.02; at -20 dB and sigma = 0.05 the per-point ratio is noisy enough
+    to miss that in one seed of ten.  A non-reciprocal path is outside this
+    model.
     The square-root branch is fixed by phase continuity and each cross
     channel's sign by its through dip: ``Re sum(t_AB conj(1 - t_AA)) > 0``
     (``BA`` with ``BB``), since ``t_AB / (1 - t_AA) = sqrt(gamma_b/gamma_a)
@@ -201,11 +216,12 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSp
         hd = resample(hd, meas.freqs)
     _check_reference(hd)
 
-    aa, bb, ab, ba = hd.traces
+    aa, bb, h_ab, h_ba = hd.traces
     through = meas.traces[:2] / hd.traces[:2]
-    # rows AB, BA: each cross channel is rescaled by the opposite direction
-    scale = _continuous_sqrt(np.array([ba, ab]) / (aa * bb * hd.traces[2:]))
-    cross = (meas.traces[2:] - hd.traces[2:]) * scale
+    d = meas.traces[2:] - hd.traces[2:]
+    # the line ratio AB/BA, solved per point from the leakage and the signal together
+    rho = (np.conj(h_ba) * h_ab + np.conj(d[1]) * d[0]) / (np.abs(h_ba) ** 2 + np.abs(d[1]) ** 2)
+    cross = d * _continuous_sqrt(np.array([1.0 / rho, rho]) / (aa * bb))
     anchor = np.sum(cross * np.conj(1.0 - through), axis=-1)
     cross = np.where((anchor.real < 0)[:, None], -cross, cross)
     return replace(meas, traces=np.concatenate([through, cross]))

@@ -20,12 +20,14 @@ Every fit is deterministic given its inputs and uses damped least squares
 policy) on one function per fit that returns the residuals and their
 analytic Jacobian together, with uncertainties from the linearized
 covariance at the optimum; a linear fit is one solve with the same
-covariance.  A fit of paired samples takes them in any order (it sorts
-them by abscissa, so a shuffled sweep fits as the sorted one) and
-refuses, with ``ValueError``, samples that are unpaired or not finite,
-naming the first bad one.  A parameter whose Jacobian column is exactly
-zero is flagged ``unidentifiable:<name>`` instead of being reported with
-a meaningless uncertainty.
+covariance.  The six fits of a sweep's paired samples admit them by one
+rule: they take them in any order (sorted by abscissa, so a shuffled sweep
+fits as the sorted one); they refuse, with ``ValueError``, samples that are
+unpaired or not finite, naming the first bad one; and they refuse, with
+``FitError``, fewer samples than the fit needs or an abscissa that does not
+vary.  A parameter whose Jacobian column is exactly zero is flagged
+``unidentifiable:<name>`` instead of being reported with a meaningless
+uncertainty.
 """
 
 from __future__ import annotations
@@ -184,9 +186,10 @@ def _linear_report(names, design, target, seed=None) -> FitReport:
     return _finish_report(names, solved, seed)
 
 
-def _paired_samples(y, x, what: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+def _paired_samples(y, x, what: tuple[str, str], least: int) -> tuple[np.ndarray, np.ndarray]:
     """``x`` and ``y`` as float arrays, stably sorted by ``x``; raises
-    ``ValueError`` unless paired and finite.
+    ``ValueError`` unless paired and finite, and ``FitError`` for fewer than
+    ``least`` samples or for an ``x`` that does not vary.
 
     ``what`` names the ``y`` and ``x`` samples (plural) in the messages,
     which index the samples in the order given.
@@ -199,8 +202,13 @@ def _paired_samples(y, x, what: tuple[str, str]) -> tuple[np.ndarray, np.ndarray
     if bad.size:
         i = bad[0]
         raise ValueError(f"sample {i} is not finite: ({what[1]}, {what[0]}) = ({x[i]}, {y[i]})")
+    if x.size < least:
+        raise FitError(f"need at least {least} {what[1]}, got {x.size}")
     order = np.argsort(x, axis=None, kind="stable")
-    return x.ravel()[order], y.ravel()[order]
+    x, y = x.ravel()[order], y.ravel()[order]
+    if x[-1] == x[0]:
+        raise FitError(f"all {x.size} {what[1]} are the same; the sweep has no span")
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +313,10 @@ def efficiency_trace(raw: ChannelSpectrum) -> np.ndarray:
 def fit_E_polynomial(e_values, ib_ma, seed: int | None = None) -> FitReport:
     """Quadratic fit of resonant efficiency versus bias current (mA).
 
-    Returns coefficients ``c2`` (per mA^2), ``c1`` (per mA) and ``c0``.
-    Raises ``ValueError`` unless there is one finite efficiency per finite
-    bias.
+    Returns coefficients ``c2`` (per mA^2), ``c1`` (per mA) and ``c0``;
+    needs at least 3 bias points.
     """
-    ib, e = _paired_samples(e_values, ib_ma, ("efficiencies", "bias points"))
-    if ib.size < 3:
-        raise FitError("need at least 3 bias points for a quadratic fit")
+    ib, e = _paired_samples(e_values, ib_ma, ("efficiencies", "bias points"), 3)
     design = np.column_stack([ib**2, ib, np.ones_like(ib)])
     return _linear_report(("c2", "c1", "c0"), design, e, seed)
 
@@ -347,12 +352,9 @@ def fit_flux_noise(gamma_phi, ib_ma, flux: FluxModel,
     Linear least squares of the model's
     :func:`~routercell.model.gamma_phi_of_bias`, ``gamma_phi = pi (d
     omega/d I)^2 s_i + gamma_phi_0``, in ``s_i`` (A^2/Hz) and
-    ``gamma_phi_0`` (rad/s).  Raises ``ValueError`` unless there is one
-    finite rate per finite bias.
+    ``gamma_phi_0`` (rad/s); needs at least 3 bias points.
     """
-    ib, gp = _paired_samples(gamma_phi, ib_ma, ("rates", "bias points"))
-    if ib.size < 3:
-        raise FitError("need at least 3 bias points")
+    ib, gp = _paired_samples(gamma_phi, ib_ma, ("rates", "bias points"), 3)
     slope_term = gamma_phi_of_bias(ib, flux, 1.0, 0.0)
     if np.allclose(slope_term, 0.0):
         raise FitError("all frequency slopes vanish (sweet-spot-only data); s_i unidentifiable")
@@ -369,13 +371,9 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
     line through the rates inverted from the efficiencies above 0; a
     bounded nonlinear fit of every efficiency, noisy ones <= 0 included,
     then polishes them.  Returns ``gamma1_zero`` and ``gamma_phi_zero``
-    (rad/s); needs at least 3 temperatures, 2 of them with E > 0.  Raises
-    ``ValueError`` unless there is one finite efficiency per finite
-    temperature.
+    (rad/s); needs at least 3 temperatures, 2 of them with E > 0.
     """
-    temps, e = _paired_samples(e_values, temps_k, ("efficiencies", "temperatures"))
-    if temps.size < 3:
-        raise FitError("need at least 3 temperatures")
+    temps, e = _paired_samples(e_values, temps_k, ("efficiencies", "temperatures"), 3)
     n_th = n_thermal(temps, omega_ge)
 
     invertible = e > 0
@@ -402,15 +400,14 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
 def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
     """Fit the drive-saturation curve ``a - b / (1 + n^c / d)``.
 
-    Requires at least 4 photon numbers spanning two decades, and raises
-    ``ValueError`` unless there is one finite magnitude per finite photon
-    number.  Starting values take the low- and high-drive plateaus from the
-    data edges and the half-response point for the scale ``d``.
+    Needs at least 4 photon numbers, whose positive ones span two decades.
+    Starting values take the low- and high-drive plateaus from the data
+    edges and the half-response point for the scale ``d``.
     """
-    n, y = _paired_samples(magnitudes, n_avg, ("magnitudes", "photon numbers"))
+    n, y = _paired_samples(magnitudes, n_avg, ("magnitudes", "photon numbers"), 4)
     pos = n[n > 0]
-    if n.size < 4 or pos.size == 0 or pos.max() / pos.min() < 100.0:
-        raise FitError("need >= 4 photon numbers spanning at least two decades")
+    if pos.size == 0 or pos.max() / pos.min() < 100.0:
+        raise FitError("the positive photon numbers must span at least two decades")
 
     lo = float(np.mean(y[:2]))
     hi = float(np.mean(y[-2:]))
@@ -440,15 +437,10 @@ def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
     """Exponential energy-relaxation fit ``p0 exp(-t/T1) + p_inf``.
 
     Returns ``t1`` (s), ``p0`` and ``p_inf``.  A vanishing initial
-    population makes ``t1`` unidentifiable and is flagged.  Raises
-    ``ValueError`` unless there is one finite population per finite delay,
-    and ``FitError`` when every delay is the same.
+    population makes ``t1`` unidentifiable and is flagged.  Needs at least
+    5 delays.
     """
-    t, p = _paired_samples(populations, delays_s, ("populations", "delays"))
-    if t.size < 5:
-        raise FitError("need at least 5 delay points")
-    if t[-1] == t[0]:
-        raise FitError("every delay is the same; the sweep spans no time")
+    t, p = _paired_samples(populations, delays_s, ("populations", "delays"), 5)
     p_inf0 = float(np.mean(p[-max(2, t.size // 5):]))
     p00 = float(p[0] - p_inf0)
     t10 = float((t[-1] - t[0]) / 3.0)
@@ -485,15 +477,10 @@ def fit_rabi_decay(populations, durations_s, seed: int | None = None) -> FitRepo
 
     Model ``(p_max sin^2(pi t / (2 t_pi)) - p_inf) exp(-t/T_R) + p_inf``;
     returns ``t_r`` (s), ``p_max``, ``t_pi`` (s) and ``p_inf``.  The
-    oscillation period starting value comes from the trace's FFT.  Raises
-    ``ValueError`` unless there is one finite population per finite
-    duration, and ``FitError`` when every duration is the same.
+    oscillation period starting value comes from the trace's FFT.  Needs
+    at least 8 durations.
     """
-    t, p = _paired_samples(populations, durations_s, ("populations", "durations"))
-    if t.size < 8:
-        raise FitError("need at least 8 duration points")
-    if t[-1] == t[0]:
-        raise FitError("every duration is the same; the sweep spans no time")
+    t, p = _paired_samples(populations, durations_s, ("populations", "durations"), 8)
     period = _dominant_period(t, p)
     t_pi0 = period / 2.0
     if (t[-1] - t[0]) < 3.0 * period:

@@ -70,16 +70,20 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PortMatrix:
-    """Complex 4x4 scattering matrix in port order, checked 4x4 and finite when built."""
+    """Complex 4x4 scattering matrix in port order, checked 4x4 and finite when built.
+
+    The entries are held as a read-only copy, like ``LineModel``'s arrays.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"port matrix must be a 4-port, shape (4, 4), got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("4-port matrix entries must be finite")
+        m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
 

@@ -221,7 +221,8 @@ def gen_iq_shots(settings, p_truth, z_g: complex, z_e: complex, sigma: float,
     Each setting's cloud is centered on the population mixture
     ``p z_e + (1 - p) z_g`` plus a residual local-oscillator DC offset.
     ``sigma`` is the per-quadrature noise standard deviation.  The
-    settings must be distinct, or ``ValueError`` is raised.
+    settings must be distinct and each population in ``[0, 1]``, or
+    ``ValueError`` is raised.
 
     Returns a mapping setting -> complex shot array, suitable for
     :func:`routercell.estimation.pca_populations`.
@@ -234,6 +235,10 @@ def gen_iq_shots(settings, p_truth, z_g: complex, z_e: complex, sigma: float,
         raise ValueError("p_truth must match the settings list")
     if len(set(settings)) != len(settings):
         raise ValueError("settings must be distinct; a repeated one would overwrite a cloud")
+    bad = np.flatnonzero(~((p_truth >= 0.0) & (p_truth <= 1.0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"p_truth must lie in [0, 1]; population {i} is {p_truth.flat[i]}")
     clouds: dict[float, np.ndarray] = {}
     for i, (setting, p) in enumerate(zip(settings, p_truth)):
         rng = np.random.default_rng(derive_seed(seed, "iq", i))

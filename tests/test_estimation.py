@@ -269,7 +269,7 @@ class TestSolver:
                 assert report.sigma[name] == pytest.approx(ref.sigma[name], rel=self.SCIPY_REL)
 
     def test_fun_is_called_nfev_times_and_jac_comes_with_x(self, monkeypatch):
-        # from this start campaign 14 takes 6 evaluations and its last trial is
+        # from this start campaign 11 takes 6 evaluations and its last trial is
         # rejected, so the Jacobian returned must be the one kept from the accepted point
         calls, results = [], []
 
@@ -283,7 +283,7 @@ class TestSolver:
 
         monkeypatch.setattr(estimation, "least_squares", spy)
         start = model.CellParams(1.3 * GA, 0.8 * GB, W_GE + TWO_PI * 2e6)
-        estimation.fit_four_channel(self.acceptance_04(14)[0], start)
+        estimation.fit_four_channel(self.acceptance_04(11)[0], start)
         (result,) = results
         assert result.success and len(calls) == result.nfev == 6
         assert calls[-1][0].tobytes() != result.x.tobytes()
@@ -588,6 +588,32 @@ class TestPairedSamples:
         y = y + 0.01 * np.random.default_rng(41).standard_normal(x.size)
         order = np.random.default_rng(5).permutation(x.size)
         assert repr(call(y[order], x[order])) == repr(call(y, x))
+
+
+class TestAdmission:
+    """The six sweep fits admit paired samples by one rule: enough of them, over a span."""
+
+    FITS = {
+        "E_polynomial": (estimation.fit_E_polynomial, 3, "bias points"),
+        "flux_noise": (lambda y, x: estimation.fit_flux_noise(y, x, FLUX), 3, "bias points"),
+        "thermal": (lambda y, x: estimation.fit_thermal(y, x, GA, GB, W_GE), 3, "temperatures"),
+        "saturation": (estimation.fit_saturation, 4, "photon numbers"),
+        "T1": (estimation.fit_T1, 5, "delays"),
+        "rabi": (estimation.fit_rabi_decay, 8, "durations"),
+    }
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_one_sample_too_few_refused(self, fit):
+        call, least, noun = self.FITS[fit]
+        with pytest.raises(estimation.FitError, match=f"^need at least {least} {noun}, got {least - 1}$"):
+            call(np.full(least - 1, 0.5), np.linspace(0.1, 100.0, least - 1))
+
+    @pytest.mark.parametrize("fit", FITS)
+    def test_sweep_without_span_refused(self, fit):
+        call, least, noun = self.FITS[fit]
+        with pytest.raises(estimation.FitError,
+                           match=f"^all {least + 1} {noun} are the same; the sweep has no span$"):
+            call(np.full(least + 1, 0.5), np.full(least + 1, 0.1))
 
 
 class TestEfficiencyTrace:
@@ -997,13 +1023,13 @@ class TestTimeDomain:
         with pytest.raises(ValueError, match="sample 7 is not finite"):
             fit(p, t)
 
-    @pytest.mark.parametrize("fit,what", [(estimation.fit_T1, "delay"),
-                                          (estimation.fit_rabi_decay, "duration")],
+    @pytest.mark.parametrize("fit,what", [(estimation.fit_T1, "delays"),
+                                          (estimation.fit_rabi_decay, "durations")],
                              ids=["T1", "rabi"])
     def test_zero_time_span_refused(self, fit, what):
         # one repeated time leaves no span to set a decay time against, and
         # Rabi's FFT period estimate would divide by a zero time step
-        with pytest.raises(estimation.FitError, match=f"every {what} is the same"):
+        with pytest.raises(estimation.FitError, match=f"all 10 {what} are the same"):
             fit(np.linspace(0, 1, 10), np.full(10, 5e-9))
 
     def rabi_truth(self, t, t_r=None):

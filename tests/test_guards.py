@@ -46,6 +46,8 @@ GUARDS = {
                              ValueError, "residuals are not finite at the initial point"),
     "spectrum-empty-grid": (lambda: calibration.ChannelSpectrum(np.array([]), np.zeros((4, 0))),
                             ValueError, "strictly increasing 1-D grid of 1 or more points"),
+    "spectrum-unknown-channel": (lambda: clean_spectrum().channel("XY"),
+                                 ValueError, "unknown channel 'XY'; the channels are AA, BB, AB, BA"),
     "spectrum-grid-not-finite": (lambda: calibration.ChannelSpectrum([1.0, np.inf], np.ones((4, 2))),
                                  ValueError, "freqs must be a finite, strictly increasing 1-D grid"),
     "circle-fit-few-samples": (lambda: calibration.circle_fit(np.ones(4), FREQS[:4]),
@@ -58,9 +60,9 @@ GUARDS = {
                                   [1.0, 2.0], [0.0, 1.0], model.FluxModel(-1e9, W_GE)),
                               estimation.FitError, "need at least 3 bias points"),
     "t1-few-points": (lambda: estimation.fit_T1([0.9, 0.5, 0.3, 0.2], [0.0, 1.0, 2.0, 3.0]),
-                      estimation.FitError, "need at least 5 delay points"),
+                      estimation.FitError, "need at least 5 delays"),
     "rabi-few-points": (lambda: estimation.fit_rabi_decay(np.zeros(7), np.arange(7.0)),
-                        estimation.FitError, "need at least 8 duration points"),
+                        estimation.FitError, "need at least 8 durations"),
     "pca-one-setting": (lambda: estimation.pca_populations({0.0: np.ones(3)}, 0.0),
                         ValueError, "need at least 2 distinct settings"),
     "thermal-negative": (lambda: model.ThermalCoefficients(-1.0, 0.0),
@@ -102,6 +104,11 @@ GUARDS = {
     "iq-repeated-setting": (lambda: synth.gen_iq_shots(
                                 [0.0, 0.5, 0.5], [0.0, 0.3, 0.7], 0j, 1 + 0j, 0.1, 0),
                             ValueError, "settings must be distinct"),
+    "iq-population-nan": (lambda: synth.gen_iq_shots([0.0, 1.0, 2.0], [0.0, np.nan, 2.0], 0j, 1 + 0j,
+                                                     0.1, 0),
+                          ValueError, "p_truth must lie in [0, 1]; population 1 is nan"),
+    "iq-population-above-one": (lambda: synth.gen_iq_shots([0.0, 1.0], [0.0, 1.7], 0j, 1 + 0j, 0.1, 0),
+                                ValueError, "p_truth must lie in [0, 1]; population 1 is 1.7"),
     "iq-seed-float": (lambda: synth.gen_iq_shots([0.0], [0.0], 0j, 1 + 0j, 0.1, seed=2.0),
                       ValueError, "seed and keys must be non-negative integers, got 2.0"),
     "spectrum-seed-fraction": (lambda: synth.gen_spectrum(
@@ -224,6 +231,31 @@ def test_array_record_compares_by_identity(build):
     a, b = build(), build()
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+#: Each array a record holds: a fresh array for the caller, and the record's copy built from it.
+RECORD_COPIES = {
+    "PortMatrix": (lambda: np.eye(4, dtype=complex), lambda a: network.PortMatrix(a).entries),
+    "LineModel-stack": (lambda: np.array(np.broadcast_to(EYE, (4, 3, 2, 2)), dtype=complex),
+                        lambda a: network.LineModel(a).two_ports),
+    "LineModel-isolation": (lambda: np.zeros(3, dtype=complex), lambda a: network.LineModel(
+                                np.broadcast_to(EYE, (4, 3, 2, 2)), isolation=a).isolation),
+    "ChannelSpectrum-freqs": (FREQS.copy, lambda a: calibration.ChannelSpectrum(a, np.ones((4, 41))).freqs),
+    "ChannelSpectrum-traces": (lambda: np.ones((4, 41), dtype=complex),
+                               lambda a: calibration.ChannelSpectrum(FREQS, a).traces),
+    "CampaignConfig-freqs": (FREQS.copy, lambda a: synth.CampaignConfig(CELL, synth.LineSpec(), a).freqs),
+}
+
+
+@pytest.mark.parametrize("make, hold", RECORD_COPIES.values(), ids=RECORD_COPIES.keys())
+def test_array_record_holds_a_read_only_copy(make, hold):
+    given = make()
+    held = hold(given)
+    kept = held.copy()
+    given[(0,) * given.ndim] = np.nan  # the caller's later write does not reach the record
+    assert np.array_equal(held, kept)
+    with pytest.raises(ValueError, match="read-only"):
+        held[(0,) * held.ndim] = 0.0
 
 
 def test_report_lists_fit_flags(tmp_path):

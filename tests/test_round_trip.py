@@ -54,9 +54,16 @@ def test_acceptance_04_lines_keep_the_contract():
     assert silent_misses(-20.0, 1e-3, range(10)) == []
 
 
+@pytest.mark.parametrize("isolation_db, sigma", [(-40.0, 0.01), (-30.0, 0.02), (-60.0, 0.01)],
+                         ids=["-40dB-0.01", "-30dB-0.02", "-60dB-0.01"])
+def test_good_isolation_and_low_signal_keep_the_contract(isolation_db, sigma):
+    # ROADMAP item 14's cases: a cross scale set by the HD leakage alone missed on all 10 seeds
+    assert silent_misses(isolation_db, sigma, range(10)) == []
+
+
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 14: at -40 dB isolation the cross-channel calibration divides by "
-    "leakage near the noise, and the fits end converged, unflagged and wrong"))
-def test_good_isolation_and_low_signal_keep_the_contract():
-    # measured: all 10 seeds converge with no flag, coupling errors 49-100 %
-    assert silent_misses(-40.0, 0.01, range(10)) == []
+    "ROADMAP item 14: at -20 dB and sigma = 0.05 the per-point line ratio is noisy "
+    "enough to bias the cross scale; a smooth ratio over the band is the open remedy"))
+def test_poor_isolation_and_high_noise_keep_the_contract():
+    # measured: seed 2 converges unflagged with |z| 7.4 for gamma_a, 6.9 for gamma_b
+    assert silent_misses(-20.0, 0.05, range(10)) == []
