@@ -23,12 +23,12 @@ widths feed a loss budget separating coupling from intrinsic loss.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._lsq import least_squares
-from .model import CHANNELS
+from .model import CHANNELS, _check_couplings
 
 __all__ = [
     "ChannelSpectrum",
@@ -71,14 +71,11 @@ class ChannelSpectrum:
     ``freqs`` (Hz) is a finite, strictly increasing grid of 1 or more points;
     ``traces`` the finite complex ``(4, n)`` stack of the channels in
     :data:`CHANNELS` order (``AA``, ``BB``, ``AB``, ``BA``).  Both are held as
-    read-only copies.  Optional metadata records the measurement conditions.
+    read-only copies.
     """
 
     freqs: np.ndarray
     traces: np.ndarray
-    bias_ma: float | None = None
-    power_dbm: float | None = None
-    temp_k: float | None = None
 
     def __post_init__(self):
         freqs = _grid(self.freqs, 1)
@@ -164,7 +161,7 @@ def resample(spectrum: ChannelSpectrum, freqs) -> ChannelSpectrum:
         np.interp(freqs, spectrum.freqs, tr.real) + 1j * np.interp(freqs, spectrum.freqs, tr.imag)
         for tr in spectrum.traces
     ])
-    return replace(spectrum, freqs=freqs, traces=traces)
+    return ChannelSpectrum(freqs, traces)
 
 
 def _check_reference(hd: ChannelSpectrum) -> None:
@@ -224,7 +221,7 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSp
     cross = d * _continuous_sqrt(np.array([1.0 / rho, rho]) / (aa * bb))
     anchor = np.sum(cross * np.conj(1.0 - through), axis=-1)
     cross = np.where((anchor.real < 0)[:, None], -cross, cross)
-    return replace(meas, traces=np.concatenate([through, cross]))
+    return ChannelSpectrum(meas.freqs, np.concatenate([through, cross]))
 
 
 def _kasa_circle(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -336,8 +333,10 @@ def loss_budget(fit_aa: CircleFitResult, fit_bb: CircleFitResult,
     Both through channels see the same loaded width ``kappa_i + 2 gamma_a
     + 2 gamma_b``; the two fits are averaged with a 10 % uncertainty band
     and the couplings subtracted.  A noticeably negative ``kappa_i`` flags
-    inconsistent inputs (warning, not fatal).
+    inconsistent inputs (warning, not fatal); couplings that are not > 0
+    raise ``ValueError``.
     """
+    _check_couplings(gamma_a, gamma_b)
     k_aa = fit_aa.kappa_loaded
     k_bb = fit_bb.kappa_loaded
     mean = 0.5 * (k_aa + k_bb)

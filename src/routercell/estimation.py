@@ -46,6 +46,7 @@ from .model import (
     FluxModel,
     SaturationParams,
     ThermalCoefficients,
+    _check_couplings,
     cell_response,
     gamma_phi_of_bias,
     n_thermal,
@@ -329,8 +330,7 @@ def gamma_phi_from_E(e, gamma_a: float, gamma_b: float):
     each value of ``e``, a scalar or an array.  Noisy values above 1 are
     clamped to 1 (zero dephasing) with one warning that gives their count.
     """
-    if not (gamma_a > 0 and gamma_b > 0):
-        raise ValueError("couplings must be > 0")
+    _check_couplings(gamma_a, gamma_b)
     e = np.asarray(e, dtype=float)
     bad = e[~(np.isfinite(e) & (e > 0))]
     if bad.size:
@@ -504,7 +504,11 @@ def fit_rabi_decay(populations, durations_s, seed: int | None = None) -> FitRepo
 
 
 def coupling_limited_t1(gamma_a: float, gamma_b: float) -> float:
-    """Relaxation time if decay went only into the two waveguides (s)."""
+    """Relaxation time if decay went only into the two waveguides (s).
+
+    Raises ``ValueError`` unless both couplings are > 0.
+    """
+    _check_couplings(gamma_a, gamma_b)
     return 1.0 / (2.0 * (gamma_a + gamma_b))
 
 
@@ -527,9 +531,11 @@ def rate_budget(t1_s: float, t_r_s: float, gamma_a: float, gamma_b: float,
     2 gamma_b`` and the Rabi decay gives ``gamma_phi = 2 (gamma_R -
     3 gamma_1 / 4)``.  Intervals use worst-case endpoints of ``T1 +-
     unc`` and ``T_R +- unc`` (clipped at zero: rates are nonnegative).
-    Raises ``ValueError`` unless every time and uncertainty is finite, the
-    times positive and the uncertainties in ``[0, time)``.
+    Raises ``ValueError`` unless both couplings are > 0, every time and
+    uncertainty is finite, the times positive and the uncertainties in
+    ``[0, time)``.
     """
+    _check_couplings(gamma_a, gamma_b)
     if not all(map(math.isfinite, (t1_s, t_r_s, t1_unc_s, t_r_unc_s))):
         raise ValueError("decay times and uncertainties must be finite")
     if t1_s <= 0 or t_r_s <= 0:

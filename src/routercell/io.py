@@ -1,8 +1,8 @@
 """Spectrum and line-model file formats.
 
-The canonical spectrum format is long-form CSV with header
-``freq_hz,channel,re,im`` plus optional ``bias_ma,power_dbm,temp_k``
-columns; write/read round-trips are lossless at full float precision.
+The canonical spectrum format is long-form CSV with exactly the header
+``freq_hz,channel,re,im``; write/read round-trips are lossless at full
+float precision.
 Four-port touchstone files (``.s4p``) are supported for ingestion with
 the port map 1 = A-in, 2 = A-out, 3 = B-in, 4 = B-out.  Text inputs are
 UTF-8 and may start with a byte-order mark.
@@ -20,7 +20,7 @@ import csv
 import math
 import warnings
 from contextlib import contextmanager
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _CSV_HEADER = ["freq_hz", "channel", "re", "im"]
-_CSV_META = ["bias_ma", "power_dbm", "temp_k"]
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +91,13 @@ def write_columns(path, header: list[str], columns, run_id: str | None = None) -
 
 def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -> None:
     """Write a spectrum as long-form CSV (lossless float precision)."""
-    meta = (spectrum.bias_ma, spectrum.power_dbm, spectrum.temp_k)
-    include_meta = any(v is not None for v in meta)
     columns = [
         np.tile(spectrum.freqs, len(CHANNELS)),
         [ch for ch in CHANNELS for _ in spectrum.freqs],
         spectrum.traces.real,
         spectrum.traces.imag,
     ]
-    if include_meta:
-        columns += [repeat("" if v is None else repr(v)) for v in meta]
-    write_columns(path, _CSV_HEADER + (_CSV_META if include_meta else []), columns, run_id)
+    write_columns(path, _CSV_HEADER, columns, run_id)
 
 
 @contextmanager
@@ -115,11 +110,11 @@ def _text_file(path: Path, **kwargs):
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _read_table(path, required: list[str], optional=()) -> tuple[list[str], list, tuple[int, ...]]:
-    """Read a CSV table: its header, its field columns and each data row's line number.
+def _read_table(path, header: list[str]) -> tuple[list, tuple[int, ...]]:
+    """Read a CSV table: its field columns and each data row's line number.
 
-    Blank and ``#`` rows are skipped.  The header is ``required`` plus distinct
-    ``optional`` names, and every row has one field per column.
+    Blank and ``#`` rows are skipped.  The first row must be ``header``, and
+    every row has one field per column.
     """
     path = Path(path)
     with _text_file(path, newline="") as fh:
@@ -133,15 +128,13 @@ def _read_table(path, required: list[str], optional=()) -> tuple[list[str], list
     if not numbered:
         raise ParseError("empty file", 1)
     lines, rows = zip(*numbered)
-    header = [c.strip() for c in rows[0]]
-    extra = header[len(required):]
-    if header[:len(required)] != required or set(extra) - set(optional) or len(set(extra)) < len(extra):
-        raise ParseError(f"malformed header {header!r}; expected {required} "
-                         f"+ optional {list(optional)}", lines[0])
+    found = [c.strip() for c in rows[0]]
+    if found != header:
+        raise ParseError(f"malformed header {found!r}; expected {header}", lines[0])
     for row, line in zip(rows[1:], lines[1:]):
         if len(row) != len(header):
             raise ParseError(f"row has {len(row)} fields, expected {len(header)}", line)
-    return header, list(zip(*rows[1:])) or [()] * len(header), lines[1:]
+    return list(zip(*rows[1:])) or [()] * len(header), lines[1:]
 
 
 def _floats(column, lines, what: str) -> np.ndarray:
@@ -182,7 +175,7 @@ def _group(names, shared: dict[str, np.ndarray], lines, known, kind: str) -> np.
 
 
 def _ingest_csv(path) -> ChannelSpectrum:
-    header, columns, lines = _read_table(path, _CSV_HEADER, _CSV_META)
+    columns, lines = _read_table(path, _CSV_HEADER)
     freqs = _floats(columns[0], lines, "frequency")
     index = _group(columns[1], {"freq_hz": freqs}, lines, CHANNELS, "channel")
     grid = freqs[index[0]]
@@ -191,23 +184,10 @@ def _ingest_csv(path) -> ChannelSpectrum:
     for bad, what in ((diffs == 0, "duplicate"), (diffs < 0, "non-monotone")):
         if np.any(bad):
             raise ParseError(f"{what} frequency", lines[index[0, finite[np.argmax(bad) + 1]]])
-    re_im = np.column_stack([_floats(c, lines, name) for c, name in zip(columns[2:4], header[2:4])])
+    re_im = np.column_stack([_floats(c, lines, name) for c, name in zip(columns[2:], _CSV_HEADER[2:])])
     # a view keeps signed zeros, which re + 1j * im would drop
     traces = re_im[index].view(complex)[..., 0]
-    meta = {}
-    for name, column in zip(header[4:], columns[4:]):
-        filled = [(text, line) for text, line in zip(column, lines) if text.strip()]
-        if filled:  # the non-empty fields must parse and agree bit for bit
-            texts, where = zip(*filled)
-            values = _floats(texts, where, name)
-            differs = values.view(np.int64) != values.view(np.int64)[0]
-            if np.any(differs):
-                i = int(np.argmax(differs))
-                raise ParseError(f"{name} value {texts[i]!r} differs from the first, "
-                                 f"{texts[0]!r}", where[i])
-            meta[name] = float(values[0])
-    # meta holds only _CSV_META columns, which are ChannelSpectrum fields
-    return ChannelSpectrum(*_finite_points(path, grid, traces), **meta)
+    return ChannelSpectrum(*_finite_points(path, grid, traces))
 
 
 def _finite_points(path, freqs: np.ndarray, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +290,7 @@ def ingest_spectrum(path) -> ChannelSpectrum:
     count.  Every other problem raises :class:`ParseError`, with the
     offending line number where there is one: undecodable text, a bad
     header or field, non-monotone or duplicate frequencies, channel
-    mismatches, metadata fields that disagree, or no finite point at all.
+    mismatches, or no finite point at all.
     """
     if Path(path).suffix.lower() == ".s4p":
         return _ingest_touchstone(path)
@@ -360,10 +340,10 @@ def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:
     Points may come in any order, but every element must list the same
     points with the same isolation, and every value must be finite.
     """
-    header, columns, lines = _read_table(path, _LINE_HEADER)
+    columns, lines = _read_table(path, _LINE_HEADER)
     constant = not any(map(str.strip, columns[0]))
     freqs = np.full(len(lines), math.nan) if constant else _floats(columns[0], lines, "frequency")
-    values = np.column_stack([_floats(c, lines, name) for c, name in zip(columns[2:], header[2:])])
+    values = np.column_stack([_floats(c, lines, name) for c, name in zip(columns[2:], _LINE_HEADER[2:])])
     shared = {"freq_hz": freqs, "iso_re": values[:, 8], "iso_im": values[:, 9]}
     index = _group(columns[1], shared, lines, _LINE_ELEMENTS, "element")
     if constant and index.shape[1] > 1:

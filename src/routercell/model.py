@@ -71,6 +71,12 @@ def _check_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def _check_couplings(gamma_a, gamma_b) -> None:
+    """Refuse couplings that are not both > 0; NaN fails the comparison too."""
+    if not (gamma_a > 0 and gamma_b > 0):
+        raise ValueError("couplings must be > 0")
+
+
 @dataclass(frozen=True)
 class CellParams:
     """Physical parameters of the basic cell.
@@ -334,8 +340,7 @@ def resonant_efficiency(gamma_a: float, gamma_b: float, rate):
     gamma_b))`` -- the closed resonant form of :func:`efficiency` with
     ``rate = gamma_phi + gamma_bath / 2``.
     """
-    if not (gamma_a > 0 and gamma_b > 0):
-        raise ValueError("couplings must be > 0")
+    _check_couplings(gamma_a, gamma_b)
     r = np.asarray(rate, dtype=float)
     if not np.all(r >= 0):
         raise ValueError("rate must be >= 0")

@@ -75,6 +75,27 @@ class TestSynthCalibrateFitChain:
         assert "gamma_a" in text and "MHz" in text
         assert rec_rep.run_id in text
 
+    def test_leakage_in_the_noise_still_recovers_the_model(self, tmp_path):
+        # at -40 dB the isolation leakage sinks into sigma = 0.01; a cross scale
+        # built on the leakage alone once fitted gamma_a = 2pi * 0.66 MHz here,
+        # converged and unflagged
+        config = runs.load_config(None)
+        config["lines"]["isolation_db"] = -40.0
+        config["noise"]["sigma"] = 0.01
+        run_root = tmp_path / "runs"
+        chain = {"synth": [], "calibrate": [run_root / "synth" / "meas.csv", run_root / "synth" / "hd.csv"],
+                 "fit": [run_root / "calibrate" / "calibrated.csv"], "report": [run_root / "fit"]}
+        for step, inputs in chain.items():
+            cli.run_command(step, config, inputs, out_dir=tmp_path, seed=0, run_id=step)
+
+        payload = json.loads((run_root / "fit" / "fit.json").read_text())
+        assert payload["converged"] and payload["flags"] == []
+        truth = presets.cell_params_from_config(config)
+        for name in ("gamma_a", "gamma_b", "omega_ge", "phi_a", "phi_b"):
+            error = payload["params"][name] - getattr(truth, name)
+            assert abs(error) < 5 * payload["sigma"][name], name
+        assert "converged: True" in (run_root / "report" / "report.txt").read_text()
+
     def test_calibrate_requires_two_inputs(self, tmp_path):
         with pytest.raises(ValueError, match="two inputs"):
             cli.run_command("calibrate", None, ["only-one.csv"], out_dir=tmp_path)

@@ -604,9 +604,11 @@ class TestAdmission:
 
     @pytest.mark.parametrize("fit", FITS)
     def test_one_sample_too_few_refused(self, fit):
+        # every count short of the least, down to none: one sample too few is the edge
         call, least, noun = self.FITS[fit]
-        with pytest.raises(estimation.FitError, match=f"^need at least {least} {noun}, got {least - 1}$"):
-            call(np.full(least - 1, 0.5), np.linspace(0.1, 100.0, least - 1))
+        for n in range(least):
+            with pytest.raises(estimation.FitError, match=f"^need at least {least} {noun}, got {n}$"):
+                call(np.full(n, 0.5), np.linspace(0.1, 100.0, n))
 
     @pytest.mark.parametrize("fit", FITS)
     def test_sweep_without_span_refused(self, fit):
@@ -696,10 +698,6 @@ class TestEPolynomial:
                 devs.append(rep.value("c0") - 0.82)
             errs.append(np.sqrt(np.mean(np.square(devs))))
         assert 4.0 < errs[1] / errs[0] < 25.0
-
-    def test_too_few_points(self):
-        with pytest.raises(estimation.FitError):
-            estimation.fit_E_polynomial([0.8, 0.7], [0.0, 0.1])
 
 
 class TestGammaPhiFromE:
@@ -866,12 +864,6 @@ class TestThermalFit:
             estimation.fit_thermal(e, self.TEMPS, self.GA_T, self.GB_T, W_GE)
         assert [str(w.message) for w in caught] == ["2 of 24 efficiencies above 1 clamped to 1"]
 
-    @pytest.mark.parametrize("n_temp", [0, 1, 2])
-    def test_fewer_than_three_temperatures_refused(self, n_temp):
-        with pytest.raises(estimation.FitError, match="at least 3 temperatures"):
-            estimation.fit_thermal(self.synth_e()[:n_temp], self.TEMPS[:n_temp],
-                                   self.GA_T, self.GB_T, W_GE)
-
     @pytest.mark.parametrize("n_e", [23, 25])
     def test_one_efficiency_per_temperature(self, n_e):
         e = np.resize(self.synth_e(), n_e)
@@ -1022,15 +1014,6 @@ class TestTimeDomain:
         (p if column == "population" else t)[[7, 30]] = [np.nan, np.inf]
         with pytest.raises(ValueError, match="sample 7 is not finite"):
             fit(p, t)
-
-    @pytest.mark.parametrize("fit,what", [(estimation.fit_T1, "delays"),
-                                          (estimation.fit_rabi_decay, "durations")],
-                             ids=["T1", "rabi"])
-    def test_zero_time_span_refused(self, fit, what):
-        # one repeated time leaves no span to set a decay time against, and
-        # Rabi's FFT period estimate would divide by a zero time step
-        with pytest.raises(estimation.FitError, match=f"all 10 {what} are the same"):
-            fit(np.linspace(0, 1, 10), np.full(10, 5e-9))
 
     def rabi_truth(self, t, t_r=None):
         t_r = self.T_R if t_r is None else t_r

@@ -56,13 +56,8 @@ GUARDS = {
                                estimation.FitError, "through channels below division floor at 41 points"),
     "gamma-phi-couplings": (lambda: estimation.gamma_phi_from_E(0.5, 0.0, 1.0),
                             ValueError, "couplings must be > 0"),
-    "flux-noise-few-points": (lambda: estimation.fit_flux_noise(
-                                  [1.0, 2.0], [0.0, 1.0], model.FluxModel(-1e9, W_GE)),
-                              estimation.FitError, "need at least 3 bias points"),
-    "t1-few-points": (lambda: estimation.fit_T1([0.9, 0.5, 0.3, 0.2], [0.0, 1.0, 2.0, 3.0]),
-                      estimation.FitError, "need at least 5 delays"),
-    "rabi-few-points": (lambda: estimation.fit_rabi_decay(np.zeros(7), np.arange(7.0)),
-                        estimation.FitError, "need at least 8 durations"),
+    "coupling-limited-t1-couplings": (lambda: estimation.coupling_limited_t1(0.0, 0.0),
+                                      ValueError, "couplings must be > 0"),
     "pca-one-setting": (lambda: estimation.pca_populations({0.0: np.ones(3)}, 0.0),
                         ValueError, "need at least 2 distinct settings"),
     "thermal-negative": (lambda: model.ThermalCoefficients(-1.0, 0.0),
@@ -154,6 +149,7 @@ def test_parameter_object_refuses_a_non_finite_field(valid, field, bad):
 
 SATURATION = model.SaturationParams(1.0, 1.0, 1.0, 1.0)
 DRESSED = model.DressedModel(1.0, 1.0, W_GE, W_GE)
+CIRCLE = calibration.CircleFitResult(W_GE, 1e7, 0.5, 1.0 + 0j)
 
 #: Sign guards that NaN must fail: a test written ``x < 0`` lets it through.
 NAN_GUARDS = {
@@ -174,6 +170,9 @@ NAN_GUARDS = {
     "coherence-rate": (lambda: model.ThermalCoefficients(1.0, 1.0).coherence_rate(math.nan),
                        "n_th must be >= 0"),
     "gamma-phi-from-e": (lambda: estimation.gamma_phi_from_E(0.5, 1.0, math.nan), "couplings must be > 0"),
+    "rate-budget": (lambda: estimation.rate_budget(1.0, 1.0, math.nan, 1.0), "couplings must be > 0"),
+    "loss-budget": (lambda: calibration.loss_budget(CIRCLE, CIRCLE, math.nan, 1.0),
+                    "couplings must be > 0"),
 }
 
 

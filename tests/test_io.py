@@ -26,13 +26,13 @@ TWO_PI = 2.0 * math.pi
 FREQS = np.linspace(6.14e9, 6.19e9, 37)
 
 
-def sample_spectrum(**meta):
+def sample_spectrum():
     rng = np.random.default_rng(1)
     traces = [
         rng.standard_normal(FREQS.size) + 1j * rng.standard_normal(FREQS.size)
         for _ in model.CHANNELS
     ]
-    return ChannelSpectrum(FREQS, traces, **meta)
+    return ChannelSpectrum(FREQS, traces)
 
 
 class TestCsvRoundTrip:
@@ -45,16 +45,6 @@ class TestCsvRoundTrip:
         for ch in model.CHANNELS:
             assert np.array_equal(back.channel(ch), spectrum.channel(ch))
 
-    def test_metadata_round_trip(self, tmp_path):
-        spectrum = sample_spectrum(bias_ma=0.25, power_dbm=-140.0, temp_k=0.01)
-        path = tmp_path / "spec.csv"
-        io.write_spectrum(spectrum, path, run_id="test-run")
-        back = io.ingest_spectrum(path)
-        assert back.bias_ma == 0.25
-        assert back.power_dbm == -140.0
-        assert back.temp_k == 0.01
-        assert path.read_text().startswith("# run: test-run\n")
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             io.ingest_spectrum(tmp_path / "nope.csv")
@@ -65,22 +55,17 @@ ROUND_TRIP_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
 
 @st.composite
-def spectra(draw, with_meta=True):
-    """Finite four-channel spectra on strictly increasing grids, metadata optional."""
+def spectra(draw):
+    """Finite four-channel spectra on strictly increasing grids."""
     freqs = draw(st.lists(FINITE, min_size=1, max_size=12, unique=True).map(sorted))
     traces = draw(arrays(complex, (len(model.CHANNELS), len(freqs)),
                          elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
-    meta = {}
-    if with_meta:
-        meta = {key: draw(st.none() | FINITE) for key in ("bias_ma", "power_dbm", "temp_k")}
-    return ChannelSpectrum(np.array(freqs), traces, **meta)
+    return ChannelSpectrum(np.array(freqs), traces)
 
 
 def assert_same_spectrum(back, spectrum):
     assert back.freqs.tobytes() == spectrum.freqs.tobytes()
     assert back.traces.tobytes() == spectrum.traces.tobytes()
-    for key in ("bias_ma", "power_dbm", "temp_k"):
-        assert getattr(back, key) == getattr(spectrum, key)
 
 
 class TestRoundTripProperties:
@@ -92,7 +77,7 @@ class TestRoundTripProperties:
         assert_same_spectrum(io.ingest_spectrum(path), spectrum)
 
     @ROUND_TRIP_SETTINGS
-    @given(spectra(with_meta=False))
+    @given(spectra())
     def test_touchstone_round_trip_is_exact(self, tmp_path_factory, spectrum):
         path = tmp_path_factory.mktemp("s4p") / "spec.s4p"
         write_touchstone(path, spectrum.freqs, spectrum_to_smatrix(spectrum))
@@ -107,12 +92,11 @@ SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]
 
 @st.composite
 def signed_spectra(draw):
-    """Spectra whose values and metadata include signed zeros."""
+    """Spectra whose values include signed zeros."""
     freqs = draw(st.lists(SIGNED, min_size=1, max_size=8, unique=True).map(sorted))
     traces = draw(arrays(complex, (len(model.CHANNELS), len(freqs)),
                          elements=st.builds(complex, SIGNED, SIGNED)))
-    meta = {key: draw(st.none() | SIGNED) for key in ("bias_ma", "power_dbm", "temp_k")}
-    return ChannelSpectrum(np.array(freqs), traces, **meta)
+    return ChannelSpectrum(np.array(freqs), traces)
 
 
 @st.composite
@@ -134,15 +118,10 @@ def oracle_spectrum_bytes(spectrum, run_id):
     if run_id is not None:
         buf.write(f"# run: {run_id}\n")
     writer = csv.writer(buf)
-    meta = [spectrum.bias_ma, spectrum.power_dbm, spectrum.temp_k]
-    include_meta = any(v is not None for v in meta)
-    writer.writerow(["freq_hz", "channel", "re", "im"]
-                    + (["bias_ma", "power_dbm", "temp_k"] if include_meta else []))
-    meta = ["" if v is None else repr(v) for v in meta]
+    writer.writerow(["freq_hz", "channel", "re", "im"])
     for ch, trace in zip(model.CHANNELS, spectrum.traces):
         for f, v in zip(spectrum.freqs, trace):
-            row = [repr(float(f)), ch, repr(float(v.real)), repr(float(v.imag))]
-            writer.writerow(row + (meta if include_meta else []))
+            writer.writerow([repr(float(f)), ch, repr(float(v.real)), repr(float(v.imag))])
     return buf.getvalue().encode()
 
 
@@ -223,8 +202,7 @@ class TestWriterBytes:
         rng = np.random.default_rng(7)
         n = io._WRITE_BLOCK // len(model.CHANNELS) + 5
         values = self.long_values(rng, (2, len(model.CHANNELS), n), repeats)
-        spectrum = ChannelSpectrum(np.arange(n) * 1e5 + 6e9, values[0] + 1j * values[1],
-                                   bias_ma=-0.0, temp_k=0.02)
+        spectrum = ChannelSpectrum(np.arange(n) * 1e5 + 6e9, values[0] + 1j * values[1])
         path = tmp_path / "spec.csv"
         io.write_spectrum(spectrum, path, run_id="r")
         assert path.read_bytes() == oracle_spectrum_bytes(spectrum, "r")
@@ -333,38 +311,27 @@ class TestCsvErrors:
         assert back.freqs.size == 2
         assert np.array_equal(back.freqs, [1e9, 3e9])
 
-    @pytest.mark.parametrize("fields, line", [
-        (["0.1", "0.2", "0.3", "0.4"], 3),
-        (["", "0.25", "", "-0.25"], 5),
-        (["0.0", "-0.0", "0.0", "0.0"], 3),  # a sign is a different value
-    ], ids=["all-differ", "empty-skipped", "signed-zero"])
-    def test_disagreeing_metadata_names_column_and_line(self, tmp_path, fields, line):
-        rows = "".join(f"1e9,{ch},1.0,0.0,{v}\n" for ch, v in zip(model.CHANNELS, fields))
+    def test_extra_column_refused_at_the_header(self, tmp_path):
+        # a spectrum is its grid and four traces: a column beyond them has no field to fill
+        rows = "".join(f"1e9,{ch},1.0,0.0,0.1\n" for ch in model.CHANNELS)
         path = self.write(tmp_path, rows, header="freq_hz,channel,re,im,bias_ma\n")
-        with pytest.raises(runs.ParseError, match=f"bias_ma value '{fields[line - 2]}' "
-                                                f"differs.*line {line}"):
+        with pytest.raises(runs.ParseError) as info:
             io.ingest_spectrum(path)
-
-    def test_agreeing_metadata_spellings_load(self, tmp_path):
-        rows = "".join(f"1e9,{ch},1.0,0.0,{v}\n"
-                       for ch, v in zip(model.CHANNELS, ["", "0.1", " 1e-1", "0.10"]))
-        path = self.write(tmp_path, rows, header="freq_hz,channel,re,im,bias_ma\n")
-        assert io.ingest_spectrum(path).bias_ma == 0.1
+        assert str(info.value) == ("malformed header ['freq_hz', 'channel', 're', 'im', 'bias_ma']; "
+                                   "expected ['freq_hz', 'channel', 're', 'im'] (line 1)")
+        assert info.value.line == 1
 
 
-def write_raw(path, fmt, freqs, traces, meta=None):
+def write_raw(path, fmt, freqs, traces):
     """Write a spectrum that may hold non-finite values, as CSV or s4p."""
     if fmt == "s4p":
         s = np.zeros((freqs.size, 4, 4), dtype=complex)
         s[:, model._CHANNEL_OUT, model._CHANNEL_IN] = traces.T
         write_touchstone(path, freqs, s)
         return
-    meta = meta or {}
-    rows = traces.size
-    io.write_columns(
-        path, ["freq_hz", "channel", "re", "im", *meta],
-        [np.tile(freqs, 4), [ch for ch in model.CHANNELS for _ in freqs],
-         traces.real, traces.imag, *(["" if v is None else repr(v)] * rows for v in meta.values())])
+    io.write_columns(path, ["freq_hz", "channel", "re", "im"],
+                     [np.tile(freqs, 4), [ch for ch in model.CHANNELS for _ in freqs],
+                      traces.real, traces.imag])
 
 
 class TestNonFinitePoints:
@@ -391,13 +358,13 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 @st.composite
-def spoiled_spectra(draw, with_meta=True):
+def spoiled_spectra(draw):
     """(spectrum, freqs, traces): a drawn spectrum with some points made non-finite.
 
     A spoiled point has a non-finite frequency (all four channel rows) or a
     single non-finite real or imaginary part.
     """
-    spectrum = draw(spectra(with_meta))
+    spectrum = draw(spectra())
     freqs, traces = spectrum.freqs.copy(), spectrum.traces.copy()
     for k in draw(st.sets(st.integers(0, len(freqs) - 1))):
         value = draw(NON_FINITE)
@@ -497,10 +464,10 @@ READERS = {
     "csv": io.ingest_spectrum,
     "s4p": io.ingest_spectrum,
     "lines": io.read_line_model,
-    "table": lambda path: io._read_table(path, ["x", "y"], ("z",)),
+    "table": lambda path: io._read_table(path, ["x", "y"]),
 }
 TEXTS = {
-    "csv": csv_text_tables(["freq_hz", "channel", "re", "im", "bias_ma"], model.CHANNELS),
+    "csv": csv_text_tables(["freq_hz", "channel", "re", "im"], model.CHANNELS),
     "s4p": touchstone_texts(),
     "lines": csv_text_tables(io._LINE_HEADER, io._LINE_ELEMENTS),
     "table": csv_table_bytes(),
@@ -510,7 +477,7 @@ TABLE_ERRORS = re.compile(
     r"\S+ is not UTF-8 text: .+"
     r"|\S+ is not a readable CSV table: .+ \(line \d+\)"
     r"|empty file \(line 1\)"
-    r"|malformed header \[.*\]; expected \['x', 'y'\] \+ optional \['z'\] \(line \d+\)"
+    r"|malformed header \[.*\]; expected \['x', 'y'\] \(line \d+\)"
     r"|row has \d+ fields, expected \d+ \(line \d+\)", re.DOTALL)
 
 
@@ -518,8 +485,8 @@ def loads_or_raises_parse_error(reader, path):
     """Read ``path`` under a small field limit; a ``ParseError`` must name a line of the file.
 
     For the ``table`` reader the error must be one of :data:`TABLE_ERRORS`,
-    and a table it returns must have the requested header, one field per
-    column in each row, and rows numbered in file order after the header.
+    and a table it returns must have one field per header column in each
+    row, and rows numbered in file order after the header.
     """
     n_lines = max(1, len(path.read_bytes().decode("utf-8", "replace").splitlines()))
     limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
@@ -535,9 +502,8 @@ def loads_or_raises_parse_error(reader, path):
     finally:
         csv.field_size_limit(limit)
     if reader == "table":
-        header, columns, lines = loaded
-        assert header[:2] == ["x", "y"] and set(header[2:]) <= {"z"} and len(header) <= 3
-        assert len(columns) == len(header) and all(len(c) == len(lines) for c in columns)
+        columns, lines = loaded
+        assert len(columns) == 2 and all(len(c) == len(lines) for c in columns)
         assert list(lines) == sorted(set(lines)) and all(1 < line <= n_lines for line in lines)
 
 
@@ -546,10 +512,8 @@ class TestIngestionProperties:
     @given(spoiled_spectra(), st.sampled_from(["csv", "s4p"]))
     def test_ingestion_keeps_exactly_the_finite_points(self, tmp_path_factory, drawn, fmt):
         spectrum, freqs, traces = drawn
-        meta = {} if fmt == "s4p" else {key: getattr(spectrum, key)
-                                       for key in ("bias_ma", "power_dbm", "temp_k")}
         path = tmp_path_factory.mktemp(fmt) / f"spec.{fmt}"
-        write_raw(path, fmt, freqs, traces, meta)
+        write_raw(path, fmt, freqs, traces)
         finite = np.isfinite(freqs) & np.all(np.isfinite(traces), axis=0)
         if not finite.any():
             with pytest.raises(runs.ParseError, match="no finite point"):
@@ -561,7 +525,7 @@ class TestIngestionProperties:
         dropped = [str(w.message) for w in caught if "dropped" in str(w.message)]
         n_bad = int((~finite).sum())
         assert dropped == ([f"dropped {n_bad} non-finite rows during ingestion"] if n_bad else [])
-        expected = ChannelSpectrum(freqs[finite], traces[:, finite], **meta)
+        expected = ChannelSpectrum(freqs[finite], traces[:, finite])
         assert_same_spectrum(back, expected)
 
     @ROUND_TRIP_SETTINGS
@@ -585,25 +549,25 @@ class TestReaderPaths:
     """``_read_table`` on one table of each messy kind: what it returns, or its error and line."""
 
     @pytest.mark.parametrize("data, expected", [
-        (b'x,y\n"1e9","q,uoted"\n', (["x", "y"], [("1e9",), ("q,uoted",)], (2,))),
+        (b'x,y\n"1e9","q,uoted"\n', ([("1e9",), ("q,uoted",)], (2,))),
         # a record spanning lines is numbered by its last line
-        (b'x,y\n"multi\nline",1\n2,3\n', (["x", "y"], [("multi\nline", "2"), ("1", "3")], (3, 4))),
-        (b'x,y,z\na"b,1,2\n', (["x", "y", "z"], [('a"b',), ("1",), ("2",)], (2,))),
-        (b" x ,y\n1, 2 \n", (["x", "y"], [("1",), (" 2 ",)], (2,))),
-        (b"x,y\r1,2\r3,4", (["x", "y"], [("1", "3"), ("2", "4")], (2, 3))),
-        (b'x,y\r\n"a\rb",2\r\n', (["x", "y"], [("a\rb",), ("2",)], (3,))),
+        (b'x,y\n"multi\nline",1\n2,3\n', ([("multi\nline", "2"), ("1", "3")], (3, 4))),
+        (b'x,y\na"b,1\n', ([('a"b',), ("1",)], (2,))),
+        (b" x ,y\n1, 2 \n", ([("1",), (" 2 ",)], (2,))),
+        (b"x,y\r1,2\r3,4", ([("1", "3"), ("2", "4")], (2, 3))),
+        (b'x,y\r\n"a\rb",2\r\n', ([("a\rb",), ("2",)], (3,))),
         # an unterminated quote takes the rest of the file into one field
         (b'x,y\n1,2\n"3,4\n', ("row has 1 fields, expected 2", 3)),
         (b"x,y\n1," + b"9" * (SMALL_FIELD_LIMIT + 1) + b"\n",
          ("{path} is not a readable CSV table: field larger than field limit (24)", 2)),
         (b"x,y\n1,2\n\n# c\n1\n", ("row has 1 fields, expected 2", 5)),
         (b"# run: r\n\ny,x\n1,2\n",
-         ("malformed header ['y', 'x']; expected ['x', 'y'] + optional ['z']", 3)),
+         ("malformed header ['y', 'x']; expected ['x', 'y']", 3)),
         (b"# only\n\n", ("empty file", 1)),
         (b"x,y\n1,\xff\n", ("{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
                              "in position 6: invalid start byte", None)),
         # before 3.11 csv.reader refuses a NUL
-        (b"x,y\n1,\0\n", (["x", "y"], [("1",), ("\0",)], (2,)) if sys.version_info >= (3, 11)
+        (b"x,y\n1,\0\n", ([("1",), ("\0",)], (2,)) if sys.version_info >= (3, 11)
          else ("{path} is not a readable CSV table: line contains NUL", 2)),
     ], ids=["quoted", "multi-line", "stray-quote", "padded-header", "bare-cr", "cr-in-quotes",
             "unterminated", "oversized", "ragged", "header", "empty", "not-utf-8", "nul"])
@@ -612,7 +576,7 @@ class TestReaderPaths:
         path.write_bytes(data)
         limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
         try:
-            outcome = io._read_table(path, ["x", "y"], ("z",))
+            outcome = io._read_table(path, ["x", "y"])
         except runs.ParseError as exc:
             message, line = expected
             message = message.format(path=path)
@@ -804,11 +768,11 @@ class TestQuotedExport:
     def test_spectrum(self, tmp_path):
         rng = np.random.default_rng(5)
         values = rng.choice([0.0, -0.0, 1.5, -2.25e-7], size=(2, len(model.CHANNELS), FREQS.size))
-        spectrum = ChannelSpectrum(FREQS, values[0] + 1j * values[1], bias_ma=-0.0, temp_k=0.02)
+        spectrum = ChannelSpectrum(FREQS, values[0] + 1j * values[1])
         path = tmp_path / "spec.csv"
         io.write_spectrum(spectrum, path)
         quoted = quote_all(path)
-        assert quoted.read_text().startswith('"freq_hz","channel","re","im","bias_ma",')
+        assert quoted.read_text().startswith('"freq_hz","channel","re","im"\n')
         back = io.ingest_spectrum(quoted)
         assert_same_spectrum(back, io.ingest_spectrum(path))
         assert back.traces.tobytes() == spectrum.traces.tobytes()
