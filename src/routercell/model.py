@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import _PORTS, PortMatrix
+from .network import _PORTS, PortMatrix, _built
 
 __all__ = [
     "CHANNELS",
@@ -285,14 +285,15 @@ def cell_coefficients(omega, p: CellParams) -> np.ndarray:
 #: input port indices of the :data:`CHANNELS`, in their order.
 _CHANNEL_OUT = [_PORTS.index(f"{ch[1]}-out") for ch in CHANNELS]
 _CHANNEL_IN = [_PORTS.index(f"{ch[0]}-in") for ch in CHANNELS]
-#: Where :func:`cell_smatrix` reads each entry: slots 0-3 are the
-#: :data:`CHANNELS`, 4 and 5 the reflections ``t_AA - 1`` and ``t_BB - 1``.
+#: Where :func:`cell_smatrix` reads each entry from the :data:`CHANNELS`.
 #: The emitter radiates both ways along each waveguide (ports ``2w`` and
-#: ``2w + 1``), so each channel fills the 2x2 block of its two waveguides.
+#: ``2w + 1``), so each channel fills the 2x2 block of its two waveguides;
+#: subtracting :data:`_REFLECTED` turns the through channels on the
+#: diagonal into the reflections ``t_AA - 1`` and ``t_BB - 1``.
 _WAVEGUIDE_CHANNEL = np.empty((2, 2), dtype=int)
 _WAVEGUIDE_CHANNEL[np.floor_divide(_CHANNEL_OUT, 2), np.floor_divide(_CHANNEL_IN, 2)] = range(len(CHANNELS))
 _SMATRIX_SLOTS = np.kron(_WAVEGUIDE_CHANNEL, np.ones((2, 2), dtype=int))
-np.fill_diagonal(_SMATRIX_SLOTS, [4, 4, 5, 5])
+_REFLECTED = np.eye(4)
 
 
 def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
@@ -302,13 +303,17 @@ def cell_smatrix(omega: float, p: CellParams) -> PortMatrix:
     reflection is ``t_xx - 1``.  With real couplings the matrix is unitary
     at zero coherence rate and passive at any; the phased cell is active
     (with the preset's phases the largest singular value reaches 1.171).
+    ``omega`` is one finite frequency; an array, even of one element, is
+    refused.
     """
+    if np.ndim(omega):
+        raise ValueError(f"omega must be a scalar, got shape {np.shape(omega)}")
     omega = float(omega)
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
     t = cell_response(omega, p.gamma_a, p.gamma_b, p.omega_ge,
                       p.phi_a, p.phi_b, p.coherence_rate)
-    return PortMatrix(np.concatenate((t, t[:2] - 1.0))[_SMATRIX_SLOTS])
+    return _built(t[_SMATRIX_SLOTS] - _REFLECTED)
 
 
 def efficiency(delta, p: CellParams):

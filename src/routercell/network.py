@@ -26,9 +26,14 @@ therefore always the transmission in the propagation direction.  A
 :class:`LineModel` holds the four lines as one read-only array in port
 order, ``(4, 2, 2)`` or ``(4, n, 2, 2)``.  Port k of the cell meets only
 line k, so the line blocks ``S11`` (external to external), ``S12``,
-``S21`` and ``S22`` (internal to internal) are diagonal.  Their diagonals
-are views of one stack of the lines, output lines flipped, that the model
-builds on first use and the slices from :meth:`LineModel.at` share.
+``S21`` and ``S22`` (internal to internal) are diagonal.  On first use a
+line model builds one stack of the lines, output lines flipped, whose
+views are those diagonals, and the product ``s12[j] s21[k]`` by which
+``S12 M S21`` scales entry ``(j, k)`` of a 4x4 ``M``: 16 complex values
+per point each, ~100 kB each at n = 401.  The slices from
+:meth:`LineModel.at` share both.  A ``PortMatrix`` copies a caller's
+array; the 4x4s the package builds (the cell, both compositions) are
+built once and wrapped read-only without a second copy.
 """
 
 from __future__ import annotations
@@ -72,19 +77,31 @@ class DivergenceError(RuntimeError):
 class PortMatrix:
     """Complex 4x4 scattering matrix in port order, checked 4x4 and finite when built.
 
-    The entries are held as a read-only copy, like ``LineModel``'s arrays.
+    The entries are held as a read-only copy, like ``LineModel``'s arrays;
+    the package wraps the 4x4s it builds itself read-only without copying.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"port matrix must be a 4-port, shape (4, 4), got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("4-port matrix entries must be finite")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _checked(np.array(self.entries, dtype=complex)))
+
+
+def _checked(m: np.ndarray) -> np.ndarray:
+    """``m`` made read-only once it is checked 4x4 and finite."""
+    if m.shape != (4, 4):
+        raise ValueError(f"port matrix must be a 4-port, shape (4, 4), got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("4-port matrix entries must be finite")
+    m.flags.writeable = False
+    return m
+
+
+def _built(m: np.ndarray) -> PortMatrix:
+    """A ``PortMatrix`` of a complex 4x4 the package has just built: checked, not copied."""
+    cell = object.__new__(PortMatrix)
+    object.__setattr__(cell, "entries", _checked(m))
+    return cell
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,19 +158,35 @@ class LineModel:
         port 1, so block ``sij`` reads ``m[i, j]`` (0-based); output lines
         face it with port 2, so it reads ``m[1 - i, 1 - j]``.  Each
         diagonal is ``(4,)`` or ``(n, 4)``, a view of one read-only
-        ``(..., 4, 2, 2)`` stack of the lines, output lines flipped.
+        ``(..., 4, 2, 2)`` stack of the lines, output lines flipped, built
+        on first use: 16 complex values per point.
         """
         ia, oa, ib, ob = self.two_ports
         stack = np.stack((ia, oa[..., ::-1, ::-1], ib, ob[..., ::-1, ::-1]), axis=-3)
         stack.flags.writeable = False
         return stack[..., 0, 0], stack[..., 0, 1], stack[..., 1, 0], stack[..., 1, 1]
 
+    @cached_property
+    def _scaling(self) -> np.ndarray:
+        """``S12 M S21`` scales entry ``(j, k)`` of a 4x4 ``M`` by ``s12[j] s21[k]``.
+
+        The read-only ``(4, 4)`` or ``(n, 4, 4)`` product of the diagonals,
+        built on first use: 16 complex values per point, ~100 kB at n = 401.
+        """
+        _, s12, s21, _ = self._blocks
+        # slicing builds it too, so a product that overflows is left inf here
+        # for the composition that meets it to refuse as non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = s12[..., :, None] * s21[..., None, :]
+        product.flags.writeable = False
+        return product
+
     def at(self, i: int) -> "LineModel":
         """Single-frequency slice; frequency-independent lines are returned as they are.
 
-        The slice holds views of this model's validated read-only arrays and
-        row ``i`` of its line-block diagonals: nothing is validated or
-        built again.
+        The slice holds views of this model's validated read-only arrays,
+        row ``i`` of its line-block diagonals and of their product: nothing
+        is validated or built again.
         """
         if self.two_ports.ndim == 3:
             return self
@@ -163,6 +196,7 @@ class LineModel:
         object.__setattr__(line, "isolation", complex(iso[i]) if np.ndim(iso) else iso)
         s11, s12, s21, s22 = self._blocks
         object.__setattr__(line, "_blocks", (s11[i], s12[i], s21[i], s22[i]))
+        object.__setattr__(line, "_scaling", self._scaling[i])
         return line
 
 
@@ -180,14 +214,14 @@ def ideal_lines() -> LineModel:
     return LineModel(np.broadcast_to(swap, (4, 2, 2)))
 
 
-def _operands(cell: PortMatrix, lines: LineModel) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Cell entries and line-block diagonals; refuses any other cell type and per-frequency lines."""
+def _operands(cell: PortMatrix, lines: LineModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cell entries, ``s11``, ``s22`` and the block product; refuses any other cell type and per-frequency lines."""
     if not isinstance(cell, PortMatrix):
         raise TypeError(f"cell must be a PortMatrix, got {type(cell).__name__}")
-    blocks = lines._blocks
-    if blocks[0].ndim != 1:
+    s11, _, _, s22 = lines._blocks
+    if s11.ndim != 1:
         raise ValueError("the compositions take single-frequency lines; use LineModel.at")
-    return cell.entries, blocks
+    return cell.entries, s11, s22, lines._scaling
 
 
 def compose_exact(cell: PortMatrix, lines: LineModel) -> CompositionResult:
@@ -205,16 +239,17 @@ def compose_exact(cell: PortMatrix, lines: LineModel) -> CompositionResult:
     1/2: ``cond_2(I - S22 S) <= 4 (1 + q) / (1 - q)``, at most 12 below
     that, so the bound never changes whether the composition raises.
     """
-    s, (s11, s12, s21, s22) = _operands(cell, lines)
+    s, s11, s22, scaling = _operands(cell, lines)
     x = s22[:, None] * s
     core = _EYE - x
     if not np.abs(x).sum(axis=1).max() < 0.5:
         cond = np.linalg.cond(core)
         if not np.isfinite(cond) or cond > 1e14:
             raise SingularNetworkError("internal-wave system is singular", cond)
-    s_meas = np.linalg.solve(core.T, s.T).T * (s12[:, None] * s21)
+    s_meas = np.linalg.solve(core.T, s.T).T
+    s_meas *= scaling
     s_meas.flat[::5] += s11
-    return CompositionResult(PortMatrix(s_meas), 0.0)
+    return CompositionResult(_built(s_meas), 0.0)
 
 
 def compose_neumann(cell: PortMatrix, lines: LineModel, order: int) -> CompositionResult:
@@ -237,7 +272,7 @@ def compose_neumann(cell: PortMatrix, lines: LineModel, order: int) -> Compositi
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    s, (s11, s12, s21, s22) = _operands(cell, lines)
+    s, s11, s22, scaling = _operands(cell, lines)
     x = s * s22
     if not np.abs(x).sum(axis=1).max() < 1.0:
         radius = float(np.max(np.abs(np.linalg.eigvals(x))))
@@ -248,9 +283,7 @@ def compose_neumann(cell: PortMatrix, lines: LineModel, order: int) -> Compositi
     kept = s if order else np.zeros((4, 4), dtype=complex)
     for _ in range(order - 1):
         kept = s + x @ kept
-    # S12 M S21 with diagonal blocks scales entry (i, j) of M by s12[i] s21[j]
-    outer = s12[:, None] * s21
-    s_meas = outer * kept
+    s_meas = scaling * kept
     s_meas.flat[::5] += s11
     # the summed series; radius < 1 keeps I - x invertible, bar a radius of
     # exactly 1 that eigvals rounded below 1
@@ -258,8 +291,11 @@ def compose_neumann(cell: PortMatrix, lines: LineModel, order: int) -> Compositi
         summed = np.linalg.solve(_EYE - x, s)
     except np.linalg.LinAlgError:
         raise DivergenceError("reflection series diverges: I - S S22 is singular") from None
-    err = float(np.max(np.abs(outer * (summed - kept))))
-    return CompositionResult(PortMatrix(s_meas), err)
+    # scaling * (summed - kept) in place, scaling the left operand as in s_meas:
+    # numpy's complex product can differ in the last bit with the operands swapped
+    summed -= kept
+    np.multiply(scaling, summed, out=summed)
+    return CompositionResult(_built(s_meas), float(np.abs(summed).max()))
 
 
 def simplified_forward(cell_coeffs, lines: LineModel) -> np.ndarray:

@@ -88,6 +88,9 @@ GUARDS = {
                                ValueError, "omega must be finite"),
     "cell-smatrix-omega-inf": (lambda: model.cell_smatrix(np.inf, CELL),
                                ValueError, "omega must be finite"),
+    # numpy 1.24 converts a one-element array with float(), numpy 2 refuses it with a bare TypeError
+    "cell-smatrix-omega-array": (lambda: model.cell_smatrix(np.array([W_GE]), CELL),
+                                 ValueError, "omega must be a scalar, got shape (1,)"),
     "line-spec-ripple": (lambda: synth.LineSpec(ripple_db=-1.0),
                          ValueError, "ripple_db must be >= 0"),
     "campaign-noise": (lambda: synth.CampaignConfig(CELL, synth.LineSpec(), FREQS, noise_sigma=-1.0),

@@ -617,10 +617,12 @@ class TestTouchstone:
         # (A-in, A-out, B-in, B-out); the cell matrix carries each channel there
         out, into = model._CHANNEL_OUT, model._CHANNEL_IN
         assert (out, into) == ([1, 3, 3, 1], [0, 2, 0, 2])
-        assert model._SMATRIX_SLOTS.tolist() == [[4, 0, 3, 3], [0, 4, 3, 3], [2, 2, 5, 1], [2, 2, 1, 5]]
+        assert model._SMATRIX_SLOTS.tolist() == [[0, 0, 3, 3], [0, 0, 3, 3], [2, 2, 1, 1], [2, 2, 1, 1]]
         cell = presets.STEADY_STATE_CELL
         s = model.cell_smatrix(cell.omega_ge, cell).entries
-        assert np.array_equal(s[out, into], model.cell_coefficients(cell.omega_ge, cell))
+        t = model.cell_coefficients(cell.omega_ge, cell)
+        assert np.array_equal(s[out, into], t)
+        assert np.array_equal(np.diag(s), t[[0, 0, 1, 1]] - 1.0)  # reflections t_AA - 1, t_BB - 1
 
     def test_ma_format_and_units(self, tmp_path):
         path = tmp_path / "ma.s4p"

@@ -43,6 +43,26 @@ class TestPortMatrix:
             with pytest.raises(ValueError, match="entries must be finite"):
                 network.PortMatrix(np.where(np.eye(4) > 0, bad, 0.0))
 
+    def test_copies_a_callers_array(self):
+        a = np.eye(4, dtype=complex)
+        cell = network.PortMatrix(a)
+        assert not np.shares_memory(cell.entries, a) and not cell.entries.flags.writeable
+        a[0, 0] = 7.0
+        assert np.array_equal(cell.entries, np.eye(4))
+
+    def test_package_built_matrices_are_read_only_and_own_their_memory(self):
+        lines = random_lines(np.random.default_rng(11), reflection=0.05, isolation=1e-3)
+        cell = model.cell_smatrix(CELL.omega_ge + 1e6, CELL)
+        inputs = (cell.entries, lines.two_ports, *lines._blocks, lines._scaling)
+        built = [cell, network.compose_exact(cell, lines).s_meas,
+                 *(network.compose_neumann(cell, lines, order).s_meas for order in (0, 1, 3))]
+        for m in built:
+            assert not m.entries.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                m.entries[0, 0] = 0.0
+        for m in built[1:]:
+            assert not any(np.shares_memory(m.entries, a) for a in inputs)
+
 
 # wave order: (a1A, a2A, a1GA, a2GA, a1B, a2B, a1GB, a2GB) maps to
 # externals (a1A, a2GA, a1B, a2GB) then internals (a2A, a1GA, a2B, a1GB)
@@ -190,11 +210,35 @@ class TestLineModel:
         assert all(d.base is base and d.shape == (5, 4) for d in diagonals)
         assert base.shape == (5, 4, 2, 2) and not base.flags.writeable
         assert not np.shares_memory(base, lines.two_ports)
+        scaling = lines._scaling
+        assert lines._scaling is scaling
+        assert scaling.shape == (5, 4, 4) and not scaling.flags.writeable
+        assert not np.shares_memory(scaling, base)
+        _, s12, s21, _ = diagonals
         for i in range(5):
-            for got, d in zip(lines.at(i)._blocks, diagonals):
+            point = lines.at(i)
+            for got, d in zip(point._blocks, diagonals):
                 assert got.base is base and np.shares_memory(got, d)
                 assert np.array_equal(got, d[i])
-        assert lines._blocks is diagonals
+            assert point._scaling.base is scaling and point._scaling.shape == (4, 4)
+            assert np.array_equal(point._scaling, s12[i][:, None] * s21[i])
+        assert lines._blocks is diagonals and lines._scaling is scaling
+
+    def test_block_product_is_built_once_per_line_model(self, monkeypatch):
+        stack = random_lines(np.random.default_rng(2)).two_ports
+        lines = network.LineModel(np.broadcast_to(stack[:, None], (4, 6, 2, 2)))
+        built = []
+        build = network.LineModel._scaling.func
+
+        def counted(model):
+            built.append(1)
+            return build(model)
+
+        monkeypatch.setattr(network.LineModel._scaling, "func", counted)
+        for i in range(6):
+            network.compose_exact(THROUGH, lines.at(i))
+            network.compose_neumann(THROUGH, lines.at(i), order=2)
+        assert built == [1]
 
     def test_arrays_are_read_only_copies(self):
         rng = np.random.default_rng(3)
@@ -202,16 +246,16 @@ class TestLineModel:
         iso = np.full(4, 1e-3 + 0j)
         lines = network.LineModel(stack, isolation=iso)
         kept = lines.two_ports.copy()
-        before = [d.copy() for d in lines.at(2)._blocks]
+        before = [d.copy() for d in (*lines.at(2)._blocks, lines.at(2)._scaling)]
         for m in (lines.two_ports, *lines.matrices, lines.at(2).two_ports, lines.isolation,
-                  *lines.at(2)._blocks):
+                  *lines.at(2)._blocks, lines._scaling, lines.at(2)._scaling):
             with pytest.raises(ValueError, match="read-only"):
                 m[...] = 0.0
         stack[...] = 7.0
         iso[...] = 7.0
         assert np.array_equal(lines.two_ports, kept)
         assert np.all(lines.isolation == 1e-3)
-        for got, want in zip(lines.at(2)._blocks, before):
+        for got, want in zip((*lines.at(2)._blocks, lines.at(2)._scaling), before):
             assert np.array_equal(got, want)
 
 
