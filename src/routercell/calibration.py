@@ -16,8 +16,8 @@ isolation leakage -- lets the line factors be divided out exactly:
 The square roots require continuous phases; since halving a phase turns
 2 pi wraps into pi jumps, phases are conditioned by doubling, unwrapping
 and halving.  Linewidths are extracted from calibrated through traces by
-an algebraic circle fit plus a phase-versus-frequency fit, and the loaded
-widths feed a loss budget separating coupling from intrinsic loss.
+a fit of the one-pole resonance, started by Levy's linear solve, and the
+loaded widths feed a loss budget separating coupling from intrinsic loss.
 """
 
 from __future__ import annotations
@@ -224,29 +224,18 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSp
     return ChannelSpectrum(meas.freqs, np.concatenate([through, cross]))
 
 
-def _kasa_circle(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Algebraic (Kasa) circle fit; exact for noiseless circular data."""
-    a = np.column_stack([2.0 * x, 2.0 * y, np.ones_like(x)])
-    b = x**2 + y**2
-    sol, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 3 or sv[-1] < 1e-12 * sv[0]:
-        raise CircleFitError("points are collinear; no circle fit possible")
-    xc, yc, c = sol
-    r2 = c + xc**2 + yc**2
-    if r2 <= 0:
-        raise CircleFitError("degenerate circle fit (non-positive radius)")
-    return float(xc), float(yc), float(np.sqrt(r2))
-
-
 def circle_fit(trace, freqs) -> CircleFitResult:
     """Extract resonance frequency and loaded linewidth from one trace.
 
-    A Kasa algebraic circle fit locates the resonance circle; the phase of
-    the trace about the circle center is then fitted with ``theta_0 +
-    2 atan(2 (f - f_res) / kappa)``, whose ``kappa`` is the loaded full
-    width at half maximum, signed by the sense in which the trace turns
-    (``kappa_loaded`` is its magnitude).  One function returns the phase
-    residuals and their analytic Jacobian to the solver.
+    Fits the one-pole resonance ``t = a + b / (u - p)``, the one-channel
+    case of :func:`~routercell.estimation.fit_four_channel`, on the grid
+    mapped onto ``u`` in [-1, 1]: Levy's solve of ``t u = p t + a u + c``
+    (linear in ``p``, ``a`` and ``c = b - a p``; exact on noiseless data)
+    starts one least-squares fit of the complex residuals with their
+    analytic Jacobian.  ``Re p`` places the resonance, ``2 |Im p|`` is the
+    loaded full width at half maximum and the sign of ``Im p`` the sense of
+    rotation; the circle has centre ``a + i b / (2 Im p)``, radius ``|b| /
+    (2 |Im p|)`` and background ``a``, the point far off resonance.
 
     Parameters
     ----------
@@ -264,8 +253,9 @@ def circle_fit(trace, freqs) -> CircleFitResult:
     Raises
     ------
     CircleFitError
-        If the inputs break the rules above, the trace does not describe
-        a usable resonance circle, or the phase fit does not converge.
+        If the inputs break the rules above, the trace is no resonance
+        circle (collinear points, a pole on the real axis, less than pi rad
+        about the fitted centre), or the fit does not converge.
     """
     tr = np.asarray(trace, dtype=complex)
     freqs = np.asarray(freqs, dtype=float)
@@ -282,47 +272,51 @@ def circle_fit(trace, freqs) -> CircleFitResult:
     steps = np.diff(freqs)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise CircleFitError("freqs must be strictly monotonic")
-    xc, yc, radius = _kasa_circle(tr.real, tr.imag)
-    center = complex(xc, yc)
+    mid, half = 0.5 * (freqs[0] + freqs[-1]), 0.5 * abs(freqs[-1] - freqs[0])
+    u = (freqs - mid) / half
 
-    theta = np.unwrap(np.angle(tr - center))
-    coverage = float(theta.max() - theta.min())
-    if coverage < np.pi:
+    # Levy: t u = p t + a u + c, exact for t = a + b / (u - p) with c = b - a p
+    (p, a, c), _, rank, _ = np.linalg.lstsq(np.column_stack([tr, u, np.ones_like(u)]),
+                                            tr * u, rcond=None)
+    if rank < 3:
+        raise CircleFitError("points are collinear; no circle fit possible")
+    if not (np.isfinite(p) and p.imag != 0.0):
+        raise CircleFitError(f"the start's pole {p:.3g} lies on the real axis: no resonance")
+
+    def problem(x):
+        p, a, b = x.view(complex)
+        d = 1.0 / (u - p)
+        jac = np.empty((6, u.size), dtype=complex)  # d t / d (Re p, Im p, Re a, Im a, Re b, Im b)
+        jac[0], jac[2], jac[4] = b * d * d, 1.0, d
+        jac[1::2] = 1j * jac[::2]
+        return (a + b * d - tr).view(float), jac.view(float).T
+
+    try:
+        fit = least_squares(problem, np.array([p, a, c + a * p]).view(float))
+    except ValueError as err:  # the start's residuals are not finite
+        raise CircleFitError(f"no resonance fit from the start: {err}") from None
+    if not fit.success:
+        raise CircleFitError(f"resonance fit did not converge in {fit.nfev} evaluations")
+    p, a, b = fit.x.view(complex)
+    center = complex(a + 0.5j * b / p.imag)
+    z = tr - center
+    turn = np.cumsum(np.angle(z[1:] * np.conj(z[:-1])))  # the phase about the centre, from z[0]
+    coverage = float(max(turn.max(), 0.0) - min(turn.min(), 0.0))
+    if not coverage >= np.pi:  # a non-finite centre covers nan
         raise CircleFitError(
             f"trace covers only {coverage:.2f} rad of the resonance circle (< pi)"
         )
-
-    mid = 0.5 * (theta[0] + theta[-1])
-    i0 = int(np.argmin(np.abs(theta - mid)))
-    span = freqs[-1] - freqs[0]
-    sign = 1.0 if theta[-1] >= theta[0] else -1.0
-
-    def problem(params):
-        theta0, f0, kappa = params
-        u = 2.0 * (freqs - f0)
-        w = 2.0 / (u * u + kappa * kappa)
-        return (theta0 + 2.0 * np.arctan(u / kappa) - theta,
-                np.array([np.ones_like(u), -2.0 * kappa * w, -u * w]).T)
-
-    init = np.array([theta[i0], freqs[i0], sign * span / 5.0])
-    fit = least_squares(problem, init)
-    if not fit.success:
-        raise CircleFitError(f"phase fit did not converge in {fit.nfev} evaluations")
-    theta0, f_res, kappa = fit.x
-    kappa = abs(float(kappa))
-    if kappa <= 0:
-        raise CircleFitError("phase fit returned a non-positive linewidth")
-    if not (freqs.min() <= f_res <= freqs.max()):
+    if abs(p.real) > 1.0:
         warnings.warn("fitted resonance lies outside the scanned span", stacklevel=2)
 
-    background = center - radius * np.exp(1j * float(theta0))
+    radius = float(abs(b) / (2.0 * abs(p.imag)))
     return CircleFitResult(
-        omega_res=2.0 * np.pi * float(f_res),
-        kappa_loaded=2.0 * np.pi * kappa,
+        omega_res=2.0 * np.pi * float(mid + half * p.real),
+        kappa_loaded=2.0 * np.pi * 2.0 * half * abs(float(p.imag)),
         diameter=2.0 * radius,
-        background=complex(background),
+        background=complex(a),
         center=center,
-        radius=float(radius),
+        radius=radius,
     )
 
 
@@ -333,12 +327,14 @@ def loss_budget(fit_aa: CircleFitResult, fit_bb: CircleFitResult,
     Both through channels see the same loaded width ``kappa_i + 2 gamma_a
     + 2 gamma_b``; the two fits are averaged with a 10 % uncertainty band
     and the couplings subtracted.  A noticeably negative ``kappa_i`` flags
-    inconsistent inputs (warning, not fatal); couplings that are not > 0
-    raise ``ValueError``.
+    inconsistent inputs (warning, not fatal); couplings or loaded widths
+    that are not > 0, NaN included, raise ``ValueError``.
     """
     _check_couplings(gamma_a, gamma_b)
-    k_aa = fit_aa.kappa_loaded
-    k_bb = fit_bb.kappa_loaded
+    k_aa, k_bb = fit_aa.kappa_loaded, fit_bb.kappa_loaded
+    for name, kappa in (("fit_aa", k_aa), ("fit_bb", k_bb)):
+        if not (np.isfinite(kappa) and kappa > 0):
+            raise ValueError(f"{name}.kappa_loaded must be finite and > 0, got {kappa}")
     mean = 0.5 * (k_aa + k_bb)
     unc = 0.1 * mean
     kappa_i = mean - 2.0 * gamma_a - 2.0 * gamma_b

@@ -377,6 +377,8 @@ def fit_thermal(e_values, temps_k, gamma_a: float, gamma_b: float,
     n_th = n_thermal(temps, omega_ge)
 
     invertible = e > 0
+    if invertible.sum() < 2:
+        raise FitError(f"need at least 2 efficiencies above 0, got {invertible.sum()}")
     rates = gamma_phi_from_E(e[invertible], gamma_a, gamma_b)
     design = np.column_stack([n_th[invertible], np.ones(rates.size)])
     slope, intercept = _linear_report(("slope", "intercept"), design, rates).params.values()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from routercell import _lsq, calibration, model, network, synth
+from routercell import _lsq, calibration, model, network, presets, synth
 
 TWO_PI = 2.0 * math.pi
 GA = TWO_PI * 1.82e6
@@ -257,10 +257,11 @@ class TestCalibrationProperties:
 
 class TestCircleFit:
     def test_perfect_circle_center_and_radius(self):
-        angles = np.linspace(0.1, 2 * np.pi, 256, endpoint=False)
+        # a resonance: the phase about the centre turns by 2 atan(2 (f - f0) / kappa)
+        freqs = np.linspace(6.0e9, 6.1e9, 256)
+        angles = 0.1 + 2.0 * np.arctan(2.0 * (freqs - 6.04e9) / 7e6)
         center, radius = 0.4 - 0.2j, 0.31
         trace = center + radius * np.exp(1j * angles)
-        freqs = np.linspace(6.0e9, 6.1e9, angles.size)
         fit = calibration.circle_fit(trace, freqs)
         assert fit.center == pytest.approx(center, abs=1e-10)
         assert fit.radius == pytest.approx(radius, abs=1e-10)
@@ -319,7 +320,7 @@ class TestCircleFit:
         assert descending.kappa_loaded == pytest.approx(ascending.kappa_loaded, rel=1e-8)
 
     def test_clockwise_trace_fits_the_same_resonance(self):
-        # the conjugate trace circles the other way, so its phase fit ends at kappa < 0
+        # the conjugate trace circles the other way: its pole lies above the real axis
         trace = self.model_trace()
         counter = calibration.circle_fit(trace, self.FREQS)
         clockwise = calibration.circle_fit(np.conj(trace), self.FREQS)
@@ -355,12 +356,62 @@ class TestCircleFit:
         with pytest.raises(calibration.CircleFitError, match="strictly monotonic"):
             calibration.circle_fit(self.model_trace(), freqs)
 
-    def test_unconverged_phase_fit_raises(self, monkeypatch):
-        # a phase fit cut off by the evaluation cap has no resonance to report
+    def test_unconverged_fit_raises(self, monkeypatch):
+        # a fit cut off by the evaluation cap has no resonance to report; on a
+        # noiseless trace Levy's start is exact and the fit ends in 2 evaluations
         monkeypatch.setattr(_lsq, "MAX_NFEV", 2)
+        noise = 1e-2 * np.random.default_rng(3).standard_normal((2, self.FREQS.size))
         with pytest.raises(calibration.CircleFitError,
-                           match="phase fit did not converge in 2 evaluations"):
-            calibration.circle_fit(self.model_trace(), self.FREQS)
+                           match="resonance fit did not converge in 2 evaluations"):
+            calibration.circle_fit(self.model_trace() + noise[0] + 1j * noise[1], self.FREQS)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(11, 401), st.floats(0.0, 1.0), st.floats(0.1, 0.9), st.booleans(),
+           st.booleans(), st.floats(0.1, 10.0), st.floats(-math.pi, math.pi), st.floats(0.05, 2.0),
+           st.floats(-math.pi, math.pi), st.floats(1e6, 1e9))
+    def test_noiseless_resonance_comes_back(self, n, width, position, clockwise, descending,
+                                            bg_size, bg_phase, diameter, d_phase, span):
+        # 5 or more points per FWHM, FWHM at most span / 2 (log-uniform in between),
+        # the resonance in the central 80 % of the span
+        narrowest = 5.0 / (n - 1)
+        kappa = span * narrowest * (0.5 / narrowest) ** width
+        freqs = np.linspace(F_GE - span / 2, F_GE + span / 2, n)
+        f_res = freqs[0] + position * span
+        background = bg_size * np.exp(1j * bg_phase)
+        d = diameter * bg_size * np.exp(1j * d_phase)  # resonance point minus background
+        sense = -1.0 if clockwise else 1.0
+        trace = background + d / (1.0 + 2j * sense * (freqs - f_res) / kappa)
+        if descending:
+            freqs, trace = freqs[::-1], trace[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = calibration.circle_fit(trace, freqs)
+        radius = abs(d) / 2
+        assert abs(fit.omega_res / TWO_PI - f_res) < 1e-9 * kappa
+        assert fit.kappa_loaded == pytest.approx(TWO_PI * kappa, rel=1e-9)
+        assert fit.radius == pytest.approx(radius, rel=1e-9)
+        assert abs(fit.center - (background + d / 2)) < 1e-9 * radius
+        assert abs(fit.background - background) < 1e-9 * radius
+
+    @pytest.mark.parametrize("channel, bounds", [("AA", (3.9e-4, 4.4e-3, 2.1e-2)),
+                                                 ("BB", (3.01e-4, 3.3e-3, 1.4e-2))])
+    def test_loaded_width_accuracy_under_noise(self, channel, bounds):
+        # relative rms error of kappa_loaded over 300 seeds at complex noise sigma (rms
+        # |noise| = sigma); each bound is the rms, rounded up, that the earlier algebraic
+        # circle plus arctangent phase fit reached on the same draws
+        cell = presets.STEADY_STATE_CELL
+        f_ge = cell.omega_ge / TWO_PI
+        freqs = np.linspace(f_ge - 25e6, f_ge + 25e6, 401)
+        trace = model.cell_coefficients(TWO_PI * freqs, cell)[model.CHANNELS.index(channel)]
+        kappa = 2.0 * (cell.gamma_sum + cell.coherence_rate)
+        for sigma, bound in zip((1e-3, 1e-2, 3e-2), bounds):
+            errors = []
+            for seed in range(300):
+                noise = np.random.default_rng(seed).standard_normal((2, freqs.size))
+                noisy = trace + sigma / math.sqrt(2) * (noise[0] + 1j * noise[1])
+                errors.append(calibration.circle_fit(noisy, freqs).kappa_loaded / kappa - 1.0)
+            assert math.sqrt(np.mean(np.square(errors))) < bound
+            assert abs(np.median(errors)) < 0.2 * bound  # the earlier fit's reached 0.8 bound
 
 
 class TestLossBudget:

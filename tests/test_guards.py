@@ -52,6 +52,15 @@ GUARDS = {
                                  ValueError, "freqs must be a finite, strictly increasing 1-D grid"),
     "circle-fit-few-samples": (lambda: calibration.circle_fit(np.ones(4), FREQS[:4]),
                                calibration.CircleFitError, "need at least 5 samples"),
+    # a real trace gives Levy's solve a real pole: a line, not a circle, in the complex plane
+    "circle-fit-real-pole": (lambda: calibration.circle_fit(np.linspace(-1, 1, 41) ** 2 + 0j, FREQS),
+                             calibration.CircleFitError, "lies on the real axis"),
+    "loss-budget-width-nan": (lambda: calibration.loss_budget(
+                                  dataclasses.replace(CIRCLE, kappa_loaded=math.nan), CIRCLE, 1.0, 1.0),
+                              ValueError, "fit_aa.kappa_loaded must be finite and > 0, got nan"),
+    "loss-budget-width-negative": (lambda: calibration.loss_budget(
+                                       CIRCLE, dataclasses.replace(CIRCLE, kappa_loaded=-5.0), 1.0, 1.0),
+                                   ValueError, "fit_bb.kappa_loaded must be finite and > 0, got -5.0"),
     "efficiency-trace-floor": (lambda: estimation.efficiency_trace(clean_spectrum(np.zeros((4, 41)))),
                                estimation.FitError, "through channels below division floor at 41 points"),
     "gamma-phi-couplings": (lambda: estimation.gamma_phi_from_E(0.5, 0.0, 1.0),
