@@ -7,17 +7,17 @@ the through channels carry only the lines and the cross channels only the
 isolation leakage -- lets the line factors be divided out exactly:
 
 * through:  ``t = t_meas / t_hd``
-* cross:    ``t_AB = d_AB * sqrt(1 / (rho * t_aa_hd * t_bb_hd))`` and
-  ``t_BA = d_BA * sqrt(rho / (t_aa_hd * t_bb_hd))``, with ``d = t_meas -
+* cross:    ``t_AB = d_AB * q`` and ``t_BA = d_BA / (t_aa_hd * t_bb_hd *
+  q)`` with ``q = sqrt(1 / (rho * t_aa_hd * t_bb_hd))``, ``d = t_meas -
   t_hd`` and the line ratio ``rho = (conj(h_BA) h_AB + conj(d_BA) d_AB) /
   (|h_BA|^2 + |d_BA|^2)`` fitted per point to ``h_AB = rho h_BA`` and
   ``d_AB = rho d_BA`` (``h`` the HD cross traces)
 
-The square roots require continuous phases; since halving a phase turns
-2 pi wraps into pi jumps, phases are conditioned by doubling, unwrapping
-and halving.  Linewidths are extracted from calibrated through traces by
-a fit of the one-pole resonance, started by Levy's linear solve, and the
-loaded widths feed a loss budget separating coupling from intrinsic loss.
+The root's phase is its argument's unwrapped phase, halved, so it stays
+continuous where a principal root jumps by pi.  Linewidths are extracted
+from calibrated through traces by a fit of the one-pole resonance,
+started by Levy's linear solve, and the loaded widths feed a loss budget
+separating coupling from intrinsic loss.
 """
 
 from __future__ import annotations
@@ -129,19 +129,6 @@ class LossBudget:
     kappa_i: float
 
 
-def _unwrap_halved_phase(trace) -> np.ndarray:
-    """Continuous phase of a trace whose square-root origin causes pi jumps.
-
-    Doubles the phase angles, unwraps with the standard 2 pi algorithm and
-    halves the result, which removes the pi discontinuities introduced by
-    taking square roots of wrapped data.
-    """
-    tr = np.asarray(trace, dtype=complex)
-    if tr.size == 0:
-        raise ValueError("trace must be nonempty")
-    return 0.5 * np.unwrap(2.0 * np.angle(tr))
-
-
 def resample(spectrum: ChannelSpectrum, freqs) -> ChannelSpectrum:
     """Complex linear interpolation of all channels onto a new grid (Hz).
 
@@ -178,17 +165,18 @@ def _check_reference(hd: ChannelSpectrum) -> None:
 
 
 def _continuous_sqrt(values: np.ndarray) -> np.ndarray:
-    """Pointwise square root with pi jumps removed by phase conditioning."""
-    s = np.sqrt(values)
-    return np.abs(s) * np.exp(1j * _unwrap_halved_phase(s))
+    """Square root of a 1-D trace with a continuous phase: half the trace's unwrapped phase."""
+    return np.sqrt(np.abs(values)) * np.exp(0.5j * np.unwrap(np.angle(values)))
 
 
 def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSpectrum:
     """Divide out the measurement lines using a high-drive reference.
 
     Through channels are normalized by their HD references; cross channels
-    subtract the isolation leakage ``h`` and rescale by the square root
-    that cancels the line transmissions.  That scale needs the line ratio
+    subtract the isolation leakage ``h`` and rescale to cancel the lines:
+    AB by one root, ``q = sqrt(1 / (rho aa bb)) = 1 / (s_in,A s_out,B)``
+    (``aa``, ``bb`` the HD through traces), and BA by ``1 / (aa bb q)``, as
+    the two paths cross each line once.  The root needs the line ratio
     ``rho = (s_in,A s_out,B) / (s_in,B s_out,A)``, which the cell's
     reciprocity (the same response for AB and BA) puts in both the leakage,
     ``h_AB = rho h_BA``, and the resonant signal, ``d_AB = rho d_BA``; it is
@@ -199,7 +187,7 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSp
     to 0.02; at -20 dB and sigma = 0.05 the per-point ratio is noisy enough
     to miss that in one seed of ten.  A non-reciprocal path is outside this
     model.
-    The square-root branch is fixed by phase continuity and each cross
+    The root's branch is fixed by phase continuity and each cross
     channel's sign by its through dip: ``Re sum(t_AB conj(1 - t_AA)) > 0``
     (``BA`` with ``BB``), since ``t_AB / (1 - t_AA) = sqrt(gamma_b/gamma_a)
     e^{i (phi_b - phi_a)/2}`` in the model, with Re > 0 for |phi| < pi/2.
@@ -218,7 +206,8 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSp
     d = meas.traces[2:] - hd.traces[2:]
     # the line ratio AB/BA, solved per point from the leakage and the signal together
     rho = (np.conj(h_ba) * h_ab + np.conj(d[1]) * d[0]) / (np.abs(h_ba) ** 2 + np.abs(d[1]) ** 2)
-    cross = d * _continuous_sqrt(np.array([1.0 / rho, rho]) / (aa * bb))
+    q = _continuous_sqrt(1.0 / (rho * aa * bb))
+    cross = d * np.array([q, 1.0 / (aa * bb * q)])
     anchor = np.sum(cross * np.conj(1.0 - through), axis=-1)
     cross = np.where((anchor.real < 0)[:, None], -cross, cross)
     return ChannelSpectrum(meas.freqs, np.concatenate([through, cross]))
@@ -232,10 +221,13 @@ def circle_fit(trace, freqs) -> CircleFitResult:
     mapped onto ``u`` in [-1, 1]: Levy's solve of ``t u = p t + a u + c``
     (linear in ``p``, ``a`` and ``c = b - a p``; exact on noiseless data)
     starts one least-squares fit of the complex residuals with their
-    analytic Jacobian.  ``Re p`` places the resonance, ``2 |Im p|`` is the
-    loaded full width at half maximum and the sign of ``Im p`` the sense of
-    rotation; the circle has centre ``a + i b / (2 Im p)``, radius ``|b| /
-    (2 |Im p|)`` and background ``a``, the point far off resonance.
+    analytic Jacobian.  Both run on the trace in units of its largest
+    magnitude, as Levy's rank test is relative to the largest column, so
+    the fit does not depend on the trace's scale.  ``Re p`` places the
+    resonance, ``2 |Im p|`` is the loaded full width at half maximum and
+    the sign of ``Im p`` the sense of rotation; the circle has centre ``a
+    + i b / (2 Im p)``, radius ``|b| / (2 |Im p|)`` and background ``a``,
+    the point far off resonance.
 
     Parameters
     ----------
@@ -253,9 +245,10 @@ def circle_fit(trace, freqs) -> CircleFitResult:
     Raises
     ------
     CircleFitError
-        If the inputs break the rules above, the trace is no resonance
-        circle (collinear points, a pole on the real axis, less than pi rad
-        about the fitted centre), or the fit does not converge.
+        If the inputs break the rules above, the largest magnitude is 0,
+        subnormal or overflows, the trace is no resonance circle (collinear
+        points, a pole on the real axis, less than pi rad about the fitted
+        centre), or the fit does not converge.
     """
     tr = np.asarray(trace, dtype=complex)
     freqs = np.asarray(freqs, dtype=float)
@@ -274,6 +267,11 @@ def circle_fit(trace, freqs) -> CircleFitResult:
         raise CircleFitError("freqs must be strictly monotonic")
     mid, half = 0.5 * (freqs[0] + freqs[-1]), 0.5 * abs(freqs[-1] - freqs[0])
     u = (freqs - mid) / half
+    # in units of the largest sample, since lstsq cuts the rank against the largest column
+    scale = float(np.abs(tr).max())
+    if not np.finfo(float).tiny <= scale < np.inf:
+        raise CircleFitError(f"samples in units of the largest magnitude {scale:.3g} are not finite")
+    tr = tr / scale
 
     # Levy: t u = p t + a u + c, exact for t = a + b / (u - p) with c = b - a p
     (p, a, c), _, rank, _ = np.linalg.lstsq(np.column_stack([tr, u, np.ones_like(u)]),
@@ -309,13 +307,13 @@ def circle_fit(trace, freqs) -> CircleFitResult:
     if abs(p.real) > 1.0:
         warnings.warn("fitted resonance lies outside the scanned span", stacklevel=2)
 
-    radius = float(abs(b) / (2.0 * abs(p.imag)))
+    radius = scale * float(abs(b) / (2.0 * abs(p.imag)))
     return CircleFitResult(
         omega_res=2.0 * np.pi * float(mid + half * p.real),
         kappa_loaded=2.0 * np.pi * 2.0 * half * abs(float(p.imag)),
         diameter=2.0 * radius,
-        background=complex(a),
-        center=center,
+        background=scale * complex(a),
+        center=scale * center,
         radius=radius,
     )
 

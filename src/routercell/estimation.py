@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -438,9 +438,10 @@ def fit_saturation(magnitudes, n_avg, seed: int | None = None) -> FitReport:
 def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
     """Exponential energy-relaxation fit ``p0 exp(-t/T1) + p_inf``.
 
-    Returns ``t1`` (s), ``p0`` and ``p_inf``.  A vanishing initial
-    population makes ``t1`` unidentifiable and is flagged.  Needs at least
-    5 delays.
+    Returns ``t1`` (s), ``p0`` and ``p_inf``.  A fitted ``p0`` of exactly
+    0 leaves ``t1``'s Jacobian column zero, so ``t1`` is flagged
+    unidentifiable; a small ``p0`` is not, as the rule does not depend on
+    the populations' scale.  Needs at least 5 delays.
     """
     t, p = _paired_samples(populations, delays_s, ("populations", "delays"), 5)
     p_inf0 = float(np.mean(p[-max(2, t.size // 5):]))
@@ -456,9 +457,6 @@ def fit_T1(populations, delays_s, seed: int | None = None) -> FitReport:
     report = _finish_report(("p0", "t1", "p_inf"), least_squares(
         problem, [p00, max(t10, 1e-12), p_inf0],
         bounds=([-np.inf, 1e-15, -np.inf], [np.inf, np.inf, np.inf])), seed)
-    # p0 exactly 0 leaves the t1 column zero, which _finish_report flags already
-    if abs(report.value("p0")) < 1e-6 and "unidentifiable:t1" not in report.flags:
-        report = replace(report, flags=report.flags + ("unidentifiable:t1",))
     if (t[-1] - t[0]) < 2.0 * report.value("t1"):
         warnings.warn("delay span is below twice the fitted T1", stacklevel=2)
     return report

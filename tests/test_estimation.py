@@ -997,8 +997,17 @@ class TestTimeDomain:
     def test_t1_unidentifiable_with_zero_amplitude(self):
         t = np.linspace(0, 100e-9, 21)
         report = estimation.fit_T1(np.full(21, 0.3), t)
-        # the zero Jacobian column and the amplitude rule both see it; one flag
+        # p0 = 0 leaves the t1 column exactly zero: one flag
         assert report.flags.count("unidentifiable:t1") == 1
+
+    def test_t1_small_amplitude_is_identifiable(self):
+        # identifiability does not depend on the populations' scale: a clean
+        # 5e-7 decay fixes T1 as well as a large one
+        t = np.linspace(0, 100e-9, 41)
+        report = estimation.fit_T1(5e-7 * np.exp(-t / 20e-9) + 0.3, t)
+        assert report.flags == ()
+        assert report.value("t1") == pytest.approx(20e-9, rel=1e-8)
+        assert report.sigma["t1"] < 1e-6 * 20e-9
 
     @pytest.mark.parametrize("fit,what", [(estimation.fit_T1, "delays"),
                                           (estimation.fit_rabi_decay, "durations")],

@@ -8,6 +8,7 @@ exceptions follow the table.
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ def solve_from_non_finite_start():
     return _lsq.least_squares(lambda x: (np.full(3, np.nan), np.ones((3, 1))), [1.0])
 
 
+def circle_fit_from_non_finite_start():
+    """``circle_fit`` when the solver refuses its start as not finite.
+
+    No public call is known to reach it: the samples are finite and in units
+    of the largest, and no trace is known whose Levy start has residuals
+    that are not finite.  So the solver is handed
+    :func:`solve_from_non_finite_start`'s problem instead of the resonance.
+    """
+    with mock.patch.object(calibration, "least_squares", lambda *_: solve_from_non_finite_start()):
+        return calibration.circle_fit(clean_spectrum().channel("AA"), FREQS)
+
+
 def lines_with(a_in):
     return network.LineModel([a_in, EYE, EYE, EYE])
 
@@ -55,6 +68,13 @@ GUARDS = {
     # a real trace gives Levy's solve a real pole: a line, not a circle, in the complex plane
     "circle-fit-real-pole": (lambda: calibration.circle_fit(np.linspace(-1, 1, 41) ** 2 + 0j, FREQS),
                              calibration.CircleFitError, "lies on the real axis"),
+    # a subnormal unit: the scaled samples would overflow, and LAPACK stalls on infinities
+    "circle-fit-subnormal-unit": (lambda: calibration.circle_fit(1e-320 * clean_spectrum().channel("AA"),
+                                                                 FREQS),
+                                  calibration.CircleFitError,
+                                  "samples in units of the largest magnitude 9.91e-321 are not finite"),
+    "circle-fit-start-not-finite": (circle_fit_from_non_finite_start, calibration.CircleFitError,
+                                    "no resonance fit from the start: residuals are not finite"),
     "loss-budget-width-nan": (lambda: calibration.loss_budget(
                                   dataclasses.replace(CIRCLE, kappa_loaded=math.nan), CIRCLE, 1.0, 1.0),
                               ValueError, "fit_aa.kappa_loaded must be finite and > 0, got nan"),
@@ -67,6 +87,13 @@ GUARDS = {
                             ValueError, "couplings must be > 0"),
     "coupling-limited-t1-couplings": (lambda: estimation.coupling_limited_t1(0.0, 0.0),
                                       ValueError, "couplings must be > 0"),
+    # two distinct biases for three coefficients
+    "e-polynomial-rank": (lambda: estimation.fit_E_polynomial([0.9, 0.9, 0.8, 0.8], [0, 0, 1, 1]),
+                          estimation.FitError, "rank-deficient design matrix"),
+    # a bias-independent slope: its column is parallel to the intercept's
+    "flux-noise-rank": (lambda: estimation.fit_flux_noise(
+                            [1.0, 2.0, 3.0], [0.0, 1.0, 2.0], model.FluxModel(0.0, W_GE, linear=1e6)),
+                        estimation.FitError, "rank-deficient design matrix"),
     "pca-one-setting": (lambda: estimation.pca_populations({0.0: np.ones(3)}, 0.0),
                         ValueError, "need at least 2 distinct settings"),
     "thermal-negative": (lambda: model.ThermalCoefficients(-1.0, 0.0),
