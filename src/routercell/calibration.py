@@ -7,17 +7,14 @@ the through channels carry only the lines and the cross channels only the
 isolation leakage -- lets the line factors be divided out exactly:
 
 * through:  ``t = t_meas / t_hd``
-* cross:    ``t_AB = d_AB * q`` and ``t_BA = d_BA / (t_aa_hd * t_bb_hd *
-  q)`` with ``q = sqrt(1 / (rho * t_aa_hd * t_bb_hd))``, ``d = t_meas -
-  t_hd`` and the line ratio ``rho = (conj(h_BA) h_AB + conj(d_BA) d_AB) /
-  (|h_BA|^2 + |d_BA|^2)`` fitted per point to ``h_AB = rho h_BA`` and
-  ``d_AB = rho d_BA`` (``h`` the HD cross traces)
+* cross:    ``t_AB = t_BA = sqrt(P)`` with the line-free product ``P =
+  (t_meas,AB - t_hd,AB)(t_meas,BA - t_hd,BA) / (t_hd,AA t_hd,BB)``: the
+  two cross paths cross each line once, so the lines cancel in ``P``
 
-The root's phase is its argument's unwrapped phase, halved, so it stays
-continuous where a principal root jumps by pi.  Linewidths are extracted
-from calibrated through traces by a fit of the one-pole resonance,
-started by Levy's linear solve, and the loaded widths feed a loss budget
-separating coupling from intrinsic loss.
+The root's sign is fixed at each point by the through dips.  Linewidths
+are extracted from calibrated through traces by a fit of the one-pole
+resonance, started by Levy's linear solve, and the loaded widths feed a
+loss budget separating coupling from intrinsic loss.
 """
 
 from __future__ import annotations
@@ -164,33 +161,22 @@ def _check_reference(hd: ChannelSpectrum) -> None:
         )
 
 
-def _continuous_sqrt(values: np.ndarray) -> np.ndarray:
-    """Square root of a 1-D trace with a continuous phase: half the trace's unwrapped phase."""
-    return np.sqrt(np.abs(values)) * np.exp(0.5j * np.unwrap(np.angle(values)))
-
-
 def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSpectrum:
     """Divide out the measurement lines using a high-drive reference.
 
-    Through channels are normalized by their HD references; cross channels
-    subtract the isolation leakage ``h`` and rescale to cancel the lines:
-    AB by one root, ``q = sqrt(1 / (rho aa bb)) = 1 / (s_in,A s_out,B)``
-    (``aa``, ``bb`` the HD through traces), and BA by ``1 / (aa bb q)``, as
-    the two paths cross each line once.  The root needs the line ratio
-    ``rho = (s_in,A s_out,B) / (s_in,B s_out,A)``, which the cell's
-    reciprocity (the same response for AB and BA) puts in both the leakage,
-    ``h_AB = rho h_BA``, and the resonant signal, ``d_AB = rho d_BA``; it is
-    solved per point from both by least squares, so it stays set where the
-    leakage sinks into the noise.  It is exact on noiseless data.  With
-    acceptance 04's lines at 401 points, the fitted couplings stay within
-    5 sigma of the truth from -60 to -20 dB of isolation at noise sigma up
-    to 0.02; at -20 dB and sigma = 0.05 the per-point ratio is noisy enough
-    to miss that in one seed of ten.  A non-reciprocal path is outside this
-    model.
-    The root's branch is fixed by phase continuity and each cross
-    channel's sign by its through dip: ``Re sum(t_AB conj(1 - t_AA)) > 0``
-    (``BA`` with ``BB``), since ``t_AB / (1 - t_AA) = sqrt(gamma_b/gamma_a)
-    e^{i (phi_b - phi_a)/2}`` in the model, with Re > 0 for |phi| < pi/2.
+    Through channels are normalized by their HD references.  The cross
+    channels keep only their product, which the lines leave: ``P = (m_AB -
+    h_AB)(m_BA - h_BA) / (h_AA h_BB)`` (``m`` the measured, ``h`` the HD
+    traces) equals ``t_AB t_BA`` exactly, as the isolation leakage ``h_AB``,
+    ``h_BA`` is subtracted and the two paths cross each line once.  Both
+    cross rows hold the same root of ``P``, so ``calibrated.csv``'s AB and BA
+    rows are equal.  The root is the principal one with its sign chosen per
+    point, ``Re(t_c conj(2 - t_AA - t_BB)) >= 0``: in the model ``t_c^2 = (1
+    - t_AA)(1 - t_BB)`` and ``t_c conj(1 - t_xx) = sqrt(gamma_a gamma_b)
+    gamma_x e^{i (phi_b - phi_a)/2} / |D|^2`` (``D`` the pole factor), whose
+    real part is > 0 for |phi_a|, |phi_b| < pi/2, so the rule holds at
+    each point on any grid.  A non-reciprocal path (``t_AB != t_BA``) is
+    outside this model.
 
     Raises
     ------
@@ -201,16 +187,11 @@ def calibrate_responses(meas: ChannelSpectrum, hd: ChannelSpectrum) -> ChannelSp
         hd = resample(hd, meas.freqs)
     _check_reference(hd)
 
-    aa, bb, h_ab, h_ba = hd.traces
     through = meas.traces[:2] / hd.traces[:2]
     d = meas.traces[2:] - hd.traces[2:]
-    # the line ratio AB/BA, solved per point from the leakage and the signal together
-    rho = (np.conj(h_ba) * h_ab + np.conj(d[1]) * d[0]) / (np.abs(h_ba) ** 2 + np.abs(d[1]) ** 2)
-    q = _continuous_sqrt(1.0 / (rho * aa * bb))
-    cross = d * np.array([q, 1.0 / (aa * bb * q)])
-    anchor = np.sum(cross * np.conj(1.0 - through), axis=-1)
-    cross = np.where((anchor.real < 0)[:, None], -cross, cross)
-    return ChannelSpectrum(meas.freqs, np.concatenate([through, cross]))
+    cross = np.sqrt(d[0] * d[1] / (hd.traces[0] * hd.traces[1]))
+    cross = np.where((cross * np.conj(2.0 - through.sum(axis=0))).real < 0, -cross, cross)
+    return ChannelSpectrum(meas.freqs, np.concatenate([through, [cross, cross]]))
 
 
 def circle_fit(trace, freqs) -> CircleFitResult:

@@ -2,9 +2,10 @@
 
 Fits fall into three families:
 
-* steady state -- a simultaneous complex least-squares fit of all four
-  calibrated channels against :func:`routercell.model.cell_response`
-  (residuals and analytic Jacobian), started from one closed-form solve
+* steady state -- a simultaneous complex least-squares fit of the
+  calibrated through channels and cross product against
+  :func:`routercell.model.cell_response` (residuals and analytic
+  Jacobian), started from one closed-form solve
   for their shared pole that is exact on noiseless data, with the
   coherence rate held at 0; dephasing reconstruction from the transfer
   efficiency, flux-noise and thermal fits of the reconstructed rates,
@@ -220,10 +221,10 @@ _PHASE_BOUND = np.pi / 2 - 1e-6  # the fit's box for each phase, inside |phi| < 
 
 
 def _real_rows(values: np.ndarray) -> np.ndarray:
-    """``(..., 4, n)`` complex -> ``(..., 8 n)`` real, a view of C-contiguous ``values``.
+    """``(..., r, n)`` complex -> ``(..., 2 r n)`` real, a view of C-contiguous ``values``.
 
-    Row ``2 (c n + k)`` is the real part of channel ``c`` at point ``k`` and
-    row ``2 (c n + k) + 1`` its imaginary part: channels in order, and
+    Row ``2 (c n + k)`` is the real part of row ``c`` at point ``k`` and
+    row ``2 (c n + k) + 1`` its imaginary part: rows in order, and
     within each the real and imaginary parts interleaved point by point.
     """
     return values.view(float).reshape(*values.shape[:-2], -1)
@@ -263,19 +264,31 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     """Simultaneous complex fit of all four calibrated channels.
 
     Free parameters are ``gamma_a``, ``gamma_b``, ``omega_ge``, ``phi_a``
-    and ``phi_b``; the residual stacks real and imaginary parts of every
-    channel.  Dephasing and bath rates are held at their ``init`` values.
+    and ``phi_b``; the residual stacks real and imaginary parts of three
+    rows: the through channels ``AA`` and ``BB``, and the cross product
+    ``w (t_AB t_BA - AB BA)``, which the lines leave (see
+    :func:`~routercell.calibration.calibrate_responses`), so no split of it
+    between AB and BA enters the fit.  Its noise grows with ``|t_c|``, so
+    the weight ``w = 1 / (sqrt(2) |t_c|) = |omega - omega_ge + i (coherence
+    + gamma_a + gamma_b)| / sqrt(2 gamma_a gamma_b)`` is taken at the start
+    ``init``.  Dephasing and bath rates are held at their ``init`` values.
     Deterministic given the data and starting point; non-convergence is
     reported through ``converged=False`` rather than raised.
     """
     omega = 2.0 * np.pi * calibrated.freqs
-    data = calibrated.traces
     coherence = init.coherence_rate
     scale = init.gamma_sum
+    weight = np.abs(omega - init.omega_ge + 1j * (coherence + scale)) / math.sqrt(
+        2.0 * init.gamma_a * init.gamma_b)
+    aa, bb, ab, ba = calibrated.traces
+    data = np.array([aa, bb, weight * ab * ba])
 
     def problem(x):
         t, jac = cell_response(omega, *x, coherence, jacobian=True)
-        return _real_rows(t - data), _real_rows(jac).T
+        w_ab, w_ba = weight * t[2], weight * t[3]
+        rows = np.array([t[0], t[1], w_ab * t[3]])
+        d_rows = np.stack([jac[:, 0], jac[:, 1], w_ba * jac[:, 2] + w_ab * jac[:, 3]], axis=1)
+        return _real_rows(rows - data), _real_rows(d_rows).T
 
     x0 = np.array([init.gamma_a, init.gamma_b, init.omega_ge, init.phi_a, init.phi_b])
     lower = [1e-3 * scale, 1e-3 * scale, -np.inf, -_PHASE_BOUND, -_PHASE_BOUND]
