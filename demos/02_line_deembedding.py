@@ -13,7 +13,6 @@ from routercell.network import (
     compose_exact,
     compose_neumann,
     ideal_lines,
-    isolation_from_hd,
     simplified_forward,
 )
 from routercell.presets import STEADY_STATE_CELL
@@ -39,9 +38,10 @@ print("each extra order adds one internal round trip; the error ratio is")
 print("set by the spectral radius of the cell-line reflection product")
 
 # high-drive references see only the lines: the cell through channels
-# saturate to 1 and the cross channels to 0, leaving isolation leakage
-hd = simplified_forward(hd_cell_coefficients(), lines)
-recovered = isolation_from_hd(hd)
+# saturate to 1 and the cross channels to 0, leaving isolation leakage,
+# and the line-free product sqrt(AB BA / (AA BB)) recovers the isolation
+aa, bb, ab, ba = simplified_forward(hd_cell_coefficients(), lines)
+recovered = np.sqrt(ab * ba / (aa * bb))
 print(f"\ninjected isolation:  {20 * np.log10(abs(lines.isolation)):.1f} dB")
 print(f"recovered isolation: {20 * np.log10(abs(recovered)):.1f} dB "
       f"(|error| = {abs(abs(recovered) - abs(lines.isolation)):.1e})")

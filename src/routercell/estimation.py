@@ -285,9 +285,11 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
 
     def problem(x):
         t, jac = cell_response(omega, *x, coherence, jacobian=True)
-        w_ab, w_ba = weight * t[2], weight * t[3]
-        rows = np.array([t[0], t[1], w_ab * t[3]])
-        d_rows = np.stack([jac[:, 0], jac[:, 1], w_ba * jac[:, 2] + w_ab * jac[:, 3]], axis=1)
+        # the model's AB and BA rows and their derivatives are equal: read one of each
+        w_c = weight * t[2]
+        d = w_c * jac[:, 2]
+        rows = np.array([t[0], t[1], w_c * t[2]])
+        d_rows = np.stack([jac[:, 0], jac[:, 1], d + d], axis=1)
         return _real_rows(rows - data), _real_rows(d_rows).T
 
     x0 = np.array([init.gamma_a, init.gamma_b, init.omega_ge, init.phi_a, init.phi_b])

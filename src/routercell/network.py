@@ -10,6 +10,13 @@ multiple-reflection series, and provides the simplified scalar forward map
 used when line reflections are negligible.  The compositions take the
 cell as a :class:`PortMatrix`, checked once when built, and nothing else.
 
+That one solve gives the resolvent ``S (I - S22 S)^-1``: the exact
+composition scales it, and the series measures its truncation error
+against it.  The resolvent of the last (cell, lines) pair solved is kept,
+keyed by the identity of the two objects, whose arrays are read-only; so
+a pair composed both ways, or the series at several orders, costs one
+solve per pair.
+
 Each composition first checks that it is defined: the exact one that
 ``I - S22 S`` is not singular (condition number at most 1e14), the series
 that the spectral radius of ``S S22`` is below 1.  On well-matched lines a
@@ -52,7 +59,6 @@ __all__ = [
     "compose_exact",
     "compose_neumann",
     "simplified_forward",
-    "isolation_from_hd",
     "ideal_lines",
 ]
 
@@ -231,7 +237,9 @@ def compose_exact(cell: PortMatrix, lines: LineModel) -> CompositionResult:
     matrix and the Sij are the complementary line blocks.  The blocks are
     diagonal, so they only scale the rows and columns of ``S (I - S22
     S)^-1 = [solve((I - S22 S)^T, S^T)]^T``: one solve on the system that
-    the check below has just passed.  The cell is never inverted, so a
+    the check below has just passed, or none when the last composition
+    took the same cell and lines objects and kept its resolvent; the
+    entries are the same either way.  The cell is never inverted, so a
     singular cell is an ordinary input; a singular ``I - S22 S``
     (condition number above 1e14, or not finite) raises
     :class:`SingularNetworkError`.  The SVD behind that condition number
@@ -246,8 +254,7 @@ def compose_exact(cell: PortMatrix, lines: LineModel) -> CompositionResult:
         cond = np.linalg.cond(core)
         if not np.isfinite(cond) or cond > 1e14:
             raise SingularNetworkError("internal-wave system is singular", cond)
-    s_meas = np.linalg.solve(core.T, s.T).T
-    s_meas *= scaling
+    s_meas = _resolvent(cell, lines, core) * scaling
     s_meas.flat[::5] += s11
     return CompositionResult(_built(s_meas), 0.0)
 
@@ -261,8 +268,11 @@ def compose_neumann(cell: PortMatrix, lines: LineModel, order: int) -> Compositi
     through ``S S22``.  With ``x = S S22`` the kept terms ``(I + x + ... +
     x^(order-1)) S`` are summed by Horner's rule, ``S + x (S + x (S +
     ...))``.  The truncation error is the maximum entry magnitude of the
-    difference from the summed series ``S12 (I - S S22)^-1 S S21``, which
-    equals the exact composition.
+    difference from the summed series ``S12 (I - S S22)^-1 S S21 = S12 S
+    (I - S22 S)^-1 S21``, the exact composition: it takes that resolvent
+    from :func:`compose_exact`'s solve, or reuses it when the last
+    composition took the same cell and lines objects, after its own check
+    has passed.
 
     :class:`DivergenceError` is raised when the spectral radius of ``S
     S22`` is at least 1, or ``I - S S22`` is exactly singular.  The
@@ -285,17 +295,49 @@ def compose_neumann(cell: PortMatrix, lines: LineModel, order: int) -> Compositi
         kept = s + x @ kept
     s_meas = scaling * kept
     s_meas.flat[::5] += s11
-    # the summed series; radius < 1 keeps I - x invertible, bar a radius of
-    # exactly 1 that eigvals rounded below 1
+    # the summed series; radius < 1 keeps I - S22 S invertible (S22 S and x
+    # share their eigenvalues), bar a radius of exactly 1 that eigvals
+    # rounded below 1
     try:
-        summed = np.linalg.solve(_EYE - x, s)
+        dropped = _resolvent(cell, lines) - kept
     except np.linalg.LinAlgError:
         raise DivergenceError("reflection series diverges: I - S S22 is singular") from None
-    # scaling * (summed - kept) in place, scaling the left operand as in s_meas:
-    # numpy's complex product can differ in the last bit with the operands swapped
-    summed -= kept
-    np.multiply(scaling, summed, out=summed)
-    return CompositionResult(_built(s_meas), float(np.abs(summed).max()))
+    # scaling the left operand as in s_meas: numpy's complex product can
+    # differ in the last bit with the operands swapped
+    np.multiply(scaling, dropped, out=dropped)
+    return CompositionResult(_built(s_meas), float(np.abs(dropped).max()))
+
+
+#: The last pair :func:`_resolvent` solved, ``(cell, lines, resolvent)``.
+_last_solved: tuple = (None, None, None)
+
+
+def _resolvent(cell: PortMatrix, lines: LineModel, core: np.ndarray | None = None) -> np.ndarray:
+    """``S (I - S22 S)^-1`` of a pair, by the exact composition's transposed solve.
+
+    ``core`` is ``I - S22 S`` when the caller has built it for its check.
+    The last pair solved is kept, keyed by the identity of its cell and its
+    lines, so the next composition of that same pair solves nothing.  That
+    is sound because a ``PortMatrix`` and a ``LineModel`` hold read-only
+    arrays: the same two objects always give the same resolvent.  The slot
+    holds both objects, so no later pair can take their ids, and keeps
+    them alive: for a slice from :meth:`LineModel.at`, that is its
+    parent's arrays, ~300 kB for a 401-point line model.  The resolvent is
+    read-only and never returned to a caller of the compositions.  A solve
+    that raises stores nothing.  The slot is replaced by one assignment of
+    a tuple, so a reader in another thread sees one whole pair.
+    """
+    global _last_solved
+    last_cell, last_lines, y = _last_solved
+    if cell is last_cell and lines is last_lines:
+        return y
+    s = cell.entries
+    if core is None:
+        core = _EYE - lines._blocks[3][:, None] * s
+    y = np.linalg.solve(core.T, s.T).T
+    y.flags.writeable = False
+    _last_solved = cell, lines, y
+    return y
 
 
 def simplified_forward(cell_coeffs, lines: LineModel) -> np.ndarray:
@@ -311,18 +353,3 @@ def simplified_forward(cell_coeffs, lines: LineModel) -> np.ndarray:
     aa, bb, ab, ba = np.asarray(cell_coeffs)
     iso = np.asarray(lines.isolation)
     return np.array([sa * aa * ga, sb * bb * gb, sa * (ab + iso) * gb, sb * (ba + iso) * ga])
-
-
-def isolation_from_hd(hd):
-    """Stray coupling amplitude recovered from high-drive reference traces.
-
-    ``hd`` stacks the channels AA, BB, AB, BA.  With the emitter
-    saturated, the cross references are pure isolation leakage through
-    the lines, so ``sqrt((AB * BA) / (AA * BB))`` cancels every line
-    factor (principal square-root branch).  Shape ``(4,)`` traces give
-    one complex value, ``(4, n)`` traces one per point.
-    """
-    aa, bb, ab, ba = np.asarray(hd)
-    if np.any(np.abs(aa) == 0) or np.any(np.abs(bb) == 0):
-        raise ValueError("through high-drive references must be nonzero")
-    return np.sqrt((ab * ba) / (aa * bb))

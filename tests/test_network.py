@@ -602,6 +602,107 @@ class TestCompositionProperties:
             compose(cell, network.ideal_lines())
 
 
+def parent_exact(cell, lines):
+    """:func:`network.compose_exact`'s arithmetic as one function: solve, scale in place, add S11."""
+    s = cell.entries
+    s11, _, _, s22 = lines._blocks
+    m = np.linalg.solve((np.eye(4) - s22[:, None] * s).T, s.T).T
+    m *= lines._scaling
+    m.flat[::5] += s11
+    return m
+
+
+def count_solves(monkeypatch):
+    """The list that each later ``np.linalg.solve`` call appends ``"solve"`` to."""
+    solve = np.linalg.solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append("solve")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+class TestKeptResolvent:
+    """Both compositions share the resolvent of the last pair; no call reads another pair's."""
+
+    @staticmethod
+    def check(kind, cell, lines, order=3):
+        ref = reference_compose(cell.entries, lines)
+        if kind == "exact":
+            out = network.compose_exact(cell, lines).s_meas.entries
+            assert np.max(np.abs(out - ref)) < 1e-12
+            assert np.array_equal(out, parent_exact(cell, lines))
+        else:
+            out = network.compose_neumann(cell, lines, order)
+            measured = np.max(np.abs(out.s_meas.entries - ref))
+            assert abs(out.truncation_error - measured) < 1e-12
+
+    @COMPOSE_SETTINGS
+    @given(cell_matrices(), passive_lines(), cell_matrices(), passive_lines(),
+           st.integers(min_value=0, max_value=5))
+    def test_interleaved_pairs_read_their_own_resolvent(self, cell_a, lines_a, cell_b, lines_b,
+                                                         order):
+        pairs = {"A": (cell_a, lines_a), "B": (cell_b, lines_b)}
+        # exact then series on one pair, series then exact on the other, and
+        # each pair again after the other one, with either composition
+        for name, kind in [("A", "exact"), ("A", "series"), ("B", "series"), ("B", "exact"),
+                           ("A", "series"), ("B", "exact"), ("A", "exact"), ("B", "series")]:
+            self.check(kind, *pairs[name], order)
+
+    @COMPOSE_SETTINGS
+    @given(cell_matrices(), passive_lines(), passive_lines())
+    def test_one_cell_under_two_line_models(self, cell, lines_a, lines_b):
+        for lines, kind in [(lines_a, "exact"), (lines_b, "series"), (lines_b, "exact"),
+                            (lines_a, "series"), (lines_a, "exact")]:
+            self.check(kind, cell, lines)
+
+    def test_cells_with_equal_entries_are_two_keys(self, monkeypatch):
+        entries = model.cell_smatrix(CELL.omega_ge, CELL).entries
+        first, second = network.PortMatrix(entries), network.PortMatrix(entries)
+        lines = random_lines(np.random.default_rng(3), reflection=0.1)
+        calls = count_solves(monkeypatch)
+        exact = network.compose_exact(first, lines)
+        series = network.compose_neumann(second, lines, order=3)
+        # the key is the object, not its entries: the second cell solves its own
+        assert calls == ["solve", "solve"]
+        assert np.array_equal(network.compose_exact(second, lines).s_meas.entries,
+                              exact.s_meas.entries)
+        assert series.truncation_error == network.compose_neumann(first, lines, 3).truncation_error
+        assert calls == ["solve", "solve", "solve"]
+
+    def test_a_refused_pair_keeps_nothing(self):
+        # the singular pair of test_series_at_unit_spectral_radius_raises
+        singular = network.LineModel([two_port(0.5), two_port(0.5, r11=0.5),
+                                      two_port(0.5, r22=1j), two_port(0.5, r11=-1j)])
+        cell = model.cell_smatrix(CELL.omega_ge + TWO_PI * 1e6, CELL)
+        lines = random_lines(np.random.default_rng(4), reflection=0.1)
+        self.check("exact", cell, lines)
+        for _ in range(2):
+            with pytest.raises(network.SingularNetworkError):
+                network.compose_exact(THROUGH, singular)
+            with pytest.raises(network.DivergenceError):
+                network.compose_neumann(THROUGH, singular, order=2)
+        good = model.cell_smatrix(CELL.omega_ge - TWO_PI * 1e6, CELL)
+        for kind in ("series", "exact"):
+            self.check(kind, good, lines)
+        self.check("series", cell, lines)
+
+    def test_a_kept_resolvent_does_not_skip_the_series_check(self):
+        # S S22 = S has eigenvalues +-2: I - S22 S is well conditioned, so the
+        # exact composition keeps a resolvent that the divergent series must not use
+        s = np.zeros((4, 4), dtype=complex)
+        s[0, 1] = s[1, 0] = s[2, 3] = s[3, 2] = 2.0
+        cell = network.PortMatrix(s)
+        lines = network.LineModel([two_port(0.5, r22=1.0), two_port(0.5, r11=1.0),
+                                   two_port(0.5, r22=1.0), two_port(0.5, r11=1.0)])
+        self.check("exact", cell, lines)
+        with pytest.raises(network.DivergenceError, match="spectral radius 2.0"):
+            network.compose_neumann(cell, lines, order=3)
+
+
 class TestDeembedSweep:
     """Per-frequency lines of the de-embedding benchmark, composed one point at a time."""
 
@@ -625,26 +726,24 @@ class TestDeembedSweep:
             assert abs(series.truncation_error - measured) < 1e-12
 
     def test_each_composition_makes_one_solve(self, monkeypatch):
-        solve = np.linalg.solve
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append("solve")
-            return solve(*args, **kwargs)
-
+        # each point makes one solve: the series reuses the exact composition's,
+        # and the series on a pair of its own makes its own
         def unused(*args, **kwargs):
             raise AssertionError("the row-sum bound should have settled the check")
 
         points = list(self.sweep(0))
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        alone = list(self.sweep(0))
+        calls = count_solves(monkeypatch)
         monkeypatch.setattr(np.linalg, "cond", unused)
         monkeypatch.setattr(np.linalg, "eigvals", unused)
-        for cell, point in points:
-            for compose in (network.compose_exact,
-                            lambda c, p: network.compose_neumann(c, p, order=3)):
-                calls.clear()
-                compose(cell, point)
-                assert calls == ["solve"]
+        for (cell, point), (other, other_point) in zip(points, alone):
+            calls.clear()
+            network.compose_exact(cell, point)
+            network.compose_neumann(cell, point, order=3)
+            assert calls == ["solve"]
+            calls.clear()
+            network.compose_neumann(other, other_point, order=3)
+            assert calls == ["solve"]
 
 
 class TestSimplifiedForward:
@@ -703,45 +802,3 @@ class TestSimplifiedForward:
         base = network.simplified_forward(coeffs, lines)
         rot = network.simplified_forward(coeffs, rotated)
         assert rot[0] == pytest.approx(base[0] * np.exp(2j * theta), abs=1e-14)
-        hd_base = network.simplified_forward(synth.hd_cell_coefficients(), lines)
-        hd_rot = network.simplified_forward(synth.hd_cell_coefficients(), rotated)
-        i_base = network.isolation_from_hd(hd_base)
-        i_rot = network.isolation_from_hd(hd_rot)
-        assert abs(i_rot) == pytest.approx(abs(i_base), abs=1e-14)
-
-
-class TestIsolationRecovery:
-    @pytest.mark.parametrize("mag", [0.1, 0.03])
-    def test_round_trip_through_forward_model(self, mag):
-        rng = np.random.default_rng(21)
-        injected = mag * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        lines = random_lines(rng, reflection=0.0, isolation=injected)
-        hd = network.simplified_forward(synth.hd_cell_coefficients(), lines)
-        recovered = network.isolation_from_hd(hd)
-        assert abs(recovered - injected) < 1e-10 or abs(recovered + injected) < 1e-10
-        assert abs(abs(recovered) - mag) < 1e-12
-
-    def test_per_point_traces_give_one_value_per_point(self):
-        rng = np.random.default_rng(22)
-        injected = 0.05 * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
-        constant = random_lines(rng, reflection=0.0).two_ports
-        lines = network.LineModel(np.repeat(constant[:, None], injected.size, axis=1),
-                                  isolation=injected)
-        hd = network.simplified_forward(synth.hd_cell_coefficients(injected.size), lines)
-        recovered = network.isolation_from_hd(hd)
-        assert recovered.shape == injected.shape
-        # the principal root fixes the sign of each point separately
-        assert np.all(np.minimum(abs(recovered - injected), abs(recovered + injected)) < 1e-10)
-        single = [network.isolation_from_hd(hd[:, i]) for i in range(injected.size)]
-        assert all(isinstance(v, complex) for v in single)
-        # vectorised and scalar complex division may round differently
-        np.testing.assert_allclose(recovered, single, rtol=1e-14, atol=0)
-
-    def test_zero_isolation(self):
-        lines = network.ideal_lines()
-        hd = network.simplified_forward(synth.hd_cell_coefficients(), lines)
-        assert network.isolation_from_hd(hd) == 0.0
-
-    def test_zero_through_reference_rejected(self):
-        with pytest.raises(ValueError):
-            network.isolation_from_hd([0.0, 1.0, 0.1, 0.1])
