@@ -8,8 +8,14 @@ the port map 1 = A-in, 2 = A-out, 3 = B-in, 4 = B-out.  Text inputs are
 UTF-8 and may start with a byte-order mark.
 
 CSV tables (spectra, line models) share one writer, :func:`write_columns`,
-and one columnar reader.  Every malformed spectrum or line-model file,
-whatever its bytes, raises :class:`~routercell.runs.ParseError`.
+and one columnar reader, :func:`_read_table`: numpy's C reader parses a
+whole table into one structured array, float64 value columns and string
+name columns.  Numbers take ``float()``'s syntax in ASCII, without ``_``
+separators; a name holds fewer than 64 characters, whitespace included.
+Only an error needs a line number, and only then does ``csv.reader``
+rescan the file to name it.  Every malformed spectrum or
+line-model file, whatever its bytes, raises
+:class:`~routercell.runs.ParseError`.
 The INI configuration lives in :mod:`routercell.runs`, and
 :mod:`routercell.presets` turns its sections into model objects.
 """
@@ -110,58 +116,161 @@ def _text_file(path: Path, **kwargs):
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _read_table(path, header: list[str]) -> tuple[list, tuple[int, ...]]:
-    """Read a CSV table: its field columns and each data row's line number.
+#: Room for the text of a name, or of a line model's frequency: a field this long or longer is refused
+_TEXT_ROOM = 64
 
-    Blank and ``#`` rows are skipped.  The first row must be ``header``, and
-    every row has one field per column.
+
+@contextmanager
+def _table_file(path: Path):
+    """Open a CSV table: the text file and csv.reader's non-blank records of it.
+
+    Each record is ``(line number, fields)``, numbered by its last line; a
+    csv.Error raises ParseError.
     """
-    path = Path(path)
-    with _text_file(path, newline="") as fh:
-        reader = csv.reader(fh)
+    def records(reader):
         try:
-            numbered = [(reader.line_num, row) for row in reader
-                        if row and not row[0].startswith("#")]
+            yield from ((reader.line_num, row) for row in reader if row)
         except csv.Error as exc:
-            raise ParseError(f"{path} is not a readable CSV table: {exc}",
-                             reader.line_num) from None
+            raise ParseError(f"{path} is not a readable CSV table: {exc}", reader.line_num) from None
+
+    with _text_file(path, newline="") as fh:
+        yield fh, records(csv.reader(fh))
+
+
+def _header(records, header: list[str]) -> int:
+    """Take a table's ``#`` records and header from ``records``; returns the header's line."""
+    for line, row in records:
+        if not row[0].startswith("#"):
+            found = [c.strip() for c in row]
+            if found != header:
+                raise ParseError(f"malformed header {found!r}; expected {header}", line)
+            return line
+    raise ParseError("empty file", 1)
+
+
+def _parse(path: Path, header: list[str], text: dict[str, int]) -> list[np.ndarray]:
+    """numpy's C reader's parse of a CSV table, one array per column.
+
+    Columns are float64, or strings for the ``text`` columns, which start
+    with room for the given number of characters.  A field that fills its
+    room may have been cut short, so the table is parsed again with room
+    for ``_TEXT_ROOM``; a field that fills that too refuses the table.
+    Every line after the header is a data row or blank.  A table that is
+    not one raises ValueError, which the caller answers with a rescan.
+    """
+    for room in (text, dict.fromkeys(text, _TEXT_ROOM)):
+        with _table_file(path) as (fh, records):
+            _header(records, header)
+            with warnings.catch_warnings():
+                # loadtxt warns on a table without data rows, which the rescan refuses by name
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, [(name, f"U{room[name]}" if name in room else float)
+                                        for name in header],
+                                   delimiter=",", quotechar='"', comments=None, ndmin=1)
+        if not len(table):
+            raise ValueError("no data rows")
+        if all(np.char.str_len(table[name]).max() < width for name, width in room.items()):
+            return [table[name] for name in header]
+    raise ValueError(f"a text field has {_TEXT_ROOM} characters or more")
+
+
+def _scan(path: Path, header: list[str], text: dict[str, int]) -> tuple[list, tuple[int, ...]]:
+    """csv.reader's reading of a CSV table: its field columns and each data row's line number.
+
+    The rules are :func:`_parse`'s: blank and ``#`` records before the
+    header are skipped, and after it blank ones only.  Each data row has
+    one field per column, and each field of a ``text`` column fewer than
+    ``_TEXT_ROOM`` characters.
+    """
+    with _table_file(path) as (_, records):
+        numbered = iter(list(records))
+    header_line = _header(numbered, header)
+    numbered = list(numbered)
     if not numbered:
-        raise ParseError("empty file", 1)
+        raise ParseError(f"{path} holds no data rows after its header", header_line)
     lines, rows = zip(*numbered)
-    found = [c.strip() for c in rows[0]]
-    if found != header:
-        raise ParseError(f"malformed header {found!r}; expected {header}", lines[0])
-    for row, line in zip(rows[1:], lines[1:]):
+    texts = [(k, name) for k, name in enumerate(header) if name in text]
+    for row, line in zip(rows, lines):
         if len(row) != len(header):
             raise ParseError(f"row has {len(row)} fields, expected {len(header)}", line)
-    return list(zip(*rows[1:])) or [()] * len(header), lines[1:]
+        for k, name in texts:
+            if len(row[k]) >= _TEXT_ROOM:
+                raise ParseError(f"{name} field has {len(row[k])} characters, "
+                                 f"expected at most {_TEXT_ROOM - 1}", line)
+    return list(zip(*rows)), lines
 
 
-def _floats(column, lines, what: str) -> np.ndarray:
-    """Parse a column of fields as floats; a malformed field raises ParseError naming its line."""
+def _read_table(path, header: list[str], text: dict[str, int], build):
+    """Read a CSV table with ``header`` and return ``build(columns, line)``.
+
+    numpy's C reader parses the whole table at once (:func:`_parse`), and
+    ``build`` checks its columns, where ``line(i)`` is the file line of data
+    row ``i`` for an error to name.  If either refuses the table, csv.reader
+    rescans it (:func:`_scan`) and ``build`` runs again on its field strings,
+    to raise the same error with its line.  The rescan never reads a table
+    numpy's reader refused.  A file with a NUL byte is refused first, as a
+    string column would drop a NUL that ends its field.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    if (nul := data.find(b"\0")) >= 0:
+        raise ParseError(f"{path} is not a readable CSV table: line contains NUL",
+                         len(data[:nul + 1].splitlines()))
+    del data  # as large as the file: not held through the parse
     try:
-        return np.fromiter(map(float, column), float, len(column))
+        return build(_parse(path, header, text), lambda i: None)
+    except ValueError as exc:
+        refusal = exc
+    columns, lines = _scan(path, header, text)
+    build(columns, lines.__getitem__)
+    raise ParseError(f"{path} is not a readable CSV table: {refusal}")
+
+
+def _number(text: str) -> float:
+    """A number in the syntax of numpy's reader: ``float()``'s in ASCII, without ``_`` separators.
+
+    Like numpy's, and unlike ``float()``, it strips every character that
+    ``str.isspace`` takes, the ASCII separators U+001C to U+001F too.
+    """
+    number = text.strip()
+    if "_" in number or not number.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(number)
+
+
+def _floats(column, line, what: str) -> np.ndarray:
+    """A column as float64: numpy's parse as it is, field strings by :func:`_number`.
+
+    A malformed field raises ParseError naming its line.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return column
+    try:
+        return np.fromiter(map(_number, column), float, len(column))
     except ValueError:
-        for text, line in zip(column, lines):
+        for i, text in enumerate(column):
             try:
-                float(text)
+                _number(text)
             except ValueError:
-                raise ParseError(f"malformed {what} value {text!r}", line) from None
+                raise ParseError(f"malformed {what} value {text!r}", line(i)) from None
 
 
-def _group(names, shared: dict[str, np.ndarray], lines, known, kind: str) -> np.ndarray:
+def _group(names, shared: dict[str, np.ndarray], line, known, kind: str) -> np.ndarray:
     """Split table rows by name: ``index[k]`` lists, in file order, the rows named ``known[k]``.
 
-    Every name needs the same number of rows and, point by point, the same
-    value in each ``shared`` column, such as the frequency (NaN equals NaN).
+    Names are matched with surrounding whitespace stripped.  Every name
+    needs the same number of rows and, point by point, the same value in
+    each ``shared`` column, such as the frequency (NaN equals NaN).
     """
-    codes = {name: k for k, name in enumerate(known)}
-    idx = np.array([codes.get(name.strip(), -1) for name in names], dtype=int)
+    names = np.char.strip(names)
+    idx = np.full(len(names), -1)
+    for k, name in enumerate(known):
+        idx[names == name] = k
     if np.any(idx < 0):
         i = int(np.argmax(idx < 0))
-        raise ParseError(f"unknown {kind} {names[i].strip()!r}", lines[i])
+        raise ParseError(f"unknown {kind} {str(names[i])!r}", line(i))
     counts = np.bincount(idx, minlength=len(known))
-    if counts.min() != counts.max() or counts[0] == 0:
+    if counts.min() != counts.max():
         raise ParseError(f"{kind} row counts differ: {dict(zip(known, counts.tolist()))}")
     index = np.argsort(idx, kind="stable").reshape(len(known), -1)
     for column, values in shared.items():
@@ -170,23 +279,27 @@ def _group(names, shared: dict[str, np.ndarray], lines, known, kind: str) -> np.
         if np.any(differs):
             k, i = np.argwhere(differs)[0]
             raise ParseError(f"{kind} {known[k]} differs from {kind} {known[0]} in {column}",
-                             lines[index[k, i]])
+                             line(index[k, i]))
     return index
 
 
-def _ingest_csv(path) -> ChannelSpectrum:
-    columns, lines = _read_table(path, _CSV_HEADER)
-    freqs = _floats(columns[0], lines, "frequency")
-    index = _group(columns[1], {"freq_hz": freqs}, lines, CHANNELS, "channel")
+def _spectrum_table(columns, line) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and (4, n) traces of a spectrum table's columns."""
+    freqs = _floats(columns[0], line, "frequency")
+    index = _group(columns[1], {"freq_hz": freqs}, line, CHANNELS, "channel")
     grid = freqs[index[0]]
     finite = np.flatnonzero(np.isfinite(grid))
     diffs = np.diff(grid[finite])
     for bad, what in ((diffs == 0, "duplicate"), (diffs < 0, "non-monotone")):
         if np.any(bad):
-            raise ParseError(f"{what} frequency", lines[index[0, finite[np.argmax(bad) + 1]]])
-    re_im = np.column_stack([_floats(c, lines, name) for c, name in zip(columns[2:], _CSV_HEADER[2:])])
+            raise ParseError(f"{what} frequency", line(index[0, finite[np.argmax(bad) + 1]]))
+    re_im = np.column_stack([_floats(c, line, name) for c, name in zip(columns[2:], _CSV_HEADER[2:])])
     # a view keeps signed zeros, which re + 1j * im would drop
-    traces = re_im[index].view(complex)[..., 0]
+    return grid, re_im[index].view(complex)[..., 0]
+
+
+def _ingest_csv(path) -> ChannelSpectrum:
+    grid, traces = _read_table(path, _CSV_HEADER, {"channel": 8}, _spectrum_table)
     return ChannelSpectrum(*_finite_points(path, grid, traces))
 
 
@@ -340,17 +453,22 @@ def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:
     Points may come in any order, but every element must list the same
     points with the same isolation, and every value must be finite.
     """
-    columns, lines = _read_table(path, _LINE_HEADER)
+    # the frequency is text: a frequency-independent model leaves it empty
+    return _read_table(path, _LINE_HEADER, {"freq_hz": 32, "element": 8}, _line_table)
+
+
+def _line_table(columns, line) -> tuple[LineModel, np.ndarray | None]:
+    """The line model of a line-model table's columns, and its grid (None if it has none)."""
     constant = not any(map(str.strip, columns[0]))
-    freqs = np.full(len(lines), math.nan) if constant else _floats(columns[0], lines, "frequency")
-    values = np.column_stack([_floats(c, lines, name) for c, name in zip(columns[2:], _LINE_HEADER[2:])])
+    freqs = np.full(len(columns[0]), math.nan) if constant else _floats(columns[0], line, "frequency")
+    values = np.column_stack([_floats(c, line, name) for c, name in zip(columns[2:], _LINE_HEADER[2:])])
     shared = {"freq_hz": freqs, "iso_re": values[:, 8], "iso_im": values[:, 9]}
-    index = _group(columns[1], shared, lines, _LINE_ELEMENTS, "element")
+    index = _group(columns[1], shared, line, _LINE_ELEMENTS, "element")
     if constant and index.shape[1] > 1:
         raise ParseError("per-frequency line model is missing frequency values")
     finite = np.all(np.isfinite(values), axis=1) & (constant | np.isfinite(freqs))
     if not np.all(finite):
-        raise ParseError("non-finite line-model value", lines[np.argmin(finite)])
+        raise ParseError("non-finite line-model value", line(np.argmin(finite)))
     # (element, point, [s11, s12, s21, s22, iso]); a view keeps signed zeros
     entries = values[index].view(complex)
     two_ports, iso = entries[..., :4].reshape(len(_LINE_ELEMENTS), -1, 2, 2), entries[0, :, 4]

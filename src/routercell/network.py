@@ -45,6 +45,7 @@ built once and wrapped read-only without a second copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,7 +98,9 @@ def _checked(m: np.ndarray) -> np.ndarray:
     """``m`` made read-only once it is checked 4x4 and finite."""
     if m.shape != (4, 4):
         raise ValueError(f"port matrix must be a 4-port, shape (4, 4), got shape {m.shape}")
-    if not np.isfinite(m).all():
+    # the sum of squares is finite only if every entry is; where it is not, perhaps only
+    # from overflow (entries near 1e154), the elementwise check decides
+    if not math.isfinite(np.vdot(m, m).real) and not np.isfinite(m).all():
         raise ValueError("4-port matrix entries must be finite")
     m.flags.writeable = False
     return m

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from io import StringIO
 from pathlib import Path
@@ -378,12 +379,14 @@ def spoiled_spectra(draw):
     return spectrum, freqs, traces
 
 
-#: csv.reader's field size limit while the reader properties run, so that a drawn field can pass it
+#: csv.reader's field size limit while the reader properties run: the reader lifts it, so a
+#: drawn field longer than it is read like any other
 SMALL_FIELD_LIMIT = 24
 #: Fields a messy table holds: quoted ones (one spanning two lines, one unterminated, one
-#: with a stray quote), a NUL, a bare CR and one longer than SMALL_FIELD_LIMIT
+#: with a stray quote), a NUL, a bare CR, one longer than SMALL_FIELD_LIMIT, and numbers
+#: that float() takes but numpy's reader does not (a digit separator, an Arabic-Indic digit)
 MESSY_FIELDS = ['"', '"1e9"', '"q,uoted"', '"multi\nline"', 'a"b', "\0", "\r",
-                "9" * (SMALL_FIELD_LIMIT + 1)]
+                "9" * (SMALL_FIELD_LIMIT + 1), "1_0", "\u0661"]
 
 
 def csv_text_tables(header, names):
@@ -426,14 +429,14 @@ def touchstone_texts(draw):
 
 @st.composite
 def csv_table_bytes(draw):
-    """Bytes of a small table for ``_read_table``, plain in half the draws and messy in the other half.
+    """Bytes of a small table for :func:`read_xy`, plain in half the draws and messy in the other half.
 
     A plain table holds blank and ``#`` lines, rows with a field too many or
     too few, and lines ending in LF or CRLF, the last one maybe in nothing.
     A messy one may also hold :data:`MESSY_FIELDS`, lines ending in a bare
     CR and bytes that are not UTF-8.
     """
-    plain = st.sampled_from(["0", "-0.0", "1e9", " 2.5", "nan", "x", "", "#", "# a"])
+    plain = st.sampled_from(["0", "-0.0", "1e9", " 2.5", "nan", "x", "", "#", "# a", "1_0"])
     messy = draw(st.booleans())
     field = st.one_of(plain, plain, plain, st.sampled_from(MESSY_FIELDS)) if messy else plain
     header = draw(st.sampled_from([["x", "y"], ["x", "y", "z"], [" x ", "y"]] * 2
@@ -460,11 +463,21 @@ def csv_table_bytes(draw):
     return data
 
 
+def xy_table(columns, line):
+    """The columns of an ``x,y`` table: ``x`` as floats, ``y`` as strings."""
+    return io._floats(columns[0], line, "x"), [str(y) for y in columns[1]]
+
+
+def read_xy(path):
+    """``io._read_table`` on a table of a float column ``x`` and a name column ``y``."""
+    return io._read_table(path, ["x", "y"], {"y": 8}, xy_table)
+
+
 READERS = {
     "csv": io.ingest_spectrum,
     "s4p": io.ingest_spectrum,
     "lines": io.read_line_model,
-    "table": lambda path: io._read_table(path, ["x", "y"]),
+    "table": read_xy,
 }
 TEXTS = {
     "csv": csv_text_tables(["freq_hz", "channel", "re", "im"], model.CHANNELS),
@@ -472,21 +485,23 @@ TEXTS = {
     "lines": csv_text_tables(io._LINE_HEADER, io._LINE_ELEMENTS),
     "table": csv_table_bytes(),
 }
-#: The five errors ``_read_table`` raises; the readers built on it add their own
+#: The six errors ``_read_table`` raises, and the one :func:`xy_table` adds; the other
+#: readers built on it add their own
 TABLE_ERRORS = re.compile(
     r"\S+ is not UTF-8 text: .+"
     r"|\S+ is not a readable CSV table: .+ \(line \d+\)"
     r"|empty file \(line 1\)"
     r"|malformed header \[.*\]; expected \['x', 'y'\] \(line \d+\)"
-    r"|row has \d+ fields, expected \d+ \(line \d+\)", re.DOTALL)
+    r"|\S+ holds no data rows after its header \(line \d+\)"
+    r"|row has \d+ fields, expected \d+ \(line \d+\)"
+    r"|malformed x value .+ \(line \d+\)", re.DOTALL)
 
 
 def loads_or_raises_parse_error(reader, path):
     """Read ``path`` under a small field limit; a ``ParseError`` must name a line of the file.
 
     For the ``table`` reader the error must be one of :data:`TABLE_ERRORS`,
-    and a table it returns must have one field per header column in each
-    row, and rows numbered in file order after the header.
+    and a table it returns must have a field of each column in each row.
     """
     n_lines = max(1, len(path.read_bytes().decode("utf-8", "replace").splitlines()))
     limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
@@ -502,9 +517,8 @@ def loads_or_raises_parse_error(reader, path):
     finally:
         csv.field_size_limit(limit)
     if reader == "table":
-        columns, lines = loaded
-        assert len(columns) == 2 and all(len(c) == len(lines) for c in columns)
-        assert list(lines) == sorted(set(lines)) and all(1 < line <= n_lines for line in lines)
+        x, y = loaded
+        assert 1 <= len(x) == len(y) < n_lines
 
 
 class TestIngestionProperties:
@@ -546,45 +560,318 @@ class TestIngestionProperties:
 
 
 class TestReaderPaths:
-    """``_read_table`` on one table of each messy kind: what it returns, or its error and line."""
+    """:func:`read_xy` on one table of each messy kind: its ``x`` and ``y``, or its error and line."""
 
     @pytest.mark.parametrize("data, expected", [
-        (b'x,y\n"1e9","q,uoted"\n', ([("1e9",), ("q,uoted",)], (2,))),
+        (b'x,y\n"1e9","q,uoted"\n', ([1e9], ["q,uoted"])),
         # a record spanning lines is numbered by its last line
-        (b'x,y\n"multi\nline",1\n2,3\n', ([("multi\nline", "2"), ("1", "3")], (3, 4))),
-        (b'x,y\na"b,1\n', ([('a"b',), ("1",)], (2,))),
-        (b" x ,y\n1, 2 \n", ([("1",), (" 2 ",)], (2,))),
-        (b"x,y\r1,2\r3,4", ([("1", "3"), ("2", "4")], (2, 3))),
-        (b'x,y\r\n"a\rb",2\r\n', ([("a\rb",), ("2",)], (3,))),
+        (b'x,y\nz,"multi\nline"\n', ("malformed x value 'z'", 3)),
+        (b'x,y\n1,a"b\n', ([1.0], ['a"b'])),
+        (b" x ,y\n1, 2 \n", ([1.0], [" 2 "])),
+        (b"x,y\r1,2\r3,4", ([1.0, 3.0], ["2", "4"])),
+        (b'x,y\r\n2,"a\rb"\r\n', ([2.0], ["a\rb"])),
         # an unterminated quote takes the rest of the file into one field
         (b'x,y\n1,2\n"3,4\n', ("row has 1 fields, expected 2", 3)),
-        (b"x,y\n1," + b"9" * (SMALL_FIELD_LIMIT + 1) + b"\n",
+        # numpy's parse has no field-size limit, so a table it reads may hold a field that
+        # csv.reader refuses; the rescan of a refused table meets csv.reader's limit
+        (b"x,y\n" + b"9" * (SMALL_FIELD_LIMIT + 1) + b",a\n", ([float("9" * 25)], ["a"])),
+        (b"x,y\n" + b"9" * (SMALL_FIELD_LIMIT + 1) + b",a\n1\n",
          ("{path} is not a readable CSV table: field larger than field limit (24)", 2)),
-        (b"x,y\n1,2\n\n# c\n1\n", ("row has 1 fields, expected 2", 5)),
+        # after the header a # line is a data row
+        (b"x,y\n1,2\n\n# c\n1\n", ("row has 1 fields, expected 2", 4)),
         (b"# run: r\n\ny,x\n1,2\n",
          ("malformed header ['y', 'x']; expected ['x', 'y']", 3)),
         (b"# only\n\n", ("empty file", 1)),
         (b"x,y\n1,\xff\n", ("{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
                              "in position 6: invalid start byte", None)),
-        # before 3.11 csv.reader refuses a NUL
-        (b"x,y\n1,\0\n", ([("1",), ("\0",)], (2,)) if sys.version_info >= (3, 11)
-         else ("{path} is not a readable CSV table: line contains NUL", 2)),
+        # refused on every Python version, though csv.reader takes a NUL from 3.11 on
+        (b"x,y\n1,\0\n", ("{path} is not a readable CSV table: line contains NUL", 2)),
     ], ids=["quoted", "multi-line", "stray-quote", "padded-header", "bare-cr", "cr-in-quotes",
-            "unterminated", "oversized", "ragged", "header", "empty", "not-utf-8", "nul"])
+            "unterminated", "oversized", "oversized-refused", "ragged", "header", "empty", "not-utf-8", "nul"])
     def test_messy_table(self, tmp_path, data, expected):
         path = tmp_path / "table.csv"
         path.write_bytes(data)
         limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
         try:
-            outcome = io._read_table(path, ["x", "y"])
+            outcome = read_xy(path)
+            outcome = (outcome[0].tolist(), outcome[1])
         except runs.ParseError as exc:
             message, line = expected
             message = message.format(path=path)
             outcome = (str(exc), exc.line)
             expected = (message if line is None else f"{message} (line {line})", line)
         finally:
-            csv.field_size_limit(limit)
+            assert csv.field_size_limit(limit) == SMALL_FIELD_LIMIT
         assert outcome == expected
+
+
+def reference_table(path, header, text):
+    """The reader's table rules written out with csv.reader alone: field columns and data lines.
+
+    A file with a NUL byte is refused first, at the NUL's line.  Text is
+    UTF-8, BOM optional, read a line at a time.  Blank records are skipped
+    everywhere and ``#`` records only before the header; each data row has
+    a field per column, and a field of a ``text`` column at most 63
+    characters.
+    """
+    data = path.read_bytes()
+    if b"\0" in data:
+        raise runs.ParseError(f"{path} is not a readable CSV table: line contains NUL",
+                              len(data[:data.index(b"\0") + 1].splitlines()))
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            records = [(reader.line_num, row) for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise runs.ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    while records and records[0][1][0].startswith("#"):
+        del records[0]
+    if not records:
+        raise runs.ParseError("empty file", 1)
+    (header_line, found), *data = records
+    found = [c.strip() for c in found]
+    if found != header:
+        raise runs.ParseError(f"malformed header {found!r}; expected {header}", header_line)
+    if not data:
+        raise runs.ParseError(f"{path} holds no data rows after its header", header_line)
+    for line, row in data:
+        if len(row) != len(header):
+            raise runs.ParseError(f"row has {len(row)} fields, expected {len(header)}", line)
+        for name, field in zip(header, row):
+            if name in text and len(field) > 63:
+                raise runs.ParseError(f"{name} field has {len(field)} characters, "
+                                      "expected at most 63", line)
+    lines, rows = zip(*data)
+    return list(zip(*rows)), lines
+
+
+def reference_build(header, text, build):
+    """A reader that checks :func:`reference_table`'s field strings with ``build``, as the rescan does."""
+    def read(path):
+        columns, lines = reference_table(path, header, text)
+        return build(columns, lines.__getitem__)
+    return read
+
+
+#: (the reader, its csv.reader reference, the bytes of every array a result holds)
+READ_AGAINST_REFERENCE = {
+    "csv": (io.ingest_spectrum,
+            lambda path: ChannelSpectrum(*io._finite_points(
+                path, *reference_build(io._CSV_HEADER, {"channel"}, io._spectrum_table)(path))),
+            lambda spectrum: [spectrum.freqs.tobytes(), spectrum.traces.tobytes()]),
+    "lines": (io.read_line_model, reference_build(io._LINE_HEADER, {"freq_hz", "element"}, io._line_table),
+              lambda read: [read[0].two_ports.tobytes(), np.asarray(read[0].isolation).tobytes(),
+                            None if read[1] is None else read[1].tobytes()]),
+    "table": (read_xy, reference_build(["x", "y"], {"y"}, xy_table),
+              lambda read: [read[0].tobytes(), read[1]]),
+}
+
+
+def outcome(read, arrays, path):
+    """What reading ``path`` gives: the bytes of its arrays or its error, and every warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("read", arrays(read(path)))
+        except ValueError as exc:
+            result = (type(exc).__name__, str(exc), getattr(exc, "line", None))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestReaderAgainstReference:
+    """numpy's bulk parse reads what the csv.reader reference reads, bit for bit, and refuses the rest alike."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("reader", READ_AGAINST_REFERENCE)
+    def test_reads_or_refuses_as_the_reference(self, tmp_path_factory, reader, data):
+        path = tmp_path_factory.mktemp(reader) / f"input.{reader}"
+        path.write_bytes(data.draw(TEXTS[reader]))
+        read, reference, arrays = READ_AGAINST_REFERENCE[reader]
+        assert outcome(read, arrays, path) == outcome(reference, arrays, path)
+
+
+def numpy_number(text: str) -> float:
+    """``text`` parsed by numpy's C reader as the one field of a one-line table."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty line reads as no data, with a warning
+        values = np.loadtxt([text], dtype=float, delimiter=",", comments=None, ndmin=1)
+    if len(values) != 1:
+        raise ValueError(f"no number in {text!r}")
+    return values[0]
+
+
+class TestReaderRules:
+    """Where numpy's reader takes or refuses other tables than csv.reader with float() did: one example each."""
+
+    HEADER = "freq_hz,channel,re,im\n"
+
+    def write(self, tmp_path, rows, header=None):
+        path = tmp_path / "spec.csv"
+        path.write_text("# run: r\n" + (self.HEADER if header is None else header)
+                        + "".join(f"{row}\n" for row in rows), encoding="utf-8")
+        return path
+
+    def spectrum_rows(self, value="1.0"):
+        return [f"{f},{ch},{value if (f, ch) == ('2e9', 'AB') else '1.0'},0.0"
+                for ch in model.CHANNELS for f in ("1e9", "2e9")]
+
+    @pytest.mark.parametrize("text", ["1", " 1 ", "-0.0", "1_0", "\u0661", "\uff11", "1e400", "-nan",
+                                      "Infinity", "0x1p3", "1\u2003", "\u20031", "1 2", "", " ",
+                                      "+.5", "5.", "1e", "1\x00", "nan(1)", "1\x1c", "\x1f1",
+                                      "1\u2003", "\xa01", "1\x85", "1\u200b"])
+    def test_number_syntax_is_numpys(self, text):
+        try:
+            expected = numpy_number(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                io._number(text)
+            return
+        assert np.float64(io._number(text)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"], ids=["digit-separator", "arabic-indic-digit"])
+    def test_numbers_float_takes_but_numpy_does_not_are_malformed(self, tmp_path, value):
+        # float() reads these as 10.0 and 1.0
+        path = self.write(tmp_path, self.spectrum_rows(value))
+        with pytest.raises(runs.ParseError) as info:
+            io.ingest_spectrum(path)
+        assert (str(info.value), info.value.line) == (f"malformed re value {value!r} (line 8)", 8)
+
+    def test_hash_row_after_the_header_is_a_data_row(self, tmp_path):
+        # comments go before the header, where the writer puts its "# run:" line
+        rows = self.spectrum_rows()
+        path = self.write(tmp_path, rows[:2] + ["# a note"] + rows[2:])
+        with pytest.raises(runs.ParseError) as info:
+            io.ingest_spectrum(path)
+        assert (str(info.value), info.value.line) == ("row has 1 fields, expected 4 (line 5)", 5)
+
+    def test_whitespace_only_line_is_a_one_field_row(self, tmp_path):
+        # numpy's reader skips an empty line, not a line of spaces, as csv.reader does
+        rows = self.spectrum_rows()
+        path = self.write(tmp_path, rows[:2] + [" \t"] + rows[2:])
+        with pytest.raises(runs.ParseError, match=r"^row has 1 fields, expected 4 \(line 5\)$"):
+            io.ingest_spectrum(path)
+
+    def test_field_beyond_csv_field_limit_is_read(self, tmp_path):
+        # csv.reader refuses a field of more than 131072 characters; numpy's reader has no limit
+        path = self.write(tmp_path, self.spectrum_rows("0.5" + "0" * 200_000))
+        expected = np.ones((4, 2))
+        expected[2, 1] = 0.5  # AB at 2e9
+        assert np.array_equal(io.ingest_spectrum(path).traces.real, expected)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("name", ["AA\0", "A\0A"], ids=["ending-a-name", "inside-a-name"])
+    def test_nul_is_refused_on_every_python_version(self, tmp_path, name, end):
+        # numpy's strings drop a NUL that ends a field, and csv.reader takes one from 3.11 on
+        rows = self.spectrum_rows()
+        rows[0] = rows[0].replace("AA", name)
+        path = tmp_path / "spec.csv"
+        path.write_bytes(end.join(["# run: r", self.HEADER.strip(), *rows, ""]).encode())
+        with pytest.raises(runs.ParseError) as info:
+            io.ingest_spectrum(path)
+        assert (str(info.value), info.value.line) == (
+            f"{path} is not a readable CSV table: line contains NUL (line 3)", 3)
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["header-only", "blank-lines", "crlf-line"])
+    @pytest.mark.parametrize("header, read", [
+        ("freq_hz,channel,re,im\n", io.ingest_spectrum),
+        (",".join(io._LINE_HEADER) + "\n", io.read_line_model),
+    ], ids=["spectrum", "line-model"])
+    def test_table_without_data_rows_names_its_header_line(self, tmp_path, header, read, body):
+        # once "channel row counts differ: {'AA': 0, ...}"; numpy's warning on an empty
+        # table never reaches the caller
+        path = self.write(tmp_path, [], header=header + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(runs.ParseError) as info:
+                read(path)
+        assert (str(info.value), info.value.line) == (
+            f"{path} holds no data rows after its header (line 2)", 2)
+        assert caught == []
+
+    def test_name_longer_than_its_room_is_read_whole(self, tmp_path):
+        # the name column starts with room for 8 characters; a longer name is parsed again
+        # with room for 64, not cut
+        rows = self.spectrum_rows()
+        padded = [row.replace(",AA,", ",    AA    ,") for row in rows]
+        path = self.write(tmp_path, padded)
+        assert_same_spectrum(io.ingest_spectrum(path), io.ingest_spectrum(self.write(tmp_path, rows)))
+        # cut to its first 8 characters, this name would strip to AA
+        path = self.write(tmp_path, [row.replace(",AA,", ",AA      X,") for row in rows])
+        with pytest.raises(runs.ParseError, match=r"^unknown channel 'AA      X' \(line 3\)$"):
+            io.ingest_spectrum(path)
+
+    @pytest.mark.parametrize("name", ["B" * 5000, "BB" + " " * 62], ids=["long-name", "padded-name"])
+    def test_text_field_of_64_characters_is_refused_at_its_line(self, tmp_path, name):
+        # csv.reader and float() read these as an unknown channel and as BB
+        rows = self.spectrum_rows()
+        rows[3] = rows[3].replace(",BB,", f",{name},")
+        with pytest.raises(runs.ParseError) as info:
+            io.ingest_spectrum(self.write(tmp_path, rows))
+        assert (str(info.value), info.value.line) == (
+            f"channel field has {len(name)} characters, expected at most 63 (line 6)", 6)
+
+    def test_line_model_frequency_of_64_characters_is_refused_at_its_line(self, tmp_path):
+        path = tmp_path / "lines.csv"
+        io.write_line_model(network.ideal_lines(), path)
+        text = path.read_text().replace("\n,in_b,", "\n" + " " * 64 + ",in_b,")
+        path.write_text(text)
+        with pytest.raises(runs.ParseError) as info:
+            io.read_line_model(path)
+        assert (str(info.value), info.value.line) == (
+            "freq_hz field has 64 characters, expected at most 63 (line 4)", 4)
+
+    def test_rescan_never_reads_a_table_numpy_refused(self, tmp_path, monkeypatch):
+        # csv.reader only names the line of an error; a table it would read is still refused
+        path = self.write(tmp_path, self.spectrum_rows())
+
+        def refuse(*args):
+            raise ValueError("the parse failed")
+
+        monkeypatch.setattr(io, "_parse", refuse)
+        with pytest.raises(runs.ParseError) as info:
+            io.ingest_spectrum(path)
+        assert str(info.value) == f"{path} is not a readable CSV table: the parse failed"
+
+
+class TestReaderMemory:
+    def test_spectrum_read_peaks_below_3_mb(self, tmp_path):
+        # a 4,001-point spectrum is 16,004 rows: one structured array, no Python object per
+        # row or field (csv.reader's rows and float() per field peaked at 8.2 MB)
+        rng = np.random.default_rng(4)
+        freqs = np.linspace(6.1e9, 6.2e9, 4001)
+        traces = rng.standard_normal((4, freqs.size)) + 1j * rng.standard_normal((4, freqs.size))
+        path = tmp_path / "meas.csv"
+        io.write_spectrum(ChannelSpectrum(freqs, traces), path, run_id="0123456789abcdef")
+        io.ingest_spectrum(path)  # imports and caches outside the traced read
+        tracemalloc.start()
+        try:
+            back = io.ingest_spectrum(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.traces.tobytes() == ChannelSpectrum(freqs, traces).traces.tobytes()
+        assert peak < 3_000_000, f"peak {peak / 1e6:.2f} MB"
+
+    def test_long_name_refusal_peaks_below_20_mb(self, tmp_path):
+        # a name's room is capped: a 40,000-character name once had the whole table
+        # parsed again into a column of that width, 16,004 x 4 x 262,144 bytes
+        freqs = np.linspace(6.1e9, 6.2e9, 4001)
+        path = tmp_path / "meas.csv"
+        io.write_spectrum(ChannelSpectrum(freqs, np.ones((4, freqs.size), complex)), path)
+        text = path.read_text().replace(",BB,", "," + "B" * 40_000 + ",", 1)
+        path.write_text(text)
+        line = text[:text.index("B" * 40_000)].count("\n") + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(runs.ParseError) as info:
+                io.ingest_spectrum(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (str(info.value), info.value.line) == (
+            f"channel field has 40000 characters, expected at most 63 (line {line})", line)
+        assert peak < 20_000_000, f"peak {peak / 1e6:.2f} MB"
 
 
 POINT = " 0.5 0.0" * 16  # the 16 entries of one 4-port frame

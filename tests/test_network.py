@@ -43,6 +43,20 @@ class TestPortMatrix:
             with pytest.raises(ValueError, match="entries must be finite"):
                 network.PortMatrix(np.where(np.eye(4) > 0, bad, 0.0))
 
+    def test_entries_whose_squares_overflow_are_finite(self):
+        # their sum of squares overflows, so the elementwise check decides, without a warning
+        entries = np.full((4, 4), complex(1e200, -1e200))
+        assert np.array_equal(network.PortMatrix(entries).entries, entries)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                     complex(1e200, math.inf)],
+                             ids=["nan", "inf", "-inf", "nan-imag", "inf-beside-large"])
+    def test_one_non_finite_entry_is_refused(self, bad):
+        entries = np.eye(4, dtype=complex)
+        entries[2, 1] = bad
+        with pytest.raises(ValueError, match="^4-port matrix entries must be finite$"):
+            network.PortMatrix(entries)
+
     def test_copies_a_callers_array(self):
         a = np.eye(4, dtype=complex)
         cell = network.PortMatrix(a)
