@@ -157,7 +157,7 @@ def _cmd_sweep_bias(config, inputs, seed, run_id):
             ["bias_ma", "freq_hz", "re_e", "im_e", "abs_e"],
             # scalar abs: the vectorised np.abs can round the last bit differently
             [np.repeat(biases, freqs.size), np.tile(freqs, biases.size),
-             e_map.real, e_map.imag, np.array([abs(v) for v in e_map.ravel()])]),
+             e_map.real.ravel(), e_map.imag.ravel(), np.array([abs(v) for v in e_map.ravel()])]),
         "resonant_efficiency.csv": (
             ["bias_ma", "e_res", "f_ge_hz"], [biases, e_res, w_ges / TWO_PI]),
         "gamma_phi_vs_bias.csv": (
@@ -225,7 +225,7 @@ def _cmd_sweep_power(config, inputs, seed, run_id):
         "saturation.csv": (["n_avg", "channel", "magnitude"], [
             np.tile(n_avg, len(model.CHANNELS)),
             [ch for ch in model.CHANNELS for _ in n_avg],
-            np.array(curves),
+            np.concatenate(curves),
         ]),
         "saturation_fit.json": {"fits": fits},
     }

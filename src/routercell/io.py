@@ -8,9 +8,13 @@ the port map 1 = A-in, 2 = A-out, 3 = B-in, 4 = B-out.  Text inputs are
 UTF-8 and may start with a byte-order mark.
 
 CSV tables (spectra, line models) share one writer, :func:`write_columns`,
-and one columnar reader, :func:`_read_table`: numpy's C reader parses a
-whole table into one structured array, float64 value columns and string
-name columns.  Numbers take ``float()``'s syntax in ASCII, without ``_``
+and one columnar reader, :func:`_read_table`.  The writer's memory is
+bounded: beyond the caller's columns it holds the text of one block of
+``_WRITE_FIELDS`` fields, whatever the number of columns, and keeps no
+copy of a float column; a column of repeats keeps its distinct texts and
+one integer per row.  The reader parses a whole table with numpy's C
+reader into one structured array, float64 value columns and string name
+columns.  Numbers take ``float()``'s syntax in ASCII, without ``_``
 separators; a name holds fewer than 64 characters, whitespace included.
 Only an error needs a line number, and only then does ``csv.reader``
 rescan the file to name it.  Every malformed spectrum or
@@ -52,46 +56,65 @@ _CSV_HEADER = ["freq_hz", "channel", "re", "im"]
 # CSV spectrum format
 
 
-#: Rows per ``write`` call: no column or text is held as Python objects more than a block at a time.
-_WRITE_BLOCK = 4096
+#: Fields per ``write`` call: a block of this many fields, whatever the number of columns, is
+#: all the text a write holds
+_WRITE_FIELDS = 2048
 
 
-def _float_fields(values: np.ndarray):
+def _float_fields(values: np.ndarray, rows: int):
     """The ``repr`` of every value, computed once per distinct float64 bit pattern.
 
     ``repr`` round-trips a float64 exactly.  Signed zeros and NaN payloads
-    are distinct bit patterns, so each value keeps its own text.  Only a
-    column of repeats, at most one distinct value in two, keeps its texts
-    for the whole write; any other is formatted a block at a time.
+    are distinct bit patterns, so each value keeps its own text.  Values
+    are read ``rows`` at a time from the caller's array, strided views
+    too; only ``np.unique`` copies a whole column, while it runs.  Only a
+    column of repeats, at most one distinct value in two, keeps arrays for
+    the whole write: its texts and which one each row takes.
     """
-    values = np.ascontiguousarray(values).ravel()
     text, keys = repr, values
     if values.dtype == np.float64:
         bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
         if 2 * len(bits) <= len(values):
             text, keys = list(map(repr, bits.view(np.float64).tolist())).__getitem__, inverse
-    return chain.from_iterable(map(text, keys[i:i + _WRITE_BLOCK].tolist())
-                               for i in range(0, len(keys), _WRITE_BLOCK))
+    return chain.from_iterable(map(text, keys[i:i + rows].tolist())
+                               for i in range(0, len(keys), rows))
 
 
 def write_columns(path, header: list[str], columns, run_id: str | None = None) -> None:
     """Write a CSV table column by column, byte for byte as ``csv.writer`` would.
 
-    Each column is a float array, written as the ``repr`` of every value
-    (which round-trips float64 exactly), or a sequence of field strings.
+    Each column is a 1-D float array, written as the ``repr`` of every
+    value (which round-trips float64 exactly), or a sequence of field
+    strings; there is one per header name, and all have the same length.
     Rows end in CRLF.  No field needs quoting: each is a float ``repr``, a
     name or empty.  A ``run_id`` must be printable, so that it stays on
-    its one ``# run:`` comment line.
+    its one ``# run:`` comment line.  A table that breaks these rules is
+    refused with ValueError before the file is opened.
+
+    The text is built and written ``_WRITE_FIELDS`` fields at a time, and
+    no copy of a float column is kept, so a write holds little beyond its columns:
+    a block's text, and for a column of repeats its distinct texts and one
+    integer per row.
     """
     if run_id is not None and not run_id.isprintable():
         raise ValueError(f"run id {run_id!r} is not printable")
-    fields = (_float_fields(c) if isinstance(c, np.ndarray) else c for c in columns)
-    rows = map(",".join, zip(*fields))
+    columns = list(columns)
+    if len(columns) != len(header):
+        raise ValueError(f"header {header} names {len(header)} columns, got {len(columns)}")
+    for name, column in zip(header, columns):
+        if isinstance(column, np.ndarray) and column.ndim != 1:
+            raise ValueError(f"column {name!r} is a {column.ndim}-D array; expected 1-D")
+        if len(column) != len(columns[0]):
+            raise ValueError(f"column {name!r} has {len(column)} values, "
+                             f"column {header[0]!r} has {len(columns[0])}")
+    rows = max(1, _WRITE_FIELDS // max(1, len(header)))
+    fields = [_float_fields(c, rows) if isinstance(c, np.ndarray) else c for c in columns]
+    lines = map(",".join, zip(*fields))
     with Path(path).open("w", newline="") as fh:
         if run_id is not None:
             fh.write(f"# run: {run_id}\n")
         fh.write(",".join(header) + "\r\n")
-        while block := list(islice(rows, _WRITE_BLOCK)):
+        while block := list(islice(lines, rows)):
             fh.write("\r\n".join(block) + "\r\n")
 
 
@@ -100,20 +123,28 @@ def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -
     columns = [
         np.tile(spectrum.freqs, len(CHANNELS)),
         [ch for ch in CHANNELS for _ in spectrum.freqs],
-        spectrum.traces.real,
-        spectrum.traces.imag,
+        spectrum.traces.real.reshape(-1),  # views of the (4, n) traces, channel-major like the file
+        spectrum.traces.imag.reshape(-1),
     ]
     write_columns(path, _CSV_HEADER, columns, run_id)
 
 
 @contextmanager
 def _text_file(path: Path, **kwargs):
-    """Open a UTF-8 file, BOM optional; undecodable bytes raise ParseError naming it."""
+    """Open a UTF-8 file, BOM optional; undecodable bytes raise ParseError naming the file,
+    the first bad byte's offset in it, and its line."""
     with path.open(encoding="utf-8-sig", **kwargs) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+            # exc counts from the start of the decoder's chunk; a decode of the whole file,
+            # whose BOM is UTF-8 too, counts from the start of the file
+            data, line = path.read_bytes(), None
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc, line = whole, len(data[:whole.start + 1].splitlines())
+            raise ParseError(f"{path} is not UTF-8 text: {exc}", line) from None
 
 
 #: Room for the text of a name, or of a line model's frequency: a field this long or longer is refused

@@ -158,6 +158,11 @@ def oracle_columns_bytes(header, columns, run_id):
     return buf.getvalue().encode()
 
 
+def block_rows(header) -> int:
+    """The rows of one write block of a table with ``header``."""
+    return io._WRITE_FIELDS // len(header)
+
+
 class TestWriterBytes:
     """The columnar writers produce exactly the bytes of a row-wise ``csv.writer``."""
 
@@ -190,6 +195,40 @@ class TestWriterBytes:
             write(path, run_id)
         assert not path.exists()
 
+    @pytest.mark.parametrize("header, columns, message", [
+        # zip once cut every column to the shortest
+        (["a", "b"], [np.ones(3), ["x", "y"]], "column 'b' has 2 values, column 'a' has 3"),
+        # a missing column once wrote rows shorter than the header
+        (["a", "b", "c"], [np.ones(3)], "header ['a', 'b', 'c'] names 3 columns, got 1"),
+        (["a"], [np.ones(3), np.ones(3)], "header ['a'] names 1 columns, got 2"),
+        # a 2-D array was once flattened
+        (["a", "b"], [np.ones(6), np.ones((2, 3))], "column 'b' is a 2-D array; expected 1-D"),
+    ], ids=["unequal-lengths", "fewer-columns", "more-columns", "2-d"])
+    def test_malformed_table_is_refused_before_writing(self, tmp_path, header, columns, message):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            io.write_columns(path, header, columns, "r")
+        assert not path.exists()
+
+    def test_columns_from_strided_views(self, tmp_path):
+        # the writer reads the caller's views as they are: the rows of a transposed array and
+        # the real and imaginary parts of a (4, n) complex stack, distinct values and repeats
+        rng = np.random.default_rng(10)
+        n = block_rows(["a"] * 4) + 7
+        table = np.column_stack([self.long_values(rng, 4 * n, repeats=False),
+                                 self.long_values(rng, 4 * n, repeats=True)])
+        stack = self.long_values(rng, (4, n), False) + 1j * self.long_values(rng, (4, n), True)
+        table[::97, 0], table[1::97, 0] = 0.0, -0.0  # signed zeros among distinct values too
+        stack.real[:, ::53], stack.real[:, 1::53] = 0.0, -0.0
+        columns = [*table.T, stack.real.reshape(-1), stack.imag.reshape(-1)]
+        assert not any(c.flags.c_contiguous for c in columns)
+        assert all(np.shares_memory(c, table) for c in columns[:2])
+        assert all(np.shares_memory(c, stack) for c in columns[2:])
+        header = ["a", "b", "re", "im"]
+        path = tmp_path / "table.csv"
+        io.write_columns(path, header, columns, "r")
+        assert path.read_bytes() == oracle_columns_bytes(header, columns, "r")
+
 
     @staticmethod
     def long_values(rng, shape, repeats: bool) -> np.ndarray:
@@ -201,7 +240,7 @@ class TestWriterBytes:
     @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
     def test_spectrum_longer_than_a_write_block(self, tmp_path, repeats):
         rng = np.random.default_rng(7)
-        n = io._WRITE_BLOCK // len(model.CHANNELS) + 5
+        n = block_rows(io._CSV_HEADER) // len(model.CHANNELS) + 5
         values = self.long_values(rng, (2, len(model.CHANNELS), n), repeats)
         spectrum = ChannelSpectrum(np.arange(n) * 1e5 + 6e9, values[0] + 1j * values[1])
         path = tmp_path / "spec.csv"
@@ -211,7 +250,7 @@ class TestWriterBytes:
     @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
     def test_line_model_longer_than_a_write_block(self, tmp_path, repeats):
         rng = np.random.default_rng(8)
-        n = io._WRITE_BLOCK // 4 + 5
+        n = block_rows(io._LINE_HEADER) // len(io._LINE_ELEMENTS) + 5
         values = self.long_values(rng, (2, 4, n, 2, 2), repeats)
         matrices = values[0] + 1j * values[1]
         iso = matrices[3, :, 0, 0].copy()
@@ -225,7 +264,7 @@ class TestWriterBytes:
     @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
     def test_columns_longer_than_a_write_block(self, tmp_path, repeats):
         rng = np.random.default_rng(9)
-        n = 2 * io._WRITE_BLOCK + 3
+        n = 2 * block_rows(["a", "name", "b"]) + 3
         values = self.long_values(rng, (2, n), repeats)
         values[1, rng.integers(0, n, 50)] = rng.choice(SPECIAL, 50)
         names = [f"n{k % 3}" for k in range(n)]
@@ -239,12 +278,13 @@ class TestWriterBytes:
         st.lists(st.floats(), min_size=n, max_size=n),
         st.lists(st.sampled_from(SPECIAL), min_size=n, max_size=n),
         st.lists(st.sampled_from(SPECIAL) | FINITE, min_size=n, max_size=n),
-    )), st.integers(1, 4), RUN_IDS)
-    def test_columns_match_csv_writer_across_blocks(self, tmp_path_factory, drawn, block, run_id):
+    )), st.integers(1, 12), RUN_IDS)
+    def test_columns_match_csv_writer_across_blocks(self, tmp_path_factory, drawn, fields, run_id):
+        # 1 to 4 rows a block; fewer fields than columns still write a row at a time
         columns = [np.array(values) for values in drawn]
         path = tmp_path_factory.mktemp("cols") / "table.csv"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io, "_WRITE_BLOCK", block)
+            mp.setattr(io, "_WRITE_FIELDS", fields)
             io.write_columns(path, ["a", "b", "c"], columns, run_id)
         assert path.read_bytes() == oracle_columns_bytes(["a", "b", "c"], columns, run_id)
 
@@ -300,6 +340,24 @@ class TestCsvErrors:
         with pytest.raises(runs.ParseError, match="utf16.csv is not UTF-8"):
             io.ingest_spectrum(path)
 
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+    def test_undecodable_byte_is_named_by_file_offset_and_line(self, tmp_path, bom):
+        # 24-byte LF rows: byte 20,004 is on line 834, in the decoder's third 8 KB chunk,
+        # which once counted it from the chunk's start as position 3620
+        freqs = 6e9 + 1e5 * np.arange(1250)
+        path = tmp_path / "meas.csv"
+        io.write_spectrum(ChannelSpectrum(freqs, np.ones((4, freqs.size), complex)), path)
+        data = bytearray(bom + path.read_text().encode())
+        assert len(data) == len(bom) + 22 + 5000 * 24
+        offset = len(bom) + 20_004
+        data[offset] = 0xFF
+        path.write_bytes(data)
+        with pytest.raises(runs.ParseError) as info:
+            io.ingest_spectrum(path)
+        assert (str(info.value), info.value.line) == (
+            f"{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position "
+            f"{offset}: invalid start byte (line 834)", 834)
+
     def test_non_finite_rows_dropped_with_warning(self, tmp_path):
         rows = []
         for ch in model.CHANNELS:
@@ -332,7 +390,7 @@ def write_raw(path, fmt, freqs, traces):
         return
     io.write_columns(path, ["freq_hz", "channel", "re", "im"],
                      [np.tile(freqs, 4), [ch for ch in model.CHANNELS for _ in freqs],
-                      traces.real, traces.imag])
+                      traces.real.ravel(), traces.imag.ravel()])
 
 
 class TestNonFinitePoints:
@@ -583,7 +641,7 @@ class TestReaderPaths:
          ("malformed header ['y', 'x']; expected ['x', 'y']", 3)),
         (b"# only\n\n", ("empty file", 1)),
         (b"x,y\n1,\xff\n", ("{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
-                             "in position 6: invalid start byte", None)),
+                             "in position 6: invalid start byte", 2)),
         # refused on every Python version, though csv.reader takes a NUL from 3.11 on
         (b"x,y\n1,\0\n", ("{path} is not a readable CSV table: line contains NUL", 2)),
     ], ids=["quoted", "multi-line", "stray-quote", "padded-header", "bare-cr", "cr-in-quotes",
@@ -609,7 +667,8 @@ def reference_table(path, header, text):
     """The reader's table rules written out with csv.reader alone: field columns and data lines.
 
     A file with a NUL byte is refused first, at the NUL's line.  Text is
-    UTF-8, BOM optional, read a line at a time.  Blank records are skipped
+    UTF-8, BOM optional, read a line at a time; undecodable text is named
+    by its first bad byte's offset in the file and its line.  Blank records are skipped
     everywhere and ``#`` records only before the header; each data row has
     a field per column, and a field of a ``text`` column at most 63
     characters.
@@ -622,8 +681,13 @@ def reference_table(path, header, text):
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             records = [(reader.line_num, row) for row in reader if row]
-    except UnicodeDecodeError as exc:
-        raise runs.ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    except UnicodeDecodeError:
+        try:
+            data.decode("utf-8")  # a BOM is UTF-8 too: positions count from the file's start
+        except UnicodeDecodeError as exc:
+            before = data[:exc.start]
+            line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+            raise runs.ParseError(f"{path} is not UTF-8 text: {exc}", line) from None
     while records and records[0][1][0].startswith("#"):
         del records[0]
     if not records:
@@ -872,6 +936,42 @@ class TestReaderMemory:
         assert (str(info.value), info.value.line) == (
             f"channel field has 40000 characters, expected at most 63 (line {line})", line)
         assert peak < 20_000_000, f"peak {peak / 1e6:.2f} MB"
+
+
+def traced_peak(write) -> int:
+    """The peak of tracemalloc's traced memory during ``write()``, after one untraced call."""
+    write()  # imports and caches outside the traced write
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    """A write holds one small block of text and copies no float column whole."""
+
+    FREQS = np.linspace(6.1e9, 6.2e9, 4001)
+
+    def test_line_model_write_peaks_below_4_5_mb(self, tmp_path):
+        # 16,004 rows of 12 fields: 4,096-row blocks and a copy of every column peaked at 7.1 MB
+        from routercell import synth
+        lines = synth.gen_lines(synth.LineSpec(ripple_db=0.4), seed=2, freqs=self.FREQS)
+        path = tmp_path / "lines.csv"
+        peak = traced_peak(lambda: io.write_line_model(lines, path, freqs=self.FREQS, run_id="r"))
+        assert path.read_bytes() == oracle_line_model_bytes(lines, self.FREQS, "r")
+        assert peak < 4_500_000, f"peak {peak / 1e6:.2f} MB"
+
+    def test_spectrum_write_peaks_below_1_9_mb(self, tmp_path):
+        # 16,004 rows of 4 fields: 4,096-row blocks and a copy of every column peaked at 2.3 MB
+        rng = np.random.default_rng(5)
+        traces = rng.standard_normal((4, self.FREQS.size)) + 1j * rng.standard_normal((4, self.FREQS.size))
+        spectrum = ChannelSpectrum(self.FREQS, traces)
+        path = tmp_path / "meas.csv"
+        peak = traced_peak(lambda: io.write_spectrum(spectrum, path, run_id="r"))
+        assert path.read_bytes() == oracle_spectrum_bytes(spectrum, "r")
+        assert peak < 1_900_000, f"peak {peak / 1e6:.2f} MB"
 
 
 POINT = " 0.5 0.0" * 16  # the 16 entries of one 4-port frame
