@@ -92,7 +92,6 @@ def _cmd_synth(config, inputs, seed, run_id):
     )
     result = synth.gen_spectrum(campaign)
     truth = result.truth
-    freqs = campaign.freqs if result.lines.n_points is not None else None
     return {
         "meas.csv": result.meas,
         "hd.csv": result.hd,
@@ -105,7 +104,6 @@ def _cmd_synth(config, inputs, seed, run_id):
             "gamma_phi_hz": truth.gamma_phi / TWO_PI,
             "gamma_bath_hz": truth.gamma_bath / TWO_PI,
         }},
-        "lines.csv": (result.lines, freqs),
     }
 
 
@@ -313,12 +311,9 @@ def _write(path: Path, artefact, run_id: str) -> None:
     else:  # a table: only its writers need numpy
         from . import io
         from .calibration import ChannelSpectrum
-        from .network import LineModel
 
         if isinstance(artefact, ChannelSpectrum):
             io.write_spectrum(artefact, path, run_id=run_id)
-        elif isinstance(artefact[0], LineModel):
-            io.write_line_model(artefact[0], path, freqs=artefact[1], run_id=run_id)
         else:
             io.write_columns(path, *artefact, run_id)
 

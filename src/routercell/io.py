@@ -1,4 +1,4 @@
-"""Spectrum and line-model file formats.
+"""Spectrum file formats.
 
 The canonical spectrum format is long-form CSV with exactly the header
 ``freq_hz,channel,re,im``; write/read round-trips are lossless at full
@@ -7,8 +7,8 @@ Four-port touchstone files (``.s4p``) are supported for ingestion with
 the port map 1 = A-in, 2 = A-out, 3 = B-in, 4 = B-out.  Text inputs are
 UTF-8 and may start with a byte-order mark.
 
-CSV tables (spectra, line models) share one writer, :func:`write_columns`,
-and one columnar reader, :func:`_read_table`.  The writer's memory is
+CSV tables share one writer, :func:`write_columns`, and spectra are read
+by one columnar reader, :func:`_read_table`.  The writer's memory is
 bounded: beyond the caller's columns it holds the text of one block of
 ``_WRITE_FIELDS`` fields, whatever the number of columns, and keeps no
 copy of a float column; a column of repeats keeps its distinct texts and
@@ -17,9 +17,8 @@ reader into one structured array, float64 value columns and string name
 columns.  Numbers take ``float()``'s syntax in ASCII, without ``_``
 separators; a name holds fewer than 64 characters, whitespace included.
 Only an error needs a line number, and only then does ``csv.reader``
-rescan the file to name it.  Every malformed spectrum or
-line-model file, whatever its bytes, raises
-:class:`~routercell.runs.ParseError`.
+rescan the file to name it.  Every malformed spectrum file, whatever its
+bytes, raises :class:`~routercell.runs.ParseError`.
 The INI configuration lives in :mod:`routercell.runs`, and
 :mod:`routercell.presets` turns its sections into model objects.
 """
@@ -27,7 +26,6 @@ The INI configuration lives in :mod:`routercell.runs`, and
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from contextlib import contextmanager
 from itertools import chain, islice
@@ -37,7 +35,6 @@ import numpy as np
 
 from .calibration import ChannelSpectrum
 from .model import _CHANNEL_IN, _CHANNEL_OUT, CHANNELS
-from .network import LineModel
 from .runs import ParseError
 
 __all__ = [
@@ -45,8 +42,6 @@ __all__ = [
     "write_spectrum",
     "write_columns",
     "read_touchstone",
-    "write_line_model",
-    "read_line_model",
 ]
 
 _CSV_HEADER = ["freq_hz", "channel", "re", "im"]
@@ -72,10 +67,9 @@ def _float_fields(values: np.ndarray, rows: int):
     the whole write: its texts and which one each row takes.
     """
     text, keys = repr, values
-    if values.dtype == np.float64:
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        if 2 * len(bits) <= len(values):
-            text, keys = list(map(repr, bits.view(np.float64).tolist())).__getitem__, inverse
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(bits) <= len(values):
+        text, keys = list(map(repr, bits.view(np.float64).tolist())).__getitem__, inverse
     return chain.from_iterable(map(text, keys[i:i + rows].tolist())
                                for i in range(0, len(keys), rows))
 
@@ -83,7 +77,7 @@ def _float_fields(values: np.ndarray, rows: int):
 def write_columns(path, header: list[str], columns, run_id: str | None = None) -> None:
     """Write a CSV table column by column, byte for byte as ``csv.writer`` would.
 
-    Each column is a 1-D float array, written as the ``repr`` of every
+    Each column is a 1-D float64 array, written as the ``repr`` of every
     value (which round-trips float64 exactly), or a sequence of field
     strings; there is one per header name, and all have the same length.
     Rows end in CRLF.  No field needs quoting: each is a float ``repr``, a
@@ -104,6 +98,8 @@ def write_columns(path, header: list[str], columns, run_id: str | None = None) -
     for name, column in zip(header, columns):
         if isinstance(column, np.ndarray) and column.ndim != 1:
             raise ValueError(f"column {name!r} is a {column.ndim}-D array; expected 1-D")
+        if isinstance(column, np.ndarray) and column.dtype != np.float64:
+            raise ValueError(f"column {name!r} is an array of {column.dtype}; expected float64")
         if len(column) != len(columns[0]):
             raise ValueError(f"column {name!r} has {len(column)} values, "
                              f"column {header[0]!r} has {len(columns[0])}")
@@ -147,7 +143,7 @@ def _text_file(path: Path, **kwargs):
             raise ParseError(f"{path} is not UTF-8 text: {exc}", line) from None
 
 
-#: Room for the text of a name, or of a line model's frequency: a field this long or longer is refused
+#: Room for the text of a name: a field this long or longer is refused
 _TEXT_ROOM = 64
 
 
@@ -286,38 +282,37 @@ def _floats(column, line, what: str) -> np.ndarray:
                 raise ParseError(f"malformed {what} value {text!r}", line(i)) from None
 
 
-def _group(names, shared: dict[str, np.ndarray], line, known, kind: str) -> np.ndarray:
-    """Split table rows by name: ``index[k]`` lists, in file order, the rows named ``known[k]``.
+def _by_channel(names, freqs: np.ndarray, line) -> np.ndarray:
+    """Split spectrum rows by channel: ``index[k]`` lists, in file order, the rows of ``CHANNELS[k]``.
 
-    Names are matched with surrounding whitespace stripped.  Every name
-    needs the same number of rows and, point by point, the same value in
-    each ``shared`` column, such as the frequency (NaN equals NaN).
+    Names are matched with surrounding whitespace stripped.  Every channel
+    needs the same number of rows and, point by point, the same frequency
+    (NaN equals NaN).
     """
     names = np.char.strip(names)
     idx = np.full(len(names), -1)
-    for k, name in enumerate(known):
+    for k, name in enumerate(CHANNELS):
         idx[names == name] = k
     if np.any(idx < 0):
         i = int(np.argmax(idx < 0))
-        raise ParseError(f"unknown {kind} {str(names[i])!r}", line(i))
-    counts = np.bincount(idx, minlength=len(known))
+        raise ParseError(f"unknown channel {str(names[i])!r}", line(i))
+    counts = np.bincount(idx, minlength=len(CHANNELS))
     if counts.min() != counts.max():
-        raise ParseError(f"{kind} row counts differ: {dict(zip(known, counts.tolist()))}")
-    index = np.argsort(idx, kind="stable").reshape(len(known), -1)
-    for column, values in shared.items():
-        grids = values[index]
-        differs = (grids != grids[0]) & ~(np.isnan(grids) & np.isnan(grids[0]))
-        if np.any(differs):
-            k, i = np.argwhere(differs)[0]
-            raise ParseError(f"{kind} {known[k]} differs from {kind} {known[0]} in {column}",
-                             line(index[k, i]))
+        raise ParseError(f"channel row counts differ: {dict(zip(CHANNELS, counts.tolist()))}")
+    index = np.argsort(idx, kind="stable").reshape(len(CHANNELS), -1)
+    grids = freqs[index]
+    differs = (grids != grids[0]) & ~(np.isnan(grids) & np.isnan(grids[0]))
+    if np.any(differs):
+        k, i = np.argwhere(differs)[0]
+        raise ParseError(f"channel {CHANNELS[k]} differs from channel {CHANNELS[0]} in freq_hz",
+                         line(index[k, i]))
     return index
 
 
 def _spectrum_table(columns, line) -> tuple[np.ndarray, np.ndarray]:
     """The grid and (4, n) traces of a spectrum table's columns."""
     freqs = _floats(columns[0], line, "frequency")
-    index = _group(columns[1], {"freq_hz": freqs}, line, CHANNELS, "channel")
+    index = _by_channel(columns[1], freqs, line)
     grid = freqs[index[0]]
     finite = np.flatnonzero(np.isfinite(grid))
     diffs = np.diff(grid[finite])
@@ -439,71 +434,3 @@ def ingest_spectrum(path) -> ChannelSpectrum:
     if Path(path).suffix.lower() == ".s4p":
         return _ingest_touchstone(path)
     return _ingest_csv(path)
-
-
-# ---------------------------------------------------------------------------
-# network-description file (the four measurement two-ports + isolation)
-
-_LINE_ELEMENTS = ("in_a", "out_a", "in_b", "out_b")
-_LINE_HEADER = ["freq_hz", "element", "s11_re", "s11_im", "s12_re", "s12_im",
-                "s21_re", "s21_im", "s22_re", "s22_im", "iso_re", "iso_im"]
-
-
-def write_line_model(lines: LineModel, path, freqs=None,
-                     run_id: str | None = None) -> None:
-    """Write a network description: the four two-ports and the isolation.
-
-    One row per (frequency point, element) of ``lines.two_ports``.
-    Frequency-independent lines are written as a single point with an
-    empty ``freq_hz`` field; per-frequency lines require finite ``freqs``
-    of matching length.
-    """
-    n = lines.n_points
-    if n is not None:
-        if freqs is None or len(freqs) != n:
-            raise ValueError("per-frequency lines need a matching freqs array")
-        freqs = np.asarray(freqs, dtype=float)
-        if not np.all(np.isfinite(freqs)):
-            raise ValueError("line-model frequencies must be finite")
-        freq_col = np.repeat(freqs, len(_LINE_ELEMENTS))
-    else:
-        n = 1
-        freq_col = [""] * len(_LINE_ELEMENTS)
-    # (4n, 4) complex rows of s11, s12, s21, s22, point-major like the file
-    blocks = lines.two_ports.reshape(len(_LINE_ELEMENTS), n, 4).swapaxes(0, 1)
-    values = np.ascontiguousarray(blocks).reshape(4 * n, 4).view(float)
-    iso = np.repeat(np.broadcast_to(np.asarray(lines.isolation, dtype=complex), (n,)),
-                    len(_LINE_ELEMENTS))
-    columns = [freq_col, _LINE_ELEMENTS * n, *values.T, iso.real, iso.imag]
-    write_columns(path, _LINE_HEADER, columns, run_id)
-
-
-def read_line_model(path) -> tuple[LineModel, np.ndarray | None]:
-    """Read a network-description file; returns (lines, freqs or None).
-
-    Points may come in any order, but every element must list the same
-    points with the same isolation, and every value must be finite.
-    """
-    # the frequency is text: a frequency-independent model leaves it empty
-    return _read_table(path, _LINE_HEADER, {"freq_hz": 32, "element": 8}, _line_table)
-
-
-def _line_table(columns, line) -> tuple[LineModel, np.ndarray | None]:
-    """The line model of a line-model table's columns, and its grid (None if it has none)."""
-    constant = not any(map(str.strip, columns[0]))
-    freqs = np.full(len(columns[0]), math.nan) if constant else _floats(columns[0], line, "frequency")
-    values = np.column_stack([_floats(c, line, name) for c, name in zip(columns[2:], _LINE_HEADER[2:])])
-    shared = {"freq_hz": freqs, "iso_re": values[:, 8], "iso_im": values[:, 9]}
-    index = _group(columns[1], shared, line, _LINE_ELEMENTS, "element")
-    if constant and index.shape[1] > 1:
-        raise ParseError("per-frequency line model is missing frequency values")
-    finite = np.all(np.isfinite(values), axis=1) & (constant | np.isfinite(freqs))
-    if not np.all(finite):
-        raise ParseError("non-finite line-model value", line(np.argmin(finite)))
-    # (element, point, [s11, s12, s21, s22, iso]); a view keeps signed zeros
-    entries = values[index].view(complex)
-    two_ports, iso = entries[..., :4].reshape(len(_LINE_ELEMENTS), -1, 2, 2), entries[0, :, 4]
-    if constant:
-        return LineModel(two_ports[:, 0], isolation=complex(iso[0])), None
-    return LineModel(two_ports, isolation=iso), freqs[index[0]]
-

@@ -152,11 +152,6 @@ class LineModel:
     def matrices(self) -> tuple[np.ndarray, ...]:
         return tuple(self.two_ports)
 
-    @property
-    def n_points(self) -> int | None:
-        """Number of frequency points, or None for frequency-independent lines."""
-        return self.two_ports.shape[1] if self.two_ports.ndim == 4 else None
-
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, ...]:
         """Diagonals ``(s11, s12, s21, s22)`` of the four 4x4 line blocks.

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from routercell import calibration, cli, io, model, presets, runs
+from routercell import calibration, cli, io, model, presets, runs, synth
 
 from touchstone_fixture import spectrum_to_smatrix, write_touchstone
 
@@ -203,7 +203,7 @@ class TestSweeps:
 #: Every subcommand's output files, in the order run.json lists them.
 OUTPUTS = {
     "simulate": ["spectrum.csv", "magphase.csv"],
-    "synth": ["meas.csv", "hd.csv", "truth.json", "lines.csv"],
+    "synth": ["meas.csv", "hd.csv", "truth.json"],
     "calibrate": ["calibrated.csv"],
     "fit": ["fit.json"],
     "sweep-bias": ["efficiency_map.csv", "resonant_efficiency.csv",
@@ -262,7 +262,23 @@ class TestReproducibility:
         assert record.tool_version == runs.TOOL_VERSION
         assert set(record.outputs) == {
             str(run_dir / n)
-            for n in ("meas.csv", "hd.csv", "truth.json", "lines.csv")}
+            for n in ("meas.csv", "hd.csv", "truth.json")}
+
+    def test_synth_lines_are_rebuilt_from_the_run_record(self, tmp_path):
+        # synth writes no lines file: run.json's [lines] and seed draw them again, bit for bit
+        config = noisy_config()
+        config["lines"].update(ripple_db=0.4, reflection_bound=0.1)
+        cli.run_command("synth", config, out_dir=tmp_path, seed=5, run_id="s")
+        record = runs.RunRecord(**json.loads((tmp_path / "runs" / "s" / "run.json").read_text()))
+        g = record.config["grid"]
+        freqs = np.linspace(g["f_start_hz"], g["f_stop_hz"], int(g["n_points"]))
+        rebuilt = synth.gen_lines(synth.LineSpec(**record.config["lines"]), record.seed, freqs=freqs)
+        drawn = synth.gen_spectrum(synth.CampaignConfig(
+            cell=presets.cell_params_from_config(config), lines=synth.LineSpec(**config["lines"]),
+            freqs=cli._freq_grid(config), noise_sigma=config["noise"]["sigma"], seed=5)).lines
+        assert rebuilt.two_ports.shape == (4, 401, 2, 2)
+        assert rebuilt.two_ports.tobytes() == drawn.two_ports.tobytes()
+        assert np.asarray(rebuilt.isolation).tobytes() == np.asarray(drawn.isolation).tobytes()
 
 
     @staticmethod

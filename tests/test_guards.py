@@ -117,6 +117,8 @@ GUARDS = {
                    ValueError, "two_ports must have shape (4, 2, 2) or (4, n, 2, 2)"),
     "line-not-finite": (lambda: lines_with(np.full((2, 2), np.nan)),
                         ValueError, "A-in line entries must be finite"),
+    "line-isolation-not-finite": (lambda: network.LineModel([EYE] * 4, isolation=np.nan),
+                                  ValueError, "isolation must be finite"),
     "neumann-order": (lambda: network.compose_neumann(
                           model.cell_smatrix(W_GE, CELL), network.ideal_lines(), -1),
                       ValueError, "order must be >= 0"),

@@ -174,7 +174,6 @@ def test_no_package_module_imports_a_name_it_never_uses():
 #: the ROADMAP item that gives it a caller.
 UNUSED_EXPORTS = {
     "estimation.efficiency_trace": "item 7: the dephasing and thermal chains from data",
-    "io.read_line_model": "item 4: the fit through the known lines",
 }
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from routercell import io, model, network, presets, runs
+from routercell import io, model, presets, runs
 from routercell.calibration import ChannelSpectrum
 
 from touchstone_fixture import spectrum_to_smatrix, write_touchstone
@@ -100,19 +100,6 @@ def signed_spectra(draw):
     return ChannelSpectrum(np.array(freqs), traces)
 
 
-@st.composite
-def line_models(draw):
-    """(lines, freqs): frequency-independent, or per-frequency with a scalar or per-point isolation."""
-    n = draw(st.none() | st.integers(1, 6))
-    entries = st.builds(complex, SIGNED, SIGNED)
-    two_ports = draw(arrays(complex, (4, 2, 2) if n is None else (4, n, 2, 2), elements=entries))
-    if n is None:
-        return network.LineModel(two_ports, isolation=draw(entries)), None
-    isolation = draw(entries | arrays(complex, (n,), elements=entries))
-    freqs = np.array(draw(st.lists(SIGNED, min_size=n, max_size=n)))
-    return network.LineModel(two_ports, isolation=isolation), freqs
-
-
 def oracle_spectrum_bytes(spectrum, run_id):
     """``write_spectrum`` row by row through ``csv.writer``."""
     buf = StringIO(newline="")
@@ -123,26 +110,6 @@ def oracle_spectrum_bytes(spectrum, run_id):
     for ch, trace in zip(model.CHANNELS, spectrum.traces):
         for f, v in zip(spectrum.freqs, trace):
             writer.writerow([repr(float(f)), ch, repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue().encode()
-
-
-def oracle_line_model_bytes(lines, freqs, run_id):
-    """``write_line_model`` point by point through ``LineModel.at`` and ``csv.writer``."""
-    buf = StringIO(newline="")
-    if run_id is not None:
-        buf.write(f"# run: {run_id}\n")
-    writer = csv.writer(buf)
-    writer.writerow(["freq_hz", "element", "s11_re", "s11_im", "s12_re", "s12_im",
-                     "s21_re", "s21_im", "s22_re", "s22_im", "iso_re", "iso_im"])
-    n = 1 if freqs is None else len(freqs)
-    iso = np.broadcast_to(np.asarray(lines.isolation, dtype=complex), (n,))
-    for i in range(n):
-        point = lines if freqs is None else lines.at(i)
-        for name, m in zip(("in_a", "out_a", "in_b", "out_b"), point.matrices):
-            row = ["" if freqs is None else repr(float(freqs[i])), name]
-            for v in (*m.ravel(), iso[i]):
-                row += [repr(float(v.real)), repr(float(v.imag))]
-            writer.writerow(row)
     return buf.getvalue().encode()
 
 
@@ -163,6 +130,19 @@ def block_rows(header) -> int:
     return io._WRITE_FIELDS // len(header)
 
 
+def wide_table(rng, repeats: bool, n: int = 4001):
+    """A 12-column float table of ``4 n`` rows, many write blocks long.
+
+    Its first column repeats each of ``n`` frequencies four times; the
+    other eleven hold all-distinct values, or few values repeated, signed
+    zeros among them.
+    """
+    header = ["freq_hz", *(f"v{k}" for k in range(11))]
+    values = TestWriterBytes.long_values(rng, (11, 4 * n), repeats)
+    values[:, ::97], values[:, 1::97] = 0.0, -0.0
+    return header, [np.repeat(np.linspace(6.1e9, 6.2e9, n), 4), *values]
+
+
 class TestWriterBytes:
     """The columnar writers produce exactly the bytes of a row-wise ``csv.writer``."""
 
@@ -173,19 +153,10 @@ class TestWriterBytes:
         io.write_spectrum(spectrum, path, run_id=run_id)
         assert path.read_bytes() == oracle_spectrum_bytes(spectrum, run_id)
 
-    @ROUND_TRIP_SETTINGS
-    @given(line_models(), RUN_IDS)
-    def test_write_line_model_matches_csv_writer(self, tmp_path_factory, drawn, run_id):
-        lines, freqs = drawn
-        path = tmp_path_factory.mktemp("lines") / "lines.csv"
-        io.write_line_model(lines, path, freqs=freqs, run_id=run_id)
-        assert path.read_bytes() == oracle_line_model_bytes(lines, freqs, run_id)
-
     @pytest.mark.parametrize("write", [
         lambda path, run_id: io.write_spectrum(sample_spectrum(), path, run_id=run_id),
-        lambda path, run_id: io.write_line_model(network.ideal_lines(), path, run_id=run_id),
         lambda path, run_id: io.write_columns(path, ["x"], [np.ones(2)], run_id),
-    ], ids=["spectrum", "line-model", "columns"])
+    ], ids=["spectrum", "columns"])
     @pytest.mark.parametrize("run_id", ["a\nfreq_hz,channel,re,im", "x\u2028y"],
                              ids=["newline", "line-separator"])
     def test_unprintable_run_id_is_refused_before_writing(self, tmp_path, write, run_id):
@@ -203,7 +174,10 @@ class TestWriterBytes:
         (["a"], [np.ones(3), np.ones(3)], "header ['a'] names 1 columns, got 2"),
         # a 2-D array was once flattened
         (["a", "b"], [np.ones(6), np.ones((2, 3))], "column 'b' is a 2-D array; expected 1-D"),
-    ], ids=["unequal-lengths", "fewer-columns", "more-columns", "2-d"])
+        # names in an array were once written with repr, as 'AA', which no reader takes
+        (["n", "x"], [np.array(["AA", "BB"]), np.array([1, 2])], "column 'n' is an array of <U2; "
+                                                               "expected float64"),
+    ], ids=["unequal-lengths", "fewer-columns", "more-columns", "2-d", "non-float"])
     def test_malformed_table_is_refused_before_writing(self, tmp_path, header, columns, message):
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -248,18 +222,12 @@ class TestWriterBytes:
         assert path.read_bytes() == oracle_spectrum_bytes(spectrum, "r")
 
     @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
-    def test_line_model_longer_than_a_write_block(self, tmp_path, repeats):
-        rng = np.random.default_rng(8)
-        n = block_rows(io._LINE_HEADER) // len(io._LINE_ELEMENTS) + 5
-        values = self.long_values(rng, (2, 4, n, 2, 2), repeats)
-        matrices = values[0] + 1j * values[1]
-        iso = matrices[3, :, 0, 0].copy()
-        matrices[3] = np.array([[0.0, -0.0], [1.0, -0.0]])  # one signed-zero line at every point
-        lines = network.LineModel(matrices, isolation=iso)
-        freqs = np.arange(n) * 1e5 + 6e9
-        path = tmp_path / "lines.csv"
-        io.write_line_model(lines, path, freqs=freqs, run_id=None)
-        assert path.read_bytes() == oracle_line_model_bytes(lines, freqs, None)
+    def test_wide_table_longer_than_a_write_block(self, tmp_path, repeats):
+        # 12 columns take fewer rows a block than a spectrum's 4
+        header, columns = wide_table(np.random.default_rng(8), repeats)
+        path = tmp_path / "wide.csv"
+        io.write_columns(path, header, columns, None)
+        assert path.read_bytes() == oracle_columns_bytes(header, columns, None)
 
     @pytest.mark.parametrize("repeats", [False, True], ids=["distinct", "repeats"])
     def test_columns_longer_than_a_write_block(self, tmp_path, repeats):
@@ -328,6 +296,14 @@ class TestCsvErrors:
         path = self.write(tmp_path, rows)
         with pytest.raises(runs.ParseError, match="row counts"):
             io.ingest_spectrum(path)
+
+    def test_channel_frequencies_must_agree(self, tmp_path):
+        rows = "".join(f"{f},{ch},1.0,0.0\n" for ch in model.CHANNELS for f in ("1e9", "2e9"))
+        path = self.write(tmp_path, rows.replace("2e9,BB", "3e9,BB"))
+        with pytest.raises(runs.ParseError) as info:
+            io.ingest_spectrum(path)
+        assert (str(info.value), info.value.line) == (
+            "channel BB differs from channel AA in freq_hz (line 5)", 5)
 
     def test_unknown_channel_names_line(self, tmp_path):
         path = self.write(tmp_path, "1e9,XX,1.0,0.0\n")
@@ -534,13 +510,11 @@ def read_xy(path):
 READERS = {
     "csv": io.ingest_spectrum,
     "s4p": io.ingest_spectrum,
-    "lines": io.read_line_model,
     "table": read_xy,
 }
 TEXTS = {
     "csv": csv_text_tables(["freq_hz", "channel", "re", "im"], model.CHANNELS),
     "s4p": touchstone_texts(),
-    "lines": csv_text_tables(io._LINE_HEADER, io._LINE_ELEMENTS),
     "table": csv_table_bytes(),
 }
 #: The six errors ``_read_table`` raises, and the one :func:`xy_table` adds; the other
@@ -723,9 +697,6 @@ READ_AGAINST_REFERENCE = {
             lambda path: ChannelSpectrum(*io._finite_points(
                 path, *reference_build(io._CSV_HEADER, {"channel"}, io._spectrum_table)(path))),
             lambda spectrum: [spectrum.freqs.tobytes(), spectrum.traces.tobytes()]),
-    "lines": (io.read_line_model, reference_build(io._LINE_HEADER, {"freq_hz", "element"}, io._line_table),
-              lambda read: [read[0].two_ports.tobytes(), np.asarray(read[0].isolation).tobytes(),
-                            None if read[1] is None else read[1].tobytes()]),
     "table": (read_xy, reference_build(["x", "y"], {"y"}, xy_table),
               lambda read: [read[0].tobytes(), read[1]]),
 }
@@ -839,8 +810,8 @@ class TestReaderRules:
     @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["header-only", "blank-lines", "crlf-line"])
     @pytest.mark.parametrize("header, read", [
         ("freq_hz,channel,re,im\n", io.ingest_spectrum),
-        (",".join(io._LINE_HEADER) + "\n", io.read_line_model),
-    ], ids=["spectrum", "line-model"])
+        ("x,y\n", read_xy),
+    ], ids=["spectrum", "table"])
     def test_table_without_data_rows_names_its_header_line(self, tmp_path, header, read, body):
         # once "channel row counts differ: {'AA': 0, ...}"; numpy's warning on an empty
         # table never reaches the caller
@@ -874,16 +845,6 @@ class TestReaderRules:
             io.ingest_spectrum(self.write(tmp_path, rows))
         assert (str(info.value), info.value.line) == (
             f"channel field has {len(name)} characters, expected at most 63 (line 6)", 6)
-
-    def test_line_model_frequency_of_64_characters_is_refused_at_its_line(self, tmp_path):
-        path = tmp_path / "lines.csv"
-        io.write_line_model(network.ideal_lines(), path)
-        text = path.read_text().replace("\n,in_b,", "\n" + " " * 64 + ",in_b,")
-        path.write_text(text)
-        with pytest.raises(runs.ParseError) as info:
-            io.read_line_model(path)
-        assert (str(info.value), info.value.line) == (
-            "freq_hz field has 64 characters, expected at most 63 (line 4)", 4)
 
     def test_rescan_never_reads_a_table_numpy_refused(self, tmp_path, monkeypatch):
         # csv.reader only names the line of an error; a table it would read is still refused
@@ -954,13 +915,12 @@ class TestWriterMemory:
 
     FREQS = np.linspace(6.1e9, 6.2e9, 4001)
 
-    def test_line_model_write_peaks_below_4_5_mb(self, tmp_path):
-        # 16,004 rows of 12 fields: 4,096-row blocks and a copy of every column peaked at 7.1 MB
-        from routercell import synth
-        lines = synth.gen_lines(synth.LineSpec(ripple_db=0.4), seed=2, freqs=self.FREQS)
-        path = tmp_path / "lines.csv"
-        peak = traced_peak(lambda: io.write_line_model(lines, path, freqs=self.FREQS, run_id="r"))
-        assert path.read_bytes() == oracle_line_model_bytes(lines, self.FREQS, "r")
+    def test_wide_table_write_peaks_below_4_5_mb(self, tmp_path):
+        # 16,004 rows of 12 fields: a block holds 170 rows, whatever the table's length
+        header, columns = wide_table(np.random.default_rng(2), repeats=False)
+        path = tmp_path / "wide.csv"
+        peak = traced_peak(lambda: io.write_columns(path, header, columns, "r"))
+        assert path.read_bytes() == oracle_columns_bytes(header, columns, "r")
         assert peak < 4_500_000, f"peak {peak / 1e6:.2f} MB"
 
     def test_spectrum_write_peaks_below_1_9_mb(self, tmp_path):
@@ -1122,17 +1082,6 @@ class TestByteOrderMark:
         path.write_text(edit(path.read_text()))
         assert_same_spectrum(io.ingest_spectrum(with_bom(path)), io.ingest_spectrum(path))
 
-    def test_line_model(self, tmp_path):
-        from routercell import synth
-        freqs = np.linspace(6.1e9, 6.2e9, 5)
-        path = tmp_path / "lines.csv"
-        lines = synth.gen_lines(synth.LineSpec(ripple_db=0.4), seed=2, freqs=freqs)
-        io.write_line_model(lines, path, freqs=freqs)
-        (plain, plain_freqs), (back, back_freqs) = map(io.read_line_model, (path, with_bom(path)))
-        assert back_freqs.tobytes() == plain_freqs.tobytes()
-        for a, b in zip(back.matrices + (back.isolation,), plain.matrices + (plain.isolation,)):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
     def test_touchstone(self, tmp_path):
         spectrum = sample_spectrum()
         path = tmp_path / "cell.s4p"
@@ -1165,23 +1114,6 @@ class TestQuotedExport:
         back = io.ingest_spectrum(quoted)
         assert_same_spectrum(back, io.ingest_spectrum(path))
         assert back.traces.tobytes() == spectrum.traces.tobytes()
-
-    @pytest.mark.parametrize("per_frequency", [True, False], ids=["per-frequency", "constant"])
-    def test_line_model(self, tmp_path, per_frequency):
-        rng = np.random.default_rng(6)
-        n = FREQS.size if per_frequency else 1
-        values = rng.choice([0.0, -0.0, 0.5, -2.25e-7], size=(2, 4, n, 2, 2))
-        matrices = values[0] + 1j * values[1]
-        if not per_frequency:
-            matrices = matrices[:, 0]
-        lines = network.LineModel(matrices, isolation=complex(-0.0, 1e-3))
-        path = tmp_path / "lines.csv"
-        io.write_line_model(lines, path, freqs=FREQS if per_frequency else None)
-        (plain, plain_freqs), (back, back_freqs) = map(io.read_line_model, (path, quote_all(path)))
-        assert np.asarray(back_freqs).tobytes() == np.asarray(plain_freqs).tobytes()
-        for a, b in zip(back.matrices + (back.isolation,), plain.matrices + (plain.isolation,)):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.matrices, lines.matrices))
 
 
 def mostly(usual, other):
@@ -1342,129 +1274,3 @@ class TestRunRecord:
         d1 = runs.file_digest(p)
         p.write_text("two")
         assert runs.file_digest(p) != d1
-
-
-class TestLineModelFile:
-    def test_constant_lines_round_trip(self, tmp_path):
-        from routercell import synth
-        lines = synth.gen_lines(synth.LineSpec(jitter_db=0.7), seed=6)
-        path = tmp_path / "lines.csv"
-        io.write_line_model(lines, path)
-        back, freqs = io.read_line_model(path)
-        assert freqs is None
-        for a, b in zip(back.matrices, lines.matrices):
-            assert np.array_equal(a, b)
-        assert back.isolation == lines.isolation
-
-    def test_per_frequency_lines_round_trip(self, tmp_path):
-        from routercell import synth
-        freqs = np.linspace(6.1e9, 6.2e9, 9)
-        lines = synth.gen_lines(synth.LineSpec(ripple_db=0.4), seed=7, freqs=freqs)
-        path = tmp_path / "lines.csv"
-        io.write_line_model(lines, path, freqs=freqs)
-        back, freqs2 = io.read_line_model(path)
-        assert np.array_equal(freqs2, freqs)
-        assert back.n_points == 9
-        assert back.two_ports.shape == lines.two_ports.shape
-        assert back.two_ports.tobytes() == lines.two_ports.tobytes()
-
-    @ROUND_TRIP_SETTINGS
-    @given(line_models())
-    def test_line_model_round_trip_is_exact(self, tmp_path_factory, drawn):
-        lines, freqs = drawn
-        path = tmp_path_factory.mktemp("lines") / "lines.csv"
-        io.write_line_model(lines, path, freqs=freqs)
-        back, freqs_back = io.read_line_model(path)
-        if freqs is None:
-            assert freqs_back is None
-        else:
-            assert freqs_back.tobytes() == freqs.tobytes()
-        assert back.two_ports.shape == lines.two_ports.shape
-        assert back.two_ports.tobytes() == lines.two_ports.tobytes()
-        # the file holds the isolation at every point: a scalar one reads back repeated
-        iso = np.asarray(back.isolation, dtype=complex)
-        written = np.broadcast_to(np.asarray(lines.isolation, dtype=complex), iso.shape)
-        assert iso.tobytes() == written.tobytes()
-
-    def test_malformed_element_rejected(self, tmp_path):
-        path = tmp_path / "lines.csv"
-        header = ",".join(["freq_hz", "element"] + [f"s{i}{j}_{p}" for i in (1, 2)
-                          for j in (1, 2) for p in ("re", "im")] + ["iso_re", "iso_im"])
-        path.write_text(header + "\n" + ",bogus" + ",0.0" * 10 + "\n")
-        with pytest.raises(runs.ParseError, match="bogus"):
-            io.read_line_model(path)
-
-    def write_per_frequency(self, tmp_path):
-        from routercell import synth
-        freqs = np.linspace(6.1e9, 6.2e9, 3)
-        lines = synth.gen_lines(synth.LineSpec(ripple_db=0.4), seed=7, freqs=freqs)
-        path = tmp_path / "lines.csv"
-        io.write_line_model(lines, path, freqs=freqs)
-        return path, path.read_text().splitlines()
-
-    def rewrite(self, path, rows, line, column, value):
-        fields = rows[line - 1].split(",")
-        fields[column] = value
-        rows[line - 1] = ",".join(fields)
-        path.write_text("\n".join(rows) + "\n")
-
-    def test_element_frequencies_must_agree(self, tmp_path):
-        path, rows = self.write_per_frequency(tmp_path)
-        self.rewrite(path, rows, 3, 0, "7e9")  # out_a of the first point
-        with pytest.raises(runs.ParseError, match="out_a differs from element in_a in freq_hz.*line 3"):
-            io.read_line_model(path)
-
-    def test_isolation_must_agree_within_a_point(self, tmp_path):
-        path, rows = self.write_per_frequency(tmp_path)
-        self.rewrite(path, rows, 8, 11, "0.5")  # iso_im of in_b at the second point
-        with pytest.raises(runs.ParseError, match="in_b differs from element in_a in iso_im.*line 8"):
-            io.read_line_model(path)
-
-    @pytest.mark.parametrize("column, value", [(2, "nan"), (11, "inf"), (0, "nan")],
-                             ids=["s11-nan", "iso-inf", "freq-nan"])
-    def test_non_finite_value_names_line(self, tmp_path, column, value):
-        path, rows = self.write_per_frequency(tmp_path)
-        for line in range(6, 10):  # all rows of the second point
-            self.rewrite(path, rows, line, column, value)
-        with pytest.raises(runs.ParseError, match="non-finite.*line 6"):
-            io.read_line_model(path)
-
-    def test_non_finite_value_is_refused_before_writing(self, tmp_path):
-        # what the reader refuses must not be constructed or written
-        e = network.ideal_lines().two_ports
-        with pytest.raises(ValueError, match="isolation must be finite"):
-            network.LineModel(e, isolation=math.nan)
-        lines = network.LineModel(np.stack([e, e], axis=1))
-        with pytest.raises(ValueError, match="frequencies must be finite"):
-            io.write_line_model(lines, tmp_path / "lines.csv", freqs=[1.0, math.inf])
-
-    @pytest.mark.parametrize("freqs", [None, [1.0, 2.0, 3.0]], ids=["none", "too-long"])
-    def test_per_frequency_lines_need_matching_freqs(self, tmp_path, freqs):
-        e = network.ideal_lines().two_ports
-        lines = network.LineModel(np.stack([e, e], axis=1))
-        with pytest.raises(ValueError, match="per-frequency lines need a matching freqs array"):
-            io.write_line_model(lines, tmp_path / "lines.csv", freqs=freqs)
-        assert not (tmp_path / "lines.csv").exists()
-
-    def test_blank_frequencies_with_several_points_rejected(self, tmp_path):
-        # read as one constant model, the second point per element would be lost
-        path, rows = self.write_per_frequency(tmp_path)
-        for line in range(2, len(rows) + 1):
-            self.rewrite(path, rows, line, 0, "")
-        with pytest.raises(runs.ParseError, match="per-frequency line model is missing frequency"):
-            io.read_line_model(path)
-
-    def test_per_frequency_isolation_round_trips(self, tmp_path):
-        e = network.ideal_lines().two_ports
-        lines = network.LineModel(np.stack([e] * 3, axis=1), isolation=np.array([0.1, 0.2j, -0.3]))
-        path = tmp_path / "lines.csv"
-        io.write_line_model(lines, path, freqs=[1.0, 2.0, 3.0])
-        back, freqs = io.read_line_model(path)
-        assert np.array_equal(freqs, [1.0, 2.0, 3.0])
-        assert np.array_equal(back.isolation, lines.isolation)
-
-    def test_undecodable_file_names_path(self, tmp_path):
-        path = tmp_path / "utf16.csv"
-        path.write_bytes(b"\xff\xfefreq_hz,element\n")
-        with pytest.raises(runs.ParseError, match="utf16.csv is not UTF-8"):
-            io.read_line_model(path)

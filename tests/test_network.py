@@ -159,7 +159,7 @@ class TestLineModel:
             with pytest.raises(ValueError, match="isolation must be a scalar or one value per frequency point"):
                 network.LineModel(np.stack([self.E] * 4), isolation=np.zeros(n))
             lines = network.LineModel(np.broadcast_to(self.E, (4, n, 2, 2)), isolation=np.zeros(n))
-            assert lines.n_points == n
+            assert lines.two_ports.shape == (4, n, 2, 2)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data())
@@ -181,7 +181,6 @@ class TestLineModel:
         assert np.array_equal(point.two_ports, built.two_ports)
         assert type(point.isolation) is complex
         assert point.isolation == built.isolation
-        assert point.n_points is None and built.n_points is None
         for got, want in zip(point._blocks, built._blocks):
             assert np.array_equal(got, want)
         assert built.at(i) is built  # frequency-independent lines hold at every point
@@ -195,7 +194,7 @@ class TestLineModel:
         monkeypatch.setattr(network.LineModel, "__post_init__", refuse)
         point = lines.at(1)
         assert point.two_ports.base is lines.two_ports
-        assert point.n_points is None
+        assert point.two_ports.shape == (4, 2, 2)
 
     def test_matrices_and_slices_are_views_of_the_held_stack(self):
         rng = np.random.default_rng(5)
@@ -726,7 +725,7 @@ class TestDeembedSweep:
 
     def sweep(self, seed):
         lines = synth.gen_lines(self.SPEC, seed, self.FREQS)
-        assert lines.n_points == len(self.FREQS)
+        assert lines.two_ports.shape == (4, len(self.FREQS), 2, 2)
         for i, f in enumerate(self.FREQS):
             yield model.cell_smatrix(TWO_PI * f, STEADY_STATE_CELL), lines.at(i)
 

@@ -65,7 +65,7 @@ class TestGenLines:
     def test_ripple_produces_per_frequency_lines(self):
         line_spec = synth.LineSpec(ripple_db=0.5, ripple_periods=2.0)
         lines = synth.gen_lines(line_spec, seed=4, freqs=FREQS)
-        assert lines.n_points == FREQS.size
+        assert lines.two_ports.shape == (4, FREQS.size, 2, 2)
         t = np.abs(lines.two_ports[0, :, 1, 0])
         swing_db = 20 * np.log10(t.max() / t.min())
         assert swing_db == pytest.approx(1.0, abs=0.05)
