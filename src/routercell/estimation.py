@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,7 +273,10 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     + gamma_a + gamma_b)| / sqrt(2 gamma_a gamma_b)`` is taken at the start
     ``init``.  Dephasing and bath rates are held at their ``init`` values.
     Deterministic given the data and starting point; non-convergence is
-    reported through ``converged=False`` rather than raised.
+    reported through ``converged=False`` rather than raised.  A residual
+    at rounding level, at most ``1e3 eps`` times the norm of the fitted
+    data, carries no noise to scale an uncertainty by: the fit is flagged
+    ``noiseless`` and every uncertainty is infinite.
     """
     omega = 2.0 * np.pi * calibrated.freqs
     coherence = init.coherence_rate
@@ -295,8 +298,12 @@ def fit_four_channel(calibrated: ChannelSpectrum, init: CellParams,
     x0 = np.array([init.gamma_a, init.gamma_b, init.omega_ge, init.phi_a, init.phi_b])
     lower = [1e-3 * scale, 1e-3 * scale, -np.inf, -_PHASE_BOUND, -_PHASE_BOUND]
     upper = [np.inf, np.inf, np.inf, _PHASE_BOUND, _PHASE_BOUND]
-    return _finish_report(_FOUR_CHANNEL_NAMES, least_squares(
+    report = _finish_report(_FOUR_CHANNEL_NAMES, least_squares(
         problem, x0, bounds=(lower, upper)), seed)
+    if report.residual_norm <= 1e3 * np.finfo(float).eps * np.linalg.norm(data):
+        report = replace(report, sigma=dict.fromkeys(report.sigma, math.inf),
+                         flags=(*report.flags, "noiseless"))
+    return report
 
 
 # ---------------------------------------------------------------------------

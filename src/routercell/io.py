@@ -11,8 +11,7 @@ CSV tables share one writer, :func:`write_columns`, and spectra are read
 by one columnar reader, :func:`_read_table`.  The writer's memory is
 bounded: beyond the caller's columns it holds the text of one block of
 ``_WRITE_FIELDS`` fields, whatever the number of columns, and keeps no
-copy of a float column; a column of repeats keeps its distinct texts and
-one integer per row.  The reader parses a whole table with numpy's C
+copy of a float column.  The reader parses a whole table with numpy's C
 reader into one structured array, float64 value columns and string name
 columns.  Numbers take ``float()``'s syntax in ASCII, without ``_``
 separators; a name holds fewer than 64 characters, whitespace included.
@@ -28,7 +27,6 @@ from __future__ import annotations
 import csv
 import warnings
 from contextlib import contextmanager
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -56,42 +54,25 @@ _CSV_HEADER = ["freq_hz", "channel", "re", "im"]
 _WRITE_FIELDS = 2048
 
 
-def _float_fields(values: np.ndarray, rows: int):
-    """The ``repr`` of every value, computed once per distinct float64 bit pattern.
-
-    ``repr`` round-trips a float64 exactly.  Signed zeros and NaN payloads
-    are distinct bit patterns, so each value keeps its own text.  Values
-    are read ``rows`` at a time from the caller's array, strided views
-    too; only ``np.unique`` copies a whole column, while it runs.  Only a
-    column of repeats, at most one distinct value in two, keeps arrays for
-    the whole write: its texts and which one each row takes.
-    """
-    text, keys = repr, values
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if 2 * len(bits) <= len(values):
-        text, keys = list(map(repr, bits.view(np.float64).tolist())).__getitem__, inverse
-    return chain.from_iterable(map(text, keys[i:i + rows].tolist())
-                               for i in range(0, len(keys), rows))
-
-
 def write_columns(path, header: list[str], columns, run_id: str | None = None) -> None:
     """Write a CSV table column by column, byte for byte as ``csv.writer`` would.
 
     Each column is a 1-D float64 array, written as the ``repr`` of every
     value (which round-trips float64 exactly), or a sequence of field
-    strings; there is one per header name, and all have the same length.
-    Rows end in CRLF.  No field needs quoting: each is a float ``repr``, a
-    name or empty.  A ``run_id`` must be printable, so that it stays on
-    its one ``# run:`` comment line.  A table that breaks these rules is
-    refused with ValueError before the file is opened.
+    strings; there is one per header name, at least one, and all have the
+    same length.  Rows end in CRLF.  No field needs quoting: each is a
+    float ``repr``, a name or empty.  A ``run_id`` must be printable, so
+    that it stays on its one ``# run:`` comment line.  A table that breaks
+    these rules is refused with ValueError before the file is opened.
 
-    The text is built and written ``_WRITE_FIELDS`` fields at a time, and
-    no copy of a float column is kept, so a write holds little beyond its columns:
-    a block's text, and for a column of repeats its distinct texts and one
-    integer per row.
+    The text is built and written ``_WRITE_FIELDS`` fields at a time from
+    slices of the caller's columns, strided views too, so a write holds
+    little beyond its columns: one block's values and text.
     """
     if run_id is not None and not run_id.isprintable():
         raise ValueError(f"run id {run_id!r} is not printable")
+    if not header:
+        raise ValueError("a table needs at least one column; the header names none")
     columns = list(columns)
     if len(columns) != len(header):
         raise ValueError(f"header {header} names {len(header)} columns, got {len(columns)}")
@@ -103,21 +84,25 @@ def write_columns(path, header: list[str], columns, run_id: str | None = None) -
         if len(column) != len(columns[0]):
             raise ValueError(f"column {name!r} has {len(column)} values, "
                              f"column {header[0]!r} has {len(columns[0])}")
-    rows = max(1, _WRITE_FIELDS // max(1, len(header)))
-    fields = [_float_fields(c, rows) if isinstance(c, np.ndarray) else c for c in columns]
-    lines = map(",".join, zip(*fields))
+    rows = max(1, _WRITE_FIELDS // len(header))
     with Path(path).open("w", newline="") as fh:
         if run_id is not None:
             fh.write(f"# run: {run_id}\n")
         fh.write(",".join(header) + "\r\n")
-        while block := list(islice(lines, rows)):
-            fh.write("\r\n".join(block) + "\r\n")
+        for i in range(0, len(columns[0]), rows):
+            block = [map(repr, c[i:i + rows].tolist()) if isinstance(c, np.ndarray) else c[i:i + rows]
+                     for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def write_spectrum(spectrum: ChannelSpectrum, path, run_id: str | None = None) -> None:
-    """Write a spectrum as long-form CSV (lossless float precision)."""
+    """Write a spectrum as long-form CSV (lossless float precision).
+
+    The frequency column repeats the grid once per channel, so each
+    frequency's text is formatted once and written four times.
+    """
     columns = [
-        np.tile(spectrum.freqs, len(CHANNELS)),
+        list(map(repr, spectrum.freqs.tolist())) * len(CHANNELS),
         [ch for ch in CHANNELS for _ in spectrum.freqs],
         spectrum.traces.real.reshape(-1),  # views of the (4, n) traces, channel-major like the file
         spectrum.traces.imag.reshape(-1),

@@ -1,5 +1,6 @@
 """Command-line pipelines: outputs, records, reproducibility, error paths."""
 
+import hashlib
 import json
 import math
 import os
@@ -44,6 +45,17 @@ class TestSimulate:
         assert len(rows) == 4 * 401
 
 
+def run_chain(config, out: Path, seed: int) -> Path:
+    """``synth``, ``calibrate``, ``fit`` and ``report`` under ``out``, each step's run id its
+    name; returns the runs directory."""
+    run_root = out / "runs"
+    chain = {"synth": [], "calibrate": [run_root / "synth" / "meas.csv", run_root / "synth" / "hd.csv"],
+             "fit": [run_root / "calibrate" / "calibrated.csv"], "report": [run_root / "fit"]}
+    for step, inputs in chain.items():
+        cli.run_command(step, config, inputs, out_dir=out, seed=seed, run_id=step)
+    return run_root
+
+
 class TestSynthCalibrateFitChain:
     def test_end_to_end_recovers_configured_parameters(self, tmp_path):
         config = runs.load_config(None)
@@ -82,11 +94,7 @@ class TestSynthCalibrateFitChain:
         config = runs.load_config(None)
         config["lines"]["isolation_db"] = -40.0
         config["noise"]["sigma"] = 0.01
-        run_root = tmp_path / "runs"
-        chain = {"synth": [], "calibrate": [run_root / "synth" / "meas.csv", run_root / "synth" / "hd.csv"],
-                 "fit": [run_root / "calibrate" / "calibrated.csv"], "report": [run_root / "fit"]}
-        for step, inputs in chain.items():
-            cli.run_command(step, config, inputs, out_dir=tmp_path, seed=0, run_id=step)
+        run_root = run_chain(config, tmp_path, seed=0)
 
         payload = json.loads((run_root / "fit" / "fit.json").read_text())
         assert payload["converged"] and payload["flags"] == []
@@ -95,6 +103,19 @@ class TestSynthCalibrateFitChain:
             error = payload["params"][name] - getattr(truth, name)
             assert abs(error) < 5 * payload["sigma"][name], name
         assert "converged: True" in (run_root / "report" / "report.txt").read_text()
+
+    def test_noiseless_default_chain_reports_no_uncertainty(self, tmp_path):
+        # [noise] sigma = 0 leaves a residual at rounding level, whose uncertainties once
+        # read f_ge = 6.163000 +/- 7.43e-20 GHz
+        run_root = run_chain(None, tmp_path, seed=11)
+
+        payload = json.loads((run_root / "fit" / "fit.json").read_text())
+        assert payload["converged"] and payload["flags"] == ["noiseless"]
+        assert payload["sigma"] == dict.fromkeys(payload["params"], math.inf)
+        truth = presets.cell_params_from_config(runs.load_config(None))
+        assert payload["params"]["omega_ge"] == pytest.approx(truth.omega_ge, rel=1e-12)
+        text = (run_root / "report" / "report.txt").read_text()
+        assert "+/- inf GHz" in text and "flags: noiseless" in text
 
     def test_calibrate_requires_two_inputs(self, tmp_path):
         with pytest.raises(ValueError, match="two inputs"):
@@ -553,3 +574,102 @@ class TestMainEntry:
         parser = cli.build_parser()
         for name in cli.SUBCOMMANDS:
             assert name in parser.format_help()
+
+
+#: The steps without inputs that read each configuration key outside [run]: changing the key
+#: must change some output of each.  calibrate, fit and report read only their input files.
+KEY_READERS = {
+    ("model", "gamma_a_hz"): ("simulate", "synth", "sweep-bias", "sweep-temp", "sweep-power"),
+    ("model", "gamma_b_hz"): ("simulate", "synth", "sweep-bias", "sweep-temp", "sweep-power"),
+    ("model", "f_ge_hz"): ("simulate", "synth", "sweep-temp", "dressed"),
+    ("model", "f_ef_hz"): ("dressed",),
+    ("model", "phi_a_rad"): ("simulate", "synth", "sweep-bias", "sweep-power"),
+    ("model", "phi_b_rad"): ("simulate", "synth", "sweep-bias", "sweep-power"),
+    ("model", "gamma_phi_hz"): ("simulate", "synth", "sweep-power"),
+    ("model", "gamma_bath_hz"): ("simulate", "synth", "sweep-bias", "sweep-power"),
+    ("flux", "curvature_hz_per_ma2"): ("sweep-bias",),
+    ("flux", "linear_hz_per_ma"): ("sweep-bias",),
+    ("flux", "sweet_spot_f_hz"): ("sweep-bias",),
+    ("grid", "f_start_hz"): ("simulate", "synth", "sweep-bias"),
+    ("grid", "f_stop_hz"): ("simulate", "synth", "sweep-bias"),
+    ("grid", "n_points"): ("simulate", "synth", "sweep-bias"),
+    ("grid", "bias_start_ma"): ("sweep-bias",),
+    ("grid", "bias_stop_ma"): ("sweep-bias",),
+    ("grid", "n_bias"): ("sweep-bias",),
+    ("grid", "temp_start_k"): ("sweep-temp",),
+    ("grid", "temp_stop_k"): ("sweep-temp",),
+    ("grid", "n_temp"): ("sweep-temp",),
+    ("grid", "navg_min"): ("sweep-power",),
+    ("grid", "navg_max"): ("sweep-power",),
+    ("grid", "n_navg"): ("sweep-power",),
+    ("grid", "nphot_min"): ("dressed",),
+    ("grid", "nphot_max"): ("dressed",),
+    ("grid", "n_nphot"): ("dressed",),
+    ("lines", "transmission_db"): ("synth",),
+    ("lines", "jitter_db"): ("synth",),
+    ("lines", "reflection_bound"): ("synth",),
+    ("lines", "isolation_db"): ("synth",),
+    ("lines", "ripple_db"): ("synth",),
+    ("lines", "ripple_periods"): ("synth",),
+    ("noise", "sigma"): ("synth", "sweep-bias", "sweep-temp", "sweep-power"),
+    ("fluxnoise", "s_i_a2_per_hz"): ("sweep-bias",),
+    ("fluxnoise", "gamma_phi0_hz"): ("sweep-bias",),
+    ("thermal", "gamma1_zero_hz"): ("sweep-temp",),
+    ("thermal", "gamma_phi_zero_hz"): ("sweep-temp",),
+    ("saturation", "c"): ("sweep-power",),
+    ("saturation", "d"): ("sweep-power",),
+    ("dressed", "lambda_red_hz"): ("dressed",),
+    ("dressed", "lambda_blue_hz"): ("dressed",),
+}
+
+#: The pairs that move no output today, each until its ROADMAP item lands
+INERT_KEYS = {
+    ("lines", "reflection_bound", "synth"):
+        "item 3: gen_spectrum forwards through simplified_forward, which drops the reflections",
+    ("noise", "sigma", "sweep-bias"): "item 7: sweep-bias computes E from the model, without noise",
+}
+
+
+class TestNoInertConfigKey:
+    """Every configuration key moves some output of each step that reads it."""
+
+    @staticmethod
+    def config(section: str, key: str, moved: bool) -> dict:
+        """The default config on a 41-point grid, at 0.3 dB ripple for ``ripple_periods``.
+
+        ``moved`` raises the key by 5 %, by 2 if it is an integer and to 0.05
+        from 0, and moves the frequency grid's edges out by 1 MHz.
+        """
+        config = runs.load_config(None)
+        config["grid"]["n_points"] = 41
+        if key == "ripple_periods":
+            config["lines"]["ripple_db"] = 0.3  # the ripple's period moves nothing without one
+        if moved:
+            value = config[section][key]
+            if key in ("f_start_hz", "f_stop_hz"):
+                value += 1e6 if key == "f_stop_hz" else -1e6
+            elif isinstance(value, int):
+                value += 2
+            else:
+                value = value * 1.05 if value else 0.05
+            config[section][key] = value
+        return config
+
+    def test_table_lists_every_key(self):
+        assert set(KEY_READERS) == {(section, key) for section, keys in runs.CONFIG_SCHEMA.items()
+                                    if section != "run" for key in keys}
+
+    @pytest.mark.parametrize("section, key, step", [
+        pytest.param(section, key, step, id=f"{section}.{key}-{step}", marks=[
+            pytest.mark.xfail(strict=True, reason=INERT_KEYS[section, key, step])
+        ] if (section, key, step) in INERT_KEYS else [])
+        for (section, key), steps in KEY_READERS.items() for step in steps])
+    def test_key_moves_an_output(self, tmp_path, section, key, step):
+        digests = []
+        for moved in (False, True):
+            cli.run_command(step, self.config(section, key, moved), out_dir=tmp_path / str(moved),
+                            seed=3, run_id="r")
+            run_dir = tmp_path / str(moved) / "runs" / "r"
+            digests.append({name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                            for name in OUTPUTS[step]})
+        assert digests[0] != digests[1]

@@ -136,6 +136,17 @@ class TestFourChannelFit:
         assert report.n_iter <= 3
         assert report.value("gamma_a") == pytest.approx(GA, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-9, 1e-3])
+    def test_a_residual_at_rounding_level_reports_no_uncertainty(self, sigma):
+        # sigma = 0 once reported uncertainties scaled by a residual of rounding noise
+        init = model.CellParams(1.3 * GA, 0.8 * GB, W_GE + TWO_PI * 2e6)
+        report = estimation.fit_four_channel(noisy_spectrum(sigma, 3), init)
+        noiseless = sigma == 0
+        assert report.converged
+        assert report.flags == (("noiseless",) if noiseless else ())
+        assert all(math.isinf(v) == noiseless for v in report.sigma.values())
+        assert report.value("gamma_a") == pytest.approx(GA, rel=1e-3)
+
     def test_monte_carlo_three_sigma_coverage(self):
         freqs = np.linspace(F_GE - 25e6, F_GE + 25e6, 201)
         hits = 0
